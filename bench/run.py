@@ -6,9 +6,11 @@ Run from the root of a checkout; the program under test is the checkout's
 own src/.  A workload is a seeded list of workloads.COMMANDS ginlab
 invocations.  One client runs them one after another (a closed loop, no
 threads), each in a fresh `python -m ginlab` process, and goes over the list
-once per PASS_SECONDS of --seconds.  Every output is checked by checks.py,
-which shares no code with ginlab; later passes must reproduce the bytes of
-the first.
+once per PASS_SECONDS of --seconds.  Before each command it spawns
+reference.py, and every time is scaled by how long the reference spawns
+around it took, so that the drifting speed of a shared machine cancels.
+Every output is checked by checks.py, which shares no code with ginlab;
+later passes must reproduce the bytes of the first.
 
 --trace 0 prints the end-to-end metrics.  --trace 1 runs the same list the
 same number of times inside this process, each command once plain and once
@@ -21,6 +23,7 @@ samples is written to bench/results/.
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import gc
 import hashlib
@@ -43,11 +46,16 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 RESULTS = HERE / "results"
 DEFAULT_SEED = 1
-PASS_SECONDS = 7.5
-SETUP_EVERY = 8  # one `import ginlab` spawn before every 8th command
+PASS_SECONDS = 15.0
+SETUP_EVERY = 4  # one `import ginlab` spawn before every 4th command
 COMMAND_TIMEOUT = 120.0
 DEADLINE = 160.0  # no command starts after this many seconds of a run
 IMPORT = ["-c", "import ginlab"]
+# reference.py, spawned before every command to measure the machine's speed;
+# -I keeps the checkout off its path
+REFERENCE = ["-I", str(HERE / "reference.py")]
+REF_SECONDS = 0.1  # times are reported as on a machine where REFERENCE takes this long
+REF_SIDE = 1  # reference spawns on each side that set the speed around a time
 
 END_TO_END = {"wall_s": "s", "cmd_p50_s": "s", "cmd_tail_s": "s", "peak_rss_mb": "MB",
               "setup_s": "s"}
@@ -176,48 +184,89 @@ def passes(seconds: float) -> int:
     return max(1, round(seconds / PASS_SECONDS))
 
 
+def local_speed(ref_at: list[int], ref_wall: list[float], at: int) -> float:
+    """How slow the machine ran around position `at` of the run: the median
+    time of the REF_SIDE reference spawns before it and the REF_SIDE after
+    it, over REF_SECONDS.  ref_at is ascending."""
+    i = bisect.bisect(ref_at, at)
+    return statistics.median(ref_wall[max(0, i - REF_SIDE):i + REF_SIDE]) / REF_SECONDS
+
+
 def cold_run(cmds: list[list[str]], seconds: float, begin: float) -> tuple[dict, Tally, dict]:
     init = require_checkout()
     tally = Tally(cmds)
-    walls: list[list[float]] = [[] for _ in cmds]
+    # (position in the run, wall s) of every spawn, by what was spawned
+    cmd_at: list[list[tuple[int, float]]] = [[] for _ in cmds]
+    setup_at: list[tuple[int, float]] = []
+    ref_at: list[int] = []
+    ref_wall: list[float] = []
     rss_kb: list[list[int]] = [[] for _ in cmds]
-    setup: list[float] = []
     launcher = Launcher()
+
+    position = 0
+
+    def spawn(args: list[str], timeout: float = COMMAND_TIMEOUT) -> tuple:
+        """Position in the run, wall s, exit code, peak RSS and stdout."""
+        nonlocal position
+        position += 1
+        return (position, *launcher.run(args, timeout))
+
     try:
         *_, code, _, out = launcher.run(["-c", "import ginlab, sys; sys.stdout.write(ginlab.__file__)"],
                                         COMMAND_TIMEOUT)
         if code != 0 or Path(out.decode()).resolve() != init:
             raise Checkout(f"ginlab resolves to {out.decode()!r}, not {init}: {launcher.stderr()}")
         launcher.run(["-m", "ginlab", "classes", "general:2"], COMMAND_TIMEOUT)  # warm-up
+        launcher.run(REFERENCE, COMMAND_TIMEOUT)
         for _ in range(passes(seconds)):
             for i, cmd in enumerate(cmds):
+                at, wall, code, *_ = spawn(REFERENCE)
+                if code != 0:
+                    raise Checkout(f"the reference program failed: {launcher.stderr()}")
+                ref_at.append(at)
+                ref_wall.append(wall)
                 if i % SETUP_EVERY == 0:
-                    setup.append(launcher.run(IMPORT, COMMAND_TIMEOUT)[0])
+                    setup_at.append(spawn(IMPORT)[:2])
                 remaining = DEADLINE - (perf_counter() - begin)
                 if remaining <= 0:
                     raise TimeoutError(f"run deadline reached before command {i}")
-                wall, code, rss, out = launcher.run(["-m", "ginlab", *cmd],
-                                                   min(COMMAND_TIMEOUT, remaining))
+                at, wall, code, rss, out = spawn(["-m", "ginlab", *cmd],
+                                                 min(COMMAND_TIMEOUT, remaining))
                 tally.add(i, code, out, launcher.stderr() if code else "")
-                walls[i].append(wall)
+                cmd_at[i].append((at, wall))
                 rss_kb[i].append(rss)
+        at, wall, *_ = spawn(REFERENCE)
+        ref_at.append(at)
+        ref_wall.append(wall)
     except TimeoutError as exc:
         tally.failed += 1
         tally.attempted += 1
         tally.records[0]["problems"].append(str(exc))
     finally:
         launcher.close()
-    # each command's best pass: the other passes absorb the slow spells of
-    # a shared machine
-    times = sorted(min(w) for w in walls if w)
+    # every time is divided by how slow the machine ran around it, measured
+    # by the reference spawns, and each command is taken at the median of
+    # its passes
+    def norm(samples: list[tuple[int, float]]) -> list[float]:
+        return [wall / local_speed(ref_at, ref_wall, at) for at, wall in samples]
+
+    times = sorted(statistics.median(norm(s)) for s in cmd_at if s)
+    raw = sorted(statistics.median(wall for _, wall in s) for s in cmd_at if s)
     metrics = {
         "wall_s": sum(times),
         "cmd_p50_s": statistics.median(times),
         "cmd_tail_s": times[-TAIL_RANK],
         "peak_rss_mb": max(max(r) for r in rss_kb if r) * 1024 / 1e6,
-        "setup_s": statistics.median(setup),
+        "setup_s": statistics.median(norm(setup_at)),
     }
-    samples = {"setup_s": setup, "command_wall_s": walls, "command_maxrss_kib": rss_kb}
+    samples = {
+        "unscaled": {"wall_s": sum(raw), "cmd_p50_s": statistics.median(raw),
+                     "cmd_tail_s": raw[-TAIL_RANK],
+                     "setup_s": statistics.median(wall for _, wall in setup_at),
+                     "reference_s": statistics.median(ref_wall)},
+        "reference": list(zip(ref_at, ref_wall)), "setup": setup_at, "commands": cmd_at,
+        "command_maxrss_kib": rss_kb,
+    }
     return metrics, tally, samples
 
 
@@ -307,14 +356,17 @@ def _layer_metrics(spans: dict, stats: dict) -> dict:
 
 def _summary(workload: str, seed: int, cmds: list, metrics: dict, tally: Tally,
              samples: dict, units: dict) -> None:
-    count = len(samples.get("traced_pass_wall_s") or samples["command_wall_s"][0])
+    count = len(samples.get("traced_pass_wall_s") or samples["commands"][0])
     print(f"workload {workload}, seed {seed}: {len(cmds)} commands, {count} pass(es)")
     for name, value in metrics.items():
         print(f"  {name:<48} {value:>16{'d' if isinstance(value, int) else '.6g'}} {units[name]}")
     ratio = tally.failed / tally.attempted if tally.attempted else 1.0
     print(f"  {'fail_ratio':<48} {ratio:>16.6g} ratio ({tally.failed} of {tally.attempted} failed)")
+    if "unscaled" in samples:
+        print("  as measured, before scaling by the reference: " + ", ".join(
+            f"{name} {value:.6g}" for name, value in samples["unscaled"].items()))
     if "cmd_tail_s" in metrics:
-        print(f"  cmd_tail_s is the {TAIL_RANK}th slowest of {len(cmds)} per-command best times "
+        print(f"  cmd_tail_s is the {TAIL_RANK}th slowest of {len(cmds)} per-command times "
               f"(p{100 * (len(cmds) - TAIL_RANK + 1) // len(cmds)})")
     for rec in tally.records:
         if rec["problems"]:

@@ -98,6 +98,15 @@ def test_corrupted_output_raises_fail_ratio():
     assert (tally.attempted, tally.failed) == (3, 3)
 
 
+def test_reference_spawns_set_the_local_speed():
+    # a slow spell doubles the reference time from position 3 to 9
+    ref_at, ref_wall = [1, 3, 5, 7, 9, 11], [0.1, 0.2, 0.2, 0.2, 0.2, 0.1]
+    assert run.REF_SIDE == 1  # the ones just before and just after
+    assert run.local_speed(ref_at, ref_wall, 6) == pytest.approx(0.2 / run.REF_SECONDS)
+    assert run.local_speed(ref_at, ref_wall, 2) == pytest.approx(0.15 / run.REF_SECONDS)
+    assert run.local_speed(ref_at, ref_wall, 12) == pytest.approx(0.1 / run.REF_SECONDS)
+
+
 def _calls() -> list:
     general, collinear, shgh = (PointConfig.general(7), PointConfig.collinear_plus_one(5),
                                 PointConfig.shgh(11))

@@ -111,7 +111,8 @@ _SWEEP_VERIFY = (
 # (config, spacing, format) per shape slot: --m-list is six multiplicities
 # spaced by `spacing`, from a seeded start.  For shgh the spacing is scaled
 # by 3/sqrt(R) so that alpha, and with it memory, does not depend on the
-# seeded R; the largest shgh slot sets peak_rss_mb.
+# seeded R, and the start of a shgh list is jittered by only a few percent;
+# the largest shgh slot sets peak_rss_mb.
 _SWEEP_SHAPE = (
     ("general:2", 100, "text"), ("general:4", 100, "csv"),
     ("general:6", 10, "json"), ("general:6", 100, "svg"),
@@ -138,7 +139,10 @@ def sweep(rng: random.Random) -> list[list[str]]:
         if config == "shgh":
             r = rng.randint(9, 16)
             config, spacing = f"shgh:{r}", round(spacing * 3 / r ** 0.5)
-        start = rng.randint(spacing // 2, spacing)
+            # the largest m sets the memory: keep it within a few percent
+            start = _jitter(rng, spacing)
+        else:
+            start = rng.randint(spacing // 2, spacing)
         ms = ",".join(str(start + spacing * i) for i in range(6))
         cmds.append(["shape", config, "--m-list", ms, "--format", fmt])
     return cmds
