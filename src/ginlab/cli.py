@@ -3,17 +3,14 @@
 Exit codes: 0 success, 1 a verification or convergence suite failed,
 2 bad usage or an unsupported configuration, 3 an internal arithmetic guard
 tripped.  Output is deterministic byte for byte for identical invocations;
-files always end with a newline.  GINLAB_THREADS caps the worker threads
-used to precompute staircases for multi-multiplicity commands.
+files always end with a newline.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import exporters, shape, staircase, verify
 from .errors import ComputationGuardError, VerificationFailure
@@ -25,24 +22,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
-
-def _thread_count() -> int:
-    raw = os.environ.get("GINLAB_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"GINLAB_THREADS must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise ValueError("GINLAB_THREADS must be at least 1")
-    return count
-
-
-def _map_over_m(fn, ms: list[int]) -> list:
-    workers = min(_thread_count(), max(len(ms), 1))
-    if workers <= 1:
-        return [fn(m) for m in ms]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, ms))
+DEFAULT_MAX_M = 50
 
 
 def _write(text: str, out: str | None) -> None:
@@ -164,9 +144,7 @@ def _monomial(x: int, y: int) -> str:
 
 def cmd_shape(args) -> int:
     config = PointConfig.parse(args.config)
-    ms = _parse_m_list(args)
-    _map_over_m(lambda m: staircase.gin_staircase(config, m), ms)
-    report = shape.shape_report(config, ms)
+    report = shape.shape_report(config, _parse_m_list(args))
     if args.format == "csv":
         _write(exporters.shape_csv(report), args.out)
     elif args.format == "svg":
@@ -215,19 +193,33 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
+_FILE_KEYS = {"config": str, "m": int, "m_list": str, "t": int, "t_range": str,
+              "format": str, "out": str, "max_m": int}
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill unset flags from a JSON file; explicit flags win."""
-    if not getattr(args, "config_file", None):
-        return
-    with open(args.config_file, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    mapping = {"config": "config", "m": "m", "m_list": "m_list", "t": "t",
-               "t_range": "t_range", "format": "format", "out": "out", "max_m": "max_m"}
-    for key, attr in mapping.items():
-        if key in data and getattr(args, attr, None) in (None, getattr(args, f"_default_{attr}", None)):
-            setattr(args, attr, data[key])
+    """Fill flags left off the command line from a JSON file, then default the rest.
+
+    Flags that have a default are parsed as None, so an explicit flag that
+    happens to equal its default still wins over the file.
+    """
+    if args.config_file:
+        with open(args.config_file, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
+        for key, kind in _FILE_KEYS.items():
+            if key in data and getattr(args, key, None) is None:
+                value = data[key]
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise ValueError(f"config file entry {key!r} must be of type {kind.__name__}")
+                setattr(args, key, value)
+    if args.format is None:
+        args.format = args.formats[0]
+    elif args.format not in args.formats:
+        raise ValueError(f"format {args.format!r} is not one of {', '.join(args.formats)}")
+    if args.command == "verify" and args.max_m is None:
+        args.max_m = DEFAULT_MAX_M
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="point configuration: general:R, shgh:R or collinear:L")
         p.add_argument("--config-file", default=None,
                        help="JSON file supplying any of the flags below")
-        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--format", choices=formats, default=None)
         p.add_argument("--out", default=None, help="write output to this file")
+        p.set_defaults(formats=formats)
 
     p_classes = sub.add_parser("classes", help="list the negative curve classes")
     common(p_classes, ("text", "json"))
@@ -268,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suite")
     common(p_verify, ("text", "json"))
-    p_verify.add_argument("--max-m", type=int, default=50, dest="max_m",
+    p_verify.add_argument("--max-m", type=int, default=None, dest="max_m",
                           help="largest multiplicity the suite touches")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -7,7 +7,6 @@ From 9 points on, the conjectural interpolation count takes over.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
@@ -68,49 +67,44 @@ def hilbert_fn(config: PointConfig, m: int, t: int) -> int:
         return shgh_hilbert(config.r, m, t)
     return h0(DivisorClass.uniform(t, m, config.r), config)
 
-@lru_cache(maxsize=None)
-def _nef_ratio(config: PointConfig) -> Fraction:
-    """Largest (sum of multiplicities)/degree over positive-degree curves."""
-    best = Fraction(0)
-    for c in exceptional_classes(config):
-        if c.d > 0:
-            best = max(best, Fraction(sum(c.mults), c.d))
-    return best
-
 def _scan_start(config: PointConfig, m: int) -> int:
     """Sound lower bound for the first positive degree.
 
-    With ratio p/q in lowest terms, the class (p; q, ..., q) is nef, so any
-    effective (t; m, ..., m) must meet it nonnegatively: t >= m*q*r/p.
+    The class (N; m, ..., m) with N the nef threshold is nef, so any
+    effective (t; m, ..., m) must meet it nonnegatively: t >= r*m*m/N.
     """
     if config.kind == SHGH:
         return 0
-    ratio = _nef_ratio(config)
-    if ratio <= 0:
+    n = nef_threshold(config, m)
+    if n <= 0:
         return 0
-    p, q = ratio.numerator, ratio.denominator
-    return max(0, -(-m * q * config.r // p))
+    return -(-config.r * m * m // n)
 
 def alpha(config: PointConfig, m: int) -> int:
     """Least degree whose Hilbert value is positive.
 
-    Scans upward from the certified lower bound; a scan past
-    ceil(m*sqrt(r)) + m + 3 means the engine is broken and raises instead
-    of returning a wrong answer.
+    H(t) > 0 forces H(t+1) > 0 (multiply by a linear form), so the degree
+    is found by bisection between the certified lower bound and
+    ceil(m*sqrt(r)) + m + 3; no positive value by that guard degree means
+    the engine is broken and raises instead of returning a wrong answer.
     """
     if m < 1:
         raise ValueError("multiplicity must be positive")
     r = config.r
-    guard = _ceil_sqrt(r * m * m) + m + 3
-    t = _scan_start(config, m)
-    while t <= guard:
-        if hilbert_fn(config, m, t) > 0:
-            if config.kind == SHGH and t != alpha_shgh(r, m):
-                raise ComputationGuardError(
-                    f"scan found degree {t} but the closed form gives {alpha_shgh(r, m)}")
-            return t
-        t += 1
-    raise ComputationGuardError(f"no positive Hilbert value up to degree {guard} for {config}, m={m}")
+    lo = _scan_start(config, m)
+    hi = _ceil_sqrt(r * m * m) + m + 3
+    if lo > hi or hilbert_fn(config, m, hi) <= 0:
+        raise ComputationGuardError(f"no positive Hilbert value up to degree {hi} for {config}, m={m}")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if hilbert_fn(config, m, mid) > 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    if config.kind == SHGH and hi != alpha_shgh(r, m):
+        raise ComputationGuardError(
+            f"search found degree {hi} but the closed form gives {alpha_shgh(r, m)}")
+    return hi
 
 def _ceil_sqrt(n: int) -> int:
     root = isqrt(n)

@@ -9,7 +9,7 @@ preserves the section count step by step.
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -189,6 +189,23 @@ _EXCEPTIONAL_TEMPLATES: tuple[tuple[int, tuple[int, ...]], ...] = (
 )
 
 
+def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each distinct ordering of values exactly once, in lexicographic order.
+
+    A template has far fewer distinct orderings than permutations (at most
+    56 against 8! = 40320 per shape on eight points), so they are built one
+    distinct leading value at a time instead of deduplicating permutations.
+    """
+    if not values:
+        yield ()
+        return
+    for first in sorted(set(values)):
+        rest = list(values)
+        rest.remove(first)
+        for tail in _distinct_permutations(tuple(rest)):
+            yield (first,) + tail
+
+
 @lru_cache(maxsize=None)
 def exceptional_classes(config: PointConfig) -> tuple[DivisorClass, ...]:
     """Every negative curve the nef test has to see, sorted by (d, mults).
@@ -207,8 +224,7 @@ def exceptional_classes(config: PointConfig) -> tuple[DivisorClass, ...]:
         for d, support in _EXCEPTIONAL_TEMPLATES:
             if len(support) > r:
                 continue
-            padded = support + (0,) * (r - len(support))
-            for mults in set(itertools.permutations(padded)):
+            for mults in _distinct_permutations(support + (0,) * (r - len(support))):
                 classes.add(DivisorClass(d, mults))
     else:
         l = config.l
@@ -242,7 +258,13 @@ def riemann_roch_h0(f: DivisorClass, config: PointConfig) -> int:
     """
     if not is_nef(f, config):
         raise ValueError(f"{f} is not nef; Riemann-Roch alone does not give h0")
-    chi2 = intersect(f, f) - intersect(f, canonical_class(f.r))
+    return _euler_h0(f)
+
+
+def _euler_h0(f: DivisorClass) -> int:
+    """(f.f - f.K)/2 + 1 for a class already known to be nef."""
+    # f.f - f.K = d^2 + 3d - sum(a^2 + a) with K = (-3; -1, ..., -1)
+    chi2 = f.d * (f.d + 3) - sum(a * (a + 1) for a in f.mults)
     if chi2 % 2:
         raise ComputationGuardError(f"odd Euler number for {f}; lattice data is corrupt")
     value = chi2 // 2 + 1
@@ -268,10 +290,40 @@ class EffectivityResult:
     trace: tuple[tuple[DivisorClass, int], ...]
 
 
+class _CurveTable:
+    """What the reduction loop needs to know about one configuration's curves.
+
+    ``drops[j]`` is -C_j.C_j and ``mult_sums[j]`` the sum of C_j's
+    multiplicities.  Degree 0 sorts first, so ``curves[i]`` is the
+    exceptional curve E_{i+1} and its Gram row holds every curve's
+    multiplicity at point i.  A Gram row C_w.C_j is built the first time
+    C_w is peeled or clamped; uniform classes only ever touch a handful of
+    curves, so few rows are built.
+    """
+
+    __slots__ = ("curves", "drops", "mult_sums", "_gram")
+
+    def __init__(self, config: PointConfig) -> None:
+        curves = exceptional_classes(config)
+        r = config.r
+        if curves[:r] != tuple(DivisorClass.exceptional(i, r) for i in range(1, r + 1)):
+            raise ComputationGuardError(f"curve list of {config} does not open with E_1..E_{r}")
+        self.curves = curves
+        self.drops = tuple(-intersect(c, c) for c in curves)
+        self.mult_sums = tuple(sum(c.mults) for c in curves)
+        self._gram: dict[int, tuple[int, ...]] = {}
+
+    def gram_row(self, w: int) -> tuple[int, ...]:
+        row = self._gram.get(w)
+        if row is None:
+            peeled = self.curves[w]
+            row = self._gram[w] = tuple(intersect(peeled, c) for c in self.curves)
+        return row
+
+
 @lru_cache(maxsize=None)
-def _reduction_table(config: PointConfig) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-    """(degree, mults, -self-intersection) per curve, in tie-break order."""
-    return tuple((c.d, c.mults, -intersect(c, c)) for c in exceptional_classes(config))
+def _curve_table(config: PointConfig) -> _CurveTable:
+    return _CurveTable(config)
 
 
 def reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
@@ -279,47 +331,54 @@ def reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
 
     Each pass clamps negative multiplicities to zero (repeated subtraction
     of exceptional curves met negatively), stops if the degree went
-    negative, and otherwise subtracts the worst-met curve in one batch.
-    Subtracting C once raises f.C by -C.C, so the batch size is the exact
-    number of steps for which the pairing stays negative.  Every step
-    preserves the section count, so h0 of the input equals h0 of the nef
-    remainder.
+    negative, and otherwise subtracts the worst-met curve in one batch,
+    the first listed one on ties.  Subtracting C once raises f.C by -C.C,
+    so the batch size is the exact number of steps for which the pairing
+    stays negative.  Every step preserves the section count, so h0 of the
+    input equals h0 of the nef remainder.
+
+    The pairings f.C_j are kept in one vector and updated by each step's
+    change instead of being recomputed; once none is negative the
+    remainder is nef and Riemann-Roch gives its section count.
     """
     _check_rank(f, config)
-    table = _reduction_table(config)
+    table = _curve_table(config)
+    curves = table.curves
     d = f.d
     mults = list(f.mults)
     r = f.r
+    if mults.count(mults[0]) == r:
+        m = mults[0]
+        pairings = [d * c.d - m * s for c, s in zip(curves, table.mult_sums)]
+    else:
+        pairings = [intersect(f, c) for c in curves]
     trace: list[tuple[DivisorClass, int]] = []
     # every iteration either clamps or lowers the degree, so this bound is generous
-    budget = (max(d, 0) + 2) * (len(table) + 2) + sum(-a for a in mults if a < 0) + 8
+    budget = (max(d, 0) + 2) * (len(curves) + 2) + sum(-a for a in mults if a < 0) + 8
     while True:
         budget -= 1
         if budget < 0:
             raise ComputationGuardError(f"reduction of {f} failed to terminate")
         for i, a in enumerate(mults):
             if a < 0:
-                trace.append((DivisorClass.exceptional(i + 1, r), -a))
+                trace.append((curves[i], -a))
                 mults[i] = 0
+                pairings = [p + a * g for p, g in zip(pairings, table.gram_row(i))]
         if d < 0:
             witness = DivisorClass(d, tuple(mults))
             return EffectivityResult(False, 0, None, witness, tuple(trace))
-        worst: tuple[int, tuple[int, ...], int] | None = None
-        worst_pairing = 0
-        for cd, cm, drop in table:
-            p = d * cd - sum(a * b for a, b in zip(mults, cm))
-            if p < worst_pairing:
-                worst = (cd, cm, drop)
-                worst_pairing = p
-        if worst is None:
+        worst_pairing = min(pairings)
+        if worst_pairing >= 0:
             remainder = DivisorClass(d, tuple(mults))
-            return EffectivityResult(True, riemann_roch_h0(remainder, config),
-                                     remainder, None, tuple(trace))
-        cd, cm, drop = worst
+            return EffectivityResult(True, _euler_h0(remainder), remainder, None, tuple(trace))
+        w = pairings.index(worst_pairing)
+        worst = curves[w]
+        drop = table.drops[w]
         k = (-worst_pairing + drop - 1) // drop
-        d -= k * cd
-        mults = [a - k * b for a, b in zip(mults, cm)]
-        trace.append((DivisorClass(cd, cm), k))
+        d -= k * worst.d
+        mults = [a - k * b for a, b in zip(mults, worst.mults)]
+        pairings = [p - k * g for p, g in zip(pairings, table.gram_row(w))]
+        trace.append((worst, k))
 
 
 def h0(f: DivisorClass, config: PointConfig) -> int:

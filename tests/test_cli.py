@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 
@@ -120,6 +119,27 @@ def test_config_file_does_not_override_explicit_flags(tmp_path, capsys):
     assert json.loads(out)["config"] == "general:3"
 
 
+def test_config_file_format_and_max_m_apply(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"format": "json", "max_m": 3}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["verify", "general:3", "--config-file", str(path)])
+    assert code == 0
+    assert json.loads(out)["max_m"] == 3
+    code, out, _ = run_cli(capsys, ["verify", "general:3", "--config-file", str(path),
+                                    "--format", "text", "--max-m", "50"])
+    assert code == 0
+    assert out.startswith("# verify general:3 --max-m 50\n")
+
+
+@pytest.mark.parametrize("entry", [{"format": "csv"}, {"m": "1"}, {"m": True}])
+def test_bad_config_file_entry_is_usage_error(tmp_path, capsys, entry):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"config": "general:2", "m": 1, **entry}), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["gin", "--config-file", str(path)])
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_repeat_invocations_identical(capsys):
     argv = ["shape", "collinear:3", "--m-list", "6,12", "--format", "json"]
     _, first, _ = run_cli(capsys, argv)
@@ -127,31 +147,13 @@ def test_repeat_invocations_identical(capsys):
     assert first == second
 
 
-def test_thread_count_does_not_change_bytes(capsys, monkeypatch):
-    argv = ["shape", "general:5", "--m-list", "2,3,4,5", "--format", "csv"]
-    monkeypatch.setenv("GINLAB_THREADS", "1")
-    _, serial, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("GINLAB_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, argv)
-    assert serial == threaded
-
-
 def test_fresh_processes_are_deterministic():
     argv = [sys.executable, "-m", "ginlab", "shape", "general:6",
             "--m-list", "2,4,6", "--format", "json"]
-    env_a = dict(os.environ, GINLAB_THREADS="1")
-    env_b = dict(os.environ, GINLAB_THREADS="4")
-    a = subprocess.run(argv, capture_output=True, env=env_a, check=True)
-    b = subprocess.run(argv, capture_output=True, env=env_b, check=True)
+    a = subprocess.run(argv, capture_output=True, check=True)
+    b = subprocess.run(argv, capture_output=True, check=True)
     assert a.stdout == b.stdout
     assert a.stdout.endswith(b"\n")
-
-
-def test_bad_thread_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("GINLAB_THREADS", "soon")
-    code, _, err = run_cli(capsys, ["shape", "general:2", "--m", "1"])
-    assert code == 2
-    assert "GINLAB_THREADS" in err
 
 
 @pytest.mark.parametrize("argv", [

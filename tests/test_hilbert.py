@@ -105,6 +105,17 @@ def test_alpha_definition_holds():
         assert hilbert_fn(config, m, a - 1) == 0
 
 
+@pytest.mark.parametrize("spec", ["general:2", "general:5", "general:6", "general:8",
+                                  "collinear:3", "collinear:6", "shgh:9", "shgh:14"])
+def test_alpha_matches_linear_scan(spec):
+    config = PointConfig.parse(spec)
+    for m in range(1, 41):
+        t = 0
+        while hilbert_fn(config, m, t) == 0:
+            t += 1
+        assert alpha(config, m) == t
+
+
 def test_alpha_rejects_nonpositive_m():
     with pytest.raises(ValueError):
         alpha(PointConfig.general(6), 0)

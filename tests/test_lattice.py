@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginlab import (DivisorClass, PointConfig, canonical_class, exceptional_classes,
-                    h0, intersect, is_nef, reduce_to_nef, riemann_roch_h0)
-from ginlab.errors import UnsupportedConfigError
+from ginlab import (DivisorClass, EffectivityResult, PointConfig, canonical_class,
+                    exceptional_classes, h0, intersect, is_nef, reduce_to_nef,
+                    riemann_roch_h0)
+from ginlab.errors import ComputationGuardError, UnsupportedConfigError
+from ginlab.lattice import _EXCEPTIONAL_TEMPLATES
 
 
 # Oracle: enumerate every class of degree 0..6 with entries in -1..6 whose
@@ -70,6 +72,18 @@ def test_exceptional_classes_match_oracle(r):
     expected = oracle_neg_one_classes(r)
     assert listed == expected
     assert len(listed) == ORACLE_COUNTS[r]
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_exceptional_classes_match_permutation_sets(r):
+    # the construction the distinct-ordering enumeration replaced
+    classes = set()
+    for d, support in _EXCEPTIONAL_TEMPLATES:
+        if len(support) <= r:
+            for mults in set(permutations(support + (0,) * (r - len(support)))):
+                classes.add(DivisorClass(d, mults))
+    expected = tuple(sorted(classes, key=lambda c: (c.d, c.mults)))
+    assert exceptional_classes(PointConfig.general(r)) == expected
 
 
 def test_exceptional_classes_sorted_and_cached():
@@ -206,6 +220,70 @@ def test_h0_permutation_invariant(r, data):
     shuffled = data.draw(st.permutations(mults))
     assert h0(DivisorClass(d, tuple(mults)), config) == \
         h0(DivisorClass(d, tuple(shuffled)), config)
+
+
+# Reference reduction: every pairing recomputed from scratch on each pass and
+# the nef remainder counted by riemann_roch_h0, which tests nefness again.
+def reference_reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
+    table = [(c.d, c.mults, -intersect(c, c)) for c in exceptional_classes(config)]
+    d, mults, r = f.d, list(f.mults), f.r
+    trace = []
+    budget = (max(d, 0) + 2) * (len(table) + 2) + sum(-a for a in mults if a < 0) + 8
+    while True:
+        budget -= 1
+        if budget < 0:
+            raise ComputationGuardError(f"reference reduction of {f} failed to terminate")
+        for i, a in enumerate(mults):
+            if a < 0:
+                trace.append((DivisorClass.exceptional(i + 1, r), -a))
+                mults[i] = 0
+        if d < 0:
+            return EffectivityResult(False, 0, None, DivisorClass(d, tuple(mults)), tuple(trace))
+        worst, worst_pairing = None, 0
+        for cd, cm, drop in table:
+            p = d * cd - sum(a * b for a, b in zip(mults, cm))
+            if p < worst_pairing:
+                worst, worst_pairing = (cd, cm, drop), p
+        if worst is None:
+            remainder = DivisorClass(d, tuple(mults))
+            return EffectivityResult(True, riemann_roch_h0(remainder, config),
+                                     remainder, None, tuple(trace))
+        cd, cm, drop = worst
+        k = (-worst_pairing + drop - 1) // drop
+        d -= k * cd
+        mults = [a - k * b for a, b in zip(mults, cm)]
+        trace.append((DivisorClass(cd, cm), k))
+
+
+CLASS_LIST_CONFIGS = st.one_of(st.builds(PointConfig.general, st.integers(2, 8)),
+                               st.builds(PointConfig.collinear_plus_one, st.integers(3, 8)))
+
+
+@given(CLASS_LIST_CONFIGS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_reduce_matches_reference(config, data):
+    r = config.r
+    d = data.draw(st.integers(-3, 60), label="d")
+    shape = data.draw(st.sampled_from(["uniform", "mixed", "negative"]), label="shape")
+    if shape == "uniform":
+        mults = (data.draw(st.integers(0, 25), label="m"),) * r
+    elif shape == "mixed":
+        mults = data.draw(st.tuples(*[st.integers(0, 25)] * r), label="mults")
+    else:
+        mults = data.draw(st.tuples(*[st.integers(-6, 25)] * r), label="mults")
+    f = DivisorClass(d, mults)
+    assert reduce_to_nef(f, config) == reference_reduce_to_nef(f, config)
+
+
+@pytest.mark.parametrize("spec", [f"general:{r}" for r in range(2, 9)] +
+                         [f"collinear:{l}" for l in range(3, 9)])
+def test_reduce_matches_reference_on_uniform_band(spec):
+    # every degree from below alpha to past the nef threshold, as gin_staircase asks
+    config = PointConfig.parse(spec)
+    for m in (1, 2, 5, 12):
+        for t in range(0, 4 * m + 4):
+            f = DivisorClass.uniform(t, m, config.r)
+            assert reduce_to_nef(f, config) == reference_reduce_to_nef(f, config)
 
 
 def test_h0_anchors():
