@@ -22,8 +22,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
-DEFAULT_MAX_M = 50
-
 
 def _write(text: str, out: str | None) -> None:
     if out is None:
@@ -219,7 +217,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     elif args.format not in args.formats:
         raise ValueError(f"format {args.format!r} is not one of {', '.join(args.formats)}")
     if args.command == "verify" and args.max_m is None:
-        args.max_m = DEFAULT_MAX_M
+        args.max_m = verify.DEFAULT_MAX_M
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -67,31 +67,24 @@ def hilbert_fn(config: PointConfig, m: int, t: int) -> int:
         return shgh_hilbert(config.r, m, t)
     return h0(DivisorClass.uniform(t, m, config.r), config)
 
-def _scan_start(config: PointConfig, m: int) -> int:
-    """Sound lower bound for the first positive degree.
-
-    The class (N; m, ..., m) with N the nef threshold is nef, so any
-    effective (t; m, ..., m) must meet it nonnegatively: t >= r*m*m/N.
-    """
-    if config.kind == SHGH:
-        return 0
-    n = nef_threshold(config, m)
-    if n <= 0:
-        return 0
-    return -(-config.r * m * m // n)
-
 def alpha(config: PointConfig, m: int) -> int:
     """Least degree whose Hilbert value is positive.
 
-    H(t) > 0 forces H(t+1) > 0 (multiply by a linear form), so the degree
-    is found by bisection between the certified lower bound and
-    ceil(m*sqrt(r)) + m + 3; no positive value by that guard degree means
-    the engine is broken and raises instead of returning a wrong answer.
+    The shgh kind takes the closed form.  For the divisor kinds H(t) > 0
+    forces H(t+1) > 0 (multiply by a linear form), so the degree is found by
+    bisection between a certified lower bound and ceil(m*sqrt(r)) + m + 3;
+    no positive value by that guard degree means the engine is broken and
+    raises instead of returning a wrong answer.
     """
     if m < 1:
         raise ValueError("multiplicity must be positive")
     r = config.r
-    lo = _scan_start(config, m)
+    if config.kind == SHGH:
+        return alpha_shgh(r, m)
+    # The class (N; m, ..., m) with N the nef threshold is nef, so any
+    # effective (t; m, ..., m) must meet it nonnegatively: t >= r*m*m/N.
+    # N >= 2m > 0, because every divisor kind has the line through two points.
+    lo = -(-r * m * m // nef_threshold(config, m))
     hi = _ceil_sqrt(r * m * m) + m + 3
     if lo > hi or hilbert_fn(config, m, hi) <= 0:
         raise ComputationGuardError(f"no positive Hilbert value up to degree {hi} for {config}, m={m}")
@@ -101,9 +94,6 @@ def alpha(config: PointConfig, m: int) -> int:
             hi = mid
         else:
             lo = mid + 1
-    if config.kind == SHGH and hi != alpha_shgh(r, m):
-        raise ComputationGuardError(
-            f"search found degree {hi} but the closed form gives {alpha_shgh(r, m)}")
     return hi
 
 def _ceil_sqrt(n: int) -> int:

@@ -193,22 +193,11 @@ def divisibility_step(config: PointConfig) -> int:
 
 
 @dataclass(frozen=True)
-class ConvergenceEntry:
-    m: int
-    x_intercept: Fraction
-    y_intercept: Fraction
-    colength_over_m2: Fraction
-    x_ok: bool
-    y_ok: bool
-    colength_ok: bool
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
     config: PointConfig
     gamma1: Intercept
     gamma2: Intercept
-    entries: tuple[ConvergenceEntry, ...]
+    entries: tuple[ShapeEntry, ...]
     failures: tuple[str, ...]
 
     @property
@@ -237,20 +226,16 @@ def check_convergence(config: PointConfig, m_list: list[int]) -> ConvergenceRepo
     for m in ms:
         e = _entry(config, m)
         tol = Fraction(3, m)
-        x_ok = within(e.x_intercept, g1, tol)
-        y_ok = within(e.y_intercept, g2, tol)
-        c_ok = abs(e.colength_over_m2 - Fraction(r, 2)) <= Fraction(r, m)
-        if not x_ok:
+        if not within(e.x_intercept, g1, tol):
             failures.append(f"m={m}: x-intercept {e.x_intercept} is off {g1} "
                             f"by {deviation_str(e.x_intercept, g1)} > 3/{m}")
-        if not y_ok:
+        if not within(e.y_intercept, g2, tol):
             failures.append(f"m={m}: y-intercept {e.y_intercept} is off {g2} "
                             f"by {deviation_str(e.y_intercept, g2)} > 3/{m}")
-        if not c_ok:
+        if abs(e.colength_over_m2 - Fraction(r, 2)) > Fraction(r, m):
             failures.append(f"m={m}: colength/m^2 = {e.colength_over_m2} is off {r}/2 "
                             f"by more than {r}/{m}")
-        entries.append(ConvergenceEntry(m, e.x_intercept, e.y_intercept,
-                                        e.colength_over_m2, x_ok, y_ok, c_ok))
+        entries.append(e)
     return ConvergenceReport(config, g1, g2, tuple(entries), tuple(failures))
 
 

@@ -4,7 +4,8 @@ After a generic change of coordinates the initial ideal of a uniform
 fat-point ideal is Borel-fixed, hence generated in two variables, and in
 each degree it is the top segment in the x-exponent.  The segment sizes are
 the first differences of the Hilbert function, so the whole staircase can be
-rebuilt degree by degree from Hilbert values alone.
+rebuilt degree by degree from Hilbert values alone.  For r >= 9 general
+points the staircase has a closed form, which serves that kind directly.
 """
 
 from __future__ import annotations
@@ -87,21 +88,22 @@ def xy_count(config: PointConfig, m: int, t: int) -> int:
 
 @lru_cache(maxsize=None)
 def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
-    """Rebuild the staircase from Hilbert first differences.
+    """Staircase of the multiplicity-m ideal of ``config``.
 
-    The degree-t piece of the ideal is the top xy_count(t) monomials in the
-    x-exponent, so each degree pins down the columns newly reached.  The
-    scan runs from the first nonzero degree until the segment saturates at
-    t + 1 monomials, and checks that saturation persists for three more
-    degrees before trusting the result.
+    The shgh kind takes the closed form.  For the divisor kinds the staircase
+    is rebuilt from Hilbert first differences: the degree-t piece of the
+    ideal is the top xy_count(t) monomials in the x-exponent, so each degree
+    pins down the columns newly reached.  The scan runs from the first
+    nonzero degree until the segment saturates at t + 1 monomials, and
+    checks that saturation persists for three more degrees before trusting
+    the result.
     """
     if m < 1:
         raise ValueError("multiplicity must be positive")
-    a = alpha(config, m)
     if config.kind == SHGH:
-        stop_guard = a + 2
-    else:
-        stop_guard = nef_threshold(config, m) + 2
+        return shgh_gin_closed_form(config.r, m)
+    a = alpha(config, m)
+    stop_guard = nef_threshold(config, m) + 2
     lambdas = [0] * a
     prev_lo = a + 1
     prev_k = 0

@@ -10,9 +10,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb
 
-from ginlab import (DivisorClass, PointConfig, alpha, exceptional_classes,
-                    gin_staircase, graded_products_contained, hilbert_fn,
-                    intersect, nef_threshold, shgh_gin_closed_form)
+from ginlab import (DivisorClass, MonomialStaircase, PointConfig, alpha,
+                    exceptional_classes, gin_staircase, graded_products_contained,
+                    hilbert_fn, intersect, nef_threshold, shgh_gin_closed_form,
+                    shgh_hilbert)
 
 F = Fraction
 
@@ -166,12 +167,29 @@ def test_criterion_07_engine_agreement_on_nef_range():
     assert ok, failures
 
 
+# Oracle for criterion 8: the staircase rebuilt from the first differences
+# of the interpolation count, scanning from degree 0; column i enters the
+# ideal in the first degree whose top segment reaches it.
+def _scan_shgh_staircase(r: int, m: int) -> MonomialStaircase:
+    heights: dict[int, int] = {}
+    t = 0
+    while True:
+        k = shgh_hilbert(r, m, t) - shgh_hilbert(r, m, t - 1)
+        for i in range(t - k + 1, t + 1):
+            heights.setdefault(i, t - i)
+        if k == t + 1:
+            break
+        t += 1
+    a = min(i for i, h in heights.items() if h == 0)
+    return MonomialStaircase(alpha=a, lambdas=tuple(heights[i] for i in range(a)),
+                             m=m, config=PointConfig.shgh(r))
+
+
 def test_criterion_08_closed_form_cross_check():
     failures = []
     for r in range(9, 13):
-        config = PointConfig.shgh(r)
         for m in range(1, 51):
-            if shgh_gin_closed_form(r, m) != gin_staircase(config, m):
+            if shgh_gin_closed_form(r, m) != _scan_shgh_staircase(r, m):
                 failures.append(f"r={r}, m={m}")
     ok = _verdict(8, "closed-form staircase equals the Hilbert-difference "
                      "reconstruction for r=9..12, m <= 50", not failures)

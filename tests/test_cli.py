@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -197,3 +198,47 @@ def test_guard_error_exits_three(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["gin", "general:2", "--m", "1"])
     assert code == 3
     assert "forced guard" in err
+
+
+# stdout sha256 of one command per output route, to be kept byte for byte
+GOLDEN = [
+    ("gin shgh:10 --m 7",
+     "11b2c4dcfa5343aec957a3bcbe0f152b4233d39c2e6b437ab064de0ef2cd48da"),
+    ("gin shgh:13 --m 20 --format text",
+     "eb14c3bc752b1bb6b78037492f34a8103707bdd67534d0e2a92dadf67546063e"),
+    ("gin general:7 --m 24 --format text",
+     "9ac51cc7ce546a97ddc7a417d9558bd87dd3fe2672dc9dd54afb79fa1e9248f3"),
+    ("gin collinear:4 --m 12 --format text",
+     "9e5e55214170723f566a40b5f20d50c032d9f250b0a4ff928ee6cd98030a5d2a"),
+    ("hilbert general:6 --m 10 --t-range 20..30 --format csv",
+     "174a2ec2c145d068a01004dced3cd87f73071e14c6686b8d5f1f6be1b3fb908d"),
+    ("hilbert collinear:3 --m 6 --t-range 0..20 --format json",
+     "b8335b1657ebd6e6ef7a3076ba106954b2f2bee83250dcb9dd8064a497a3ae78"),
+    ("shape general:6 --m-list 10,20,30 --format json",
+     "75563025c6ff089b17b926cde17618646ba4eed80659883552f27f334e7833ad"),
+    ("shape general:8 --m-list 17,34 --format svg",
+     "0de56292b9bb45ad699e9fa6acdb91fdfb97da507c0f2768d4024658d323460b"),
+    ("shape shgh:10 --m-list 5,10,15 --format csv",
+     "f3618505369788d8fc00319891a50aeb04948acc41dd184b66b0e6e423a2a0d9"),
+    ("verify shgh:11 --max-m 12",
+     "ea90603ca1f560007de8a436179235fdb8dbdba75f2c643491fa3f196f263899"),
+    ("verify shgh:9 --max-m 8 --format json",
+     "9eed3415e26cb8ddf8a50dc8c8cf2022c4703b448056f02762ff1dfbf525f344"),
+    ("verify general:5 --max-m 10 --format json",
+     "b97a577a306c99d44568819db3dfc79f1bd712b84d61aa599de45b9535e4fa70"),
+    ("verify general:6 --max-m 10",
+     "ef3a0a3153788546a8ab88e6632c142cf359c8c83a98ae4aecc20016fa023207"),
+    ("verify collinear:3 --max-m 12",
+     "f1dc69153c8692d2002ec9192aa13720170d1b434efb45351ae0fd7e0f6c93d7"),
+    ("verify collinear:4 --max-m 12 --format json",
+     "8bd342a5de96b38178e55bc2e73ce8e58a6bdc6130699243c1e94d1d27f5461d"),
+    ("classes general:6 --format json",
+     "a7b1a4254f5ce71a41f00cfc64635a2e150bebd158bdb211fab7d9692ca205e7"),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
+def test_golden_output_bytes(capsys, command, digest):
+    code, out, _ = run_cli(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -6,9 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginlab import (MonomialStaircase, PointConfig, colength, gin_staircase,
-                    graded_products_contained, shgh_gin_closed_form, xy_count)
+from ginlab import (MonomialStaircase, PointConfig, alpha, colength, gin_staircase,
+                    graded_products_contained, hilbert_fn, shgh_gin_closed_form,
+                    shgh_hilbert, xy_count)
 from ginlab.errors import ComputationGuardError
+
+
+# Oracle for the closed form: rebuild the staircase from the first
+# differences of the interpolation count, scanning from degree 0.  Column i
+# enters the ideal in the first degree whose top segment reaches it.
+def scan_shgh_staircase(r: int, m: int) -> MonomialStaircase:
+    heights: dict[int, int] = {}
+    t = 0
+    while True:
+        k = shgh_hilbert(r, m, t) - shgh_hilbert(r, m, t - 1)
+        for i in range(t - k + 1, t + 1):
+            heights.setdefault(i, t - i)
+        if k == t + 1:
+            break
+        t += 1
+    a = min(i for i, h in heights.items() if h == 0)
+    return MonomialStaircase(alpha=a, lambdas=tuple(heights[i] for i in range(a)),
+                             m=m, config=PointConfig.shgh(r))
 
 
 # Oracle: count the complement by walking the grid, independently of the
@@ -80,9 +99,19 @@ def test_closed_form_single_degree_case():
 
 @pytest.mark.parametrize("r", range(9, 17))
 def test_closed_form_equals_reconstruction(r):
-    config = PointConfig.shgh(r)
     for m in range(1, 13):
-        assert shgh_gin_closed_form(r, m) == gin_staircase(config, m)
+        assert shgh_gin_closed_form(r, m) == scan_shgh_staircase(r, m)
+
+
+def test_shgh_staircase_and_alpha_skip_hilbert_fn():
+    gin_staircase.cache_clear()
+    hilbert_fn.cache_clear()
+    for r in (9, 14):
+        config = PointConfig.shgh(r)
+        for m in (1, 7, 40):
+            assert gin_staircase(config, m) == shgh_gin_closed_form(r, m)
+            assert alpha(config, m) == gin_staircase(config, m).alpha
+    assert hilbert_fn.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("spec", ["general:2", "general:5", "general:8",

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from ginlab import (PointConfig, brute_force_exceptional_classes,
-                    exceptional_classes, run_verification)
+from ginlab import (MonomialStaircase, PointConfig, brute_force_exceptional_classes,
+                    exceptional_classes, run_verification, shgh_gin_closed_form)
 
 
-@pytest.mark.parametrize("r,count", [(2, 3), (3, 6), (4, 10), (5, 16), (6, 27)])
+@pytest.mark.parametrize("r,count", [(2, 3), (3, 6), (4, 10), (5, 16), (6, 27), (7, 56),
+                                     (8, 240)])
 def test_brute_force_counts(r, count):
     classes = brute_force_exceptional_classes(r)
     assert len(classes) == count
@@ -43,3 +44,17 @@ def test_check_names_by_kind():
 def test_run_verification_rejects_bad_max_m():
     with pytest.raises(ValueError):
         run_verification(PointConfig.general(2), max_m=0)
+
+
+def test_closed_form_check_catches_a_wrong_staircase(monkeypatch):
+    def wrong(r, m):
+        s = shgh_gin_closed_form(r, m)
+        return MonomialStaircase(alpha=s.alpha, lambdas=(s.lambdas[0] + 1,) + s.lambdas[1:],
+                                 m=m, config=s.config)
+
+    # only the check's own binding: the wrong staircase must be caught by the
+    # closed-form check alone, not by colength inside the other checks
+    monkeypatch.setattr("ginlab.verify.shgh_gin_closed_form", wrong)
+    report = run_verification(PointConfig.shgh(10), max_m=4)
+    assert [c.name for c in report.failures] == ["closed-form"]
+    assert report.failures[0].detail == "reconstruction differs at m=1"
