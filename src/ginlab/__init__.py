@@ -6,7 +6,7 @@ staircase from them, and tracks the limiting shape of the scaled staircases.
 Everything runs in exact integer and rational arithmetic.
 """
 
-from .errors import ComputationGuardError, UnsupportedConfigError, VerificationFailure
+from .errors import ComputationGuardError, UnsupportedConfigError
 from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, EffectivityResult,
                       PointConfig, canonical_class, exceptional_classes, h0,
                       intersect, is_nef, reduce_to_nef, riemann_roch_h0)
@@ -26,7 +26,7 @@ __all__ = [
     "CollinearShapeReport", "ComputationGuardError", "ConvergenceReport",
     "DivisorClass", "EffectivityResult", "MonomialStaircase", "PointConfig",
     "ShapeEntry", "ShapeReport", "SquareRootIntercept", "UnsupportedConfigError",
-    "VerificationFailure", "VerifyReport",
+    "VerifyReport",
     "alpha", "alpha_shgh", "brute_force_exceptional_classes", "canonical_class",
     "check_convergence", "colength", "collinear_shape_check", "divisibility_step",
     "exceptional_classes", "gin_staircase", "graded_products_contained", "h0",

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import exporters, shape, staircase, verify
-from .errors import ComputationGuardError, VerificationFailure
+from .errors import ComputationGuardError
 from .hilbert import hilbert_fn
 from .lattice import PointConfig, canonical_class, exceptional_classes, intersect
 
@@ -24,26 +24,24 @@ EXIT_GUARD = 3
 
 
 def _write(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
 
 
 def _parse_m_list(args) -> list[int]:
     if args.m_list:
         try:
-            ms = [int(chunk) for chunk in args.m_list.split(",") if chunk.strip()]
+            return [int(chunk) for chunk in args.m_list.split(",") if chunk.strip()]
         except ValueError:
             raise ValueError(f"bad multiplicity list {args.m_list!r}")
-    elif args.m is not None:
-        ms = [args.m]
-    else:
-        raise ValueError("need --m or --m-list")
-    if not ms or min(ms) < 1:
-        raise ValueError("multiplicities must be positive")
-    return sorted(set(ms))
+    if args.m is not None:
+        return [args.m]
+    raise ValueError("need --m or --m-list")
 
 
 def _parse_t_range(args) -> list[int]:
@@ -60,12 +58,14 @@ def _parse_t_range(args) -> list[int]:
     raise ValueError("need --t or --t-range")
 
 
-def cmd_classes(args) -> int:
-    config = PointConfig.parse(args.config)
+# Each command computes its result and renders it as (text, exit code);
+# main does the reading, the writing and the error handling.
+
+def cmd_classes(config: PointConfig, args) -> tuple[str, int]:
     classes = exceptional_classes(config)
     k = canonical_class(config.r)
     if args.format == "json":
-        payload = {
+        return exporters.json_text({
             "config": str(config),
             "provenance": config.provenance,
             "count": len(classes),
@@ -78,55 +78,45 @@ def cmd_classes(args) -> int:
                 }
                 for c in classes
             ],
-        }
-        _write(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [f"# {config} ({config.provenance}): {len(classes)} negative curve classes"]
-        for c in classes:
-            lines.append(f"{c}  C.C={intersect(c, c)}  C.K={intersect(c, k)}")
-        _write("\n".join(lines), args.out)
-    return EXIT_OK
+        }), EXIT_OK
+    lines = [f"# {config} ({config.provenance}): {len(classes)} negative curve classes"]
+    for c in classes:
+        lines.append(f"{c}  C.C={intersect(c, c)}  C.K={intersect(c, k)}")
+    return "\n".join(lines), EXIT_OK
 
 
-def cmd_hilbert(args) -> int:
-    config = PointConfig.parse(args.config)
+def cmd_hilbert(config: PointConfig, args) -> tuple[str, int]:
     if args.m is None:
         raise ValueError("need --m")
     ts = _parse_t_range(args)
     rows = [(t, hilbert_fn(config, args.m, t)) for t in ts]
     if args.format == "json":
-        payload = {
+        return exporters.json_text({
             "config": str(config),
             "m": args.m,
             "conjectural": config.conjectural,
             "values": [[t, v] for t, v in rows],
-        }
-        _write(json.dumps(payload, indent=2), args.out)
-    elif args.format == "csv":
-        _write(exporters.hilbert_csv(rows), args.out)
-    else:
-        lines = [f"# {config}, m={args.m}" + (" (conjectural)" if config.conjectural else "")]
-        lines += [f"t={t}  H={v}" for t, v in rows]
-        _write("\n".join(lines), args.out)
-    return EXIT_OK
+        }), EXIT_OK
+    if args.format == "csv":
+        return exporters.hilbert_csv(rows), EXIT_OK
+    lines = [f"# {config}, m={args.m}" + (" (conjectural)" if config.conjectural else "")]
+    lines += [f"t={t}  H={v}" for t, v in rows]
+    return "\n".join(lines), EXIT_OK
 
 
-def cmd_gin(args) -> int:
-    config = PointConfig.parse(args.config)
+def cmd_gin(config: PointConfig, args) -> tuple[str, int]:
     if args.m is None:
         raise ValueError("need --m")
     s = staircase.gin_staircase(config, args.m)
-    if args.format == "text":
-        gens = " ".join(_monomial(x, y) for x, y in s.generators)
-        lines = [
-            f"# {config}, m={s.m}" + (" (conjectural)" if s.conjectural else ""),
-            f"alpha={s.alpha} zeta={s.zeta} colength={staircase.colength(s)}",
-            f"generators: {gens}",
-        ]
-        _write("\n".join(lines), args.out)
-    else:
-        _write(exporters.staircase_json(s), args.out)
-    return EXIT_OK
+    if args.format == "json":
+        return exporters.staircase_json(s), EXIT_OK
+    gens = " ".join(_monomial(x, y) for x, y in s.generators)
+    lines = [
+        f"# {config}, m={s.m}" + (" (conjectural)" if s.conjectural else ""),
+        f"alpha={s.alpha} zeta={s.zeta} colength={staircase.colength(s)}",
+        f"generators: {gens}",
+    ]
+    return "\n".join(lines), EXIT_OK
 
 
 def _monomial(x: int, y: int) -> str:
@@ -140,38 +130,35 @@ def _monomial(x: int, y: int) -> str:
     return "".join(parts)
 
 
-def cmd_shape(args) -> int:
-    config = PointConfig.parse(args.config)
+def cmd_shape(config: PointConfig, args) -> tuple[str, int]:
     report = shape.shape_report(config, _parse_m_list(args))
     if args.format == "csv":
-        _write(exporters.shape_csv(report), args.out)
-    elif args.format == "svg":
-        _write(exporters.shape_svg(report), args.out)
-    elif args.format == "json":
-        _write(exporters.shape_json(report), args.out)
-    else:
-        lines = [f"# {config} ({config.provenance})"]
-        if report.predicted is not None:
-            g1, g2 = report.predicted
-            lines.append(f"predicted intercepts: {exporters.intercept_str(g1)}, "
-                         f"{exporters.intercept_str(g2)}")
-        else:
-            lines.append("predicted intercepts: none (non-linear limit)")
-        for e in report.entries:
-            lines.append(f"m={e.m}  alpha={e.alpha}  zeta={e.zeta}  "
-                         f"x={exporters.rational_str(e.x_intercept)}  "
-                         f"y={exporters.rational_str(e.y_intercept)}  "
-                         f"colength={e.colength}")
-        lines.append(f"seshadri estimate: {exporters.rational_str(report.seshadri_estimate)}")
-        _write("\n".join(lines), args.out)
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    config = PointConfig.parse(args.config)
-    report = verify.run_verification(config, args.max_m)
+        return exporters.shape_csv(report), EXIT_OK
+    if args.format == "svg":
+        return exporters.shape_svg(report), EXIT_OK
     if args.format == "json":
-        payload = {
+        return exporters.shape_json(report), EXIT_OK
+    lines = [f"# {config} ({config.provenance})"]
+    if report.predicted is not None:
+        g1, g2 = report.predicted
+        lines.append(f"predicted intercepts: {exporters.intercept_str(g1)}, "
+                     f"{exporters.intercept_str(g2)}")
+    else:
+        lines.append("predicted intercepts: none (non-linear limit)")
+    for e in report.entries:
+        lines.append(f"m={e.m}  alpha={e.alpha}  zeta={e.zeta}  "
+                     f"x={exporters.rational_str(e.x_intercept)}  "
+                     f"y={exporters.rational_str(e.y_intercept)}  "
+                     f"colength={e.colength}")
+    lines.append(f"seshadri estimate: {exporters.rational_str(report.seshadri_estimate)}")
+    return "\n".join(lines), EXIT_OK
+
+
+def cmd_verify(config: PointConfig, args) -> tuple[str, int]:
+    report = verify.run_verification(config, args.max_m)
+    code = EXIT_OK if report.passed else EXIT_VERIFY
+    if args.format == "json":
+        return exporters.json_text({
             "config": str(config),
             "max_m": report.max_m,
             "passed": report.passed,
@@ -179,16 +166,13 @@ def cmd_verify(args) -> int:
                 {"name": c.name, "passed": c.passed, "detail": c.detail}
                 for c in report.checks
             ],
-        }
-        _write(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [f"# verify {config} --max-m {report.max_m}"]
-        for c in report.checks:
-            lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
-        lines.append("all checks passed" if report.passed
-                     else f"{len(report.failures)} check(s) failed")
-        _write("\n".join(lines), args.out)
-    return EXIT_OK if report.passed else EXIT_VERIFY
+        }), code
+    lines = [f"# verify {config} --max-m {report.max_m}"]
+    for c in report.checks:
+        lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
+    lines.append("all checks passed" if report.passed
+                 else f"{len(report.failures)} check(s) failed")
+    return "\n".join(lines), code
 
 
 _FILE_KEYS = {"config": str, "m": int, "m_list": str, "t": int, "t_range": str,
@@ -276,10 +260,9 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config_file(args)
         if args.config is None:
             raise ValueError("missing point configuration (positional argument or config file)")
-        return args.func(args)
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        text, code = args.func(PointConfig.parse(args.config), args)
+        _write(text, args.out)
+        return code
     except ComputationGuardError as exc:
         print(f"arithmetic guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

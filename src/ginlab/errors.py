@@ -1,8 +1,9 @@
 """Shared exception types.
 
 The split mirrors the process exit codes: bad requests are ``ValueError``
-(usage), impossible internal states are ``ComputationGuardError`` (arithmetic
-guard), and failed cross-checks are ``VerificationFailure``.
+(usage, exit 2) and impossible internal states are ``ComputationGuardError``
+(arithmetic guard, exit 3).  A failed cross-check is not an exception: the
+suite returns a report whose failures the CLI prints before exiting 1.
 """
 
 from __future__ import annotations
@@ -20,11 +21,3 @@ class ComputationGuardError(RuntimeError):
     violations in Riemann-Roch, staircase segments that fail to saturate, or
     colength disagreeing with the scheme length.
     """
-
-
-class VerificationFailure(Exception):
-    """A verification or convergence suite found concrete violations."""
-
-    def __init__(self, failures: tuple[str, ...]):
-        self.failures = failures
-        super().__init__("; ".join(failures))

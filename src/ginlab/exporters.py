@@ -24,9 +24,13 @@ def intercept_str(value: Intercept) -> str:
     return rational_str(value)
 
 
-def staircase_payload(s: MonomialStaircase) -> dict:
-    """JSON-ready staircase with a stable field order."""
-    return {
+def json_text(payload: dict) -> str:
+    """The one JSON layout: two-space indent, fields in insertion order."""
+    return json.dumps(payload, indent=2)
+
+
+def staircase_json(s: MonomialStaircase) -> str:
+    return json_text({
         "config": str(s.config),
         "m": s.m,
         "alpha": s.alpha,
@@ -34,18 +38,14 @@ def staircase_payload(s: MonomialStaircase) -> dict:
         "generators": [[x, y] for x, y in s.generators],
         "colength": colength(s),
         "conjectural": s.conjectural,
-    }
+    })
 
 
-def staircase_json(s: MonomialStaircase) -> str:
-    return json.dumps(staircase_payload(s), indent=2)
-
-
-def shape_payload(report: ShapeReport) -> dict:
+def shape_json(report: ShapeReport) -> str:
     predicted = None
     if report.predicted is not None:
         predicted = [intercept_str(report.predicted[0]), intercept_str(report.predicted[1])]
-    return {
+    return json_text({
         "config": str(report.config),
         "predicted_intercepts": predicted,
         "seshadri_estimate": rational_str(report.seshadri_estimate),
@@ -63,11 +63,7 @@ def shape_payload(report: ShapeReport) -> dict:
             }
             for e in report.entries
         ],
-    }
-
-
-def shape_json(report: ShapeReport) -> str:
-    return json.dumps(shape_payload(report), indent=2)
+    })
 
 
 def shape_csv(report: ShapeReport) -> str:
@@ -86,6 +82,8 @@ def shape_csv(report: ShapeReport) -> str:
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
             "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
+_UNIT = 120.0  # SVG units per unit of scaled exponent
+_PAD = 40.0  # margin around the plot, in SVG units
 
 
 def _fmt(value: float) -> str:
@@ -93,31 +91,36 @@ def _fmt(value: float) -> str:
 
 
 def _staircase_outline(entry) -> list[tuple[float, float]]:
-    """Step-function boundary of the scaled ideal region, left to right."""
-    corners = entry.corners  # ascending x, starts (0, zeta/m), ends (alpha/m, 0)
+    """Step-function boundary of the scaled ideal region, left to right.
+
+    Exponents are divided by m as ints: x / m is the same correctly rounded
+    double as float(Fraction(x, m)).
+    """
+    m = entry.m
+    corners = entry.generators[::-1]  # ascending x, starts (0, zeta), ends (alpha, 0)
     points: list[tuple[float, float]] = []
-    for (x0, y0), (x1, y1) in zip(corners, corners[1:]):
-        points.append((float(x0), float(y0)))
-        points.append((float(x1), float(y0)))
-    points.append((float(corners[-1][0]), float(corners[-1][1])))
+    for (x0, y0), (x1, _) in zip(corners, corners[1:]):
+        points.append((x0 / m, y0 / m))
+        points.append((x1 / m, y0 / m))
+    points.append((corners[-1][0] / m, corners[-1][1] / m))
     return points
 
 
-def shape_svg(report: ShapeReport, unit: float = 120.0, pad: float = 40.0) -> str:
+def shape_svg(report: ShapeReport) -> str:
     """Scaled staircases for every multiplicity plus the predicted segment."""
     max_x = max(float(e.x_intercept) for e in report.entries)
     max_y = max(float(e.y_intercept) for e in report.entries)
     if report.predicted is not None:
         max_x = max(max_x, float(report.predicted[0]))
         max_y = max(max_y, float(report.predicted[1]))
-    width = 2 * pad + unit * max_x
-    height = 2 * pad + unit * max_y
+    width = 2 * _PAD + _UNIT * max_x
+    height = 2 * _PAD + _UNIT * max_y
 
     def tx(x: float) -> float:
-        return pad + unit * x
+        return _PAD + _UNIT * x
 
     def ty(y: float) -> float:
-        return height - pad - unit * y
+        return height - _PAD - _UNIT * y
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '

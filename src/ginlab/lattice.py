@@ -153,10 +153,6 @@ class PointConfig:
         """How much to trust the engine: proven, conjectural or empirical."""
         return {GENERAL: "proven", SHGH: "conjectural", COLLINEAR: "empirical"}[self.kind]
 
-    @property
-    def has_class_list(self) -> bool:
-        return self.kind != SHGH
-
     def __str__(self) -> str:
         return f"{self.kind}:{self.n}"
 

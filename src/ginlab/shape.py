@@ -110,7 +110,14 @@ class ShapeEntry:
     x_intercept: Fraction
     y_intercept: Fraction
     colength_over_m2: Fraction
-    corners: tuple[tuple[Fraction, Fraction], ...]
+    generators: tuple[tuple[int, int], ...]
+
+    @property
+    def corners(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Generator exponents scaled by 1/m, ascending in x; the first is
+        (0, zeta/m) and the last (alpha/m, 0)."""
+        m = self.m
+        return tuple((Fraction(x, m), Fraction(y, m)) for x, y in reversed(self.generators))
 
 
 @dataclass(frozen=True)
@@ -128,7 +135,6 @@ class ShapeReport:
 def _entry(config: PointConfig, m: int) -> ShapeEntry:
     s = gin_staircase(config, m)
     length = colength(s)
-    corners = tuple((Fraction(x, m), Fraction(y, m)) for x, y in reversed(s.generators))
     return ShapeEntry(
         m=m,
         alpha=s.alpha,
@@ -137,23 +143,29 @@ def _entry(config: PointConfig, m: int) -> ShapeEntry:
         x_intercept=Fraction(s.alpha, m),
         y_intercept=Fraction(s.zeta, m),
         colength_over_m2=Fraction(length, m * m),
-        corners=corners,
+        generators=s.generators,
     )
+
+
+def _entries(config: PointConfig, m_list: list[int], step: int) -> tuple[ShapeEntry, ...]:
+    """One entry per distinct multiplicity, ascending; each must be a
+    positive multiple of ``step``."""
+    ms = sorted(set(m_list))
+    if not ms or ms[0] < 1:
+        raise ValueError("multiplicities must be positive")
+    bad = [m for m in ms if m % step]
+    if bad:
+        raise ValueError(f"multiplicities {bad} are not multiples of {step} for {config}")
+    return tuple(_entry(config, m) for m in ms)
 
 
 def shape_report(config: PointConfig, m_list: list[int]) -> ShapeReport:
     """Exact scaled-staircase report, ordered by multiplicity.
 
-    Corners are the generator exponents scaled by 1/m, ascending in x; the
-    first is (0, zeta/m) and the last (alpha/m, 0).  The last multiplicity
-    also yields the Seshadri-type estimate alpha(m)/(r*m).
+    The last multiplicity also yields the Seshadri-type estimate
+    alpha(m)/(r*m).
     """
-    ms = sorted(set(m_list))
-    if not ms:
-        raise ValueError("need at least one multiplicity")
-    if ms[0] < 1:
-        raise ValueError("multiplicities must be positive")
-    entries = tuple(_entry(config, m) for m in ms)
+    entries = _entries(config, m_list, 1)
     try:
         predicted = theoretical_shape(config)
     except UnsupportedConfigError:
@@ -195,8 +207,6 @@ def divisibility_step(config: PointConfig) -> int:
 @dataclass(frozen=True)
 class ConvergenceReport:
     config: PointConfig
-    gamma1: Intercept
-    gamma2: Intercept
     entries: tuple[ShapeEntry, ...]
     failures: tuple[str, ...]
 
@@ -213,18 +223,11 @@ def check_convergence(config: PointConfig, m_list: list[int]) -> ConvergenceRepo
     returned as structured failures naming the multiplicity and deviation.
     """
     g1, g2 = theoretical_shape(config)
-    step = divisibility_step(config)
-    ms = sorted(set(m_list))
-    if not ms or ms[0] < 1:
-        raise ValueError("need positive multiplicities")
-    bad = [m for m in ms if m % step]
-    if bad:
-        raise ValueError(f"multiplicities {bad} are not multiples of {step} for {config}")
+    entries = _entries(config, m_list, divisibility_step(config))
     r = config.r
-    entries = []
     failures = []
-    for m in ms:
-        e = _entry(config, m)
+    for e in entries:
+        m = e.m
         tol = Fraction(3, m)
         if not within(e.x_intercept, g1, tol):
             failures.append(f"m={m}: x-intercept {e.x_intercept} is off {g1} "
@@ -235,8 +238,7 @@ def check_convergence(config: PointConfig, m_list: list[int]) -> ConvergenceRepo
         if abs(e.colength_over_m2 - Fraction(r, 2)) > Fraction(r, m):
             failures.append(f"m={m}: colength/m^2 = {e.colength_over_m2} is off {r}/2 "
                             f"by more than {r}/{m}")
-        entries.append(e)
-    return ConvergenceReport(config, g1, g2, tuple(entries), tuple(failures))
+    return ConvergenceReport(config, entries, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -265,19 +267,12 @@ def collinear_shape_check(l: int, m_list: list[int]) -> CollinearShapeReport:
     corner lists are the empirical description of the true shape.
     """
     config = PointConfig.collinear_plus_one(l)
-    step = l * (l - 1)
-    ms = sorted(set(m_list))
-    if not ms or ms[0] < 1:
-        raise ValueError("need positive multiplicities")
-    bad = [m for m in ms if m % step]
-    if bad:
-        raise ValueError(f"multiplicities {bad} are not multiples of {step}")
+    entries = _entries(config, m_list, divisibility_step(config))
     expected_x = Fraction(2) - Fraction(1, l)
     expected_y = Fraction(l)
-    entries = []
     failures = []
-    for m in ms:
-        e = _entry(config, m)
+    for e in entries:
+        m = e.m
         if e.alpha != 2 * m - m // l:
             failures.append(f"m={m}: least generator degree {e.alpha} != 2m - m/l = {2 * m - m // l}")
         if e.zeta != l * m:
@@ -289,12 +284,11 @@ def collinear_shape_check(l: int, m_list: list[int]) -> CollinearShapeReport:
         expected_ratio = Fraction((l + 1) * (m + 1), 2 * m)
         if e.colength_over_m2 != expected_ratio:
             failures.append(f"m={m}: colength/m^2 {e.colength_over_m2} != {expected_ratio}")
-        entries.append(e)
     limit_area = Fraction(l + 1, 2)
     single_segment_area = expected_x * expected_y / 2
     return CollinearShapeReport(
         l=l,
-        entries=tuple(entries),
+        entries=entries,
         expected_x=expected_x,
         expected_y=expected_y,
         limit_area=limit_area,

@@ -193,7 +193,7 @@ def run_verification(config: PointConfig, max_m: int = DEFAULT_MAX_M) -> VerifyR
     if max_m < 1:
         raise ValueError("max_m must be positive")
     checks: list[VerifyCheck] = []
-    if config.has_class_list:
+    if config.kind != SHGH:
         checks.append(_check_class_list(config))
     checks.append(_check_colength(config, max_m))
     if config.kind == GENERAL:

@@ -234,6 +234,20 @@ GOLDEN = [
      "8bd342a5de96b38178e55bc2e73ce8e58a6bdc6130699243c1e94d1d27f5461d"),
     ("classes general:6 --format json",
      "a7b1a4254f5ce71a41f00cfc64635a2e150bebd158bdb211fab7d9692ca205e7"),
+    ("classes collinear:4",
+     "47a3fe717293fa4d794cce94cdfe19fb4f87beaaec623340c70e7958df190c92"),
+    ("hilbert collinear:4 --m 12 --t-range 10..30",
+     "606f86ece3b121091b58451dc153e9d06930ada7508c9b488b4d8b68bdb35eed"),
+    ("shape general:7 --m-list 24,48",
+     "a33c7b71dcf63a80adc40cf78f4d293bc536dba0bf0712fcee6e3f237c87742e"),
+    ("shape collinear:3 --m-list 6,12,18",
+     "32bac622f21538a92647db727458b040fd5705102e654ba250baaecb15dd4120"),
+    ("shape collinear:4 --m-list 12,24 --format json",
+     "b369fa1d4bd6f9223976a8a5712ff81ff8300432b4b63422481a8bf320bfef94"),
+    ("shape shgh:10 --m-list 3,6,9 --format svg",
+     "f467ce92815572bb66e3b915663c777d97d5225ca539135093eaac2ca7ca97f2"),
+    ("gin general:6 --m 10",
+     "667b2690b0b3137edb8f5d86ffa7fadb0694451ddab9b45a8e2b9e4f98a94551"),
 ]
 
 
