@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .shape import Intercept, ShapeReport, SquareRootIntercept
 from .staircase import MonomialStaircase, colength
@@ -16,6 +17,12 @@ from .staircase import MonomialStaircase, colength
 
 def rational_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """rational_str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 def intercept_str(value: Intercept) -> str:
@@ -59,7 +66,9 @@ def shape_json(report: ShapeReport) -> str:
                 "x_intercept": rational_str(e.x_intercept),
                 "y_intercept": rational_str(e.y_intercept),
                 "colength_over_m2": rational_str(e.colength_over_m2),
-                "corners": [[rational_str(x), rational_str(y)] for x, y in e.corners],
+                # generator exponents over m, ascending in x: (0, zeta/m) .. (alpha/m, 0)
+                "corners": [[_ratio_str(x, e.m), _ratio_str(y, e.m)]
+                            for x, y in reversed(e.generators)],
             }
             for e in report.entries
         ],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import sqrt
 from typing import Union
 
 from .errors import ComputationGuardError, UnsupportedConfigError
@@ -28,16 +28,6 @@ class SquareRootIntercept:
     """
 
     radicand: int
-
-    @property
-    def is_rational(self) -> bool:
-        root = isqrt(self.radicand)
-        return root * root == self.radicand
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"sqrt({self.radicand}) is irrational")
-        return Fraction(isqrt(self.radicand))
 
     def __float__(self) -> float:
         return sqrt(self.radicand)
@@ -112,13 +102,6 @@ class ShapeEntry:
     colength_over_m2: Fraction
     generators: tuple[tuple[int, int], ...]
 
-    @property
-    def corners(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Generator exponents scaled by 1/m, ascending in x; the first is
-        (0, zeta/m) and the last (alpha/m, 0)."""
-        m = self.m
-        return tuple((Fraction(x, m), Fraction(y, m)) for x, y in reversed(self.generators))
-
 
 @dataclass(frozen=True)
 class ShapeReport:
@@ -151,7 +134,9 @@ def _entries(config: PointConfig, m_list: list[int], step: int) -> tuple[ShapeEn
     """One entry per distinct multiplicity, ascending; each must be a
     positive multiple of ``step``."""
     ms = sorted(set(m_list))
-    if not ms or ms[0] < 1:
+    if not ms:
+        raise ValueError("need at least one multiplicity")
+    if ms[0] < 1:
         raise ValueError("multiplicities must be positive")
     bad = [m for m in ms if m % step]
     if bad:
@@ -204,23 +189,13 @@ def divisibility_step(config: PointConfig) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    config: PointConfig
-    entries: tuple[ShapeEntry, ...]
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def check_convergence(config: PointConfig, m_list: list[int]) -> ConvergenceReport:
+def check_convergence(config: PointConfig, m_list: list[int]) -> tuple[str, ...]:
     """Desk-scale convergence: intercepts within 3/m, area ratio within r/m.
 
     Multiplicities must lie on the divisibility sequence of the
-    configuration so the intercepts admit exact comparison.  Violations are
-    returned as structured failures naming the multiplicity and deviation.
+    configuration so the intercepts admit exact comparison.  Returns one
+    message per violation, naming the multiplicity and deviation; an empty
+    tuple means the check passed.
     """
     g1, g2 = theoretical_shape(config)
     entries = _entries(config, m_list, divisibility_step(config))
@@ -238,33 +213,18 @@ def check_convergence(config: PointConfig, m_list: list[int]) -> ConvergenceRepo
         if abs(e.colength_over_m2 - Fraction(r, 2)) > Fraction(r, m):
             failures.append(f"m={m}: colength/m^2 = {e.colength_over_m2} is off {r}/2 "
                             f"by more than {r}/{m}")
-    return ConvergenceReport(config, entries, tuple(failures))
+    return tuple(failures)
 
 
-@dataclass(frozen=True)
-class CollinearShapeReport:
-    l: int
-    entries: tuple[ShapeEntry, ...]
-    expected_x: Fraction
-    expected_y: Fraction
-    limit_area: Fraction
-    single_segment_area: Fraction
-    single_segment_excluded: bool
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def collinear_shape_check(l: int, m_list: list[int]) -> CollinearShapeReport:
+def collinear_shape_check(l: int, m_list: list[int]) -> tuple[str, ...]:
     """Empirical limit shape for l collinear points plus one.
 
     On multiplicities divisible by l*(l-1) the intercepts are exactly
     (2 - 1/l, l) and the complement area per m^2 is (l+1)(m+1)/(2m), tending
     to (l+1)/2.  A single segment with those intercepts would enclose area
     (2l-1)/2 instead, so the limit cannot be one segment; the computed
-    corner lists are the empirical description of the true shape.
+    corner lists are the empirical description of the true shape.  Returns
+    one message per violated identity; an empty tuple means the check passed.
     """
     config = PointConfig.collinear_plus_one(l)
     entries = _entries(config, m_list, divisibility_step(config))
@@ -284,15 +244,4 @@ def collinear_shape_check(l: int, m_list: list[int]) -> CollinearShapeReport:
         expected_ratio = Fraction((l + 1) * (m + 1), 2 * m)
         if e.colength_over_m2 != expected_ratio:
             failures.append(f"m={m}: colength/m^2 {e.colength_over_m2} != {expected_ratio}")
-    limit_area = Fraction(l + 1, 2)
-    single_segment_area = expected_x * expected_y / 2
-    return CollinearShapeReport(
-        l=l,
-        entries=entries,
-        expected_x=expected_x,
-        expected_y=expected_y,
-        limit_area=limit_area,
-        single_segment_area=single_segment_area,
-        single_segment_excluded=single_segment_area > limit_area,
-        failures=tuple(failures),
-    )
+    return tuple(failures)

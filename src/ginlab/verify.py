@@ -10,6 +10,7 @@ the predicted limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb, isqrt
 
@@ -55,7 +56,6 @@ class VerifyCheck:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    config: PointConfig
     max_m: int
     checks: tuple[VerifyCheck, ...]
 
@@ -136,9 +136,9 @@ def _check_convergence(config: PointConfig, max_m: int) -> VerifyCheck:
     if not ms:
         return VerifyCheck("convergence", True,
                            f"no admissible multiplicity <= {max_m} (step {step}); skipped")
-    report = check_convergence(config, ms)
-    if report.failures:
-        return VerifyCheck("convergence", False, "; ".join(report.failures))
+    failures = check_convergence(config, ms)
+    if failures:
+        return VerifyCheck("convergence", False, "; ".join(failures))
     return VerifyCheck("convergence", True,
                        f"intercepts within 3/m and area within r/m for m in {ms}")
 
@@ -172,20 +172,19 @@ def _check_shgh_closed_form(config: PointConfig, max_m: int) -> VerifyCheck:
 
 def _check_collinear_degrees(config: PointConfig, max_m: int) -> VerifyCheck:
     l = config.l
-    step = l * (l - 1)
+    step = divisibility_step(config)
     ms = list(range(step, max_m + 1, step))
     if not ms:
         return VerifyCheck("collinear-degrees", True,
                            f"no multiple of {step} below {max_m}; skipped")
-    report = collinear_shape_check(l, ms)
-    if report.failures:
-        return VerifyCheck("collinear-degrees", False, "; ".join(report.failures))
-    if not report.single_segment_excluded:
-        return VerifyCheck("collinear-degrees", False,
-                           "single-segment area fails to exceed the limit area")
+    failures = collinear_shape_check(l, ms)
+    if failures:
+        return VerifyCheck("collinear-degrees", False, "; ".join(failures))
+    # PointConfig enforces l >= 3, so the single-segment area (2l-1)/2
+    # always exceeds the limit area (l+1)/2.
     return VerifyCheck("collinear-degrees", True,
                        f"generator degrees 2m-m/l and lm confirmed for m in {ms}; "
-                       f"single segment excluded ({report.single_segment_area} > {report.limit_area})")
+                       f"single segment excluded ({Fraction(2 * l - 1, 2)} > {Fraction(l + 1, 2)})")
 
 
 def run_verification(config: PointConfig, max_m: int = DEFAULT_MAX_M) -> VerifyReport:
@@ -206,4 +205,4 @@ def run_verification(config: PointConfig, max_m: int = DEFAULT_MAX_M) -> VerifyR
     else:
         checks.append(_check_convergence(config, max_m))
     checks.append(_check_graded_and_nested(config, max_m))
-    return VerifyReport(config=config, max_m=max_m, checks=tuple(checks))
+    return VerifyReport(max_m=max_m, checks=tuple(checks))

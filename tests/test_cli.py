@@ -11,7 +11,6 @@ import pytest
 
 from ginlab import cli
 from ginlab.errors import ComputationGuardError
-from ginlab.lattice import PointConfig
 from ginlab.verify import VerifyCheck, VerifyReport
 
 
@@ -173,6 +172,15 @@ def test_usage_errors_exit_two(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("m_list,message", [
+    (",", "error: need at least one multiplicity\n"),
+    ("0,2", "error: multiplicities must be positive\n"),
+])
+def test_bad_m_list_message(capsys, m_list, message):
+    code, out, err = run_cli(capsys, ["shape", "general:6", "--m-list", m_list])
+    assert (code, out, err) == (2, "", message)
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
@@ -180,7 +188,6 @@ def test_help_exits_zero(capsys):
 
 def test_failed_verification_exits_one(capsys, monkeypatch):
     report = VerifyReport(
-        config=PointConfig.general(2),
         max_m=5,
         checks=(VerifyCheck("colength", False, "forced failure"),),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from ginlab import (PointConfig, SquareRootIntercept, check_convergence,
                     scaled_staircases_nested, shape_report, theoretical_shape,
                     within)
 from ginlab.errors import UnsupportedConfigError
+from ginlab.exporters import shape_json
 
 F = Fraction
 
@@ -40,15 +42,8 @@ def test_theoretical_shape_rejects_collinear():
 
 
 def test_square_root_intercept():
-    nine = SquareRootIntercept(9)
-    assert nine.is_rational
-    assert nine.as_fraction() == 3
-    assert str(nine) == "sqrt(9)"
-    ten = SquareRootIntercept(10)
-    assert not ten.is_rational
-    with pytest.raises(ValueError):
-        ten.as_fraction()
-    assert 3.16 < float(ten) < 3.17
+    assert str(SquareRootIntercept(9)) == "sqrt(9)"
+    assert 3.16 < float(SquareRootIntercept(10)) < 3.17
 
 
 def test_within_rational_target():
@@ -76,9 +71,10 @@ def test_shape_report_general_six():
     assert e.x_intercept == F(12, 5)
     assert e.y_intercept == F(13, 5)
     assert e.colength_over_m2 == F(33, 10)
-    assert e.corners[0] == (F(0), F(13, 5))
-    assert e.corners[-1] == (F(12, 5), F(0))
-    xs = [x for x, _ in e.corners]
+    corners = json.loads(shape_json(report))["entries"][0]["corners"]
+    assert corners[0] == ["0/1", "13/5"]
+    assert corners[-1] == ["12/5", "0/1"]
+    xs = [F(x) for x, _ in corners]
     assert xs == sorted(xs)
     assert report.seshadri_estimate == F(24, 60)
 
@@ -104,9 +100,9 @@ def test_shape_report_sorts_and_dedupes():
 
 def test_shape_report_rejects_bad_input():
     config = PointConfig.general(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one multiplicity"):
         shape_report(config, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="multiplicities must be positive"):
         shape_report(config, [0, 3])
 
 
@@ -120,18 +116,24 @@ def test_divisibility_steps():
 
 
 def test_convergence_general_six():
-    report = check_convergence(PointConfig.general(6), list(range(10, 51, 10)))
-    assert report.passed
-    first = report.entries[0]
+    config = PointConfig.general(6)
+    assert check_convergence(config, list(range(10, 51, 10))) == ()
+    (first,) = shape_report(config, [10]).entries
     assert first.x_intercept == F(12, 5)          # exact on the sequence
     assert first.y_intercept - F(5, 2) == F(1, 10)  # off by exactly 1/m
 
 
 def test_convergence_general_seven_and_interpolated():
-    assert check_convergence(PointConfig.general(7), [24, 48]).passed
-    report = check_convergence(PointConfig.shgh(9), [10, 20])
-    assert report.passed
-    assert report.entries[0].x_intercept == F(3)
+    assert check_convergence(PointConfig.general(7), [24, 48]) == ()
+    config = PointConfig.shgh(9)
+    assert check_convergence(config, [10, 20]) == ()
+    assert shape_report(config, [10]).entries[0].x_intercept == F(3)
+
+
+def test_convergence_reports_an_intercept_off_target(monkeypatch):
+    monkeypatch.setattr("ginlab.shape.theoretical_shape", lambda config: (F(3), F(5, 2)))
+    assert check_convergence(PointConfig.general(6), [10]) == (
+        "m=10: x-intercept 12/5 is off 3 by 3/5 > 3/10",)
 
 
 def test_convergence_rejects_off_sequence_multiplicity():
@@ -142,14 +144,23 @@ def test_convergence_rejects_off_sequence_multiplicity():
 
 
 def test_collinear_shape_check():
-    report = collinear_shape_check(3, [6, 12])
-    assert report.passed
-    assert report.expected_x == F(5, 3)
-    assert report.expected_y == F(3)
-    assert report.limit_area == F(2)
-    assert report.single_segment_area == F(5, 2)
-    assert report.single_segment_excluded
-    assert report.entries[0].colength_over_m2 == F(4 * 7, 12)
+    assert collinear_shape_check(3, [6, 12]) == ()
+    (e,) = shape_report(PointConfig.collinear_plus_one(3), [6]).entries
+    assert e.colength_over_m2 == F(4 * 7, 12)
+
+
+def test_collinear_shape_check_reports_wrong_degrees(monkeypatch):
+    # general:4 has the same r = 4 as collinear:3, so the colength guard
+    # passes and only the degrees and intercepts differ
+    general_four = PointConfig.general(4)
+    monkeypatch.setattr("ginlab.shape.gin_staircase",
+                        lambda config, m: gin_staircase(general_four, m))
+    assert collinear_shape_check(3, [6]) == (
+        "m=6: least generator degree 12 != 2m - m/l = 10",
+        "m=6: top generator degree 13 != l*m = 18",
+        "m=6: x-intercept 2 != 5/3",
+        "m=6: y-intercept 13/6 != 3",
+    )
 
 
 def test_collinear_shape_check_rejects_off_sequence():

@@ -58,3 +58,14 @@ def test_closed_form_check_catches_a_wrong_staircase(monkeypatch):
     report = run_verification(PointConfig.shgh(10), max_m=4)
     assert [c.name for c in report.failures] == ["closed-form"]
     assert report.failures[0].detail == "reconstruction differs at m=1"
+
+
+@pytest.mark.parametrize("target,spec,max_m,check", [
+    ("check_convergence", "general:2", 4, "convergence"),
+    ("collinear_shape_check", "collinear:3", 6, "collinear-degrees"),
+])
+def test_shape_check_failures_fail_the_report(monkeypatch, target, spec, max_m, check):
+    monkeypatch.setattr(f"ginlab.verify.{target}", lambda *args: ("boom",))
+    report = run_verification(PointConfig.parse(spec), max_m=max_m)
+    assert not report.passed
+    assert [(c.name, c.detail) for c in report.failures] == [(check, "boom")]
