@@ -47,7 +47,7 @@ def _parse_m_list(args) -> list[int]:
 def _parse_t_range(args) -> list[int]:
     if args.t_range:
         lo, sep, hi = args.t_range.partition("..")
-        if not sep or not lo.strip().lstrip("-").isdigit() or not hi.strip().lstrip("-").isdigit():
+        if not sep or not all(end.strip().removeprefix("-").isdecimal() for end in (lo, hi)):
             raise ValueError(f"bad degree range {args.t_range!r}; expected A..B")
         start, stop = int(lo), int(hi)
         if stop < start:

@@ -9,8 +9,8 @@ preserves the section count step by step.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ComputationGuardError, UnsupportedConfigError
@@ -20,8 +20,7 @@ SHGH = "shgh"
 COLLINEAR = "collinear"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(namedtuple("DivisorClass", "d mults")):
     """The class d*e0 - sum(mults[i] * e_{i+1}).
 
     The sign convention keeps fat-point data positive: the scheme of r points
@@ -30,14 +29,14 @@ class DivisorClass:
     and the canonical class is ``(-3; -1, ..., -1)``.
     """
 
-    d: int
-    mults: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.mults, tuple):
-            object.__setattr__(self, "mults", tuple(self.mults))
-        if len(self.mults) < 1:
+    def __new__(cls, d: int, mults: tuple[int, ...]) -> "DivisorClass":
+        if not isinstance(mults, tuple):
+            mults = tuple(mults)
+        if len(mults) < 1:
             raise ValueError("a divisor class needs at least one exceptional index")
+        return tuple.__new__(cls, (d, mults))
 
     @property
     def r(self) -> int:
@@ -82,8 +81,7 @@ class DivisorClass:
         return f"({self.d}; {', '.join(str(a) for a in self.mults)})"
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(namedtuple("PointConfig", "kind n")):
     """Point arrangement selecting a Hilbert-function engine.
 
     kind "general" is 2..8 points in general position: the exceptional
@@ -97,21 +95,21 @@ class PointConfig:
     ``n`` holds r for the general kinds and l for the collinear one.
     """
 
-    kind: str
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind == GENERAL:
-            if not 2 <= self.n <= 8:
+    def __new__(cls, kind: str, n: int) -> "PointConfig":
+        if kind == GENERAL:
+            if not 2 <= n <= 8:
                 raise ValueError("general-position engine covers 2 to 8 points")
-        elif self.kind == SHGH:
-            if self.n < 9:
+        elif kind == SHGH:
+            if n < 9:
                 raise ValueError("interpolation engine starts at 9 points; use general:r below that")
-        elif self.kind == COLLINEAR:
-            if self.n < 3:
+        elif kind == COLLINEAR:
+            if n < 3:
                 raise ValueError("collinear arrangement needs at least 3 points on the line")
         else:
-            raise ValueError(f"unknown configuration kind {self.kind!r}")
+            raise ValueError(f"unknown configuration kind {kind!r}")
+        return tuple.__new__(cls, (kind, n))
 
     @classmethod
     def general(cls, r: int) -> "PointConfig":
@@ -129,7 +127,7 @@ class PointConfig:
     def parse(cls, spec: str) -> "PointConfig":
         """Parse "general:R", "shgh:R" or "collinear:L"."""
         kind, sep, num = spec.partition(":")
-        if not sep or not num.lstrip("-").isdigit():
+        if not sep or not num.removeprefix("-").isdecimal():
             raise ValueError(f"bad configuration {spec!r}; expected kind:number")
         return cls(kind.strip(), int(num))
 
@@ -269,35 +267,34 @@ def _euler_h0(f: DivisorClass) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class EffectivityResult:
+class EffectivityResult(namedtuple("EffectivityResult",
+                                   "effective h0 nef_remainder witness trace")):
     """Outcome of driving a class to a nef representative.
 
     When ``effective``, ``h0`` counts sections, ``nef_remainder`` is the nef
     class with the same count, and the input equals
     ``nef_remainder + sum(k * c for c, k in trace)``.  Otherwise ``witness``
     is the reduced class whose degree went negative, certifying emptiness.
+    The fields are ``effective`` (bool), ``h0`` (int), ``nef_remainder`` and
+    ``witness`` (DivisorClass or None) and ``trace`` (pairs of a curve and
+    the number of times it was subtracted).
     """
 
-    effective: bool
-    h0: int
-    nef_remainder: DivisorClass | None
-    witness: DivisorClass | None
-    trace: tuple[tuple[DivisorClass, int], ...]
+    __slots__ = ()
 
 
 class _CurveTable:
     """What the reduction loop needs to know about one configuration's curves.
 
-    ``drops[j]`` is -C_j.C_j and ``mult_sums[j]`` the sum of C_j's
-    multiplicities.  Degree 0 sorts first, so ``curves[i]`` is the
-    exceptional curve E_{i+1} and its Gram row holds every curve's
-    multiplicity at point i.  A Gram row C_w.C_j is built the first time
-    C_w is peeled or clamped; uniform classes only ever touch a handful of
-    curves, so few rows are built.
+    ``degrees[j]`` is C_j's degree, ``drops[j]`` is -C_j.C_j and
+    ``mult_sums[j]`` the sum of C_j's multiplicities.  Degree 0 sorts
+    first, so ``curves[i]`` is the exceptional curve E_{i+1} and its Gram
+    row holds every curve's multiplicity at point i.  A Gram row C_w.C_j is
+    built the first time C_w is peeled or clamped; uniform classes only
+    ever touch a handful of curves, so few rows are built.
     """
 
-    __slots__ = ("curves", "drops", "mult_sums", "_gram")
+    __slots__ = ("curves", "degrees", "drops", "mult_sums", "_gram")
 
     def __init__(self, config: PointConfig) -> None:
         curves = exceptional_classes(config)
@@ -305,6 +302,7 @@ class _CurveTable:
         if curves[:r] != tuple(DivisorClass.exceptional(i, r) for i in range(1, r + 1)):
             raise ComputationGuardError(f"curve list of {config} does not open with E_1..E_{r}")
         self.curves = curves
+        self.degrees = tuple(c.d for c in curves)
         self.drops = tuple(-intersect(c, c) for c in curves)
         self.mult_sums = tuple(sum(c.mults) for c in curves)
         self._gram: dict[int, tuple[int, ...]] = {}
@@ -345,7 +343,7 @@ def reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
     r = f.r
     if mults.count(mults[0]) == r:
         m = mults[0]
-        pairings = [d * c.d - m * s for c, s in zip(curves, table.mult_sums)]
+        pairings = [d * c - m * s for c, s in zip(table.degrees, table.mult_sums)]
     else:
         pairings = [intersect(f, c) for c in curves]
     trace: list[tuple[DivisorClass, int]] = []
@@ -371,7 +369,7 @@ def reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
         worst = curves[w]
         drop = table.drops[w]
         k = (-worst_pairing + drop - 1) // drop
-        d -= k * worst.d
+        d -= k * table.degrees[w]
         mults = [a - k * b for a, b in zip(mults, worst.mults)]
         pairings = [p - k * g for p, g in zip(pairings, table.gram_row(w))]
         trace.append((worst, k))

@@ -9,25 +9,23 @@ empirically from the computed corners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import sqrt
-from typing import Union
 
 from .errors import ComputationGuardError, UnsupportedConfigError
 from .lattice import COLLINEAR, GENERAL, PointConfig
 from .staircase import MonomialStaircase, colength, gin_staircase
 
 
-@dataclass(frozen=True)
-class SquareRootIntercept:
+class SquareRootIntercept(namedtuple("SquareRootIntercept", "radicand")):
     """Intercept equal to sqrt(radicand), kept symbolic.
 
     Comparisons against rationals square both sides, so no floating-point
     value ever enters a verdict.
     """
 
-    radicand: int
+    __slots__ = ()
 
     def __float__(self) -> float:
         return sqrt(self.radicand)
@@ -36,7 +34,7 @@ class SquareRootIntercept:
         return f"sqrt({self.radicand})"
 
 
-Intercept = Union[Fraction, SquareRootIntercept]
+Intercept = Fraction | SquareRootIntercept
 
 
 def within(value: Fraction, target: Intercept, tol: Fraction) -> bool:
@@ -89,26 +87,20 @@ def theoretical_shape(config: PointConfig) -> tuple[Intercept, Intercept]:
     return pair
 
 
-@dataclass(frozen=True)
-class ShapeEntry:
-    """Scaled staircase data for one multiplicity."""
+class ShapeEntry(namedtuple("ShapeEntry", "m alpha zeta colength x_intercept y_intercept "
+                                         "colength_over_m2 generators")):
+    """Scaled staircase data for one multiplicity: integer m, alpha, zeta and
+    colength, Fraction intercepts and colength/m^2, and the staircase's
+    (x, y) generators."""
 
-    m: int
-    alpha: int
-    zeta: int
-    colength: int
-    x_intercept: Fraction
-    y_intercept: Fraction
-    colength_over_m2: Fraction
-    generators: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ShapeReport:
-    config: PointConfig
-    entries: tuple[ShapeEntry, ...]
-    predicted: tuple[Intercept, Intercept] | None
-    seshadri_estimate: Fraction
+class ShapeReport(namedtuple("ShapeReport", "config entries predicted seshadri_estimate")):
+    """Entries ascending in m, the predicted (gamma1, gamma2) intercepts or
+    None, and the Fraction alpha(m)/(r*m) at the last multiplicity."""
+
+    __slots__ = ()
 
     @property
     def conjectural(self) -> bool:

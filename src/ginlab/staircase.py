@@ -10,7 +10,7 @@ points the staircase has a closed form, which serves that kind directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -19,8 +19,7 @@ from .hilbert import alpha, alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
 from .lattice import SHGH, PointConfig
 
 
-@dataclass(frozen=True)
-class MonomialStaircase:
+class MonomialStaircase(namedtuple("MonomialStaircase", "alpha lambdas m config")):
     """Staircase of a Borel-fixed monomial ideal in x and y.
 
     ``lambdas[i]`` is the least e with x^i y^e in the ideal (i < alpha), and
@@ -28,20 +27,19 @@ class MonomialStaircase:
     strictly decreasing profile lambdas[0] > lambdas[1] > ... >= 1.
     """
 
-    alpha: int
-    lambdas: tuple[int, ...]
-    m: int
-    config: PointConfig
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.alpha < 1:
+    def __new__(cls, alpha: int, lambdas: tuple[int, ...], m: int,
+                config: PointConfig) -> "MonomialStaircase":
+        if alpha < 1:
             raise ComputationGuardError("staircase needs a positive initial degree")
-        if len(self.lambdas) != self.alpha:
+        if len(lambdas) != alpha:
             raise ComputationGuardError("one column height per x-exponent below alpha")
-        if any(a <= b for a, b in zip(self.lambdas, self.lambdas[1:])):
-            raise ComputationGuardError(f"column heights must strictly decrease: {self.lambdas}")
-        if self.lambdas[-1] < 1:
+        if any(a <= b for a, b in zip(lambdas, lambdas[1:])):
+            raise ComputationGuardError(f"column heights must strictly decrease: {lambdas}")
+        if lambdas[-1] < 1:
             raise ComputationGuardError("the column next to x^alpha must be positive")
+        return tuple.__new__(cls, (alpha, lambdas, m, config))
 
     @property
     def zeta(self) -> int:

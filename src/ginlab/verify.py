@@ -9,7 +9,7 @@ the predicted limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import comb, isqrt
@@ -47,17 +47,11 @@ def brute_force_exceptional_classes(r: int) -> tuple[DivisorClass, ...]:
     return tuple(sorted(found, key=lambda c: (c.d, c.mults)))
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
-    name: str
-    passed: bool
-    detail: str
+VerifyCheck = namedtuple("VerifyCheck", "name passed detail")
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    max_m: int
-    checks: tuple[VerifyCheck, ...]
+class VerifyReport(namedtuple("VerifyReport", "max_m checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -181,6 +181,20 @@ def test_bad_m_list_message(capsys, m_list, message):
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gin", "general:--6", "--m", "3"],
+     "error: bad configuration 'general:--6'; expected kind:number\n"),
+    (["gin", "general:\u00b2", "--m", "3"],
+     "error: bad configuration 'general:\u00b2'; expected kind:number\n"),
+    (["hilbert", "general:6", "--m", "3", "--t-range=--3..5"],
+     "error: bad degree range '--3..5'; expected A..B\n"),
+])
+def test_malformed_numbers_get_parse_messages(capsys, argv, message):
+    # a repeated sign or a non-decimal digit must not reach int()
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
