@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from .errors import ComputationGuardError
-from .lattice import SHGH, DivisorClass, PointConfig, exceptional_classes, h0
+from .lattice import SHGH, PointConfig, exceptional_classes, uniform_h0
 
 def shgh_hilbert(r: int, m: int, t: int) -> int:
     """Conjectural Hilbert function for r >= 9 general points.
@@ -61,11 +61,9 @@ def hilbert_fn(config: PointConfig, m: int, t: int) -> int:
     """
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
-    if t < 0:
-        return 0
     if config.kind == SHGH:
         return shgh_hilbert(config.r, m, t)
-    return h0(DivisorClass.uniform(t, m, config.r), config)
+    return uniform_h0(config, t, m)
 
 def alpha(config: PointConfig, m: int) -> int:
     """Least degree whose Hilbert value is positive.

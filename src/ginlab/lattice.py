@@ -2,14 +2,14 @@
 
 Classes live in the Picard lattice with basis e0 (pullback of a line) and
 e_1..e_r (exceptional curves); the intersection form is diag(1, -1, ..., -1).
-Section counts of nef classes come from Riemann-Roch, and arbitrary classes
-are driven to a nef representative by peeling off negative curves, which
-preserves the section count step by step.
+Section counts of nef classes come from Riemann-Roch.  Other classes are
+driven to a nef representative by peeling off negative curves, uniform ones
+a whole orbit at a time; each peel preserves the section count.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -283,96 +283,87 @@ class EffectivityResult(namedtuple("EffectivityResult",
     __slots__ = ()
 
 
-class _CurveTable:
-    """What the reduction loop needs to know about one configuration's curves.
-
-    ``degrees[j]`` is C_j's degree, ``drops[j]`` is -C_j.C_j and
-    ``mult_sums[j]`` the sum of C_j's multiplicities.  Degree 0 sorts
-    first, so ``curves[i]`` is the exceptional curve E_{i+1} and its Gram
-    row holds every curve's multiplicity at point i.  A Gram row C_w.C_j is
-    built the first time C_w is peeled or clamped; uniform classes only
-    ever touch a handful of curves, so few rows are built.
-    """
-
-    __slots__ = ("curves", "degrees", "drops", "mult_sums", "_gram")
-
-    def __init__(self, config: PointConfig) -> None:
-        curves = exceptional_classes(config)
-        r = config.r
-        if curves[:r] != tuple(DivisorClass.exceptional(i, r) for i in range(1, r + 1)):
-            raise ComputationGuardError(f"curve list of {config} does not open with E_1..E_{r}")
-        self.curves = curves
-        self.degrees = tuple(c.d for c in curves)
-        self.drops = tuple(-intersect(c, c) for c in curves)
-        self.mult_sums = tuple(sum(c.mults) for c in curves)
-        self._gram: dict[int, tuple[int, ...]] = {}
-
-    def gram_row(self, w: int) -> tuple[int, ...]:
-        row = self._gram.get(w)
-        if row is None:
-            peeled = self.curves[w]
-            row = self._gram[w] = tuple(intersect(peeled, c) for c in self.curves)
-        return row
-
-
-@lru_cache(maxsize=None)
-def _curve_table(config: PointConfig) -> _CurveTable:
-    return _CurveTable(config)
-
-
 def reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
     """Peel negative curves off f until it is nef or visibly empty.
 
     Each pass clamps negative multiplicities to zero (repeated subtraction
     of exceptional curves met negatively), stops if the degree went
-    negative, and otherwise subtracts the worst-met curve in one batch,
-    the first listed one on ties.  Subtracting C once raises f.C by -C.C,
-    so the batch size is the exact number of steps for which the pairing
-    stays negative.  Every step preserves the section count, so h0 of the
-    input equals h0 of the nef remainder.
-
-    The pairings f.C_j are kept in one vector and updated by each step's
-    change instead of being recomputed; once none is negative the
-    remainder is nef and Riemann-Roch gives its section count.
+    negative, and otherwise subtracts the worst-met curve, the first listed
+    one on ties, as often as f.C stays negative: each subtraction raises
+    f.C by -C.C.  Every step preserves the section count, so h0 of the
+    input is the Riemann-Roch count of the nef remainder.
     """
     _check_rank(f, config)
-    table = _curve_table(config)
-    curves = table.curves
-    d = f.d
-    mults = list(f.mults)
-    r = f.r
-    if mults.count(mults[0]) == r:
-        m = mults[0]
-        pairings = [d * c - m * s for c, s in zip(table.degrees, table.mult_sums)]
-    else:
-        pairings = [intersect(f, c) for c in curves]
-    trace: list[tuple[DivisorClass, int]] = []
+    curves = exceptional_classes(config)
+    g, trace = f, []
     # every iteration either clamps or lowers the degree, so this bound is generous
-    budget = (max(d, 0) + 2) * (len(curves) + 2) + sum(-a for a in mults if a < 0) + 8
+    budget = (max(f.d, 0) + 2) * (len(curves) + 2) + sum(-a for a in f.mults if a < 0) + 8
     while True:
         budget -= 1
         if budget < 0:
             raise ComputationGuardError(f"reduction of {f} failed to terminate")
-        for i, a in enumerate(mults):
-            if a < 0:
-                trace.append((curves[i], -a))
-                mults[i] = 0
-                pairings = [p + a * g for p, g in zip(pairings, table.gram_row(i))]
-        if d < 0:
-            witness = DivisorClass(d, tuple(mults))
-            return EffectivityResult(False, 0, None, witness, tuple(trace))
+        if min(g.mults) < 0:
+            trace += [(DivisorClass.exceptional(i + 1, f.r), -a) for i, a in enumerate(g.mults) if a < 0]
+            g = DivisorClass(g.d, tuple(max(a, 0) for a in g.mults))
+        if g.d < 0:
+            return EffectivityResult(False, 0, None, g, tuple(trace))
+        pairings = [intersect(g, c) for c in curves]
         worst_pairing = min(pairings)
         if worst_pairing >= 0:
-            remainder = DivisorClass(d, tuple(mults))
-            return EffectivityResult(True, _euler_h0(remainder), remainder, None, tuple(trace))
-        w = pairings.index(worst_pairing)
-        worst = curves[w]
-        drop = table.drops[w]
+            return EffectivityResult(True, _euler_h0(g), g, None, tuple(trace))
+        worst = curves[pairings.index(worst_pairing)]
+        drop = -intersect(worst, worst)
         k = (-worst_pairing + drop - 1) // drop
-        d -= k * table.degrees[w]
-        mults = [a - k * b for a, b in zip(mults, worst.mults)]
-        pairings = [p - k * g for p, g in zip(pairings, table.gram_row(w))]
+        g = g - k * worst
         trace.append((worst, k))
+
+
+@lru_cache(maxsize=None)
+def _orbits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int], ...]:
+    """The listed curves in orbits under permuting the first n points.
+
+    Each orbit is (degree, multiplicity sum on the n points, multiplicity
+    off them) of one member C, then the same for the orbit sum S, whose
+    multiplicity is the same at each of the n points.
+    """
+    n = config.n
+    sizes = Counter((c.d, tuple(sorted(c.mults[:n])), sum(c.mults[n:]))
+                    for c in exceptional_classes(config))
+    orbits = []
+    for (d, on, off), size in sorted(sizes.items()):
+        a = sum(on)
+        if size * a % n:
+            raise ComputationGuardError(f"curve list of {config} is not symmetric in its first {n} points")
+        orbits.append((d, a, off, size * d, size * a // n, size * off))
+    return tuple(orbits)
+
+
+def uniform_h0(config: PointConfig, t: int, m: int) -> int:
+    """Section count of (t; m, ..., m), peeling whole orbits of curves.
+
+    The class stays uniform on the n permuted points, as (d, a on them, b
+    off them), and meets all of an orbit alike.  If it meets the worst
+    orbit negatively, the orbit sum S comes off ceil(-f.C / -C.S) times.
+    A fixed part has a negative-definite intersection matrix (Zariski), so
+    C.S >= 0 means the class is empty.  Two orbit peels sufficed on every
+    value checked (the chambers of Bauer-Kuronya-Szemberg); eight is a guard.
+    """
+    orbits = _orbits(config)
+    d, a, b = t, m, m
+    for _ in range(8):
+        if d < 0:
+            return 0
+        pairings = [d * cd - a * ca - b * cb for cd, ca, cb, _, _, _ in orbits]
+        worst_pairing = min(pairings)
+        if worst_pairing >= 0:
+            return _euler_h0(DivisorClass(d, (a,) * config.n + (b,) * (config.r - config.n)))
+        cd, ca, cb, sd, sa, sb = orbits[pairings.index(worst_pairing)]
+        drop = sa * ca + sb * cb - sd * cd
+        if drop <= 0:
+            return 0
+        k = (-worst_pairing + drop - 1) // drop
+        d, a, b = d - k * sd, a - k * sa, b - k * sb
+    raise ComputationGuardError(f"orbit reduction of ({t}; {m}, ...) on {config} failed to terminate")
 
 
 def h0(f: DivisorClass, config: PointConfig) -> int:

@@ -1,10 +1,10 @@
 """Cross-validation suites pitting each engine against an independent check.
 
 Every check recomputes its expected values from a different route than the
-engine under test: class lists against brute-force lattice enumeration,
-section counts against the plain interpolation count on nef classes,
-staircase colengths against the scheme length, and scaled staircases against
-the predicted limit.
+engine under test: class lists against brute-force lattice enumeration, orbit
+peeling against curve-by-curve peeling, section counts against the
+interpolation count on nef classes, staircase colengths against the scheme
+length, and scaled staircases against the predicted limit.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from itertools import combinations_with_replacement, permutations
 from math import comb, isqrt
 
 from .errors import ComputationGuardError
-from .hilbert import hilbert_fn, nef_threshold
+from .hilbert import alpha, hilbert_fn, nef_threshold
 from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, PointConfig,
-                      canonical_class, exceptional_classes, intersect)
+                      canonical_class, exceptional_classes, intersect, reduce_to_nef)
 from .shape import check_convergence, collinear_shape_check, divisibility_step, scaled_staircases_nested
 from .staircase import colength, gin_staircase, graded_products_contained, shgh_gin_closed_form
 
@@ -87,6 +87,16 @@ def _check_colength(config: PointConfig, max_m: int) -> VerifyCheck:
     except ComputationGuardError as exc:
         return VerifyCheck("colength", False, str(exc))
     return VerifyCheck("colength", True, f"equals r*m*(m+1)/2 for every m <= {max_m}")
+
+
+def _check_orbit_engine(config: PointConfig, max_m: int) -> VerifyCheck:
+    top_m = min(max_m, 8)
+    for m in range(1, top_m + 1):
+        for t in range(alpha(config, m) - 1, nef_threshold(config, m) + 2):
+            if reduce_to_nef(DivisorClass.uniform(t, m, config.r), config).h0 != hilbert_fn(config, m, t):
+                return VerifyCheck("orbit-engine", False, f"divergence at m={m}, t={t}")
+    return VerifyCheck("orbit-engine", True,
+                       f"orbit peeling equals reduce_to_nef from alpha-1 to the nef threshold+1 for m <= {top_m}")
 
 
 def _check_engine_agreement(config: PointConfig, max_m: int) -> VerifyCheck:
@@ -188,6 +198,7 @@ def run_verification(config: PointConfig, max_m: int = DEFAULT_MAX_M) -> VerifyR
     checks: list[VerifyCheck] = []
     if config.kind != SHGH:
         checks.append(_check_class_list(config))
+        checks.append(_check_orbit_engine(config, max_m))
     checks.append(_check_colength(config, max_m))
     if config.kind == GENERAL:
         checks.append(_check_engine_agreement(config, max_m))

@@ -246,13 +246,13 @@ GOLDEN = [
     ("verify shgh:9 --max-m 8 --format json",
      "9eed3415e26cb8ddf8a50dc8c8cf2022c4703b448056f02762ff1dfbf525f344"),
     ("verify general:5 --max-m 10 --format json",
-     "b97a577a306c99d44568819db3dfc79f1bd712b84d61aa599de45b9535e4fa70"),
+     "2fda12e5b28b0a4e2a28887007dbabc931b54ec6c1921b122810e1f3084a469c"),
     ("verify general:6 --max-m 10",
-     "ef3a0a3153788546a8ab88e6632c142cf359c8c83a98ae4aecc20016fa023207"),
+     "ecc21cd3bad2bca93c737670d2b01a4f3ff6a2f2c7d286d3ea1edc09c5fa00ba"),
     ("verify collinear:3 --max-m 12",
-     "f1dc69153c8692d2002ec9192aa13720170d1b434efb45351ae0fd7e0f6c93d7"),
+     "4bdb97b52f689c22987e61b4711aba5ff78f47ce60d5442a6cfd27a0e52cd716"),
     ("verify collinear:4 --max-m 12 --format json",
-     "8bd342a5de96b38178e55bc2e73ce8e58a6bdc6130699243c1e94d1d27f5461d"),
+     "109d27bcfec5210758afa6a6f72c9c12caa36b3df77a55978418e91672aba8fd"),
     ("classes general:6 --format json",
      "a7b1a4254f5ce71a41f00cfc64635a2e150bebd158bdb211fab7d9692ca205e7"),
     ("classes collinear:4",

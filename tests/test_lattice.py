@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginlab import (DivisorClass, EffectivityResult, PointConfig, canonical_class,
-                    exceptional_classes, h0, intersect, is_nef, reduce_to_nef,
+from ginlab import (DivisorClass, PointConfig, alpha, canonical_class, exceptional_classes,
+                    h0, hilbert_fn, intersect, is_nef, nef_threshold, reduce_to_nef,
                     riemann_roch_h0)
-from ginlab.errors import ComputationGuardError, UnsupportedConfigError
+from ginlab.errors import UnsupportedConfigError
 from ginlab.lattice import _EXCEPTIONAL_TEMPLATES
 
 
@@ -194,10 +194,14 @@ def _trace_sum(res, r):
     return total
 
 
-@given(st.integers(2, 8), st.data())
+CLASS_LIST_CONFIGS = st.one_of(st.builds(PointConfig.general, st.integers(2, 8)),
+                               st.builds(PointConfig.collinear_plus_one, st.integers(3, 8)))
+
+
+@given(CLASS_LIST_CONFIGS, st.data())
 @settings(max_examples=60, deadline=None)
-def test_reduce_conserves_the_class(r, data):
-    config = PointConfig.general(r)
+def test_reduce_conserves_the_class(config, data):
+    r = config.r
     d = data.draw(st.integers(-3, 24))
     mults = data.draw(st.tuples(*[st.integers(-3, 9)] * r))
     res = reduce_to_nef(DivisorClass(d, mults), config)
@@ -222,57 +226,19 @@ def test_h0_permutation_invariant(r, data):
         h0(DivisorClass(d, tuple(shuffled)), config)
 
 
-# Reference reduction: every pairing recomputed from scratch on each pass and
-# the nef remainder counted by riemann_roch_h0, which tests nefness again.
-def reference_reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
-    table = [(c.d, c.mults, -intersect(c, c)) for c in exceptional_classes(config)]
-    d, mults, r = f.d, list(f.mults), f.r
-    trace = []
-    budget = (max(d, 0) + 2) * (len(table) + 2) + sum(-a for a in mults if a < 0) + 8
-    while True:
-        budget -= 1
-        if budget < 0:
-            raise ComputationGuardError(f"reference reduction of {f} failed to terminate")
-        for i, a in enumerate(mults):
-            if a < 0:
-                trace.append((DivisorClass.exceptional(i + 1, r), -a))
-                mults[i] = 0
-        if d < 0:
-            return EffectivityResult(False, 0, None, DivisorClass(d, tuple(mults)), tuple(trace))
-        worst, worst_pairing = None, 0
-        for cd, cm, drop in table:
-            p = d * cd - sum(a * b for a, b in zip(mults, cm))
-            if p < worst_pairing:
-                worst, worst_pairing = (cd, cm, drop), p
-        if worst is None:
-            remainder = DivisorClass(d, tuple(mults))
-            return EffectivityResult(True, riemann_roch_h0(remainder, config),
-                                     remainder, None, tuple(trace))
-        cd, cm, drop = worst
-        k = (-worst_pairing + drop - 1) // drop
-        d -= k * cd
-        mults = [a - k * b for a, b in zip(mults, cm)]
-        trace.append((DivisorClass(cd, cm), k))
-
-
-CLASS_LIST_CONFIGS = st.one_of(st.builds(PointConfig.general, st.integers(2, 8)),
-                               st.builds(PointConfig.collinear_plus_one, st.integers(3, 8)))
-
-
+# The curve-by-curve reduction is the oracle for the orbit engine behind
+# hilbert_fn: the two share only the curve list and Riemann-Roch.
 @given(CLASS_LIST_CONFIGS, st.data())
 @settings(max_examples=200, deadline=None)
 def test_reduce_matches_reference(config, data):
-    r = config.r
-    d = data.draw(st.integers(-3, 60), label="d")
-    shape = data.draw(st.sampled_from(["uniform", "mixed", "negative"]), label="shape")
-    if shape == "uniform":
-        mults = (data.draw(st.integers(0, 25), label="m"),) * r
-    elif shape == "mixed":
-        mults = data.draw(st.tuples(*[st.integers(0, 25)] * r), label="mults")
-    else:
-        mults = data.draw(st.tuples(*[st.integers(-6, 25)] * r), label="mults")
-    f = DivisorClass(d, mults)
-    assert reduce_to_nef(f, config) == reference_reduce_to_nef(f, config)
+    t = data.draw(st.integers(-3, 60), label="t")
+    m = data.draw(st.integers(0, 25), label="m")
+    assert hilbert_fn(config, m, t) == reduce_to_nef(DivisorClass.uniform(t, m, config.r), config).h0
+
+
+def _sparse_band(lo: int, hi: int) -> list[int]:
+    # both ends of the band in full, every 31st degree between them
+    return sorted({*range(lo, lo + 4), *range(lo, hi + 1, 31), *range(hi - 3, hi + 1)})
 
 
 @pytest.mark.parametrize("spec", [f"general:{r}" for r in range(2, 9)] +
@@ -280,10 +246,14 @@ def test_reduce_matches_reference(config, data):
 def test_reduce_matches_reference_on_uniform_band(spec):
     # every degree from below alpha to past the nef threshold, as gin_staircase asks
     config = PointConfig.parse(spec)
-    for m in (1, 2, 5, 12):
-        for t in range(0, 4 * m + 4):
-            f = DivisorClass.uniform(t, m, config.r)
-            assert reduce_to_nef(f, config) == reference_reduce_to_nef(f, config)
+    cases = [(m, t) for m in (1, 2, 5, 12) for t in range(0, 4 * m + 4)]
+    if config.kind == "collinear" or config.r >= 6:
+        # bench-sized multiplicities, from alpha-2 to the nef threshold+2
+        cases += [(m, t) for m in (300, 1001, 2500)
+                  for t in _sparse_band(alpha(config, m) - 2, nef_threshold(config, m) + 2)]
+    for m, t in cases:
+        f = DivisorClass.uniform(t, m, config.r)
+        assert hilbert_fn(config, m, t) == reduce_to_nef(f, config).h0, (m, t)
 
 
 def test_h0_anchors():

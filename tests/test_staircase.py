@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ginlab.lattice
 from ginlab import (MonomialStaircase, PointConfig, alpha, colength, gin_staircase,
                     graded_products_contained, hilbert_fn, shgh_gin_closed_form,
                     shgh_hilbert, xy_count)
@@ -112,6 +113,22 @@ def test_shgh_staircase_and_alpha_skip_hilbert_fn():
             assert gin_staircase(config, m) == shgh_gin_closed_form(r, m)
             assert alpha(config, m) == gin_staircase(config, m).alpha
     assert hilbert_fn.cache_info().currsize == 0
+
+
+def test_divisor_hilbert_skips_reduce_to_nef(monkeypatch):
+    calls = []
+    original = ginlab.lattice.reduce_to_nef
+
+    def counted(f, config):
+        calls.append(f)
+        return original(f, config)
+
+    monkeypatch.setattr(ginlab.lattice, "reduce_to_nef", counted)
+    gin_staircase.cache_clear()
+    hilbert_fn.cache_clear()
+    gin_staircase(PointConfig.general(8), 102)
+    hilbert_fn(PointConfig.collinear_plus_one(5), 20, 50)
+    assert calls == []
 
 
 @pytest.mark.parametrize("spec", ["general:2", "general:5", "general:8",

@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 
 from ginlab import (MonomialStaircase, PointConfig, brute_force_exceptional_classes,
-                    exceptional_classes, run_verification, shgh_gin_closed_form)
+                    exceptional_classes, gin_staircase, hilbert_fn, run_verification,
+                    shgh_gin_closed_form)
+from ginlab.lattice import uniform_h0
+
+
+def clear_caches():
+    hilbert_fn.cache_clear()
+    gin_staircase.cache_clear()
 
 
 @pytest.mark.parametrize("r,count", [(2, 3), (3, 6), (4, 10), (5, 16), (6, 27), (7, 56),
@@ -31,13 +38,13 @@ def test_run_verification_passes(spec, max_m):
 
 def test_check_names_by_kind():
     names = [c.name for c in run_verification(PointConfig.general(2), max_m=4).checks]
-    assert names == ["class-list", "colength", "nef-range-agreement",
+    assert names == ["class-list", "orbit-engine", "colength", "nef-range-agreement",
                      "first-differences", "convergence", "graded-system"]
     names = [c.name for c in run_verification(PointConfig.shgh(9), max_m=4).checks]
     assert names == ["colength", "closed-form", "first-differences",
                      "convergence", "graded-system"]
     names = [c.name for c in run_verification(PointConfig.collinear_plus_one(3), max_m=6).checks]
-    assert names == ["class-list", "colength", "first-differences",
+    assert names == ["class-list", "orbit-engine", "colength", "first-differences",
                      "collinear-degrees", "graded-system"]
 
 
@@ -58,6 +65,21 @@ def test_closed_form_check_catches_a_wrong_staircase(monkeypatch):
     report = run_verification(PointConfig.shgh(10), max_m=4)
     assert [c.name for c in report.failures] == ["closed-form"]
     assert report.failures[0].detail == "reconstruction differs at m=1"
+
+
+def test_orbit_check_catches_a_wrong_engine(monkeypatch):
+    def wrong(config, t, m):
+        return uniform_h0(config, t, m) + ((m, t) == (3, 7))
+
+    # the engine hilbert_fn calls is off by one at an (m, t) that only this
+    # check notices; the cached values it leaves behind are dropped afterwards
+    monkeypatch.setattr("ginlab.hilbert.uniform_h0", wrong)
+    clear_caches()
+    try:
+        report = run_verification(PointConfig.general(5), max_m=4)
+    finally:
+        clear_caches()
+    assert [(c.name, c.detail) for c in report.failures] == [("orbit-engine", "divergence at m=3, t=7")]
 
 
 @pytest.mark.parametrize("target,spec,max_m,check", [
