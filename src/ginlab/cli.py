@@ -24,13 +24,16 @@ EXIT_GUARD = 3
 
 
 def _write(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+    # the newline is written on its own: text += "\n" would copy a
+    # multi-MB document
+    end = "" if text.endswith("\n") else "\n"
     if out is None:
         sys.stdout.write(text)
+        sys.stdout.write(end)
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+            handle.write(end)
 
 
 def _parse_m_list(args) -> list[int]:
@@ -72,7 +75,7 @@ def cmd_classes(config: PointConfig, args) -> tuple[str, int]:
             "classes": [
                 {
                     "d": c.d,
-                    "mults": list(c.mults),
+                    "mults": c.mults,
                     "self_intersection": intersect(c, c),
                     "canonical_pairing": intersect(c, k),
                 }
@@ -95,7 +98,7 @@ def cmd_hilbert(config: PointConfig, args) -> tuple[str, int]:
             "config": str(config),
             "m": args.m,
             "conjectural": config.conjectural,
-            "values": [[t, v] for t, v in rows],
+            "values": rows,
         }), EXIT_OK
     if args.format == "csv":
         return exporters.hilbert_csv(rows), EXIT_OK

@@ -3,12 +3,16 @@
 Identical inputs must produce identical bytes, so every emitter walks its
 data in a fixed order and formats numbers through a single code path.
 Rationals are written as "num/den"; file payloads end with one newline.
+Every JSON document goes through `json_text`, the one hand-written emitter
+of the two-space layout; `json.dumps` with a two-space indent is its test
+oracle.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _string
 from math import gcd
 
 from .shape import Intercept, ShapeReport, SquareRootIntercept
@@ -32,8 +36,64 @@ def intercept_str(value: Intercept) -> str:
 
 
 def json_text(payload: dict) -> str:
-    """The one JSON layout: two-space indent, fields in insertion order."""
-    return json.dumps(payload, indent=2)
+    """The one JSON layout: two-space indent, fields in insertion order.
+
+    The same bytes as json.dumps with a two-space indent for dicts with str
+    keys, lists, tuples, str, int, bool and None; any other type is a
+    TypeError.
+    """
+    return _value(payload, "\n")
+
+
+def _value(o, nl: str) -> str:
+    """o rendered with its nested lines indented by nl (newline + indent)."""
+    if isinstance(o, str):
+        return _string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join(_items(o, inner)) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        fields = []
+        for key, value in o.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            fields.append(_string(key) + ": " + _value(value, inner))
+        return "{" + inner + ("," + inner).join(fields) + nl + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _items(seq, nl: str):
+    """The rendered items of a non-empty list at indent nl.
+
+    Flat int lists and lists of int or str pairs, which hold nearly all the
+    bytes of a staircase or shape report, skip the per-item dispatch.
+    """
+    kinds = set(map(type, seq))
+    if kinds == {int}:
+        return map(int.__repr__, seq)
+    if kinds <= {list, tuple} and set(map(len, seq)) == {2}:
+        leaf = set(map(type, chain.from_iterable(seq)))
+        inner = nl + "  "
+        if leaf == {int}:
+            pair = "[" + inner + "%d," + inner + "%d" + nl + "]"
+            return map(pair.__mod__, seq if kinds == {tuple} else map(tuple, seq))
+        if leaf == {str}:
+            pair = "[" + inner + "%s," + inner + "%s" + nl + "]"
+            return [pair % (_string(a), _string(b)) for a, b in seq]
+    return [_value(item, nl) for item in seq]
 
 
 def staircase_json(s: MonomialStaircase) -> str:
@@ -41,8 +101,8 @@ def staircase_json(s: MonomialStaircase) -> str:
         "config": str(s.config),
         "m": s.m,
         "alpha": s.alpha,
-        "lambdas": list(s.lambdas),
-        "generators": [[x, y] for x, y in s.generators],
+        "lambdas": s.lambdas,
+        "generators": s.generators,
         "colength": colength(s),
         "conjectural": s.conjectural,
     })

@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from .errors import ComputationGuardError
-from .lattice import SHGH, PointConfig, exceptional_classes, uniform_h0
+from .lattice import SHGH, PointConfig, _orbits, uniform_h0
 
 def shgh_hilbert(r: int, m: int, t: int) -> int:
     """Conjectural Hilbert function for r >= 9 general points.
@@ -41,16 +41,15 @@ def alpha_shgh(r: int, m: int) -> int:
     return (isqrt(4 * r * m * (m + 1) + 1) - 1) // 2
 
 def nef_threshold(config: PointConfig, m: int) -> int:
-    """Smallest N making (t; m, ..., m) nef for every t >= N."""
+    """Smallest N making (t; m, ..., m) nef for every t >= N.
+
+    The uniform class meets curve C nonnegatively once t >= m*sum(C)/deg(C),
+    and that ratio is the same across an orbit of the listed curves.
+    """
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
-    best = 0
-    for c in exceptional_classes(config):
-        if c.d > 0:
-            s = sum(c.mults)
-            if s > 0:
-                best = max(best, -(-m * s // c.d))
-    return best
+    ratios = (-(-m * (ca + cb) // cd) for cd, ca, cb, _, _, _ in _orbits(config) if cd > 0)
+    return max([0, *ratios])
 
 @lru_cache(maxsize=None)
 def hilbert_fn(config: PointConfig, m: int, t: int) -> int:

@@ -62,7 +62,7 @@ class VerifyReport(namedtuple("VerifyReport", "max_m checks")):
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _check_class_list(config: PointConfig) -> VerifyCheck:
+def _check_class_list(config: PointConfig, max_m: int) -> tuple[bool, str]:
     classes = exceptional_classes(config)
     if config.kind == GENERAL:
         expected = brute_force_exceptional_classes(config.r)
@@ -77,29 +77,26 @@ def _check_class_list(config: PointConfig) -> VerifyCheck:
         line = DivisorClass(1, (1,) * l + (0,))
         ok = ok and intersect(line, line) == 1 - l
         detail = f"{len(classes)} curves listed, line class has self-intersection {1 - l}"
-    return VerifyCheck("class-list", ok, detail)
+    return ok, detail
 
 
-def _check_colength(config: PointConfig, max_m: int) -> VerifyCheck:
-    try:
-        for m in range(1, max_m + 1):
-            colength(gin_staircase(config, m))
-    except ComputationGuardError as exc:
-        return VerifyCheck("colength", False, str(exc))
-    return VerifyCheck("colength", True, f"equals r*m*(m+1)/2 for every m <= {max_m}")
+def _check_colength(config: PointConfig, max_m: int) -> tuple[bool, str]:
+    for m in range(1, max_m + 1):
+        colength(gin_staircase(config, m))
+    return True, f"equals r*m*(m+1)/2 for every m <= {max_m}"
 
 
-def _check_orbit_engine(config: PointConfig, max_m: int) -> VerifyCheck:
+def _check_orbit_engine(config: PointConfig, max_m: int) -> tuple[bool, str]:
     top_m = min(max_m, 8)
     for m in range(1, top_m + 1):
         for t in range(alpha(config, m) - 1, nef_threshold(config, m) + 2):
             if reduce_to_nef(DivisorClass.uniform(t, m, config.r), config).h0 != hilbert_fn(config, m, t):
-                return VerifyCheck("orbit-engine", False, f"divergence at m={m}, t={t}")
-    return VerifyCheck("orbit-engine", True,
-                       f"orbit peeling equals reduce_to_nef from alpha-1 to the nef threshold+1 for m <= {top_m}")
+                return False, f"divergence at m={m}, t={t}"
+    return True, (f"orbit peeling equals reduce_to_nef from alpha-1 to the nef threshold+1 "
+                  f"for m <= {top_m}")
 
 
-def _check_engine_agreement(config: PointConfig, max_m: int) -> VerifyCheck:
+def _check_engine_agreement(config: PointConfig, max_m: int) -> tuple[bool, str]:
     r = config.r
     top_m = min(max_m, 30)
     for m in range(1, top_m + 1):
@@ -107,13 +104,11 @@ def _check_engine_agreement(config: PointConfig, max_m: int) -> VerifyCheck:
         for t in range(n, n + 11):
             expected = comb(t + 2, 2) - r * comb(m + 1, 2)
             if hilbert_fn(config, m, t) != expected:
-                return VerifyCheck("nef-range-agreement", False,
-                                   f"divergence at m={m}, t={t}")
-    return VerifyCheck("nef-range-agreement", True,
-                       f"matches the naive count on nef degrees for m <= {top_m}")
+                return False, f"divergence at m={m}, t={t}"
+    return True, f"matches the naive count on nef degrees for m <= {top_m}"
 
 
-def _check_first_differences(config: PointConfig, max_m: int) -> VerifyCheck:
+def _check_first_differences(config: PointConfig, max_m: int) -> tuple[bool, str]:
     sample = sorted({1, max(1, max_m // 2), max_m})
     for m in sample:
         if config.kind == SHGH:
@@ -125,41 +120,36 @@ def _check_first_differences(config: PointConfig, max_m: int) -> VerifyCheck:
             value = hilbert_fn(config, m, t)
             diff = value - prev
             if not 0 <= diff <= t + 1:
-                return VerifyCheck("first-differences", False,
-                                   f"difference {diff} out of range at m={m}, t={t}")
+                return False, f"difference {diff} out of range at m={m}, t={t}"
             prev = value
-    return VerifyCheck("first-differences", True,
-                       f"within [0, t+1] for m in {sample}")
+    return True, f"within [0, t+1] for m in {sample}"
 
 
-def _check_convergence(config: PointConfig, max_m: int) -> VerifyCheck:
+def _check_convergence(config: PointConfig, max_m: int) -> tuple[bool, str]:
     step = divisibility_step(config)
     if config.kind == SHGH:
         step = max(1, max_m // 5)
     ms = list(range(step, max_m + 1, step))
     if not ms:
-        return VerifyCheck("convergence", True,
-                           f"no admissible multiplicity <= {max_m} (step {step}); skipped")
+        return True, f"no admissible multiplicity <= {max_m} (step {step}); skipped"
     failures = check_convergence(config, ms)
     if failures:
-        return VerifyCheck("convergence", False, "; ".join(failures))
-    return VerifyCheck("convergence", True,
-                       f"intercepts within 3/m and area within r/m for m in {ms}")
+        return False, "; ".join(failures)
+    return True, f"intercepts within 3/m and area within r/m for m in {ms}"
 
 
-def _check_graded_and_nested(config: PointConfig, max_m: int) -> VerifyCheck:
+def _check_graded_and_nested(config: PointConfig, max_m: int) -> tuple[bool, str]:
     for m in range(1, max_m // 2 + 1):
         small = gin_staircase(config, m)
         big = gin_staircase(config, 2 * m)
         if not graded_products_contained(small, big):
-            return VerifyCheck("graded-system", False, f"products escape at m={m}")
+            return False, f"products escape at m={m}"
         if not scaled_staircases_nested(small, big):
-            return VerifyCheck("graded-system", False, f"scaled regions not nested at m={m}")
-    return VerifyCheck("graded-system", True,
-                       f"products and scaled nesting hold for m <= {max_m // 2}")
+            return False, f"scaled regions not nested at m={m}"
+    return True, f"products and scaled nesting hold for m <= {max_m // 2}"
 
 
-def _check_shgh_closed_form(config: PointConfig, max_m: int) -> VerifyCheck:
+def _check_shgh_closed_form(config: PointConfig, max_m: int) -> tuple[bool, str]:
     # A strictly decreasing profile is Borel-fixed, so its degree counts
     # determine it: matching H(t) - H(t-1) around the generator degrees is
     # equality with the staircase rebuilt from the Hilbert function.
@@ -169,45 +159,50 @@ def _check_shgh_closed_form(config: PointConfig, max_m: int) -> VerifyCheck:
         for t in range(s.alpha - 1, s.max_generator_degree + 2):
             count = sum(1 for i in range(t + 1) if s.contains(i, t - i))
             if count != hilbert_fn(config, m, t) - hilbert_fn(config, m, t - 1):
-                return VerifyCheck("closed-form", False, f"reconstruction differs at m={m}")
-    return VerifyCheck("closed-form", True,
-                       f"closed form equals the reconstruction for m <= {max_m}")
+                return False, f"reconstruction differs at m={m}"
+    return True, f"closed form equals the reconstruction for m <= {max_m}"
 
 
-def _check_collinear_degrees(config: PointConfig, max_m: int) -> VerifyCheck:
+def _check_collinear_degrees(config: PointConfig, max_m: int) -> tuple[bool, str]:
     l = config.l
     step = divisibility_step(config)
     ms = list(range(step, max_m + 1, step))
     if not ms:
-        return VerifyCheck("collinear-degrees", True,
-                           f"no multiple of {step} below {max_m}; skipped")
+        return True, f"no multiple of {step} below {max_m}; skipped"
     failures = collinear_shape_check(l, ms)
     if failures:
-        return VerifyCheck("collinear-degrees", False, "; ".join(failures))
+        return False, "; ".join(failures)
     # PointConfig enforces l >= 3, so the single-segment area (2l-1)/2
     # always exceeds the limit area (l+1)/2.
-    return VerifyCheck("collinear-degrees", True,
-                       f"generator degrees 2m-m/l and lm confirmed for m in {ms}; "
-                       f"single segment excluded ({Fraction(2 * l - 1, 2)} > {Fraction(l + 1, 2)})")
+    return True, (f"generator degrees 2m-m/l and lm confirmed for m in {ms}; "
+                  f"single segment excluded ({Fraction(2 * l - 1, 2)} > {Fraction(l + 1, 2)})")
 
 
 def run_verification(config: PointConfig, max_m: int = DEFAULT_MAX_M) -> VerifyReport:
-    """Full cross-validation suite for one configuration."""
+    """Full cross-validation suite for one configuration.
+
+    A guard error inside a check fails that check with the guard's message.
+    """
     if max_m < 1:
         raise ValueError("max_m must be positive")
-    checks: list[VerifyCheck] = []
+    suite = []
     if config.kind != SHGH:
-        checks.append(_check_class_list(config))
-        checks.append(_check_orbit_engine(config, max_m))
-    checks.append(_check_colength(config, max_m))
+        suite += [("class-list", _check_class_list), ("orbit-engine", _check_orbit_engine)]
+    suite.append(("colength", _check_colength))
     if config.kind == GENERAL:
-        checks.append(_check_engine_agreement(config, max_m))
+        suite.append(("nef-range-agreement", _check_engine_agreement))
     if config.kind == SHGH:
-        checks.append(_check_shgh_closed_form(config, max_m))
-    checks.append(_check_first_differences(config, max_m))
+        suite.append(("closed-form", _check_shgh_closed_form))
+    suite.append(("first-differences", _check_first_differences))
     if config.kind == COLLINEAR:
-        checks.append(_check_collinear_degrees(config, max_m))
+        suite.append(("collinear-degrees", _check_collinear_degrees))
     else:
-        checks.append(_check_convergence(config, max_m))
-    checks.append(_check_graded_and_nested(config, max_m))
+        suite.append(("convergence", _check_convergence))
+    suite.append(("graded-system", _check_graded_and_nested))
+    checks = []
+    for name, check in suite:
+        try:
+            checks.append(VerifyCheck(name, *check(config, max_m)))
+        except ComputationGuardError as exc:
+            checks.append(VerifyCheck(name, False, str(exc)))
     return VerifyReport(max_m=max_m, checks=tuple(checks))

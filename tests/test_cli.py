@@ -269,6 +269,12 @@ GOLDEN = [
      "f467ce92815572bb66e3b915663c777d97d5225ca539135093eaac2ca7ca97f2"),
     ("gin general:6 --m 10",
      "667b2690b0b3137edb8f5d86ffa7fadb0694451ddab9b45a8e2b9e4f98a94551"),
+    ("hilbert general:7 --m 20 --t-range 40..70 --format json",
+     "7b6a5c69ce4b26637bd773a4dbcefb66fa06048b5cc37d0e4ae1d7ef4f43c7bd"),
+    ("classes collinear:5 --format json",
+     "0995ee2d95cfa02533e05bd695f33dcbb1816dc7fc11bd3ebbe0e5d2a05a300d"),
+    ("shape shgh:11 --m-list 7,14 --format json",
+     "52fc102efdf9accbd5be472b6008666a3e02a1b20c0ba02ab3992b4794b4c279"),
 ]
 
 

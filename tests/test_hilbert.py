@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginlab import (PointConfig, alpha, alpha_shgh, hilbert_fn, nef_threshold,
-                    shgh_hilbert)
+from ginlab import (PointConfig, alpha, alpha_shgh, exceptional_classes, hilbert_fn,
+                    nef_threshold, shgh_hilbert)
 
 
 # Oracle for the closed-form initial degree: plain linear scan of the count.
@@ -128,6 +128,16 @@ def test_nef_threshold_values():
     assert nef_threshold(PointConfig.general(2), 5) == 10
     assert nef_threshold(PointConfig.collinear_plus_one(3), 6) == 18
     assert nef_threshold(PointConfig.general(6), 0) == 0
+
+
+@pytest.mark.parametrize("spec", [*(f"general:{r}" for r in range(2, 9)),
+                                  *(f"collinear:{l}" for l in range(3, 9))])
+def test_nef_threshold_matches_curve_scan(spec):
+    # oracle: the ratio m*sum(C)/deg(C) over every listed curve, one by one
+    config = PointConfig.parse(spec)
+    curves = [c for c in exceptional_classes(config) if c.d > 0]
+    for m in range(61):
+        assert nef_threshold(config, m) == max([0, *(-(-m * sum(c.mults) // c.d) for c in curves)])
 
 
 def test_nef_threshold_is_sharp():

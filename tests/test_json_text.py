@@ -1,0 +1,68 @@
+"""The direct JSON emitter against json.dumps with a two-space indent."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ginlab import PointConfig, gin_staircase
+from ginlab.exporters import json_text, staircase_json
+from ginlab.staircase import colength
+
+# ints past 64 bits, and text with non-ASCII, control characters, quotes
+# and backslashes
+scalars = (st.none() | st.booleans() | st.integers(min_value=-2**80, max_value=2**80)
+           | st.text(alphabet=st.characters() | st.sampled_from('"\\\n\t\x00\x7f'), max_size=8))
+
+
+def pairs_of(leaf):
+    return st.lists(st.tuples(leaf, leaf) | st.lists(leaf, min_size=2, max_size=2), max_size=6)
+
+
+# the two shapes with their own paths in the emitter: flat int lists and
+# lists of int or str pairs, as lists or tuples
+payloads = st.recursive(
+    scalars | st.lists(st.integers(), max_size=6) | pairs_of(st.integers()) | pairs_of(st.text(max_size=4)),
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=5)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(payloads)
+def test_matches_json_dumps(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], (), {"a": {}}, {"a": []}, [[], {}, ()], [[[]]], [[1, 2], []], [(1, 2), [3, 4], (5, True)],
+    [[1, 2], ["a", "b"]], [[1, "b"]], [True, 1], [None, 0], {"k": [(-1, 2**70)]},
+])
+def test_edge_payloads_match_json_dumps(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    1.5, {"x": [0.0]}, [[1, 2.0]], {1: "a"}, {"a": {None: 1}}, [{2: 3}],
+])
+def test_floats_and_non_str_keys_are_type_errors(payload):
+    with pytest.raises(TypeError):
+        json_text(payload)
+
+
+def test_large_staircase_matches_json_dumps():
+    s = gin_staircase(PointConfig.shgh(16), 4000)
+    expected = json.dumps({
+        "config": str(s.config),
+        "m": s.m,
+        "alpha": s.alpha,
+        "lambdas": list(s.lambdas),
+        "generators": [[x, y] for x, y in s.generators],
+        "colength": colength(s),
+        "conjectural": s.conjectural,
+    }, indent=2)
+    assert staircase_json(s) == expected

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from ginlab import (MonomialStaircase, PointConfig, brute_force_exceptional_classes,
+from ginlab import (MonomialStaircase, PointConfig, brute_force_exceptional_classes, cli,
                     exceptional_classes, gin_staircase, hilbert_fn, run_verification,
                     shgh_gin_closed_form)
 from ginlab.lattice import uniform_h0
@@ -80,6 +80,30 @@ def test_orbit_check_catches_a_wrong_engine(monkeypatch):
     finally:
         clear_caches()
     assert [(c.name, c.detail) for c in report.failures] == [("orbit-engine", "divergence at m=3, t=7")]
+
+
+def test_guard_errors_become_failed_checks(monkeypatch, capsys):
+    def wrong(config, t, m):
+        return uniform_h0(config, t, m) + ((m, t) == (2, 5))
+
+    # the wrong value breaks staircase reconstruction, which raises a guard
+    # error inside several checks; each of them fails instead of the suite
+    monkeypatch.setattr("ginlab.hilbert.uniform_h0", wrong)
+    clear_caches()
+    try:
+        report = run_verification(PointConfig.general(5), max_m=4)
+        clear_caches()
+        code = cli.main(["verify", "general:5", "--max-m", "4"])
+    finally:
+        clear_caches()
+    guard = "segment saturation did not persist at degree 6 for general:5, m=2"
+    failed = {c.name: c.detail for c in report.failures}
+    assert {name: failed[name] for name in ("colength", "convergence", "graded-system")} == {
+        "colength": guard, "convergence": guard, "graded-system": guard}
+    out = capsys.readouterr().out
+    assert code == 1
+    assert f"FAIL convergence: {guard}\n" in out
+    assert out.endswith(f"{len(report.failures)} check(s) failed\n")
 
 
 @pytest.mark.parametrize("target,spec,max_m,check", [
