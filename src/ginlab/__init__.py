@@ -13,7 +13,7 @@ from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, EffectivityResult,
 from .hilbert import alpha, alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
 from .staircase import (MonomialStaircase, colength, gin_staircase,
                         graded_products_contained, shgh_gin_closed_form, xy_count)
-from .shape import (ShapeEntry, ShapeReport, SquareRootIntercept, check_convergence,
+from .shape import (ShapeReport, SquareRootIntercept, check_convergence,
                     collinear_shape_check, divisibility_step, scaled_staircases_nested,
                     shape_report, theoretical_shape, within)
 from .verify import VerifyReport, brute_force_exceptional_classes, run_verification
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "COLLINEAR", "GENERAL", "SHGH",
     "ComputationGuardError", "DivisorClass", "EffectivityResult", "MonomialStaircase",
-    "PointConfig", "ShapeEntry", "ShapeReport", "SquareRootIntercept",
+    "PointConfig", "ShapeReport", "SquareRootIntercept",
     "UnsupportedConfigError", "VerifyReport",
     "alpha", "alpha_shgh", "brute_force_exceptional_classes", "canonical_class",
     "check_convergence", "colength", "collinear_shape_check", "divisibility_step",

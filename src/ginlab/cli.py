@@ -115,7 +115,7 @@ def cmd_gin(config: PointConfig, args) -> tuple[str, int]:
         return exporters.staircase_json(s), EXIT_OK
     gens = " ".join(_monomial(x, y) for x, y in s.generators)
     lines = [
-        f"# {config}, m={s.m}" + (" (conjectural)" if s.conjectural else ""),
+        f"# {config}, m={s.m}" + (" (conjectural)" if config.conjectural else ""),
         f"alpha={s.alpha} zeta={s.zeta} colength={staircase.colength(s)}",
         f"generators: {gens}",
     ]
@@ -150,10 +150,10 @@ def cmd_shape(config: PointConfig, args) -> tuple[str, int]:
         lines.append("predicted intercepts: none (non-linear limit)")
     for e in report.entries:
         lines.append(f"m={e.m}  alpha={e.alpha}  zeta={e.zeta}  "
-                     f"x={exporters.rational_str(e.x_intercept)}  "
-                     f"y={exporters.rational_str(e.y_intercept)}  "
-                     f"colength={e.colength}")
-    lines.append(f"seshadri estimate: {exporters.rational_str(report.seshadri_estimate)}")
+                     f"x={exporters.rational_str(e.alpha, e.m)}  "
+                     f"y={exporters.rational_str(e.zeta, e.m)}  "
+                     f"colength={staircase.colength(e)}")
+    lines.append(f"seshadri estimate: {exporters.intercept_str(report.seshadri_estimate)}")
     return "\n".join(lines), EXIT_OK
 
 

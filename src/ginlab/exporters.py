@@ -2,7 +2,8 @@
 
 Identical inputs must produce identical bytes, so every emitter walks its
 data in a fixed order and formats numbers through a single code path.
-Rationals are written as "num/den"; file payloads end with one newline.
+Rationals are written as "num/den" by `rational_str`, the one rational
+formatter; file payloads end with one newline.
 Every JSON document goes through `json_text`, the one hand-written emitter
 of the two-space layout; `json.dumps` with a two-space indent is its test
 oracle.
@@ -10,7 +11,6 @@ oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from math import gcd
@@ -19,12 +19,8 @@ from .shape import Intercept, ShapeReport, SquareRootIntercept
 from .staircase import MonomialStaircase, colength
 
 
-def rational_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
-def _ratio_str(n: int, d: int) -> str:
-    """rational_str(Fraction(n, d)) for d > 0, without building the Fraction."""
+def rational_str(n: int, d: int) -> str:
+    """n/d in lowest terms as "num/den", for d > 0; "2/1", not "2"."""
     g = gcd(n, d)
     return f"{n // g}/{d // g}"
 
@@ -32,7 +28,7 @@ def _ratio_str(n: int, d: int) -> str:
 def intercept_str(value: Intercept) -> str:
     if isinstance(value, SquareRootIntercept):
         return str(value)
-    return rational_str(value)
+    return rational_str(value.numerator, value.denominator)
 
 
 def json_text(payload: dict) -> str:
@@ -104,7 +100,7 @@ def staircase_json(s: MonomialStaircase) -> str:
         "lambdas": s.lambdas,
         "generators": s.generators,
         "colength": colength(s),
-        "conjectural": s.conjectural,
+        "conjectural": s.config.conjectural,
     })
 
 
@@ -115,19 +111,19 @@ def shape_json(report: ShapeReport) -> str:
     return json_text({
         "config": str(report.config),
         "predicted_intercepts": predicted,
-        "seshadri_estimate": rational_str(report.seshadri_estimate),
-        "conjectural": report.conjectural,
+        "seshadri_estimate": intercept_str(report.seshadri_estimate),
+        "conjectural": report.config.conjectural,
         "entries": [
             {
                 "m": e.m,
                 "alpha": e.alpha,
                 "zeta": e.zeta,
-                "colength": e.colength,
-                "x_intercept": rational_str(e.x_intercept),
-                "y_intercept": rational_str(e.y_intercept),
-                "colength_over_m2": rational_str(e.colength_over_m2),
+                "colength": (length := colength(e)),
+                "x_intercept": rational_str(e.alpha, e.m),
+                "y_intercept": rational_str(e.zeta, e.m),
+                "colength_over_m2": rational_str(length, e.m * e.m),
                 # generator exponents over m, ascending in x: (0, zeta/m) .. (alpha/m, 0)
-                "corners": [[_ratio_str(x, e.m), _ratio_str(y, e.m)]
+                "corners": [[rational_str(x, e.m), rational_str(y, e.m)]
                             for x, y in reversed(e.generators)],
             }
             for e in report.entries
@@ -142,9 +138,9 @@ def shape_csv(report: ShapeReport) -> str:
             str(e.m),
             str(e.alpha),
             str(e.zeta),
-            rational_str(e.x_intercept),
-            rational_str(e.y_intercept),
-            str(e.colength),
+            rational_str(e.alpha, e.m),
+            rational_str(e.zeta, e.m),
+            str(colength(e)),
         ]))
     return "\n".join(lines) + "\n"
 
@@ -159,7 +155,7 @@ def _fmt(value: float) -> str:
     return f"{value:.4f}".rstrip("0").rstrip(".")
 
 
-def _staircase_outline(entry) -> list[tuple[float, float]]:
+def _staircase_outline(entry: MonomialStaircase) -> list[tuple[float, float]]:
     """Step-function boundary of the scaled ideal region, left to right.
 
     Exponents are divided by m as ints: x / m is the same correctly rounded
@@ -177,8 +173,8 @@ def _staircase_outline(entry) -> list[tuple[float, float]]:
 
 def shape_svg(report: ShapeReport) -> str:
     """Scaled staircases for every multiplicity plus the predicted segment."""
-    max_x = max(float(e.x_intercept) for e in report.entries)
-    max_y = max(float(e.y_intercept) for e in report.entries)
+    max_x = max(e.alpha / e.m for e in report.entries)
+    max_y = max(e.zeta / e.m for e in report.entries)
     if report.predicted is not None:
         max_x = max(max_x, float(report.predicted[0]))
         max_y = max(max_y, float(report.predicted[1]))
@@ -204,7 +200,7 @@ def shape_svg(report: ShapeReport) -> str:
         pts = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in _staircase_outline(entry))
         parts.append(f'  <polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{pts}"/>')
-        parts.append(f'  <text x="{_fmt(tx(0) + 4)}" y="{_fmt(ty(float(entry.y_intercept)) - 4 - 12 * idx)}" '
+        parts.append(f'  <text x="{_fmt(tx(0) + 4)}" y="{_fmt(ty(entry.zeta / entry.m) - 4 - 12 * idx)}" '
                      f'font-size="12" fill="{color}">m={entry.m}</text>')
     if report.predicted is not None:
         g1, g2 = report.predicted

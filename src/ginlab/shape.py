@@ -87,44 +87,19 @@ def theoretical_shape(config: PointConfig) -> tuple[Intercept, Intercept]:
     return pair
 
 
-class ShapeEntry(namedtuple("ShapeEntry", "m alpha zeta colength x_intercept y_intercept "
-                                         "colength_over_m2 generators")):
-    """Scaled staircase data for one multiplicity: integer m, alpha, zeta and
-    colength, Fraction intercepts and colength/m^2, and the staircase's
-    (x, y) generators."""
-
-    __slots__ = ()
-
-
 class ShapeReport(namedtuple("ShapeReport", "config entries predicted seshadri_estimate")):
-    """Entries ascending in m, the predicted (gamma1, gamma2) intercepts or
-    None, and the Fraction alpha(m)/(r*m) at the last multiplicity."""
+    """The staircases ascending in m, the predicted (gamma1, gamma2)
+    intercepts or None, and the Fraction alpha(m)/(r*m) at the last
+    multiplicity.  Each staircase scales to intercepts alpha/m and zeta/m
+    and to colength/m^2."""
 
     __slots__ = ()
 
-    @property
-    def conjectural(self) -> bool:
-        return self.config.conjectural
 
-
-def _entry(config: PointConfig, m: int) -> ShapeEntry:
-    s = gin_staircase(config, m)
-    length = colength(s)
-    return ShapeEntry(
-        m=m,
-        alpha=s.alpha,
-        zeta=s.zeta,
-        colength=length,
-        x_intercept=Fraction(s.alpha, m),
-        y_intercept=Fraction(s.zeta, m),
-        colength_over_m2=Fraction(length, m * m),
-        generators=s.generators,
-    )
-
-
-def _entries(config: PointConfig, m_list: list[int], step: int) -> tuple[ShapeEntry, ...]:
-    """One entry per distinct multiplicity, ascending; each must be a
-    positive multiple of ``step``."""
+def _entries(config: PointConfig, m_list: list[int], step: int) -> tuple[MonomialStaircase, ...]:
+    """One staircase per distinct multiplicity, ascending; each must be a
+    positive multiple of ``step``.  Each colength is checked here, so a
+    wrong one raises before any report is built."""
     ms = sorted(set(m_list))
     if not ms:
         raise ValueError("need at least one multiplicity")
@@ -133,7 +108,11 @@ def _entries(config: PointConfig, m_list: list[int], step: int) -> tuple[ShapeEn
     bad = [m for m in ms if m % step]
     if bad:
         raise ValueError(f"multiplicities {bad} are not multiples of {step} for {config}")
-    return tuple(_entry(config, m) for m in ms)
+    staircases = []
+    for m in ms:
+        staircases.append(gin_staircase(config, m))
+        colength(staircases[-1])
+    return tuple(staircases)
 
 
 def shape_report(config: PointConfig, m_list: list[int]) -> ShapeReport:
@@ -196,14 +175,16 @@ def check_convergence(config: PointConfig, m_list: list[int]) -> tuple[str, ...]
     for e in entries:
         m = e.m
         tol = Fraction(3, m)
-        if not within(e.x_intercept, g1, tol):
-            failures.append(f"m={m}: x-intercept {e.x_intercept} is off {g1} "
-                            f"by {deviation_str(e.x_intercept, g1)} > 3/{m}")
-        if not within(e.y_intercept, g2, tol):
-            failures.append(f"m={m}: y-intercept {e.y_intercept} is off {g2} "
-                            f"by {deviation_str(e.y_intercept, g2)} > 3/{m}")
-        if abs(e.colength_over_m2 - Fraction(r, 2)) > Fraction(r, m):
-            failures.append(f"m={m}: colength/m^2 = {e.colength_over_m2} is off {r}/2 "
+        x, y = Fraction(e.alpha, m), Fraction(e.zeta, m)
+        area = Fraction(colength(e), m * m)
+        if not within(x, g1, tol):
+            failures.append(f"m={m}: x-intercept {x} is off {g1} "
+                            f"by {deviation_str(x, g1)} > 3/{m}")
+        if not within(y, g2, tol):
+            failures.append(f"m={m}: y-intercept {y} is off {g2} "
+                            f"by {deviation_str(y, g2)} > 3/{m}")
+        if abs(area - Fraction(r, 2)) > Fraction(r, m):
+            failures.append(f"m={m}: colength/m^2 = {area} is off {r}/2 "
                             f"by more than {r}/{m}")
     return tuple(failures)
 
@@ -229,11 +210,13 @@ def collinear_shape_check(l: int, m_list: list[int]) -> tuple[str, ...]:
             failures.append(f"m={m}: least generator degree {e.alpha} != 2m - m/l = {2 * m - m // l}")
         if e.zeta != l * m:
             failures.append(f"m={m}: top generator degree {e.zeta} != l*m = {l * m}")
-        if e.x_intercept != expected_x:
-            failures.append(f"m={m}: x-intercept {e.x_intercept} != {expected_x}")
-        if e.y_intercept != expected_y:
-            failures.append(f"m={m}: y-intercept {e.y_intercept} != {expected_y}")
+        x, y = Fraction(e.alpha, m), Fraction(e.zeta, m)
+        if x != expected_x:
+            failures.append(f"m={m}: x-intercept {x} != {expected_x}")
+        if y != expected_y:
+            failures.append(f"m={m}: y-intercept {y} != {expected_y}")
+        area = Fraction(colength(e), m * m)
         expected_ratio = Fraction((l + 1) * (m + 1), 2 * m)
-        if e.colength_over_m2 != expected_ratio:
-            failures.append(f"m={m}: colength/m^2 {e.colength_over_m2} != {expected_ratio}")
+        if area != expected_ratio:
+            failures.append(f"m={m}: colength/m^2 {area} != {expected_ratio}")
     return tuple(failures)

@@ -49,18 +49,7 @@ class MonomialStaircase(namedtuple("MonomialStaircase", "alpha lambdas m config"
     @property
     def generators(self) -> tuple[tuple[int, int], ...]:
         """Minimal generators as (x, y) exponents, descending x-exponent."""
-        gens = [(self.alpha, 0)]
-        for i in range(self.alpha - 1, -1, -1):
-            gens.append((i, self.lambdas[i]))
-        return tuple(gens)
-
-    @property
-    def min_generator_degree(self) -> int:
-        return min(x + y for x, y in self.generators)
-
-    @property
-    def max_generator_degree(self) -> int:
-        return max(x + y for x, y in self.generators)
+        return ((self.alpha, 0), *zip(range(self.alpha - 1, -1, -1), reversed(self.lambdas)))
 
     def contains(self, x: int, y: int) -> bool:
         """Monomial membership of x^x y^y."""
@@ -69,10 +58,6 @@ class MonomialStaircase(namedtuple("MonomialStaircase", "alpha lambdas m config"
         if x >= self.alpha:
             return True
         return y >= self.lambdas[x]
-
-    @property
-    def conjectural(self) -> bool:
-        return self.config.conjectural
 
 
 def xy_count(config: PointConfig, m: int, t: int) -> int:

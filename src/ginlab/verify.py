@@ -156,7 +156,7 @@ def _check_shgh_closed_form(config: PointConfig, max_m: int) -> tuple[bool, str]
     r = config.r
     for m in range(1, max_m + 1):
         s = shgh_gin_closed_form(r, m)
-        for t in range(s.alpha - 1, s.max_generator_degree + 2):
+        for t in range(s.alpha - 1, s.zeta + 2):
             count = sum(1 for i in range(t + 1) if s.contains(i, t - i))
             if count != hilbert_fn(config, m, t) - hilbert_fn(config, m, t - 1):
                 return False, f"reconstruction differs at m={m}"

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from ginlab import cli
+from ginlab import MonomialStaircase, PointConfig, cli
 from ginlab.errors import ComputationGuardError
 from ginlab.verify import VerifyCheck, VerifyReport
 
@@ -221,6 +221,16 @@ def test_guard_error_exits_three(capsys, monkeypatch):
     assert "forced guard" in err
 
 
+def test_shape_checks_colength_before_any_output(capsys, monkeypatch):
+    wrong = MonomialStaircase(alpha=1, lambdas=(3,), m=1, config=PointConfig.general(2))
+    monkeypatch.setattr("ginlab.shape.gin_staircase", lambda config, m: wrong)
+    for fmt in ("text", "csv", "json", "svg"):
+        code, out, err = run_cli(capsys, ["shape", "general:2", "--m", "1", "--format", fmt])
+        assert (code, out) == (3, "")
+        assert err == ("arithmetic guard: colength 3 differs from scheme length 2 "
+                       "for general:2, m=1\n")
+
+
 # stdout sha256 of one command per output route, to be kept byte for byte
 GOLDEN = [
     ("gin shgh:10 --m 7",
@@ -275,6 +285,12 @@ GOLDEN = [
      "0995ee2d95cfa02533e05bd695f33dcbb1816dc7fc11bd3ebbe0e5d2a05a300d"),
     ("shape shgh:11 --m-list 7,14 --format json",
      "52fc102efdf9accbd5be472b6008666a3e02a1b20c0ba02ab3992b4794b4c279"),
+    ("shape collinear:4 --m-list 12,24 --format csv",
+     "5119e9a319bdc0a44dcb16b0091692d735edef81e5153e0e226698158a6e1398"),
+    ("shape collinear:3 --m-list 6,12 --format svg",
+     "4d393081acda65a8f49119bc7c6bfa54a650d0e70b1821bdda3b49a39de7b839"),
+    ("shape shgh:12 --m-list 4,8",
+     "a1186f80b4e5bf49f0d8453e85e46ba08bf658eac25cba24e9417efecd96105c"),
 ]
 
 

@@ -11,16 +11,10 @@ from pathlib import Path
 import pytest
 
 from ginlab import (DivisorClass, EffectivityResult, MonomialStaircase, PointConfig,
-                    ShapeEntry, ShapeReport, SquareRootIntercept, VerifyReport,
+                    ShapeReport, SquareRootIntercept, VerifyReport,
                     exceptional_classes, gin_staircase)
 from ginlab.errors import ComputationGuardError
 from ginlab.verify import VerifyCheck
-
-
-def _entry_fields() -> dict:
-    return {"m": 10, "alpha": 24, "zeta": 25, "colength": 210,
-            "x_intercept": Fraction(12, 5), "y_intercept": Fraction(5, 2),
-            "colength_over_m2": Fraction(21, 10), "generators": ((24, 0), (0, 25))}
 
 
 # type -> (fresh keyword arguments in field order, one other valid value per field);
@@ -41,12 +35,9 @@ RECORDS = {
                         {"lambdas": (4, 1), "m": 2, "config": PointConfig.general(3)}),
     SquareRootIntercept: (lambda: {"radicand": 10},
                           {"radicand": 11}),
-    ShapeEntry: (_entry_fields,
-                 {"m": 20, "alpha": 25, "zeta": 26, "colength": 211,
-                  "x_intercept": Fraction(5, 2), "y_intercept": Fraction(12, 5),
-                  "colength_over_m2": Fraction(3), "generators": ((1, 0), (0, 1))}),
     ShapeReport: (lambda: {"config": PointConfig.general(6),
-                           "entries": (ShapeEntry(**_entry_fields()),),
+                           "entries": (MonomialStaircase(alpha=2, lambdas=(3, 1), m=1,
+                                                         config=PointConfig.general(2)),),
                            "predicted": (Fraction(12, 5), Fraction(5, 2)),
                            "seshadri_estimate": Fraction(2, 5)},
                   {"config": PointConfig.general(7), "entries": (), "predicted": None,

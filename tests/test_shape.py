@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ginlab import (PointConfig, SquareRootIntercept, check_convergence,
-                    collinear_shape_check, divisibility_step, gin_staircase,
+                    collinear_shape_check, colength, divisibility_step, gin_staircase,
                     scaled_staircases_nested, shape_report, theoretical_shape,
                     within)
 from ginlab.errors import UnsupportedConfigError
@@ -65,12 +65,12 @@ def test_within_root_target_squares_exactly():
 def test_shape_report_general_six():
     report = shape_report(PointConfig.general(6), [10])
     assert report.predicted == (F(12, 5), F(5, 2))
-    assert not report.conjectural
+    assert not report.config.conjectural
     (e,) = report.entries
-    assert (e.alpha, e.zeta, e.colength) == (24, 26, 330)
-    assert e.x_intercept == F(12, 5)
-    assert e.y_intercept == F(13, 5)
-    assert e.colength_over_m2 == F(33, 10)
+    assert (e.alpha, e.zeta, colength(e)) == (24, 26, 330)
+    assert F(e.alpha, e.m) == F(12, 5)
+    assert F(e.zeta, e.m) == F(13, 5)
+    assert F(colength(e), e.m ** 2) == F(33, 10)
     corners = json.loads(shape_json(report))["entries"][0]["corners"]
     assert corners[0] == ["0/1", "13/5"]
     assert corners[-1] == ["12/5", "0/1"]
@@ -81,11 +81,11 @@ def test_shape_report_general_six():
 
 def test_shape_report_interpolation_nine():
     report = shape_report(PointConfig.shgh(9), [5])
-    assert report.conjectural
+    assert report.config.conjectural
     (e,) = report.entries
-    assert e.x_intercept == F(3)
-    assert e.colength == 135
-    assert e.colength_over_m2 == F(27, 5)
+    assert F(e.alpha, e.m) == F(3)
+    assert colength(e) == 135
+    assert F(colength(e), e.m ** 2) == F(27, 5)
 
 
 def test_shape_report_collinear_has_no_predicted_segment():
@@ -119,15 +119,16 @@ def test_convergence_general_six():
     config = PointConfig.general(6)
     assert check_convergence(config, list(range(10, 51, 10))) == ()
     (first,) = shape_report(config, [10]).entries
-    assert first.x_intercept == F(12, 5)          # exact on the sequence
-    assert first.y_intercept - F(5, 2) == F(1, 10)  # off by exactly 1/m
+    assert F(first.alpha, first.m) == F(12, 5)          # exact on the sequence
+    assert F(first.zeta, first.m) - F(5, 2) == F(1, 10)  # off by exactly 1/m
 
 
 def test_convergence_general_seven_and_interpolated():
     assert check_convergence(PointConfig.general(7), [24, 48]) == ()
     config = PointConfig.shgh(9)
     assert check_convergence(config, [10, 20]) == ()
-    assert shape_report(config, [10]).entries[0].x_intercept == F(3)
+    (e,) = shape_report(config, [10]).entries
+    assert F(e.alpha, e.m) == F(3)
 
 
 def test_convergence_reports_an_intercept_off_target(monkeypatch):
@@ -146,7 +147,7 @@ def test_convergence_rejects_off_sequence_multiplicity():
 def test_collinear_shape_check():
     assert collinear_shape_check(3, [6, 12]) == ()
     (e,) = shape_report(PointConfig.collinear_plus_one(3), [6]).entries
-    assert e.colength_over_m2 == F(4 * 7, 12)
+    assert F(colength(e), e.m ** 2) == F(4 * 7, 12)
 
 
 def test_collinear_shape_check_reports_wrong_degrees(monkeypatch):

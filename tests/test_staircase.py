@@ -56,10 +56,8 @@ def test_staircase_r6_m10_frozen():
     expected = tuple(26 - i for i in range(6)) + tuple(25 - i for i in range(6, 24))
     assert s.lambdas == expected
     assert len(s.generators) == s.alpha + 1
-    assert s.min_generator_degree == 24
-    assert s.max_generator_degree == 26
     assert colength(s) == 330
-    assert not s.conjectural
+    assert not s.config.conjectural
 
 
 def test_staircase_two_points_multiplicity_one():
@@ -79,7 +77,7 @@ def test_staircase_collinear_frozen():
 def test_closed_form_two_degree_case():
     s = shgh_gin_closed_form(9, 1)
     assert s.generators == ((3, 0), (2, 2), (1, 3), (0, 4))
-    assert s.conjectural
+    assert s.config.conjectural
     s = shgh_gin_closed_form(9, 5)
     assert s.alpha == 15
     assert s.lambdas == tuple(16 - i for i in range(15))
@@ -148,6 +146,19 @@ def test_generator_degrees_weakly_decrease_with_x():
         s = gin_staircase(PointConfig.parse(spec), m)
         degs = [x + y for x, y in s.generators]  # descending x order
         assert degs == sorted(degs)
+
+
+@pytest.mark.parametrize("spec", [f"general:{r}" for r in range(2, 9)]
+                         + [f"collinear:{l}" for l in range(3, 9)]
+                         + [f"shgh:{r}" for r in range(9, 17)])
+def test_generator_degrees_span_alpha_to_zeta(spec):
+    # the strictly decreasing profile puts the least generator degree at
+    # x^alpha and the largest at y^zeta
+    config = PointConfig.parse(spec)
+    for m in range(1, 41):
+        s = gin_staircase(config, m)
+        degrees = [x + y for x, y in s.generators]
+        assert (min(degrees), max(degrees)) == (s.alpha, s.zeta), m
 
 
 def test_contains_membership():
