@@ -10,7 +10,7 @@ from .errors import ComputationGuardError, UnsupportedConfigError
 from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, EffectivityResult,
                       PointConfig, canonical_class, exceptional_classes, h0,
                       intersect, is_nef, reduce_to_nef, riemann_roch_h0)
-from .hilbert import alpha, alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
+from .hilbert import alpha, alpha_shgh, hilbert_fn, nef_slope, nef_threshold, shgh_hilbert
 from .staircase import (MonomialStaircase, colength, gin_staircase,
                         graded_products_contained, shgh_gin_closed_form, xy_count)
 from .shape import (ShapeReport, SquareRootIntercept, check_convergence,
@@ -28,7 +28,7 @@ __all__ = [
     "alpha", "alpha_shgh", "brute_force_exceptional_classes", "canonical_class",
     "check_convergence", "colength", "collinear_shape_check", "divisibility_step",
     "exceptional_classes", "gin_staircase", "graded_products_contained", "h0",
-    "hilbert_fn", "intersect", "is_nef", "nef_threshold", "reduce_to_nef",
+    "hilbert_fn", "intersect", "is_nef", "nef_slope", "nef_threshold", "reduce_to_nef",
     "riemann_roch_h0", "run_verification", "scaled_staircases_nested", "shape_report",
     "shgh_gin_closed_form", "shgh_hilbert", "theoretical_shape", "within", "xy_count",
 ]

@@ -7,8 +7,9 @@ From 9 points on, the conjectural interpolation count takes over.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import ceil, comb, isqrt
 
 from .errors import ComputationGuardError
 from .lattice import SHGH, PointConfig, _orbits, uniform_h0
@@ -40,16 +41,21 @@ def alpha_shgh(r: int, m: int) -> int:
         raise ValueError("multiplicity must be nonnegative")
     return (isqrt(4 * r * m * (m + 1) + 1) - 1) // 2
 
-def nef_threshold(config: PointConfig, m: int) -> int:
-    """Smallest N making (t; m, ..., m) nef for every t >= N.
+@lru_cache(maxsize=None)
+def nef_slope(config: PointConfig) -> Fraction:
+    """Slope nu at which (t; m, ..., m) turns nef: it is nef exactly when t >= nu*m.
 
     The uniform class meets curve C nonnegatively once t >= m*sum(C)/deg(C),
-    and that ratio is the same across an orbit of the listed curves.
+    and that ratio is the same across an orbit of the listed curves.  For
+    general points nu is the y-intercept of the limiting shape.
     """
+    return max(Fraction(ca + cb, cd) for cd, ca, cb, _, _, _ in _orbits(config) if cd > 0)
+
+def nef_threshold(config: PointConfig, m: int) -> int:
+    """Smallest N making (t; m, ..., m) nef for every t >= N: ceil(nu*m)."""
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
-    ratios = (-(-m * (ca + cb) // cd) for cd, ca, cb, _, _, _ in _orbits(config) if cd > 0)
-    return max([0, *ratios])
+    return ceil(m * nef_slope(config))
 
 @lru_cache(maxsize=None)
 def hilbert_fn(config: PointConfig, m: int, t: int) -> int:
@@ -69,20 +75,21 @@ def alpha(config: PointConfig, m: int) -> int:
 
     The shgh kind takes the closed form.  For the divisor kinds H(t) > 0
     forces H(t+1) > 0 (multiply by a linear form), so the degree is found by
-    bisection between a certified lower bound and ceil(m*sqrt(r)) + m + 3;
-    no positive value by that guard degree means the engine is broken and
-    raises instead of returning a wrong answer.
+    bisection between ceil(r*m/nu) and the nef threshold, both certified by
+    the nef slope nu; no positive value by the threshold means the engine is
+    broken and raises instead of returning a wrong answer.
     """
     if m < 1:
         raise ValueError("multiplicity must be positive")
     r = config.r
     if config.kind == SHGH:
         return alpha_shgh(r, m)
-    # The class (N; m, ..., m) with N the nef threshold is nef, so any
-    # effective (t; m, ..., m) must meet it nonnegatively: t >= r*m*m/N.
-    # N >= 2m > 0, because every divisor kind has the line through two points.
-    lo = -(-r * m * m // nef_threshold(config, m))
-    hi = _ceil_sqrt(r * m * m) + m + 3
+    # With nu = p/q the class (p; q, ..., q) is nef, so any effective
+    # (t; m, ..., m) meets it nonnegatively: t >= r*m/nu.  At the threshold
+    # the class is nef, and -K is effective on every divisor kind, so the
+    # value there is its Euler characteristic, at least 1.
+    lo = ceil(r * m / nef_slope(config))
+    hi = nef_threshold(config, m)
     if lo > hi or hilbert_fn(config, m, hi) <= 0:
         raise ComputationGuardError(f"no positive Hilbert value up to degree {hi} for {config}, m={m}")
     while lo < hi:
@@ -92,7 +99,3 @@ def alpha(config: PointConfig, m: int) -> int:
         else:
             lo = mid + 1
     return hi
-
-def _ceil_sqrt(n: int) -> int:
-    root = isqrt(n)
-    return root if root * root == n else root + 1

@@ -13,8 +13,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import sqrt
 
-from .errors import ComputationGuardError, UnsupportedConfigError
-from .lattice import COLLINEAR, GENERAL, PointConfig
+from .errors import UnsupportedConfigError
+from .hilbert import nef_slope
+from .lattice import COLLINEAR, GENERAL, SHGH, PointConfig
 from .staircase import MonomialStaircase, colength, gin_staircase
 
 
@@ -58,33 +59,18 @@ def deviation_str(value: Fraction, target: Intercept) -> str:
 def theoretical_shape(config: PointConfig) -> tuple[Intercept, Intercept]:
     """Intercepts (gamma1, gamma2) of the limiting segment x/g1 + y/g2 = 1.
 
-    The product gamma1 * gamma2 equals r, matching the complement area r/2.
-    The collinear arrangement has no single-segment limit and is rejected.
+    For up to 8 general points gamma2 is the nef slope nu and gamma1 = r/nu;
+    from 9 points on both are sqrt(r).  Either way gamma1 * gamma2 = r,
+    matching the complement area r/2.  The collinear arrangement has no
+    single-segment limit and is rejected.
     """
     if config.kind == COLLINEAR:
         raise UnsupportedConfigError(
             "the collinear arrangement has a non-linear limit; use collinear_shape_check")
-    r = config.r
-    pair: tuple[Intercept, Intercept]
-    if r >= 9:
-        pair = (SquareRootIntercept(r), SquareRootIntercept(r))
-    elif r == 8:
-        pair = (Fraction(48, 17), Fraction(17, 6))
-    elif r == 7:
-        pair = (Fraction(21, 8), Fraction(8, 3))
-    elif r == 6:
-        pair = (Fraction(12, 5), Fraction(5, 2))
-    elif r >= 4:
-        pair = (Fraction(2), Fraction(r, 2))
-    else:
-        pair = (Fraction(r, 2), Fraction(2))
-    g1, g2 = pair
-    if isinstance(g1, SquareRootIntercept):
-        if g1.radicand != r or g2.radicand != r:  # type: ignore[union-attr]
-            raise ComputationGuardError("intercept product must be r")
-    elif g1 * g2 != r:
-        raise ComputationGuardError("intercept product must be r")
-    return pair
+    if config.kind == SHGH:
+        return SquareRootIntercept(config.r), SquareRootIntercept(config.r)
+    nu = nef_slope(config)
+    return config.r / nu, nu
 
 
 class ShapeReport(namedtuple("ShapeReport", "config entries predicted seshadri_estimate")):

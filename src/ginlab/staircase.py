@@ -88,29 +88,21 @@ def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
     a = alpha(config, m)
     stop_guard = nef_threshold(config, m) + 2
     lambdas = [0] * a
-    prev_lo = a + 1
-    prev_k = 0
-    t = a
-    while True:
+    # columns prev..a-1 are filled; the degree-t segment reaches column t + 1 - xy_count
+    prev = t = a
+    while prev > 0:
         if t > stop_guard:
             raise ComputationGuardError(
                 f"segment never saturated by degree {stop_guard} for {config}, m={m}")
-        k = xy_count(config, m, t)
-        if k <= prev_k:
+        lo = t + 1 - xy_count(config, m, t)
+        if lo > prev:
             # an ideal's segments must strictly grow once they are nonempty
             raise ComputationGuardError(
-                f"segment size fell from {prev_k} to {k} at degree {t}; Hilbert engine bug")
-        lo = t - k + 1
-        for i in range(lo, prev_lo):
-            if i < a:
-                lambdas[i] = t - i
-        prev_lo = lo
-        prev_k = k
-        if k == t + 1:
-            full_at = t
-            break
+                f"segment size fell from {t - prev} to {t + 1 - lo} at degree {t}; Hilbert engine bug")
+        lambdas[lo:prev] = range(t - lo, t - prev, -1)
+        prev = lo
         t += 1
-    for u in range(full_at + 1, full_at + 4):
+    for u in range(t, t + 3):
         if xy_count(config, m, u) != u + 1:
             raise ComputationGuardError(
                 f"segment saturation did not persist at degree {u} for {config}, m={m}")
@@ -130,16 +122,8 @@ def shgh_gin_closed_form(r: int, m: int) -> MonomialStaircase:
     eta = shgh_hilbert(r, m, a)
     if not 1 <= eta <= a + 1:
         raise ComputationGuardError(f"value {eta} at the initial degree is out of range")
-    lambdas = [0] * a
-    if eta == a + 1:
-        for i in range(a):
-            lambdas[i] = a - i
-    else:
-        for i in range(a - eta + 1, a):
-            lambdas[i] = a - i
-        for i in range(0, a - eta + 1):
-            lambdas[i] = a + 1 - i
-    return MonomialStaircase(alpha=a, lambdas=tuple(lambdas), m=m, config=PointConfig.shgh(r))
+    lambdas = (*range(a + 1, eta, -1), *range(eta - 1, 0, -1))
+    return MonomialStaircase(alpha=a, lambdas=lambdas, m=m, config=PointConfig.shgh(r))
 
 
 def colength(s: MonomialStaircase) -> int:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,8 +152,9 @@ def test_repeat_invocations_identical(capsys):
 def test_fresh_processes_are_deterministic():
     argv = [sys.executable, "-m", "ginlab", "shape", "general:6",
             "--m-list", "2,4,6", "--format", "json"]
-    a = subprocess.run(argv, capture_output=True, check=True)
-    b = subprocess.run(argv, capture_output=True, check=True)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    a = subprocess.run(argv, capture_output=True, check=True, env=env)
+    b = subprocess.run(argv, capture_output=True, check=True, env=env)
     assert a.stdout == b.stdout
     assert a.stdout.endswith(b"\n")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction as F
 from math import comb, isqrt
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ginlab import (PointConfig, alpha, alpha_shgh, exceptional_classes, hilbert_fn,
-                    nef_threshold, shgh_hilbert)
+                    nef_slope, nef_threshold, shgh_hilbert)
+from ginlab.errors import ComputationGuardError
 
 
 # Oracle for the closed-form initial degree: plain linear scan of the count.
@@ -121,6 +123,16 @@ def test_alpha_rejects_nonpositive_m():
         alpha(PointConfig.general(6), 0)
 
 
+def test_alpha_guard_without_positive_value(monkeypatch):
+    monkeypatch.setattr("ginlab.hilbert.hilbert_fn", lambda config, m, t: 0)
+    config = PointConfig.general(6)
+    with pytest.raises(ComputationGuardError) as excinfo:
+        alpha(config, 10)
+    # the bracket tops out at the nef threshold, 25 here
+    top = nef_threshold(config, 10)
+    assert str(excinfo.value) == f"no positive Hilbert value up to degree {top} for general:6, m=10"
+
+
 def test_nef_threshold_values():
     assert nef_threshold(PointConfig.general(6), 10) == 25
     assert nef_threshold(PointConfig.general(7), 24) == 64
@@ -128,6 +140,10 @@ def test_nef_threshold_values():
     assert nef_threshold(PointConfig.general(2), 5) == 10
     assert nef_threshold(PointConfig.collinear_plus_one(3), 6) == 18
     assert nef_threshold(PointConfig.general(6), 0) == 0
+    slopes = [F(2), F(2), F(2), F(5, 2), F(5, 2), F(8, 3), F(17, 6)]
+    assert [nef_slope(PointConfig.general(r)) for r in range(2, 9)] == slopes
+    for l in range(3, 9):
+        assert nef_slope(PointConfig.collinear_plus_one(l)) == l
 
 
 @pytest.mark.parametrize("spec", [*(f"general:{r}" for r in range(2, 9)),

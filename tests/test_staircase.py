@@ -186,6 +186,27 @@ def test_gin_staircase_rejects_nonpositive_m():
         gin_staircase(PointConfig.general(6), 0)
 
 
+# The scan's guards fire only on a broken Hilbert engine, so each test feeds
+# it doctored first differences at general:6, m=4, where the true segment
+# sizes are 6 at alpha = 10 and then t + 1 from degree 11 on.  The cached
+# wrapper is bypassed so the scan really runs.
+@pytest.mark.parametrize("doctor,message", [
+    (lambda t, k: 6 if t == 11 else k,
+     "segment size fell from 6 to 6 at degree 11; Hilbert engine bug"),
+    (lambda t, k: min(k, t),
+     "segment never saturated by degree 12 for general:6, m=4"),
+    (lambda t, k: k - 1 if t == 13 else k,
+     "segment saturation did not persist at degree 13 for general:6, m=4"),
+], ids=["fell", "never-saturated", "not-persisted"])
+def test_scan_guards_name_the_failure(monkeypatch, doctor, message):
+    true_count = xy_count
+    monkeypatch.setattr("ginlab.staircase.xy_count",
+                        lambda config, m, t: doctor(t, true_count(config, m, t)))
+    with pytest.raises(ComputationGuardError) as excinfo:
+        gin_staircase.__wrapped__(PointConfig.general(6), 4)
+    assert str(excinfo.value) == message
+
+
 def test_staircase_cache_returns_same_object():
     a = gin_staircase(PointConfig.general(6), 10)
     b = gin_staircase(PointConfig.general(6), 10)
