@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import exporters, shape, staircase, verify
 from .errors import ComputationGuardError
@@ -21,19 +22,19 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+WRITE_SLICE = 1 << 20  # characters per write
 
 
 def _write(text: str, out: str | None) -> None:
-    # the newline is written on its own: text += "\n" would copy a
-    # multi-MB document
+    # in slices, so the stream never encodes a multi-MB document at once, and
+    # the newline on its own: text += "\n" would copy the document
     end = "" if text.endswith("\n") else "\n"
+    pieces = chain((text[i:i + WRITE_SLICE] for i in range(0, len(text), WRITE_SLICE)), [end])
     if out is None:
-        sys.stdout.write(text)
-        sys.stdout.write(end)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write(end)
+            handle.writelines(pieces)
 
 
 def _parse_m_list(args) -> list[int]:
@@ -113,24 +114,29 @@ def cmd_gin(config: PointConfig, args) -> tuple[str, int]:
     s = staircase.gin_staircase(config, args.m)
     if args.format == "json":
         return exporters.staircase_json(s), EXIT_OK
-    gens = " ".join(_monomial(x, y) for x, y in s.generators)
     lines = [
         f"# {config}, m={s.m}" + (" (conjectural)" if config.conjectural else ""),
         f"alpha={s.alpha} zeta={s.zeta} colength={staircase.colength(s)}",
-        f"generators: {gens}",
+        "generators: " + _generator_line(s),
     ]
     return "\n".join(lines), EXIT_OK
 
 
+def _generator_line(s: staircase.MonomialStaircase) -> str:
+    """The generators, descending in x: "x^%dy^%d" runs for the columns i >= 2 of height
+    >= 2 (heights fall strictly to >= 1, so only column alpha - 1 can have height 1)."""
+    a, lambdas = s.alpha, s.lambdas
+    edge = [(a, 0), *([(a - 1, 1)] if a > 2 and lambdas[-1] == 1 else [])]
+    words = [_monomial(x, y) for x, y in edge]
+    words += exporters.render_runs(exporters.column_runs(s, a - len(edge), 2), "x^%dy^%d", " ")
+    words += [_monomial(i, lambdas[i]) for i in range(min(a, 2) - 1, -1, -1)]
+    return " ".join(words)
+
+
 def _monomial(x: int, y: int) -> str:
-    if x == 0 and y == 0:
-        return "1"
-    parts = []
-    if x:
-        parts.append(f"x^{x}" if x > 1 else "x")
-    if y:
-        parts.append(f"y^{y}" if y > 1 else "y")
-    return "".join(parts)
+    x_part = "" if x == 0 else "x" if x == 1 else f"x^{x}"
+    y_part = "" if y == 0 else "y" if y == 1 else f"y^{y}"
+    return x_part + y_part
 
 
 def cmd_shape(config: PointConfig, args) -> tuple[str, int]:

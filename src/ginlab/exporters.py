@@ -6,17 +6,24 @@ Rationals are written as "num/den" by `rational_str`, the one rational
 formatter; file payloads end with one newline.
 Every JSON document goes through `json_text`, the one hand-written emitter
 of the two-space layout; `json.dumps` with a two-space indent is its test
-oracle.
+oracle.  It appends pieces to one list and joins them once.  Arrays of ints
+and of int pairs, nearly all the bytes of a staircase, go through
+`render_runs`: each flat run of at most CHUNK items is formatted by one "%d"
+template, so no str is made per number.  A staircase's generators are laid
+out column by column (`column_runs`), without building the pairs.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from math import gcd
 
 from .shape import Intercept, ShapeReport, SquareRootIntercept
 from .staircase import MonomialStaircase, colength
+
+CHUNK = 4096  # array items per %d template, which bounds each template and run
 
 
 def rational_str(n: int, d: int) -> str:
@@ -38,58 +45,89 @@ def json_text(payload: dict) -> str:
     keys, lists, tuples, str, int, bool and None; any other type is a
     TypeError.
     """
-    return _value(payload, "\n")
+    out: list[str] = []
+    _emit(payload, "\n", out)
+    return "".join(out)
 
 
-def _value(o, nl: str) -> str:
-    """o rendered with its nested lines indented by nl (newline + indent)."""
+# an array of ints (width 1) or [x, y] int pairs (width 2) as flat runs of <= CHUNK items
+_IntRuns = namedtuple("_IntRuns", "runs width")
+
+
+def _emit(o, nl: str, out: list[str]) -> None:
+    """Append o rendered with its nested lines indented by nl (newline + indent)."""
+    inner = nl + "  "
     if isinstance(o, str):
-        return _string(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        inner = nl + "  "
-        return "[" + inner + ("," + inner).join(_items(o, inner)) + nl + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        inner = nl + "  "
-        fields = []
+        out.append(_string(o))
+    elif o is None or isinstance(o, bool):
+        out.append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, _IntRuns):  # a tuple itself, so tested first
+        item = "%d" if o.width == 1 else "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+        # piece by piece: joining each array first costs a copy, and 2 MB more RSS
+        # on a 6 MB staircase document
+        lead = "[" + inner
+        for piece in render_runs(o.runs, item, "," + inner):
+            out += (lead, piece)
+            lead = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, (list, tuple)):
+        # flat int lists and lists of int or str pairs, which hold nearly all
+        # the bytes of a staircase or shape report, skip the per-item dispatch
+        kinds = set(map(type, o))
+        pairs = kinds <= {list, tuple} and set(map(len, o)) == {2}
+        leaf = set(map(type, chain.from_iterable(o))) if pairs else None
+        starts = range(0, len(o), CHUNK)
+        if kinds == {int}:
+            return _emit(_IntRuns((o[i:i + CHUNK] for i in starts), 1), nl, out)
+        if leaf == {int}:
+            return _emit(_IntRuns((tuple(chain.from_iterable(o[i:i + CHUNK])) for i in starts), 2), nl, out)
+        if leaf == {str}:
+            pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
+            out += ("[" + inner, ("," + inner).join([pair % (_string(a), _string(b)) for a, b in o]), nl + "]")
+            return
+        lead = "[" + inner
+        for item in o:
+            out.append(lead)
+            _emit(item, inner, out)
+            lead = "," + inner
+        out.append(nl + "]" if o else "[]")
+    elif isinstance(o, dict):
+        lead = "{" + inner
         for key, value in o.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            fields.append(_string(key) + ": " + _value(value, inner))
-        return "{" + inner + ("," + inner).join(fields) + nl + "}"
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            out.append(lead + _string(key) + ": ")
+            _emit(value, inner, out)
+            lead = "," + inner
+        out.append(nl + "}" if o else "{}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _items(seq, nl: str):
-    """The rendered items of a non-empty list at indent nl.
+def render_runs(runs, item: str, sep: str):
+    """Each flat run of ints as its items joined by sep, each item the %d template
+    `item` filled from the run's next ints; one template per distinct run length."""
+    width = item.count("%d")
+    templates: dict[int, str] = {}
+    for run in runs:
+        count = len(run) // width
+        if count not in templates:
+            templates[count] = sep.join([item] * count)
+        yield templates[count] % tuple(run)
 
-    Flat int lists and lists of int or str pairs, which hold nearly all the
-    bytes of a staircase or shape report, skip the per-item dispatch.
-    """
-    kinds = set(map(type, seq))
-    if kinds == {int}:
-        return map(int.__repr__, seq)
-    if kinds <= {list, tuple} and set(map(len, seq)) == {2}:
-        leaf = set(map(type, chain.from_iterable(seq)))
-        inner = nl + "  "
-        if leaf == {int}:
-            pair = "[" + inner + "%d," + inner + "%d" + nl + "]"
-            return map(pair.__mod__, seq if kinds == {tuple} else map(tuple, seq))
-        if leaf == {str}:
-            pair = "[" + inner + "%s," + inner + "%s" + nl + "]"
-            return [pair % (_string(a), _string(b)) for a, b in seq]
-    return [_value(item, nl) for item in seq]
+
+def column_runs(s: MonomialStaircase, top: int, bottom: int):
+    """Flat (i, lambdas[i]) runs of at most CHUNK columns, i = top down to
+    bottom; column alpha, the generator x^alpha, has height 0."""
+    for hi in range(top, bottom - 1, -CHUNK):
+        n = min(CHUNK, hi - bottom + 1)
+        run = [0] * (2 * n)
+        run[::2] = range(hi, hi - n, -1)
+        heights = s.lambdas[hi - n + 1:hi + 1][::-1]  # stops short of column alpha
+        run[2 * (n - len(heights)) + 1::2] = heights
+        yield run
 
 
 def staircase_json(s: MonomialStaircase) -> str:
@@ -98,7 +136,8 @@ def staircase_json(s: MonomialStaircase) -> str:
         "m": s.m,
         "alpha": s.alpha,
         "lambdas": s.lambdas,
-        "generators": s.generators,
+        # s.generators, laid out column by column without building the pairs
+        "generators": _IntRuns(column_runs(s, s.alpha, 0), 2),
         "colength": colength(s),
         "conjectural": s.config.conjectural,
     })

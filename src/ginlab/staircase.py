@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
+from operator import gt
 
 from .errors import ComputationGuardError
 from .hilbert import alpha, alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
@@ -35,7 +36,7 @@ class MonomialStaircase(namedtuple("MonomialStaircase", "alpha lambdas m config"
             raise ComputationGuardError("staircase needs a positive initial degree")
         if len(lambdas) != alpha:
             raise ComputationGuardError("one column height per x-exponent below alpha")
-        if any(a <= b for a, b in zip(lambdas, lambdas[1:])):
+        if not all(map(gt, lambdas, islice(lambdas, 1, None))):
             raise ComputationGuardError(f"column heights must strictly decrease: {lambdas}")
         if lambdas[-1] < 1:
             raise ComputationGuardError("the column next to x^alpha must be positive")

@@ -7,12 +7,15 @@ import json
 import os
 import subprocess
 import sys
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
 
-from ginlab import MonomialStaircase, PointConfig, cli
+from ginlab import MonomialStaircase, PointConfig, cli, gin_staircase
 from ginlab.errors import ComputationGuardError
+from ginlab.exporters import CHUNK
+from ginlab.hilbert import alpha_shgh
 from ginlab.verify import VerifyCheck, VerifyReport
 
 
@@ -41,6 +44,56 @@ def test_gin_text(capsys):
     assert code == 0
     assert "alpha=1 zeta=2 colength=2" in out
     assert "generators: x y^2" in out
+
+
+def expected_generator_line(s: MonomialStaircase) -> str:
+    """The text generator line built pair by pair."""
+    def monomial(x: int, y: int) -> str:
+        return (f"x^{x}" if x > 1 else "x" * x) + (f"y^{y}" if y > 1 else "y" * y)
+    return "generators: " + " ".join(monomial(x, y) for x, y in s.generators)
+
+
+def gin_text_lines(capsys, config: str, m: int) -> list[str]:
+    code, out, _ = run_cli(capsys, ["gin", config, "--m", str(m), "--format", "text"])
+    assert code == 0
+    return out.splitlines()
+
+
+@pytest.mark.parametrize("config", [*(f"general:{r}" for r in range(2, 9)),
+                                    *(f"collinear:{l}" for l in range(3, 9)),
+                                    *(f"shgh:{r}" for r in range(9, 17))])
+def test_gin_text_generators_match_pairs(capsys, config):
+    for m in range(1, 41):
+        s = gin_staircase(PointConfig.parse(config), m)
+        assert gin_text_lines(capsys, config, m)[2] == expected_generator_line(s), m
+
+
+# the columns written without the x^%dy^%d template: alpha = 1, a height-1
+# column at x-exponent 1, and at alpha - 1 >= 2 (the shgh eta = alpha + 1 case)
+@pytest.mark.parametrize("config,m,line", [
+    ("general:2", 1, "generators: x y^2"),
+    ("general:3", 1, "generators: x^2 xy y^2"),
+    ("shgh:10", 1, "generators: x^4 x^3y x^2y^2 xy^3 y^4"),
+])
+def test_gin_text_edge_columns(capsys, config, m, line):
+    assert gin_text_lines(capsys, config, m)[2] == line
+
+
+def shgh_with_alpha(a: int) -> tuple[int, int]:
+    """(r, m) of an shgh staircase with alpha = a, for the first r in 9..16 that has one."""
+    for r in range(9, 17):
+        m = 1 + bisect_left(range(1, a + 1), a, key=lambda m: alpha_shgh(r, m))
+        if alpha_shgh(r, m) == a:
+            return r, m
+    raise LookupError(f"no shgh staircase with alpha {a}")
+
+
+# the x^%dy^%d columns, alpha - 2 or alpha - 3 down to 2, on each side of one chunk
+@pytest.mark.parametrize("a", [CHUNK + 1, CHUNK + 2, CHUNK + 3])
+def test_gin_text_generators_across_chunk_boundaries(capsys, a):
+    r, m = shgh_with_alpha(a)
+    s = gin_staircase(PointConfig.shgh(r), m)
+    assert gin_text_lines(capsys, f"shgh:{r}", m)[2] == expected_generator_line(s)
 
 
 def test_gin_conjectural_flag(capsys):
@@ -294,6 +347,15 @@ GOLDEN = [
      "4d393081acda65a8f49119bc7c6bfa54a650d0e70b1821bdda3b49a39de7b839"),
     ("shape shgh:12 --m-list 4,8",
      "a1186f80b4e5bf49f0d8453e85e46ba08bf658eac25cba24e9417efecd96105c"),
+    ("gin shgh:9 --m 3 --format text",
+     "7236f7ba330bc3a5ff172bb03e476be16243ca99ed1eda32985b1c0769d04900"),
+    ("gin general:2 --m 1 --format text",
+     "f3118ddddb2e1e3fc3d05058fc4a292497a3c854540ae32bdc21497fafefd14c"),
+    # alpha = 4096: 4096 column heights and 4097 generators
+    ("gin shgh:10 --m 1295",
+     "6da31ed66ab042754817cfcdeb55fb8eb29e00f8ce58897b3c3f7d478e5df383"),
+    ("hilbert general:8 --m 30 --t-range 0..90 --format json",
+     "e0694ff46312ab0a3cca6b91ba2bd39aa76e3739b4787999bc69c412c1fc8914"),
 ]
 
 

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from bisect import bisect_left
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from ginlab import PointConfig, gin_staircase
-from ginlab.exporters import json_text, staircase_json
+from ginlab import MonomialStaircase, PointConfig, gin_staircase
+from ginlab.exporters import CHUNK, json_text, staircase_json
+from ginlab.hilbert import alpha_shgh
 from ginlab.staircase import colength
 
 # ints past 64 bits, and text with non-ASCII, control characters, quotes
@@ -44,6 +47,7 @@ def test_matches_json_dumps(payload):
 @pytest.mark.parametrize("payload", [
     {}, [], (), {"a": {}}, {"a": []}, [[], {}, ()], [[[]]], [[1, 2], []], [(1, 2), [3, 4], (5, True)],
     [[1, 2], ["a", "b"]], [[1, "b"]], [True, 1], [None, 0], {"k": [(-1, 2**70)]},
+    [1, True], [(1, True)], [1] * CHUNK + [True], [(1, 2)] * CHUNK + [(3, False)],
 ])
 def test_edge_payloads_match_json_dumps(payload):
     assert json_text(payload) == json.dumps(payload, indent=2)
@@ -57,9 +61,17 @@ def test_floats_and_non_str_keys_are_type_errors(payload):
         json_text(payload)
 
 
-def test_large_staircase_matches_json_dumps():
-    s = gin_staircase(PointConfig.shgh(16), 4000)
-    expected = json.dumps({
+# an int array of each length, as a list of lists and as a tuple of tuples
+@pytest.mark.parametrize("length", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("container", [list, tuple])
+def test_int_arrays_across_chunk_boundaries_match_json_dumps(length, container):
+    ints = container((-1) ** i * i * 10 ** (i % 25) for i in range(length))
+    payload = {"ints": ints, "pairs": container(container((x, length - x)) for x in ints)}
+    assert json_text(payload) == json.dumps(payload, indent=2)
+
+
+def expected_staircase_json(s: MonomialStaircase) -> str:
+    return json.dumps({
         "config": str(s.config),
         "m": s.m,
         "alpha": s.alpha,
@@ -68,6 +80,47 @@ def test_large_staircase_matches_json_dumps():
         "colength": colength(s),
         "conjectural": s.config.conjectural,
     }, indent=2)
+
+
+def shgh_with_alpha(a: int) -> MonomialStaircase:
+    """An shgh staircase with alpha = a, from the first r in 9..16 that has one."""
+    for r in range(9, 17):
+        m = 1 + bisect_left(range(1, a + 1), a, key=lambda m: alpha_shgh(r, m))
+        if alpha_shgh(r, m) == a:
+            return gin_staircase(PointConfig.shgh(r), m)
+    raise LookupError(f"no shgh staircase with alpha {a}")
+
+
+def test_large_staircase_matches_json_dumps():
+    s = gin_staircase(PointConfig.shgh(16), 4000)
     # compared as line lists: pytest names the first differing line, where a
     # str comparison would diff some 10^5 lines and take minutes to fail
-    assert staircase_json(s).split("\n") == expected.split("\n")
+    assert staircase_json(s).split("\n") == expected_staircase_json(s).split("\n")
+
+
+# alpha + 1 generators and alpha column heights on each side of one and two chunks
+@pytest.mark.parametrize("a", [CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK])
+def test_staircases_across_chunk_boundaries_match_json_dumps(a):
+    s = shgh_with_alpha(a)
+    assert staircase_json(s).split("\n") == expected_staircase_json(s).split("\n")
+
+
+def test_staircase_json_never_builds_the_generator_pairs(monkeypatch):
+    s = gin_staircase(PointConfig.shgh(10), 1295)
+    expected = expected_staircase_json(s)
+    monkeypatch.setattr(MonomialStaircase, "generators",
+                        property(lambda self: pytest.fail("staircase_json read s.generators")))
+    assert staircase_json(s) == expected
+
+
+def test_staircase_json_peak_memory_is_about_two_documents():
+    # the pieces and their join; the generator pairs or one str per number
+    # would take the peak to about five documents
+    s = gin_staircase(PointConfig.shgh(16), 4000)
+    tracemalloc.start()
+    try:
+        text = staircase_json(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
