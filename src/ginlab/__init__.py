@@ -14,7 +14,7 @@ from .hilbert import alpha, alpha_shgh, hilbert_fn, nef_slope, nef_threshold, sh
 from .staircase import (MonomialStaircase, colength, gin_staircase,
                         graded_products_contained, shgh_gin_closed_form, xy_count)
 from .shape import (ShapeReport, SquareRootIntercept, check_convergence,
-                    collinear_shape_check, divisibility_step, scaled_staircases_nested,
+                    collinear_shape_check, scaled_staircases_nested,
                     shape_report, theoretical_shape, within)
 from .verify import VerifyReport, brute_force_exceptional_classes, run_verification
 
@@ -26,7 +26,7 @@ __all__ = [
     "PointConfig", "ShapeReport", "SquareRootIntercept",
     "UnsupportedConfigError", "VerifyReport",
     "alpha", "alpha_shgh", "brute_force_exceptional_classes", "canonical_class",
-    "check_convergence", "colength", "collinear_shape_check", "divisibility_step",
+    "check_convergence", "colength", "collinear_shape_check",
     "exceptional_classes", "gin_staircase", "graded_products_contained", "h0",
     "hilbert_fn", "intersect", "is_nef", "nef_slope", "nef_threshold", "reduce_to_nef",
     "riemann_roch_h0", "run_verification", "scaled_staircases_nested", "shape_report",

@@ -18,7 +18,7 @@ from .errors import ComputationGuardError
 from .hilbert import alpha, hilbert_fn, nef_threshold
 from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, PointConfig,
                       canonical_class, exceptional_classes, intersect, reduce_to_nef)
-from .shape import check_convergence, collinear_shape_check, divisibility_step, scaled_staircases_nested
+from .shape import check_convergence, collinear_shape_check, convergence_scale, scaled_staircases_nested
 from .staircase import colength, gin_staircase, graded_products_contained, shgh_gin_closed_form
 
 DEFAULT_MAX_M = 50
@@ -126,16 +126,12 @@ def _check_first_differences(config: PointConfig, max_m: int) -> tuple[bool, str
 
 
 def _check_convergence(config: PointConfig, max_m: int) -> tuple[bool, str]:
-    step = divisibility_step(config)
-    if config.kind == SHGH:
-        step = max(1, max_m // 5)
-    ms = list(range(step, max_m + 1, step))
-    if not ms:
-        return True, f"no admissible multiplicity <= {max_m} (step {step}); skipped"
-    failures = check_convergence(config, ms)
+    failures = check_convergence(config, range(1, max_m + 1))
     if failures:
         return False, "; ".join(failures)
-    return True, f"intercepts within 3/m and area within r/m for m in {ms}"
+    scale = convergence_scale(config)
+    tol = f"{scale}/m" if scale.denominator == 1 else f"{scale.numerator}/({scale.denominator}m)"
+    return True, f"intercepts within {tol} for m <= {max_m}"
 
 
 def _check_graded_and_nested(config: PointConfig, max_m: int) -> tuple[bool, str]:
@@ -165,16 +161,12 @@ def _check_shgh_closed_form(config: PointConfig, max_m: int) -> tuple[bool, str]
 
 def _check_collinear_degrees(config: PointConfig, max_m: int) -> tuple[bool, str]:
     l = config.l
-    step = divisibility_step(config)
-    ms = list(range(step, max_m + 1, step))
-    if not ms:
-        return True, f"no multiple of {step} below {max_m}; skipped"
-    failures = collinear_shape_check(l, ms)
+    failures = collinear_shape_check(l, range(1, max_m + 1))
     if failures:
         return False, "; ".join(failures)
     # PointConfig enforces l >= 3, so the single-segment area (2l-1)/2
     # always exceeds the limit area (l+1)/2.
-    return True, (f"generator degrees 2m-m/l and lm confirmed for m in {ms}; "
+    return True, (f"generator degrees 2m-floor(m/l) and lm confirmed for m <= {max_m}; "
                   f"single segment excluded ({Fraction(2 * l - 1, 2)} > {Fraction(l + 1, 2)})")
 
 

@@ -308,17 +308,17 @@ GOLDEN = [
     ("shape shgh:10 --m-list 5,10,15 --format csv",
      "f3618505369788d8fc00319891a50aeb04948acc41dd184b66b0e6e423a2a0d9"),
     ("verify shgh:11 --max-m 12",
-     "ea90603ca1f560007de8a436179235fdb8dbdba75f2c643491fa3f196f263899"),
+     "6add86b7e01dbe765c450fa96ec7a2d3af5ab57c898bd8c84eaa4fab4dc6c87e"),
     ("verify shgh:9 --max-m 8 --format json",
-     "9eed3415e26cb8ddf8a50dc8c8cf2022c4703b448056f02762ff1dfbf525f344"),
+     "8ce155b9e0d77072a35fd67790610446d617e824eeebda9d17c46ce8c344a895"),
     ("verify general:5 --max-m 10 --format json",
-     "2fda12e5b28b0a4e2a28887007dbabc931b54ec6c1921b122810e1f3084a469c"),
+     "556660b728d8abd178d8329c8ade9b7216f49345e1b931777087b7ed275aca92"),
     ("verify general:6 --max-m 10",
-     "ecc21cd3bad2bca93c737670d2b01a4f3ff6a2f2c7d286d3ea1edc09c5fa00ba"),
+     "bd0ea7a0132988d4c7ea5537a08e603a2e549e1abf5194a7b00838c5c34c208b"),
     ("verify collinear:3 --max-m 12",
-     "4bdb97b52f689c22987e61b4711aba5ff78f47ce60d5442a6cfd27a0e52cd716"),
+     "72796d1a9b48f8c354cad9127ad1b059b57609aeb8d6be916932f5281e9d5c17"),
     ("verify collinear:4 --max-m 12 --format json",
-     "109d27bcfec5210758afa6a6f72c9c12caa36b3df77a55978418e91672aba8fd"),
+     "870d788c70aa1d86de37c992a60bfecf6719b081ec635de366600319bd6cfee5"),
     ("classes general:6 --format json",
      "a7b1a4254f5ce71a41f00cfc64635a2e150bebd158bdb211fab7d9692ca205e7"),
     ("classes collinear:4",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
-from math import comb, isqrt
+from math import ceil, comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +116,16 @@ def test_alpha_matches_linear_scan(spec):
         while hilbert_fn(config, m, t) == 0:
             t += 1
         assert alpha(config, m) == t
+
+
+# alpha(m)/m tends to r/nu; for r <= 8 it is exactly the ceiling at every m
+# checked, which no part of the engine assumes
+@pytest.mark.parametrize("r,w", [(2, F(1)), (3, F(3, 2)), (4, F(2)), (5, F(2)),
+                                 (6, F(12, 5)), (7, F(21, 8)), (8, F(48, 17))])
+def test_alpha_general_is_ceiling_of_linear_bound(r, w):
+    config = PointConfig.general(r)
+    for m in range(1, 201):
+        assert alpha(config, m) == ceil(w * m)
 
 
 def test_alpha_rejects_nonpositive_m():

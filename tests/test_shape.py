@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from ginlab import (PointConfig, SquareRootIntercept, check_convergence,
-                    collinear_shape_check, colength, divisibility_step, gin_staircase,
+                    collinear_shape_check, colength, gin_staircase,
                     scaled_staircases_nested, shape_report, theoretical_shape,
                     within)
 from ginlab.errors import UnsupportedConfigError
 from ginlab.exporters import shape_json
+from ginlab.shape import convergence_scale
 
 F = Fraction
 
@@ -106,15 +107,6 @@ def test_shape_report_rejects_bad_input():
         shape_report(config, [0, 3])
 
 
-def test_divisibility_steps():
-    assert divisibility_step(PointConfig.general(6)) == 10
-    assert divisibility_step(PointConfig.general(7)) == 24
-    assert divisibility_step(PointConfig.general(8)) == 102
-    assert divisibility_step(PointConfig.general(3)) == 1
-    assert divisibility_step(PointConfig.shgh(9)) == 1
-    assert divisibility_step(PointConfig.collinear_plus_one(4)) == 12
-
-
 def test_convergence_general_six():
     config = PointConfig.general(6)
     assert check_convergence(config, list(range(10, 51, 10))) == ()
@@ -137,9 +129,28 @@ def test_convergence_reports_an_intercept_off_target(monkeypatch):
         "m=10: x-intercept 12/5 is off 3 by 3/5 > 3/10",)
 
 
-def test_convergence_rejects_off_sequence_multiplicity():
-    with pytest.raises(ValueError):
-        check_convergence(PointConfig.general(6), [10, 15])
+@pytest.mark.parametrize("config", [PointConfig.general(r) for r in range(2, 9)]
+                         + [PointConfig.shgh(r) for r in range(9, 65)], ids=str)
+def test_convergence_holds_at_every_m(config):
+    assert check_convergence(config, range(1, 61)) == ()
+
+
+def test_convergence_scale():
+    # 3/m would fail shgh:40 at m=20, where zeta/m = 13/2 is about 0.175 above sqrt(40)
+    assert convergence_scale(PointConfig.general(8)) == 3
+    assert convergence_scale(PointConfig.shgh(9)) == F(5, 2)
+    assert {convergence_scale(PointConfig.shgh(r)) for r in range(10, 17)} == {3}
+    assert convergence_scale(PointConfig.shgh(40)) == F(9, 2)
+
+
+def test_convergence_message_names_the_applied_tolerance(monkeypatch):
+    monkeypatch.setattr("ginlab.shape.theoretical_shape",
+                        lambda config: (SquareRootIntercept(40), SquareRootIntercept(36)))
+    assert check_convergence(PointConfig.shgh(40), [20]) == (
+        "m=20: y-intercept 13/2 is off sqrt(36) by ~0.500000 > 9/40",)
+
+
+def test_convergence_rejects_collinear():
     with pytest.raises(UnsupportedConfigError):
         check_convergence(PointConfig.collinear_plus_one(3), [6])
 
@@ -152,21 +163,19 @@ def test_collinear_shape_check():
 
 def test_collinear_shape_check_reports_wrong_degrees(monkeypatch):
     # general:4 has the same r = 4 as collinear:3, so the colength guard
-    # passes and only the degrees and intercepts differ
+    # passes and only the degrees differ
     general_four = PointConfig.general(4)
     monkeypatch.setattr("ginlab.shape.gin_staircase",
                         lambda config, m: gin_staircase(general_four, m))
     assert collinear_shape_check(3, [6]) == (
-        "m=6: least generator degree 12 != 2m - m/l = 10",
+        "m=6: least generator degree 12 != 2m - floor(m/l) = 10",
         "m=6: top generator degree 13 != l*m = 18",
-        "m=6: x-intercept 2 != 5/3",
-        "m=6: y-intercept 13/6 != 3",
     )
 
 
-def test_collinear_shape_check_rejects_off_sequence():
-    with pytest.raises(ValueError):
-        collinear_shape_check(3, [5])
+@pytest.mark.parametrize("l", range(3, 9))
+def test_collinear_shape_check_holds_at_every_m(l):
+    assert collinear_shape_check(l, range(1, 61)) == ()
 
 
 def test_scaled_staircases_nested():

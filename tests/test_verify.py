@@ -28,12 +28,33 @@ def test_brute_force_counts(r, count):
     ("general:6", 10),
     ("shgh:9", 10),
     ("collinear:3", 12),
+    ("general:8", 16),
+    ("collinear:8", 12),
+    ("collinear:7", 14),
+    ("shgh:40", 50),
 ])
 def test_run_verification_passes(spec, max_m):
     report = run_verification(PointConfig.parse(spec), max_m=max_m)
     assert report.passed
     assert report.failures == ()
     assert all(check.detail for check in report.checks)
+    assert not any("skipped" in check.detail for check in report.checks)
+
+
+SHAPE_CHECK_DETAILS = {
+    "general:8": "intercepts within 3/m for m <= 4",
+    "shgh:9": "intercepts within 5/(2m) for m <= 4",
+    "shgh:40": "intercepts within 9/(2m) for m <= 4",
+    "collinear:5": ("generator degrees 2m-floor(m/l) and lm confirmed for m <= 4; "
+                    "single segment excluded (9/2 > 3)"),
+}
+
+
+@pytest.mark.parametrize("spec", SHAPE_CHECK_DETAILS)
+def test_shape_check_detail_covers_every_m(spec):
+    report = run_verification(PointConfig.parse(spec), max_m=4)
+    (check,) = [c for c in report.checks if c.name in ("convergence", "collinear-degrees")]
+    assert check.detail == SHAPE_CHECK_DETAILS[spec]
 
 
 def test_check_names_by_kind():
