@@ -10,15 +10,18 @@ oracle.  It appends pieces to one list and joins them once.  Arrays of ints
 and of int pairs, nearly all the bytes of a staircase, go through
 `render_runs`: each flat run of at most CHUNK items is formatted by one "%d"
 template, so no str is made per number.  A staircase's generators are laid
-out column by column (`column_runs`), without building the pairs.
+out column by column (`column_runs`), without building the pairs, and a
+shape report's corners are rendered in "%d/%d" runs from the column profile
+(`corner_runs`), without building the pairs or their rational strs.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _string
 from math import gcd
+from operator import floordiv
 
 from .shape import Intercept, ShapeReport, SquareRootIntercept
 from .staircase import MonomialStaircase, colength
@@ -50,8 +53,10 @@ def json_text(payload: dict) -> str:
     return "".join(out)
 
 
-# an array of ints (width 1) or [x, y] int pairs (width 2) as flat runs of <= CHUNK items
-_IntRuns = namedtuple("_IntRuns", "runs width")
+# an array of leaves (width 1) or of [x, y] leaf pairs (width 2) as flat int runs
+# of <= CHUNK items; the leaf template is "%d" for an int, or '"%d/%d"' for a
+# rational str filled from two ints
+_IntRuns = namedtuple("_IntRuns", "runs width leaf", defaults=("%d",))
 
 
 def _emit(o, nl: str, out: list[str]) -> None:
@@ -64,7 +69,8 @@ def _emit(o, nl: str, out: list[str]) -> None:
     elif isinstance(o, int):
         out.append(int.__repr__(o))
     elif isinstance(o, _IntRuns):  # a tuple itself, so tested first
-        item = "%d" if o.width == 1 else "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+        leaf = o.leaf
+        item = leaf if o.width == 1 else "[" + inner + "  " + leaf + "," + inner + "  " + leaf + inner + "]"
         # piece by piece: joining each array first costs a copy, and 2 MB more RSS
         # on a 6 MB staircase document
         lead = "[" + inner
@@ -73,20 +79,14 @@ def _emit(o, nl: str, out: list[str]) -> None:
             lead = "," + inner
         out.append(nl + "]")
     elif isinstance(o, (list, tuple)):
-        # flat int lists and lists of int or str pairs, which hold nearly all
-        # the bytes of a staircase or shape report, skip the per-item dispatch
+        # flat int lists and lists of int pairs skip the per-item dispatch
         kinds = set(map(type, o))
         pairs = kinds <= {list, tuple} and set(map(len, o)) == {2}
-        leaf = set(map(type, chain.from_iterable(o))) if pairs else None
         starts = range(0, len(o), CHUNK)
         if kinds == {int}:
             return _emit(_IntRuns((o[i:i + CHUNK] for i in starts), 1), nl, out)
-        if leaf == {int}:
+        if pairs and set(map(type, chain.from_iterable(o))) == {int}:
             return _emit(_IntRuns((tuple(chain.from_iterable(o[i:i + CHUNK])) for i in starts), 2), nl, out)
-        if leaf == {str}:
-            pair = "[" + inner + "  %s," + inner + "  %s" + inner + "]"
-            out += ("[" + inner, ("," + inner).join([pair % (_string(a), _string(b)) for a, b in o]), nl + "]")
-            return
         lead = "[" + inner
         for item in o:
             out.append(lead)
@@ -130,6 +130,24 @@ def column_runs(s: MonomialStaircase, top: int, bottom: int):
         yield run
 
 
+def corner_runs(s: MonomialStaircase):
+    """Flat runs of at most CHUNK corners (x/m, y/m), ascending in x from
+    (0, zeta) to (alpha, 0), each corner as x/g, m/g, y/h, m/h with
+    g = gcd(x, m) and h = gcd(y, m): the "%d/%d" fill of `rational_str`."""
+    m = s.m
+    for lo in range(0, s.alpha + 1, CHUNK):
+        xs = range(lo, min(lo + CHUNK, s.alpha + 1))
+        ys = s.lambdas[lo:lo + CHUNK]
+        if len(ys) < len(xs):  # the run reaches x^alpha, whose height is 0
+            ys += (0,)
+        run = [0] * (4 * len(xs))
+        for at, values in ((0, xs), (2, ys)):
+            g = list(map(gcd, values, repeat(m)))
+            run[at::4] = map(floordiv, values, g)
+            run[at + 1::4] = map(floordiv, repeat(m), g)
+        yield run
+
+
 def staircase_json(s: MonomialStaircase) -> str:
     return json_text({
         "config": str(s.config),
@@ -162,8 +180,7 @@ def shape_json(report: ShapeReport) -> str:
                 "y_intercept": rational_str(e.zeta, e.m),
                 "colength_over_m2": rational_str(length, e.m * e.m),
                 # generator exponents over m, ascending in x: (0, zeta/m) .. (alpha/m, 0)
-                "corners": [[rational_str(x, e.m), rational_str(y, e.m)]
-                            for x, y in reversed(e.generators)],
+                "corners": _IntRuns(corner_runs(e), 2, '"%d/%d"'),
             }
             for e in report.entries
         ],

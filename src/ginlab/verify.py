@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 from math import comb, isqrt
 
 from .errors import ComputationGuardError
@@ -24,26 +24,42 @@ from .staircase import colength, gin_staircase, graded_products_contained, shgh_
 DEFAULT_MAX_M = 50
 
 
+def _orderings(sorted_mults: tuple[int, ...]):
+    """Each distinct ordering of a sorted vector once: choose the positions of
+    the copies of its first value, and fill the rest with each ordering of
+    the remaining values."""
+    if not sorted_mults:
+        yield ()
+        return
+    r, value = len(sorted_mults), sorted_mults[0]
+    count = sorted_mults.count(value)
+    tails = list(_orderings(sorted_mults[count:]))
+    for chosen in map(set, combinations(range(r), count)):
+        for tail in tails:
+            rest = iter(tail)
+            yield tuple(value if i in chosen else next(rest) for i in range(r))
+
+
 def brute_force_exceptional_classes(r: int) -> tuple[DivisorClass, ...]:
     """Enumerate classes with C.C = -1 and C.K = -1 without any templates.
 
-    Scans every degree 0..6 and every multiplicity vector with entries in
-    -1..6 (adjunction bounds entries well inside that range for degrees up
-    to 6), so the result is independent of the classified shape list.
-    Candidates whose multiplicity sums fail C.K = -1 (sum = 3d - 1) or
-    C.C = -1 (sum of squares = d^2 + 1) are skipped before any class is
-    built; the survivors are still tested by the definition.
+    Scans every multiplicity vector with entries in -1..6 and degrees 0..6
+    (adjunction bounds entries well inside that range for degrees up to 6),
+    so the result is independent of the classified shape list.  Each sorted
+    vector is tested once: C.K = -1 fixes the degree d = (sum + 1)/3, and
+    vectors whose sum of squares is not d^2 + 1 (C.C = -1) are skipped
+    before any class is built; the survivors are still tested by the
+    definition, then expanded into their distinct orderings.
     """
     k = canonical_class(r)
-    found: set[DivisorClass] = set()
-    for d in range(0, 7):
-        for sorted_mults in combinations_with_replacement(range(-1, 7), r):
-            if sum(sorted_mults) != 3 * d - 1 or sum(a * a for a in sorted_mults) != d * d + 1:
-                continue
-            candidate = DivisorClass(d, sorted_mults)
-            if intersect(candidate, candidate) == -1 and intersect(candidate, k) == -1:
-                for mults in set(permutations(sorted_mults)):
-                    found.add(DivisorClass(d, mults))
+    found: list[DivisorClass] = []
+    for sorted_mults in combinations_with_replacement(range(-1, 7), r):
+        d, rest = divmod(sum(sorted_mults) + 1, 3)
+        if rest or not 0 <= d <= 6 or sum(a * a for a in sorted_mults) != d * d + 1:
+            continue
+        candidate = DivisorClass(d, sorted_mults)
+        if intersect(candidate, candidate) == -1 and intersect(candidate, k) == -1:
+            found += (DivisorClass(d, mults) for mults in _orderings(sorted_mults))
     return tuple(sorted(found, key=lambda c: (c.d, c.mults)))
 
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from ginlab import MonomialStaircase, PointConfig, gin_staircase
-from ginlab.exporters import CHUNK, json_text, staircase_json
+from ginlab import MonomialStaircase, PointConfig, gin_staircase, shape_report
+from ginlab.exporters import CHUNK, intercept_str, json_text, rational_str, shape_json, staircase_json
 from ginlab.hilbert import alpha_shgh
 from ginlab.staircase import colength
 
@@ -25,8 +25,8 @@ def pairs_of(leaf):
     return st.lists(st.tuples(leaf, leaf) | st.lists(leaf, min_size=2, max_size=2), max_size=6)
 
 
-# the two shapes with their own paths in the emitter: flat int lists and
-# lists of int or str pairs, as lists or tuples
+# the two shapes with their own paths in the emitter, flat int lists and
+# lists of int pairs, as lists or tuples; str pairs take the generic path
 payloads = st.recursive(
     scalars | st.lists(st.integers(), max_size=6) | pairs_of(st.integers()) | pairs_of(st.text(max_size=4)),
     lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
@@ -120,6 +120,70 @@ def test_staircase_json_peak_memory_is_about_two_documents():
     tracemalloc.start()
     try:
         text = staircase_json(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
+
+
+def expected_shape_json(report) -> str:
+    """The corners built as a list of rational str pairs, one per generator."""
+    predicted = None
+    if report.predicted is not None:
+        predicted = [intercept_str(g) for g in report.predicted]
+    return json.dumps({
+        "config": str(report.config),
+        "predicted_intercepts": predicted,
+        "seshadri_estimate": intercept_str(report.seshadri_estimate),
+        "conjectural": report.config.conjectural,
+        "entries": [
+            {
+                "m": e.m,
+                "alpha": e.alpha,
+                "zeta": e.zeta,
+                "colength": colength(e),
+                "x_intercept": rational_str(e.alpha, e.m),
+                "y_intercept": rational_str(e.zeta, e.m),
+                "colength_over_m2": rational_str(colength(e), e.m * e.m),
+                "corners": [[rational_str(x, e.m), rational_str(y, e.m)]
+                            for x, y in reversed(e.generators)],
+            }
+            for e in report.entries
+        ],
+    }, indent=2)
+
+
+# alpha + 1 corners on each side of one chunk, and just past two
+@pytest.mark.parametrize("corners", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_shape_corners_across_chunk_boundaries_match_json_dumps(corners):
+    s = shgh_with_alpha(corners - 1)
+    report = shape_report(s.config, [1, s.m])
+    assert shape_json(report).split("\n") == expected_shape_json(report).split("\n")
+
+
+# m = 1, where every corner is whole, and m with few and with many divisors
+@pytest.mark.parametrize("spec,m_list", [("general:6", [1, 7, 30, 60]), ("general:8", [17, 34]),
+                                         ("collinear:5", [1, 7, 20, 40]), ("collinear:3", [6, 12, 18])])
+def test_divisor_shape_reports_match_json_dumps(spec, m_list):
+    report = shape_report(PointConfig.parse(spec), m_list)
+    assert shape_json(report) == expected_shape_json(report)
+
+
+def test_shape_json_never_builds_the_generator_pairs(monkeypatch):
+    report = shape_report(PointConfig.shgh(13), [100, 500])
+    expected = expected_shape_json(report)
+    monkeypatch.setattr(MonomialStaircase, "generators",
+                        property(lambda self: pytest.fail("shape_json read s.generators")))
+    assert shape_json(report) == expected
+
+
+def test_shape_json_peak_memory_is_about_two_documents():
+    # the pieces and their join; one list and two strs per corner take the
+    # peak to about five documents
+    report = shape_report(PointConfig.shgh(15), [158, 313, 468, 623, 778, 933])
+    tracemalloc.start()
+    try:
+        text = shape_json(report)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
