@@ -74,12 +74,10 @@ def alpha(config: PointConfig, m: int) -> int:
     """Least degree whose Hilbert value is positive.
 
     The shgh kind takes the closed form.  For the divisor kinds H(t) > 0
-    forces H(t+1) > 0 (multiply by a linear form), so the degree lies between
-    ceil(r*m/nu) and the nef threshold, both certified by the nef slope nu.
-    The lower end is probed first, since for general points it has been the
-    answer at every m checked; otherwise the degree is found by bisection.  No
-    positive value by the threshold means the engine is broken and raises
-    instead of returning a wrong answer.
+    forces H(t+1) > 0 (multiply by a linear form), so the degree is found by
+    bisection between ceil(r*m/nu) and the nef threshold, both certified by
+    the nef slope nu; no positive value by the threshold means the engine is
+    broken and raises instead of returning a wrong answer.
     """
     if m < 1:
         raise ValueError("multiplicity must be positive")
@@ -94,9 +92,6 @@ def alpha(config: PointConfig, m: int) -> int:
     hi = nef_threshold(config, m)
     if lo > hi or hilbert_fn(config, m, hi) <= 0:
         raise ComputationGuardError(f"no positive Hilbert value up to degree {hi} for {config}, m={m}")
-    if hilbert_fn(config, m, lo) > 0:
-        return lo
-    lo += 1
     while lo < hi:
         mid = (lo + hi) // 2
         if hilbert_fn(config, m, mid) > 0:

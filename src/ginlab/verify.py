@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import comb, isqrt
 
 from .errors import ComputationGuardError
@@ -24,22 +24,6 @@ from .staircase import colength, gin_staircase, graded_products_contained, shgh_
 DEFAULT_MAX_M = 50
 
 
-def _orderings(sorted_mults: tuple[int, ...]):
-    """Each distinct ordering of a sorted vector once: choose the positions of
-    the copies of its first value, and fill the rest with each ordering of
-    the remaining values."""
-    if not sorted_mults:
-        yield ()
-        return
-    r, value = len(sorted_mults), sorted_mults[0]
-    count = sorted_mults.count(value)
-    tails = list(_orderings(sorted_mults[count:]))
-    for chosen in map(set, combinations(range(r), count)):
-        for tail in tails:
-            rest = iter(tail)
-            yield tuple(value if i in chosen else next(rest) for i in range(r))
-
-
 def brute_force_exceptional_classes(r: int) -> tuple[DivisorClass, ...]:
     """Enumerate classes with C.C = -1 and C.K = -1 without any templates.
 
@@ -49,7 +33,7 @@ def brute_force_exceptional_classes(r: int) -> tuple[DivisorClass, ...]:
     vector is tested once: C.K = -1 fixes the degree d = (sum + 1)/3, and
     vectors whose sum of squares is not d^2 + 1 (C.C = -1) are skipped
     before any class is built; the survivors are still tested by the
-    definition, then expanded into their distinct orderings.
+    definition, then expanded into their distinct permutations.
     """
     k = canonical_class(r)
     found: list[DivisorClass] = []
@@ -59,7 +43,7 @@ def brute_force_exceptional_classes(r: int) -> tuple[DivisorClass, ...]:
             continue
         candidate = DivisorClass(d, sorted_mults)
         if intersect(candidate, candidate) == -1 and intersect(candidate, k) == -1:
-            found += (DivisorClass(d, mults) for mults in _orderings(sorted_mults))
+            found += (DivisorClass(d, mults) for mults in set(permutations(sorted_mults)))
     return tuple(sorted(found, key=lambda c: (c.d, c.mults)))
 
 
