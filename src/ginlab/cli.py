@@ -186,21 +186,25 @@ def cmd_verify(config: PointConfig, args) -> tuple[str, int]:
 
 _FILE_KEYS = {"config": str, "m": int, "m_list": str, "t": int, "t_range": str,
               "format": str, "out": str, "max_m": int}
+# a flag and its list form are one setting: either on the command line hides both in the file
+_SETTING = {"m_list": "m", "t_range": "t"}
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
     """Fill flags left off the command line from a JSON file, then default the rest.
 
     Flags that have a default are parsed as None, so an explicit flag that
-    happens to equal its default still wins over the file.
+    happens to equal its default still wins over the file.  ``--m`` and
+    ``--m-list`` count as one setting, and so do ``--t`` and ``--t-range``.
     """
     if args.config_file:
         with open(args.config_file, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
+        given = {_SETTING.get(key, key) for key in _FILE_KEYS if getattr(args, key, None) is not None}
         for key, kind in _FILE_KEYS.items():
-            if key in data and getattr(args, key, None) is None:
+            if key in data and _SETTING.get(key, key) not in given:
                 value = data[key]
                 if not isinstance(value, kind) or isinstance(value, bool):
                     raise ValueError(f"config file entry {key!r} must be of type {kind.__name__}")

@@ -49,7 +49,7 @@ def nef_slope(config: PointConfig) -> Fraction:
     and that ratio is the same across an orbit of the listed curves.  For
     general points nu is the y-intercept of the limiting shape.
     """
-    return max(Fraction(ca + cb, cd) for cd, ca, cb, _, _, _ in _orbits(config) if cd > 0)
+    return max(Fraction(ca + cb, cd) for cd, ca, cb, *_ in _orbits(config) if cd > 0)
 
 def nef_threshold(config: PointConfig, m: int) -> int:
     """Smallest N making (t; m, ..., m) nef for every t >= N: ceil(nu*m)."""

@@ -3,8 +3,11 @@
 Classes live in the Picard lattice with basis e0 (pullback of a line) and
 e_1..e_r (exceptional curves); the intersection form is diag(1, -1, ..., -1).
 Section counts of nef classes come from Riemann-Roch.  Other classes are
-driven to a nef representative by peeling off negative curves, uniform ones
-a whole orbit at a time; each peel preserves the section count.
+driven to a nef representative by peeling off negative curves; each peel
+preserves the section count.  ``reduce_to_nef`` peels curve by curve on
+``DivisorClass`` values.  The orbit engine ``uniform_h0`` peels uniform
+classes a whole orbit at a time on plain ints (d, a, b) and evaluates
+Riemann-Roch on them in closed form; the two share only the curve list.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul, sub
 
 from .errors import ComputationGuardError, UnsupportedConfigError
 
@@ -61,24 +66,29 @@ class DivisorClass(namedtuple("DivisorClass", "d mults")):
         return cls(0, tuple(mults))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if self.r != other.r:
-            raise ValueError(f"rank mismatch: {self.r} vs {other.r}")
-        return DivisorClass(self.d + other.d,
-                            tuple(a + b for a, b in zip(self.mults, other.mults)))
+        _check_same_rank(self, other)
+        return DivisorClass(self.d + other.d, tuple(map(add, self.mults, other.mults)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        if self.r != other.r:
-            raise ValueError(f"rank mismatch: {self.r} vs {other.r}")
-        return DivisorClass(self.d - other.d,
-                            tuple(a - b for a, b in zip(self.mults, other.mults)))
+        _check_same_rank(self, other)
+        return DivisorClass(self.d - other.d, tuple(map(sub, self.mults, other.mults)))
 
     def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(k * self.d, tuple(k * a for a in self.mults))
+        return DivisorClass(k * self.d, tuple(map(mul, repeat(k), self.mults)))
 
     __mul__ = __rmul__
 
     def __str__(self) -> str:
-        return f"({self.d}; {', '.join(str(a) for a in self.mults)})"
+        return _class_str(self.d, self.mults)
+
+
+def _class_str(d: int, mults: tuple[int, ...]) -> str:
+    return f"({d}; {', '.join(map(str, mults))})"
+
+
+def _check_same_rank(a: DivisorClass, b: DivisorClass) -> None:
+    if len(a.mults) != len(b.mults):
+        raise ValueError(f"rank mismatch: {len(a.mults)} vs {len(b.mults)}")
 
 
 class PointConfig(namedtuple("PointConfig", "kind n")):
@@ -157,9 +167,8 @@ class PointConfig(namedtuple("PointConfig", "kind n")):
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int:
     """Intersection pairing; e0.e0 = 1, e_i.e_i = -1, mixed terms vanish."""
-    if a.r != b.r:
-        raise ValueError(f"rank mismatch: {a.r} vs {b.r}")
-    return a.d * b.d - sum(x * y for x, y in zip(a.mults, b.mults))
+    _check_same_rank(a, b)
+    return a.d * b.d - sum(map(mul, a.mults, b.mults))
 
 
 def canonical_class(r: int) -> DivisorClass:
@@ -319,12 +328,13 @@ def reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
 
 
 @lru_cache(maxsize=None)
-def _orbits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int], ...]:
+def _orbits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
     """The listed curves in orbits under permuting the first n points.
 
     Each orbit is (degree, multiplicity sum on the n points, multiplicity
     off them) of one member C, then the same for the orbit sum S, whose
-    multiplicity is the same at each of the n points.
+    multiplicity is the same at each of the n points, then -C.S, by which
+    one subtraction of S raises the pairing with C.
     """
     n = config.n
     sizes = Counter((c.d, tuple(sorted(c.mults[:n])), sum(c.mults[n:]))
@@ -334,7 +344,8 @@ def _orbits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int], .
         a = sum(on)
         if size * a % n:
             raise ComputationGuardError(f"curve list of {config} is not symmetric in its first {n} points")
-        orbits.append((d, a, off, size * d, size * a // n, size * off))
+        sd, sa, sb = size * d, size * a // n, size * off
+        orbits.append((d, a, off, sd, sa, sb, sa * a + sb * off - sd * d))
     return tuple(orbits)
 
 
@@ -347,18 +358,32 @@ def uniform_h0(config: PointConfig, t: int, m: int) -> int:
     A fixed part has a negative-definite intersection matrix (Zariski), so
     C.S >= 0 means the class is empty.  Two orbit peels sufficed on every
     value checked (the chambers of Bauer-Kuronya-Szemberg); eight is a guard.
+    The nef remainder's count is Riemann-Roch on (d, a, b) in closed form,
+    (d(d+3) - n*a(a+1) - (r-n)*b(b+1))/2 + 1, with no class built.
     """
     orbits = _orbits(config)
     d, a, b = t, m, m
     for _ in range(8):
         if d < 0:
             return 0
-        pairings = [d * cd - a * ca - b * cb for cd, ca, cb, _, _, _ in orbits]
-        worst_pairing = min(pairings)
-        if worst_pairing >= 0:
-            return _euler_h0(DivisorClass(d, (a,) * config.n + (b,) * (config.r - config.n)))
-        cd, ca, cb, sd, sa, sb = orbits[pairings.index(worst_pairing)]
-        drop = sa * ca + sb * cb - sd * cd
+        # the first orbit met most negatively; row[:3] is (cd, ca, cb)
+        worst, worst_pairing = None, 0
+        for row in orbits:
+            pairing = d * row[0] - a * row[1] - b * row[2]
+            if pairing < worst_pairing:
+                worst, worst_pairing = row, pairing
+        if worst is None:
+            n, rest = config.n, config.r - config.n
+            chi2 = d * (d + 3) - n * a * (a + 1) - rest * b * (b + 1)
+            if chi2 % 2:
+                raise ComputationGuardError(
+                    f"odd Euler number for {_class_str(d, (a,) * n + (b,) * rest)}; lattice data is corrupt")
+            value = chi2 // 2 + 1
+            if value < 0:
+                raise ComputationGuardError(
+                    f"negative section count for nef class {_class_str(d, (a,) * n + (b,) * rest)}")
+            return value
+        _, _, _, sd, sa, sb, drop = worst
         if drop <= 0:
             return 0
         k = (-worst_pairing + drop - 1) // drop

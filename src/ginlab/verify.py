@@ -10,8 +10,9 @@ length, and scaled staircases against the predicted limit.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 from math import comb, isqrt
 
 from .errors import ComputationGuardError
@@ -33,7 +34,7 @@ def brute_force_exceptional_classes(r: int) -> tuple[DivisorClass, ...]:
     vector is tested once: C.K = -1 fixes the degree d = (sum + 1)/3, and
     vectors whose sum of squares is not d^2 + 1 (C.C = -1) are skipped
     before any class is built; the survivors are still tested by the
-    definition, then expanded into their distinct permutations.
+    definition, then expanded into their distinct orderings.
     """
     k = canonical_class(r)
     found: list[DivisorClass] = []
@@ -43,8 +44,30 @@ def brute_force_exceptional_classes(r: int) -> tuple[DivisorClass, ...]:
             continue
         candidate = DivisorClass(d, sorted_mults)
         if intersect(candidate, candidate) == -1 and intersect(candidate, k) == -1:
-            found += (DivisorClass(d, mults) for mults in set(permutations(sorted_mults)))
+            found += (DivisorClass(d, mults) for mults in _orderings(sorted_mults))
     return tuple(sorted(found, key=lambda c: (c.d, c.mults)))
+
+
+def _orderings(ascending: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each distinct ordering of an ascending tuple once, in lexicographic order.
+
+    Each step finds the rightmost i with items[i] < items[i + 1], swaps
+    items[i] with the rightmost larger entry and reverses the tail after i;
+    equal entries are never swapped, so no ordering repeats.
+    """
+    items = list(ascending)
+    while True:
+        yield tuple(items)
+        i = len(items) - 2
+        while i >= 0 and items[i] >= items[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(items) - 1
+        while items[j] <= items[i]:
+            j -= 1
+        items[i], items[j] = items[j], items[i]
+        items[i + 1:] = reversed(items[i + 1:])
 
 
 VerifyCheck = namedtuple("VerifyCheck", "name passed detail")

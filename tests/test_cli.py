@@ -172,6 +172,17 @@ def test_config_file_does_not_override_explicit_flags(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["gin", "general:3", "--config-file", str(path)])
     assert code == 0
     assert json.loads(out)["config"] == "general:3"
+    # a flag hides the file's entry for its list form too
+    path.write_text(json.dumps({"t_range": "20..22"}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["hilbert", "general:6", "--m", "10", "--t", "25",
+                                    "--config-file", str(path)])
+    assert code == 0
+    assert out == "# general:6, m=10\nt=25  H=21\n"
+    path.write_text(json.dumps({"m_list": "4,8"}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["shape", "general:6", "--m", "10", "--format", "json",
+                                    "--config-file", str(path)])
+    assert code == 0
+    assert [e["m"] for e in json.loads(out)["entries"]] == [10]
 
 
 def test_config_file_format_and_max_m_apply(tmp_path, capsys):

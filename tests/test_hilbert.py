@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginlab import (PointConfig, alpha, alpha_shgh, exceptional_classes, hilbert_fn,
-                    nef_slope, nef_threshold, shgh_hilbert)
+from ginlab import (DivisorClass, PointConfig, alpha, alpha_shgh, exceptional_classes,
+                    gin_staircase, hilbert_fn, nef_slope, nef_threshold, shgh_hilbert)
 from ginlab.errors import ComputationGuardError
 
 
@@ -82,6 +82,25 @@ def test_hilbert_fn_collinear():
     assert hilbert_fn(c3, 6, 10) == 1
     assert hilbert_fn(c3, 1, 1) == 0
     assert hilbert_fn(c3, 1, 2) == 2
+
+
+@pytest.mark.parametrize("spec", [f"general:{r}" for r in range(2, 9)] +
+                         [f"collinear:{l}" for l in range(3, 9)])
+def test_orbit_engine_builds_no_divisor_class(spec, monkeypatch):
+    # uniform_h0 works on (d, a, b) alone; only the cached curve list holds classes
+    config = PointConfig.parse(spec)
+    expected = {m: gin_staircase(config, m) for m in (1, 4, 11)}
+    nef_slope(config)
+    hilbert_fn.cache_clear()
+    gin_staircase.cache_clear()
+
+    def refuse(cls, *args):
+        raise AssertionError("the orbit engine built a DivisorClass")
+
+    monkeypatch.setattr(DivisorClass, "__new__", refuse)
+    for m, stairs in expected.items():
+        assert gin_staircase(config, m) == stairs
+        assert hilbert_fn(config, m, nef_threshold(config, m) + 7) > 0
 
 
 def test_hilbert_fn_negative_degree_and_bad_m():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations_with_replacement, permutations
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from ginlab import (DivisorClass, PointConfig, alpha, canonical_class, exceptional_classes,
                     h0, hilbert_fn, intersect, is_nef, nef_threshold, reduce_to_nef,
                     riemann_roch_h0)
-from ginlab.errors import UnsupportedConfigError
-from ginlab.lattice import _EXCEPTIONAL_TEMPLATES
+from ginlab.errors import ComputationGuardError, UnsupportedConfigError
+from ginlab.lattice import _EXCEPTIONAL_TEMPLATES, uniform_h0
 
 
 # Oracle: enumerate every class of degree 0..6 with entries in -1..6 whose
@@ -45,8 +46,10 @@ def test_intersect_basis_rules():
 
 
 def test_intersect_rank_mismatch():
-    with pytest.raises(ValueError):
-        intersect(DivisorClass.line(3), DivisorClass.line(4))
+    a, b = DivisorClass.line(3), DivisorClass.line(4)
+    for op in (intersect, operator.add, operator.sub):
+        with pytest.raises(ValueError, match="^rank mismatch: 3 vs 4$"):
+            op(a, b)
 
 
 def test_canonical_class_square():
@@ -64,6 +67,7 @@ def test_intersect_symmetric_bilinear(r, data):
     a, b, c = data.draw(mk), data.draw(mk), data.draw(mk)
     assert intersect(a, b) == intersect(b, a)
     assert intersect(a + b, c) == intersect(a, c) + intersect(b, c)
+    assert intersect(a, b) == a.d * b.d - sum(x * y for x, y in zip(a.mults, b.mults))
 
 
 @pytest.mark.parametrize("r", range(2, 9))
@@ -234,6 +238,22 @@ def test_reduce_matches_reference(config, data):
     t = data.draw(st.integers(-3, 60), label="t")
     m = data.draw(st.integers(0, 25), label="m")
     assert hilbert_fn(config, m, t) == reduce_to_nef(DivisorClass.uniform(t, m, config.r), config).h0
+
+
+# The orbit engine's guards fire only on a corrupt orbit table, so each case
+# doctors one.  Rows are (cd, ca, cb, sd, sa, sb, -C.S).
+@pytest.mark.parametrize("rows,message", [
+    # a curve every class meets nonnegatively, so (0; 5, ...) passes as nef
+    ([(1, 0, 0, 1, 0, 0, -1)], "negative section count for nef class (0; 5, 5, 5, 5)"),
+    # two orbits that hand the multiplicity back and forth
+    ([(0, 1, 0, 0, 1, -1, 1), (0, 0, 1, 0, -1, 1, 1)],
+     "orbit reduction of (0; 5, ...) on collinear:3 failed to terminate"),
+])
+def test_orbit_engine_guards_name_the_class(monkeypatch, rows, message):
+    monkeypatch.setattr("ginlab.lattice._orbits", lambda config: rows)
+    with pytest.raises(ComputationGuardError) as excinfo:
+        uniform_h0(PointConfig.collinear_plus_one(3), 0, 5)
+    assert str(excinfo.value) == message
 
 
 def _sparse_band(lo: int, hi: int) -> list[int]:

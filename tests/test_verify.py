@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 
-from ginlab import (MonomialStaircase, PointConfig, brute_force_exceptional_classes, cli,
+from ginlab import (DivisorClass, MonomialStaircase, PointConfig, brute_force_exceptional_classes, cli,
                     exceptional_classes, gin_staircase, hilbert_fn, run_verification,
                     shgh_gin_closed_form)
 from ginlab.lattice import uniform_h0
@@ -21,6 +23,10 @@ def test_brute_force_counts(r, count):
     classes = brute_force_exceptional_classes(r)
     assert len(classes) == count
     assert classes == exceptional_classes(PointConfig.general(r))
+    # the construction the distinct orderings replaced: every permutation, deduplicated
+    shapes = {(c.d, tuple(sorted(c.mults))) for c in classes}
+    by_permutations = {DivisorClass(d, mults) for d, shape in shapes for mults in set(permutations(shape))}
+    assert classes == tuple(sorted(by_permutations, key=lambda c: (c.d, c.mults)))
 
 
 @pytest.mark.parametrize("spec,max_m", [
