@@ -17,7 +17,8 @@ class ComputationGuardError(RuntimeError):
     """An internal consistency guard tripped.
 
     Raised instead of returning a value whenever the engines produce data
-    that cannot come from a correct run: non-terminating reductions, parity
-    violations in Riemann-Roch, staircase segments that fail to saturate, or
+    that cannot come from a correct run: non-terminating reductions,
+    negative section counts, staircase segments that are not full above the
+    nef threshold or start left of the one a degree above or past t + 1, or
     colength disagreeing with the scheme length.
     """

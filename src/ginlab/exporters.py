@@ -218,12 +218,11 @@ def _staircase_outline(entry: MonomialStaircase) -> list[tuple[float, float]]:
     double as float(Fraction(x, m)).
     """
     m = entry.m
-    corners = entry.generators[::-1]  # ascending x, starts (0, zeta), ends (alpha, 0)
     points: list[tuple[float, float]] = []
-    for (x0, y0), (x1, _) in zip(corners, corners[1:]):
-        points.append((x0 / m, y0 / m))
-        points.append((x1 / m, y0 / m))
-    points.append((corners[-1][0] / m, corners[-1][1] / m))
+    for x, y in enumerate(entry.lambdas):  # column x spans x..x+1 at height y
+        points.append((x / m, y / m))
+        points.append(((x + 1) / m, y / m))
+    points.append((entry.alpha / m, 0.0))
     return points
 
 

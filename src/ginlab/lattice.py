@@ -267,9 +267,8 @@ def riemann_roch_h0(f: DivisorClass, config: PointConfig) -> int:
 def _euler_h0(f: DivisorClass) -> int:
     """(f.f - f.K)/2 + 1 for a class already known to be nef."""
     # f.f - f.K = d^2 + 3d - sum(a^2 + a) with K = (-3; -1, ..., -1)
+    # is even: d(d+3) = d(d+1) + 2d, and a(a+1) is even for every a
     chi2 = f.d * (f.d + 3) - sum(a * (a + 1) for a in f.mults)
-    if chi2 % 2:
-        raise ComputationGuardError(f"odd Euler number for {f}; lattice data is corrupt")
     value = chi2 // 2 + 1
     if value < 0:
         raise ComputationGuardError(f"negative section count for nef class {f}")
@@ -374,10 +373,7 @@ def uniform_h0(config: PointConfig, t: int, m: int) -> int:
                 worst, worst_pairing = row, pairing
         if worst is None:
             n, rest = config.n, config.r - config.n
-            chi2 = d * (d + 3) - n * a * (a + 1) - rest * b * (b + 1)
-            if chi2 % 2:
-                raise ComputationGuardError(
-                    f"odd Euler number for {_class_str(d, (a,) * n + (b,) * rest)}; lattice data is corrupt")
+            chi2 = d * (d + 3) - n * a * (a + 1) - rest * b * (b + 1)  # even, as in _euler_h0
             value = chi2 // 2 + 1
             if value < 0:
                 raise ComputationGuardError(

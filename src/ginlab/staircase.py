@@ -4,8 +4,9 @@ After a generic change of coordinates the initial ideal of a uniform
 fat-point ideal is Borel-fixed, hence generated in two variables, and in
 each degree it is the top segment in the x-exponent.  The segment sizes are
 the first differences of the Hilbert function, so the whole staircase can be
-rebuilt degree by degree from Hilbert values alone.  For r >= 9 general
-points the staircase has a closed form, which serves that kind directly.
+rebuilt from Hilbert values alone, walking down from the nef threshold.  For
+r >= 9 general points the staircase has a closed form, which serves that
+kind directly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations_with_replacement, islice
 from operator import gt
 
 from .errors import ComputationGuardError
-from .hilbert import alpha, alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
+from .hilbert import alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
 from .lattice import SHGH, PointConfig
 
 
@@ -74,40 +75,38 @@ def xy_count(config: PointConfig, m: int, t: int) -> int:
 def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
     """Staircase of the multiplicity-m ideal of ``config``.
 
-    The shgh kind takes the closed form.  For the divisor kinds the staircase
-    is rebuilt from Hilbert first differences: the degree-t piece of the
-    ideal is the top xy_count(t) monomials in the x-exponent, so each degree
-    pins down the columns newly reached.  The scan runs from the first
-    nonzero degree until the segment saturates at t + 1 monomials, and
-    checks that saturation persists for three more degrees before trusting
-    the result.
+    The shgh kind takes the closed form.  The divisor kinds walk down once
+    from degree N + 1, N the nef threshold, where H is the Euler
+    characteristic and the segment is full, reading each H(t) once.  The
+    degree-t piece of the ideal is the top H(t) - H(t-1) monomials in the
+    x-exponent, from column lo(t), so columns lo(t+1)..lo(t)-1 have height
+    t + 1 - i.  The walk ends at H(alpha - 1) = 0, below which H vanishes.
     """
     if m < 1:
         raise ValueError("multiplicity must be positive")
     if config.kind == SHGH:
         return shgh_gin_closed_form(config.r, m)
-    a = alpha(config, m)
-    stop_guard = nef_threshold(config, m) + 2
-    lambdas = [0] * a
-    # columns prev..a-1 are filled; the degree-t segment reaches column t + 1 - xy_count
-    prev = t = a
-    while prev > 0:
-        if t > stop_guard:
+    t = nef_threshold(config, m) + 1
+    upper, lower = hilbert_fn(config, m, t), hilbert_fn(config, m, t - 1)
+    if upper - lower != t + 1:
+        raise ComputationGuardError(
+            f"segment of {upper - lower} monomials at degree {t} is not the full {t + 1} "
+            f"above the nef threshold for {config}, m={m}")
+    lambdas: list[int] = []
+    lo = 0  # lo(t + 1): columns 0..lo-1 have their heights
+    while upper:
+        t -= 1
+        upper = lower
+        lower = hilbert_fn(config, m, t - 1) if upper else 0
+        start = t + 1 - (upper - lower)
+        # a first difference in [0, t + 1], and no segment left of the one above
+        if not lo <= start <= t + 1:
             raise ComputationGuardError(
-                f"segment never saturated by degree {stop_guard} for {config}, m={m}")
-        lo = t + 1 - xy_count(config, m, t)
-        if lo > prev:
-            # an ideal's segments must strictly grow once they are nonempty
-            raise ComputationGuardError(
-                f"segment size fell from {t - prev} to {t + 1 - lo} at degree {t}; Hilbert engine bug")
-        lambdas[lo:prev] = range(t - lo, t - prev, -1)
-        prev = lo
-        t += 1
-    for u in range(t, t + 3):
-        if xy_count(config, m, u) != u + 1:
-            raise ComputationGuardError(
-                f"segment saturation did not persist at degree {u} for {config}, m={m}")
-    return MonomialStaircase(alpha=a, lambdas=tuple(lambdas), m=m, config=config)
+                f"segment at degree {t} starts at column {start}, outside [{lo}, {t + 1}]; "
+                "Hilbert engine bug")
+        lambdas += range(t + 1 - lo, t + 1 - start, -1)
+        lo = start
+    return MonomialStaircase(alpha=lo, lambdas=tuple(lambdas), m=m, config=config)
 
 
 def shgh_gin_closed_form(r: int, m: int) -> MonomialStaircase:

@@ -378,3 +378,15 @@ def test_golden_output_bytes(capsys, command, digest):
     code, out, _ = run_cli(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+SVG_GOLDEN = [(c, d) for c, d in GOLDEN if c.endswith("svg")]
+
+
+@pytest.mark.parametrize("command,digest", SVG_GOLDEN, ids=[c for c, _ in SVG_GOLDEN])
+def test_shape_svg_never_builds_the_generator_pairs(capsys, monkeypatch, command, digest):
+    monkeypatch.setattr(MonomialStaircase, "generators",
+                        property(lambda self: pytest.fail("shape_svg read s.generators")))
+    code, out, _ = run_cli(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

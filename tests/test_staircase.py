@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,25 +188,51 @@ def test_gin_staircase_rejects_nonpositive_m():
         gin_staircase(PointConfig.general(6), 0)
 
 
-# The scan's guards fire only on a broken Hilbert engine, so each test feeds
-# it doctored first differences at general:6, m=4, where the true segment
-# sizes are 6 at alpha = 10 and then t + 1 from degree 11 on.  The cached
-# wrapper is bypassed so the scan really runs.
+# The walk's guards fire only on a broken Hilbert engine, so each test feeds
+# it doctored values at general:6, m=4: the nef threshold is 10, alpha = 10,
+# and H(9), H(10), H(11) = 0, 6, 18, so the segment sizes are 6 at degree 10
+# and t + 1 from degree 11 on.  The cached wrapper is bypassed so the walk
+# really runs.
 @pytest.mark.parametrize("doctor,message", [
-    (lambda t, k: 6 if t == 11 else k,
-     "segment size fell from 6 to 6 at degree 11; Hilbert engine bug"),
-    (lambda t, k: min(k, t),
-     "segment never saturated by degree 12 for general:6, m=4"),
-    (lambda t, k: k - 1 if t == 13 else k,
-     "segment saturation did not persist at degree 13 for general:6, m=4"),
-], ids=["fell", "never-saturated", "not-persisted"])
-def test_scan_guards_name_the_failure(monkeypatch, doctor, message):
-    true_count = xy_count
-    monkeypatch.setattr("ginlab.staircase.xy_count",
-                        lambda config, m, t: doctor(t, true_count(config, m, t)))
+    (lambda t, h: h - 1 if t == 11 else h,
+     "segment of 11 monomials at degree 11 is not the full 12 above the nef threshold"
+     " for general:6, m=4"),
+    (lambda t, h: h + 7 if t == 9 else h,  # first difference -1 at degree 10
+     "segment at degree 10 starts at column 12, outside [0, 11]; Hilbert engine bug"),
+    (lambda t, h: 3 if t == 9 else h,  # segments of 3 at degrees 10 and 9
+     "segment at degree 9 starts at column 7, outside [8, 10]; Hilbert engine bug"),
+], ids=["not-full", "out-of-range", "out-of-order"])
+def test_walk_guards_name_the_failure(monkeypatch, doctor, message):
+    monkeypatch.setattr("ginlab.staircase.hilbert_fn",
+                        lambda config, m, t: doctor(t, hilbert_fn(config, m, t)))
     with pytest.raises(ComputationGuardError) as excinfo:
         gin_staircase.__wrapped__(PointConfig.general(6), 4)
     assert str(excinfo.value) == message
+
+
+DIVISOR_SPECS = [f"general:{r}" for r in range(2, 9)] + [f"collinear:{l}" for l in range(3, 9)]
+
+
+@pytest.mark.parametrize("spec", DIVISOR_SPECS)
+def test_walk_reads_each_hilbert_value_once(monkeypatch, spec):
+    reads = []
+
+    def counted(config, m, t):
+        reads.append((config, m, t))
+        return hilbert_fn(config, m, t)
+
+    monkeypatch.setattr("ginlab.staircase.hilbert_fn", counted)
+    config = PointConfig.parse(spec)
+    for m in (1, 7, 40):
+        gin_staircase.__wrapped__(config, m)
+    assert [read for read, count in Counter(reads).items() if count > 1] == []
+
+
+@pytest.mark.parametrize("spec", DIVISOR_SPECS)
+def test_walk_alpha_matches_bisection(spec):
+    config = PointConfig.parse(spec)
+    for m in (*range(1, 61), 211, 997):
+        assert gin_staircase(config, m).alpha == alpha(config, m), m
 
 
 def test_staircase_cache_returns_same_object():

@@ -123,7 +123,8 @@ def test_guard_errors_become_failed_checks(monkeypatch, capsys):
         code = cli.main(["verify", "general:5", "--max-m", "4"])
     finally:
         clear_caches()
-    guard = "segment saturation did not persist at degree 6 for general:5, m=2"
+    guard = ("segment of 6 monomials at degree 6 is not the full 7 above the nef threshold"
+             " for general:5, m=2")
     failed = {c.name: c.detail for c in report.failures}
     assert {name: failed[name] for name in ("colength", "convergence", "graded-system")} == {
         "colength": guard, "convergence": guard, "graded-system": guard}
