@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 a verification or convergence suite failed,
 2 bad usage or an unsupported configuration, 3 an internal arithmetic guard
 tripped.  Output is deterministic byte for byte for identical invocations;
 files always end with a newline.
+
+The table ``_COMMANDS`` is the single list of subcommands and their flags:
+the parser and the ``--config-file`` keys are both derived from it.
 """
 
 from __future__ import annotations
@@ -184,8 +187,20 @@ def cmd_verify(config: PointConfig, args) -> tuple[str, int]:
     return "\n".join(lines), code
 
 
-_FILE_KEYS = {"config": str, "m": int, "m_list": str, "t": int, "t_range": str,
-              "format": str, "out": str, "max_m": int}
+# (name, command, help, formats with the default first, flags); a flag is (flag, type, help)
+_COMMANDS = (
+    ("classes", cmd_classes, "list the negative curve classes", ("text", "json"), ()),
+    ("hilbert", cmd_hilbert, "Hilbert function values", ("text", "csv", "json"),
+     (("--m", int, "multiplicity"), ("--t", int, "single degree"),
+      ("--t-range", str, "degree range A..B"))),
+    ("gin", cmd_gin, "initial-ideal staircase", ("json", "text"), (("--m", int, "multiplicity"),)),
+    ("shape", cmd_shape, "scaled staircase report", ("text", "csv", "json", "svg"),
+     (("--m", int, "single multiplicity"), ("--m-list", str, "comma-separated multiplicities"))),
+    ("verify", cmd_verify, "run the cross-validation suite", ("text", "json"),
+     (("--max-m", int, "largest multiplicity the suite touches"),)),
+)
+_FILE_KEYS = {"config": str, "format": str, "out": str,
+              **{flag[2:].replace("-", "_"): kind for row in _COMMANDS for flag, kind, _ in row[4]}}
 # a flag and its list form are one setting: either on the command line hides both in the file
 _SETTING = {"m_list": "m", "t_range": "t"}
 
@@ -222,44 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ginlab",
         description="Exact staircase computations for uniform fat-point ideals in the plane.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-        p.add_argument("config", nargs="?", default=None,
+    for name, func, help_text, formats, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("config", nargs="?",
                        help="point configuration: general:R, shgh:R or collinear:L")
-        p.add_argument("--config-file", default=None,
-                       help="JSON file supplying any of the flags below")
-        p.add_argument("--format", choices=formats, default=None)
-        p.add_argument("--out", default=None, help="write output to this file")
-        p.set_defaults(formats=formats)
-
-    p_classes = sub.add_parser("classes", help="list the negative curve classes")
-    common(p_classes, ("text", "json"))
-    p_classes.set_defaults(func=cmd_classes)
-
-    p_hilbert = sub.add_parser("hilbert", help="Hilbert function values")
-    common(p_hilbert, ("text", "csv", "json"))
-    p_hilbert.add_argument("--m", type=int, default=None, help="multiplicity")
-    p_hilbert.add_argument("--t", type=int, default=None, help="single degree")
-    p_hilbert.add_argument("--t-range", default=None, help="degree range A..B")
-    p_hilbert.set_defaults(func=cmd_hilbert)
-
-    p_gin = sub.add_parser("gin", help="initial-ideal staircase")
-    common(p_gin, ("json", "text"))
-    p_gin.add_argument("--m", type=int, default=None, help="multiplicity")
-    p_gin.set_defaults(func=cmd_gin)
-
-    p_shape = sub.add_parser("shape", help="scaled staircase report")
-    common(p_shape, ("text", "csv", "json", "svg"))
-    p_shape.add_argument("--m", type=int, default=None, help="single multiplicity")
-    p_shape.add_argument("--m-list", default=None, help="comma-separated multiplicities")
-    p_shape.set_defaults(func=cmd_shape)
-
-    p_verify = sub.add_parser("verify", help="run the cross-validation suite")
-    common(p_verify, ("text", "json"))
-    p_verify.add_argument("--max-m", type=int, default=None, dest="max_m",
-                          help="largest multiplicity the suite touches")
-    p_verify.set_defaults(func=cmd_verify)
-
+        p.add_argument("--config-file", help="JSON file supplying any of the flags below")
+        p.add_argument("--format", choices=formats)
+        p.add_argument("--out", help="write output to this file")
+        for flag, kind, flag_help in flags:
+            p.add_argument(flag, type=kind, help=flag_help)
+        p.set_defaults(func=func, formats=formats)
     return parser
 
 

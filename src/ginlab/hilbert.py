@@ -7,12 +7,11 @@ From 9 points on, the conjectural interpolation count takes over.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, isqrt
 
 from .errors import ComputationGuardError
-from .lattice import SHGH, PointConfig, _orbits, uniform_h0
+from .lattice import SHGH, PointConfig, nef_slope, uniform_h0
 
 def shgh_hilbert(r: int, m: int, t: int) -> int:
     """Conjectural Hilbert function for r >= 9 general points.
@@ -40,16 +39,6 @@ def alpha_shgh(r: int, m: int) -> int:
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
     return (isqrt(4 * r * m * (m + 1) + 1) - 1) // 2
-
-@lru_cache(maxsize=None)
-def nef_slope(config: PointConfig) -> Fraction:
-    """Slope nu at which (t; m, ..., m) turns nef: it is nef exactly when t >= nu*m.
-
-    The uniform class meets curve C nonnegatively once t >= m*sum(C)/deg(C),
-    and that ratio is the same across an orbit of the listed curves.  For
-    general points nu is the y-intercept of the limiting shape.
-    """
-    return max(Fraction(ca + cb, cd) for cd, ca, cb, *_ in _orbits(config) if cd > 0)
 
 def nef_threshold(config: PointConfig, m: int) -> int:
     """Smallest N making (t; m, ..., m) nef for every t >= N: ceil(nu*m)."""

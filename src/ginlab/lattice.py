@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterator
+from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub
@@ -346,6 +347,17 @@ def _orbits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int, in
         sd, sa, sb = size * d, size * a // n, size * off
         orbits.append((d, a, off, sd, sa, sb, sa * a + sb * off - sd * d))
     return tuple(orbits)
+
+
+@lru_cache(maxsize=None)
+def nef_slope(config: PointConfig) -> Fraction:
+    """Slope nu at which (t; m, ..., m) turns nef: it is nef exactly when t >= nu*m.
+
+    The uniform class meets curve C nonnegatively once t >= m*sum(C)/deg(C),
+    and that ratio is the same across an orbit of the listed curves.  For
+    general points nu is the y-intercept of the limiting shape.
+    """
+    return max(Fraction(ca + cb, cd) for cd, ca, cb, *_ in _orbits(config) if cd > 0)
 
 
 def uniform_h0(config: PointConfig, t: int, m: int) -> int:

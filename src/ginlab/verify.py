@@ -96,9 +96,10 @@ def _check_class_list(config: PointConfig, max_m: int) -> tuple[bool, str]:
                       f"brute force finds {len(expected)}")
     else:
         l = config.l
-        ok = len(classes) == 2 * l + 2
         line = DivisorClass(1, (1,) * l + (0,))
-        ok = ok and intersect(line, line) == 1 - l
+        if line not in classes:
+            return False, f"line class {line} is not among the {len(classes)} curves listed"
+        ok = len(classes) == 2 * l + 2
         detail = f"{len(classes)} curves listed, line class has self-intersection {1 - l}"
     return ok, detail
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from bisect import bisect_left
@@ -265,6 +266,112 @@ def test_malformed_numbers_get_parse_messages(capsys, argv, message):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+# argparse's layout and messages differ between Python versions; these are 3.11's
+argparse_311 = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                                  reason="help and usage bytes pinned on Python 3.11")
+
+# stdout sha256 of each help screen at 80 columns
+HELP_GOLDEN = [
+    ("--help", "0e77dfcaf1ce6a14e1257088c99dddfe5cb38f8e2959a5aa30af36038cf041f3"),
+    ("classes --help", "61cf5c92403ad11f0bcf27e9da57b090c665c3c501c90f9e3958d1c13620d48b"),
+    ("hilbert --help", "a18e6404df7b3919b22e2ce3859797313630fae1f5bd118fc048d1a924f3f952"),
+    ("gin --help", "30300599235e32ea817935e0aaedf693960515adcf031bdf0ca988c2f19bc794"),
+    ("shape --help", "e4716dc52834579934db660d6606a70eef4c277ad996338ffac0b49bf3e3d973"),
+    ("verify --help", "526ab0af13faa0300fa3211075b11de23a677ef9956642954a14d717f653e5b1"),
+]
+
+
+@argparse_311
+@pytest.mark.parametrize("command,digest", HELP_GOLDEN, ids=[c for c, _ in HELP_GOLDEN])
+def test_help_screen_bytes(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    code, out, err = run_cli(capsys, command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@argparse_311
+def test_usage_error_bytes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, ["gin", "general:2", "--m", "1", "--format", "csv"])
+    assert (code, out) == (2, "")
+    assert err == ("usage: ginlab gin [-h] [--config-file CONFIG_FILE] [--format {json,text}]\n"
+                   "                  [--out OUT] [--m M]\n"
+                   "                  [config]\n"
+                   "ginlab gin: error: argument --format: invalid choice: 'csv' "
+                   "(choose from 'json', 'text')\n")
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def readme_block(section: str, language: str) -> list[str]:
+    block = re.search(rf"^## {section}\n.*?^```{language}\n(.*?)^```", README, re.M | re.S)
+    return block.group(1).splitlines()
+
+
+# each key the README documents for --config-file, with a command that uses it
+FILE_KEY_CASES = [
+    ("config", "general:3", ["classes"]),
+    ("m", 2, ["gin", "general:2"]),
+    ("m_list", "4,8", ["shape", "general:6"]),
+    ("t", 25, ["hilbert", "general:6", "--m", "10"]),
+    ("t_range", "23..26", ["hilbert", "general:6", "--m", "10"]),
+    ("format", "json", ["classes", "general:2"]),
+    ("out", "written.txt", ["gin", "general:2", "--m", "1"]),
+    ("max_m", 3, ["verify", "general:2"]),
+]
+
+
+def test_readme_lists_exactly_the_config_file_keys():
+    listed = re.search(r"`--config-file FILE` reads any of\s+the flags \(([^)]*)\)", README).group(1)
+    documented = re.findall(r"`(\w+)`", listed)
+    assert documented == [key for key, _, _ in FILE_KEY_CASES]
+    assert set(documented) == set(cli._FILE_KEYS)
+
+
+@pytest.mark.parametrize("key,value,argv", FILE_KEY_CASES, ids=[k for k, _, _ in FILE_KEY_CASES])
+def test_config_file_key_is_honoured(tmp_path, capsys, monkeypatch, key, value, argv):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({key: value}), encoding="utf-8")
+    written = tmp_path / "written.txt"
+
+    def outcome(extra):
+        code, out, err = run_cli(capsys, argv + extra)
+        text = written.read_text(encoding="utf-8") if written.exists() else None
+        written.unlink(missing_ok=True)
+        return code, out, err, text
+
+    flag = [value] if key == "config" else ["--" + key.replace("_", "-"), str(value)]
+    from_file = outcome(["--config-file", str(path)])
+    assert from_file[0] == 0
+    assert from_file == outcome(flag)
+    assert from_file != outcome([])
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the relative --out lands here
+    commands = [line.split()[1:] for line in readme_block("CLI", "sh") if line.startswith("ginlab ")]
+    assert len(commands) == 6
+    for argv in commands:
+        assert run_cli(capsys, argv)[0] == 0, argv
+    assert (tmp_path / "shape.svg").read_text(encoding="utf-8").startswith("<svg")
+
+
+def test_readme_library_example_values():
+    namespace: dict = {}
+    checked = []
+    for line in readme_block("Library", "python"):
+        code, _, value = line.partition("#")
+        if value:
+            checked.append((repr(eval(code, namespace)), value.strip()))
+        elif code.strip():
+            exec(code, namespace)
+    assert checked == [(value, value) for value in (
+        "24", "21", "((24, 0), (23, 2), (22, 3))", "(Fraction(12, 5), Fraction(5, 2))", "True")]
 
 
 def test_failed_verification_exits_one(capsys, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginlab import hilbert, lattice
 from ginlab import (DivisorClass, PointConfig, alpha, alpha_shgh, exceptional_classes,
                     gin_staircase, hilbert_fn, nef_slope, nef_threshold, shgh_hilbert)
 from ginlab.errors import ComputationGuardError
@@ -173,6 +174,13 @@ def test_nef_threshold_values():
     assert [nef_slope(PointConfig.general(r)) for r in range(2, 9)] == slopes
     for l in range(3, 9):
         assert nef_slope(PointConfig.collinear_plus_one(l)) == l
+
+
+def test_nef_slope_lives_beside_the_orbit_table():
+    # only lattice knows the layout of the _orbits rows
+    assert hilbert.nef_slope is lattice.nef_slope is nef_slope
+    assert not hasattr(hilbert, "_orbits")
+    assert nef_slope.cache_info().maxsize is None
 
 
 @pytest.mark.parametrize("spec", [*(f"general:{r}" for r in range(2, 9)),

@@ -94,6 +94,20 @@ def test_closed_form_check_catches_a_wrong_staircase(monkeypatch):
     assert report.failures[0].detail == "reconstruction differs at m=1"
 
 
+def test_collinear_class_list_check_needs_the_line(monkeypatch):
+    config = PointConfig.collinear_plus_one(3)
+    (check,) = [c for c in run_verification(config, max_m=4).checks if c.name == "class-list"]
+    assert check == ("class-list", True, "8 curves listed, line class has self-intersection -2")
+    # the line swapped for a class off it: still 2l + 2 curves, but not the list
+    line, stray = DivisorClass(1, (1, 1, 1, 0)), DivisorClass(1, (1, 0, 1, 0))
+    doctored = tuple(stray if c == line else c for c in exceptional_classes(config))
+    assert len(doctored) == 8 and line not in doctored
+    monkeypatch.setattr("ginlab.verify.exceptional_classes", lambda config: doctored)
+    report = run_verification(config, max_m=4)
+    assert [(c.name, c.detail) for c in report.failures] == [
+        ("class-list", "line class (1; 1, 1, 1, 0) is not among the 8 curves listed")]
+
+
 def test_orbit_check_catches_a_wrong_engine(monkeypatch):
     def wrong(config, t, m):
         return uniform_h0(config, t, m) + ((m, t) == (3, 7))
