@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a verification or convergence suite failed,
-2 bad usage or an unsupported configuration, 3 an internal arithmetic guard
-tripped.  Output is deterministic byte for byte for identical invocations;
-files always end with a newline.
+2 bad usage, an unsupported configuration or out of memory, 3 an internal
+arithmetic guard tripped.  A reader that closes stdout early ends the output
+silently, with the command's own code.  Output is deterministic byte for byte
+for identical invocations; files always end with a newline.
 
 The table ``_COMMANDS`` is the single list of subcommands and their flags:
 the parser and the ``--config-file`` keys are both derived from it.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 
@@ -35,6 +37,7 @@ def _write(text: str, out: str | None) -> None:
     pieces = chain((text[i:i + WRITE_SLICE] for i in range(0, len(text), WRITE_SLICE)), [end])
     if out is None:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.writelines(pieces)
@@ -211,16 +214,20 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     Flags that have a default are parsed as None, so an explicit flag that
     happens to equal its default still wins over the file.  ``--m`` and
     ``--m-list`` count as one setting, and so do ``--t`` and ``--t-range``.
+    A key the subcommand does not take is refused.
     """
     if args.config_file:
         with open(args.config_file, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-        given = {_SETTING.get(key, key) for key in _FILE_KEYS if getattr(args, key, None) is not None}
-        for key, kind in _FILE_KEYS.items():
+        refused = ", ".join(repr(key) for key in data if key not in args.file_keys)
+        if refused:
+            raise ValueError(f"config file keys not taken by {args.command}: {refused}")
+        given = {_SETTING.get(key, key) for key in args.file_keys if getattr(args, key) is not None}
+        for key in args.file_keys:
             if key in data and _SETTING.get(key, key) not in given:
-                value = data[key]
+                value, kind = data[key], _FILE_KEYS[key]
                 if not isinstance(value, kind) or isinstance(value, bool):
                     raise ValueError(f"config file entry {key!r} must be of type {kind.__name__}")
                 setattr(args, key, value)
@@ -244,9 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config-file", help="JSON file supplying any of the flags below")
         p.add_argument("--format", choices=formats)
         p.add_argument("--out", help="write output to this file")
+        keys = ["config", "format", "out"]  # the config-file keys this subcommand takes
         for flag, kind, flag_help in flags:
-            p.add_argument(flag, type=kind, help=flag_help)
-        p.set_defaults(func=func, formats=formats)
+            keys.append(p.add_argument(flag, type=kind, help=flag_help).dest)
+        p.set_defaults(func=func, formats=formats, file_keys=keys)
     return parser
 
 
@@ -261,11 +269,20 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is None:
             raise ValueError("missing point configuration (positional argument or config file)")
         text, code = args.func(PointConfig.parse(args.config), args)
-        _write(text, args.out)
+        try:
+            _write(text, args.out)
+        except BrokenPipeError:
+            # the reader closed stdout: stop quietly, and point the descriptor at
+            # devnull so the interpreter's last flush does not fail again
+            with open(os.devnull, "w") as sink:
+                os.dup2(sink.fileno(), sys.stdout.fileno())
         return code
     except ComputationGuardError as exc:
         print(f"arithmetic guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except MemoryError:
+        print(f"error: out of memory running {args.command}; try a smaller input", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -63,11 +63,15 @@ class MonomialStaircase(namedtuple("MonomialStaircase", "alpha lambdas m config"
 
 
 def xy_count(config: PointConfig, m: int, t: int) -> int:
-    """Number of degree-t monomials in the initial ideal: H(t) - H(t-1)."""
+    """Number of degree-t monomials in the initial ideal: H(t) - H(t-1).
+
+    ``verify`` reads every first difference through here, so this guard is
+    where a difference outside [0, t+1] fails the suite.
+    """
     value = hilbert_fn(config, m, t) - hilbert_fn(config, m, t - 1)
     if not 0 <= value <= t + 1:
-        raise ComputationGuardError(
-            f"first difference {value} outside [0, {t + 1}] at degree {t}; Hilbert engine bug")
+        raise ComputationGuardError(f"first difference {value} outside [0, {t + 1}] at degree {t} "
+                                    f"for {config}, m={m}; Hilbert engine bug")
     return value
 
 

@@ -4,7 +4,10 @@ Every check recomputes its expected values from a different route than the
 engine under test: class lists against brute-force lattice enumeration, orbit
 peeling against curve-by-curve peeling, section counts against the
 interpolation count on nef classes, staircase colengths against the scheme
-length, and scaled staircases against the predicted limit.
+length, and scaled staircases against the predicted limit.  First
+differences of the Hilbert function are read through ``staircase.xy_count``,
+whose guard holds each to [0, t+1].  The table ``_CHECKS`` lists the checks
+in report order with the kinds each runs on.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from .hilbert import alpha, hilbert_fn, nef_threshold
 from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, PointConfig,
                       canonical_class, exceptional_classes, intersect, reduce_to_nef)
 from .shape import check_convergence, collinear_shape_check, convergence_scale, scaled_staircases_nested
-from .staircase import colength, gin_staircase, graded_products_contained, shgh_gin_closed_form
+from .staircase import (colength, gin_staircase, graded_products_contained, shgh_gin_closed_form,
+                        xy_count)
 
 DEFAULT_MAX_M = 50
 
@@ -133,19 +137,12 @@ def _check_engine_agreement(config: PointConfig, max_m: int) -> tuple[bool, str]
 
 
 def _check_first_differences(config: PointConfig, max_m: int) -> tuple[bool, str]:
+    # xy_count's guard names config, m and t if a difference leaves [0, t+1]
     sample = sorted({1, max(1, max_m // 2), max_m})
     for m in sample:
-        if config.kind == SHGH:
-            top = (isqrt(config.r) + 2) * m + 10
-        else:
-            top = nef_threshold(config, m) + 5
-        prev = 0
-        for t in range(0, top + 1):
-            value = hilbert_fn(config, m, t)
-            diff = value - prev
-            if not 0 <= diff <= t + 1:
-                return False, f"difference {diff} out of range at m={m}, t={t}"
-            prev = value
+        top = (isqrt(config.r) + 2) * m + 10 if config.kind == SHGH else nef_threshold(config, m) + 5
+        for t in range(top + 1):
+            xy_count(config, m, t)
     return True, f"within [0, t+1] for m in {sample}"
 
 
@@ -171,14 +168,14 @@ def _check_graded_and_nested(config: PointConfig, max_m: int) -> tuple[bool, str
 
 def _check_shgh_closed_form(config: PointConfig, max_m: int) -> tuple[bool, str]:
     # A strictly decreasing profile is Borel-fixed, so its degree counts
-    # determine it: matching H(t) - H(t-1) around the generator degrees is
-    # equality with the staircase rebuilt from the Hilbert function.
+    # determine it: matching xy_count, H(t) - H(t-1), around the generator
+    # degrees is equality with the staircase rebuilt from the Hilbert function.
     r = config.r
     for m in range(1, max_m + 1):
         s = shgh_gin_closed_form(r, m)
         for t in range(s.alpha - 1, s.zeta + 2):
             count = sum(1 for i in range(t + 1) if s.contains(i, t - i))
-            if count != hilbert_fn(config, m, t) - hilbert_fn(config, m, t - 1):
+            if count != xy_count(config, m, t):
                 return False, f"reconstruction differs at m={m}"
     return True, f"closed form equals the reconstruction for m <= {max_m}"
 
@@ -194,31 +191,32 @@ def _check_collinear_degrees(config: PointConfig, max_m: int) -> tuple[bool, str
                   f"single segment excluded ({Fraction(2 * l - 1, 2)} > {Fraction(l + 1, 2)})")
 
 
+# (name, check, kinds it runs on), in report order
+_CHECKS = (
+    ("class-list", _check_class_list, (GENERAL, COLLINEAR)),
+    ("orbit-engine", _check_orbit_engine, (GENERAL, COLLINEAR)),
+    ("colength", _check_colength, (GENERAL, COLLINEAR, SHGH)),
+    ("nef-range-agreement", _check_engine_agreement, (GENERAL,)),
+    ("closed-form", _check_shgh_closed_form, (SHGH,)),
+    ("first-differences", _check_first_differences, (GENERAL, COLLINEAR, SHGH)),
+    ("collinear-degrees", _check_collinear_degrees, (COLLINEAR,)),
+    ("convergence", _check_convergence, (GENERAL, SHGH)),
+    ("graded-system", _check_graded_and_nested, (GENERAL, COLLINEAR, SHGH)),
+)
+
+
 def run_verification(config: PointConfig, max_m: int = DEFAULT_MAX_M) -> VerifyReport:
-    """Full cross-validation suite for one configuration.
+    """Full cross-validation suite: the ``_CHECKS`` rows for the configuration's kind.
 
     A guard error inside a check fails that check with the guard's message.
     """
     if max_m < 1:
         raise ValueError("max_m must be positive")
-    suite = []
-    if config.kind != SHGH:
-        suite += [("class-list", _check_class_list), ("orbit-engine", _check_orbit_engine)]
-    suite.append(("colength", _check_colength))
-    if config.kind == GENERAL:
-        suite.append(("nef-range-agreement", _check_engine_agreement))
-    if config.kind == SHGH:
-        suite.append(("closed-form", _check_shgh_closed_form))
-    suite.append(("first-differences", _check_first_differences))
-    if config.kind == COLLINEAR:
-        suite.append(("collinear-degrees", _check_collinear_degrees))
-    else:
-        suite.append(("convergence", _check_convergence))
-    suite.append(("graded-system", _check_graded_and_nested))
     checks = []
-    for name, check in suite:
-        try:
-            checks.append(VerifyCheck(name, *check(config, max_m)))
-        except ComputationGuardError as exc:
-            checks.append(VerifyCheck(name, False, str(exc)))
+    for name, check, kinds in _CHECKS:
+        if config.kind in kinds:
+            try:
+                checks.append(VerifyCheck(name, *check(config, max_m)))
+            except ComputationGuardError as exc:
+                checks.append(VerifyCheck(name, False, str(exc)))
     return VerifyReport(max_m=max_m, checks=tuple(checks))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -393,6 +394,62 @@ def test_guard_error_exits_three(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["gin", "general:2", "--m", "1"])
     assert code == 3
     assert "forced guard" in err
+
+
+def test_out_of_memory_exits_two(capsys, monkeypatch):
+    def exhaust(config, m):
+        raise MemoryError
+
+    monkeypatch.setattr("ginlab.staircase.gin_staircase", exhaust)
+    code, out, err = run_cli(capsys, ["gin", "general:2", "--m", "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory running gin; try a smaller input\n"
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "text"]], ids=["json", "text"])
+def test_closed_stdout_ends_quietly(fmt):
+    # 555 kB of JSON and 158 kB of text, both past a 64 KiB pipe buffer, so a
+    # write meets the closed pipe while the process still runs
+    argv = [sys.executable, "-m", "ginlab", "gin", "shgh:16", "--m", "3000", *fmt]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")  # no "Broken pipe" usage error, no "Exception ignored"
+
+
+def test_closed_stdout_keeps_the_failed_verify_code(tmp_path, capsys, monkeypatch):
+    class ClosedPipe(io.TextIOBase):
+        def writelines(self, lines):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return sink.fileno()
+
+    report = VerifyReport(max_m=5, checks=(VerifyCheck("colength", False, "forced failure"),))
+    monkeypatch.setattr("ginlab.verify.run_verification", lambda config, max_m: report)
+    with open(tmp_path / "sink", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = cli.main(["verify", "general:2"])
+        monkeypatch.undo()
+        # the descriptor now points at devnull, for the interpreter's last flush
+        assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
+    assert (code, capsys.readouterr().err) == (1, "")
+
+
+@pytest.mark.parametrize("data,refused", [
+    ({"config": "general:2", "m": 1, "max-m": 3, "t": 9}, "'max-m', 't'"),  # misspelt, hilbert's
+    ({"config": "general:2", "m": 1, "mm": 2}, "'mm'"),
+    ({"config": "general:2", "m_list": "1,2"}, "'m_list'"),  # shape's
+], ids=["misspelt-and-other-command", "unknown", "list-form"])
+def test_config_file_refuses_keys_gin_does_not_take(tmp_path, capsys, data, refused):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["gin", "--config-file", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: config file keys not taken by gin: {refused}\n"
 
 
 def test_shape_checks_colength_before_any_output(capsys, monkeypatch):

@@ -23,6 +23,37 @@ def scan_alpha_shgh(r: int, m: int) -> int:
     return t
 
 
+# Oracle for H(t) on up to 8 general points by Cremona reduction alone: no
+# curve list, orbits or nef slope.  A class in standard form (d >= m1+m2+m3,
+# multiplicities descending and nonnegative) is nef there, so h0 = max(chi, 0);
+# otherwise the quadratic transformation at the top three points lowers d.
+def cremona_h0(d: int, mults: tuple[int, ...]) -> int:
+    mults = [*mults, 0, 0]  # at least three points
+    while True:
+        mults = sorted((max(a, 0) for a in mults), reverse=True)
+        if d < 0:
+            return 0
+        e = d - mults[0] - mults[1] - mults[2]
+        if e >= 0:
+            return max(comb(d + 2, 2) - sum(comb(a + 1, 2) for a in mults), 0)
+        d += e
+        mults[:3] = (a + e for a in mults[:3])
+
+
+def test_cremona_oracle_anchor():
+    # general:6, m=10, t=24: the naive count is -5, the reduction finds the one section
+    assert comb(26, 2) - 6 * comb(11, 2) == -5
+    assert cremona_h0(24, (10,) * 6) == 1 == hilbert_fn(PointConfig.general(6), 10, 24)
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_hilbert_fn_matches_cremona_reduction(r):
+    config = PointConfig.general(r)
+    for m in [*range(1, 41), 97, 211, 500]:
+        for t in range(3 * m + 3):
+            assert hilbert_fn(config, m, t) == cremona_h0(t, (m,) * r), (m, t)
+
+
 def test_shgh_hilbert_values():
     assert shgh_hilbert(9, 1, 3) == 1
     assert shgh_hilbert(9, 1, 2) == 0

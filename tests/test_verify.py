@@ -9,6 +9,7 @@ import pytest
 from ginlab import (DivisorClass, MonomialStaircase, PointConfig, brute_force_exceptional_classes, cli,
                     exceptional_classes, gin_staircase, hilbert_fn, run_verification,
                     shgh_gin_closed_form)
+from ginlab import verify
 from ginlab.lattice import uniform_h0
 
 
@@ -146,6 +147,29 @@ def test_guard_errors_become_failed_checks(monkeypatch, capsys):
     assert code == 1
     assert f"FAIL convergence: {guard}\n" in out
     assert out.endswith(f"{len(report.failures)} check(s) failed\n")
+
+
+def test_first_differences_failure_names_config_m_and_t(monkeypatch):
+    def wrong(config, m, t):
+        return hilbert_fn(config, m, t) + 10 * ((m, t) == (2, 3))
+
+    # the binding xy_count reads: the check sees the jump at t=3 through its guard
+    monkeypatch.setattr("ginlab.staircase.hilbert_fn", wrong)
+    clear_caches()
+    try:
+        report = run_verification(PointConfig.general(2), max_m=4)
+    finally:
+        clear_caches()
+    failed = {c.name: c.detail for c in report.failures}
+    assert failed["first-differences"] == (
+        "first difference 13 outside [0, 4] at degree 3 for general:2, m=2; Hilbert engine bug")
+
+
+def test_every_check_is_in_the_table_once():
+    checks = [check for _, check, _ in verify._CHECKS]
+    defined = [value for name, value in vars(verify).items() if name.startswith("_check_")]
+    assert sorted(checks, key=id) == sorted(defined, key=id)
+    assert len(set(checks)) == len(checks) == len({name for name, _, _ in verify._CHECKS})
 
 
 @pytest.mark.parametrize("target,spec,max_m,check", [
