@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from itertools import chain
 
 from . import exporters, shape, staircase, verify
@@ -30,17 +31,30 @@ EXIT_GUARD = 3
 WRITE_SLICE = 1 << 20  # characters per write
 
 
-def _write(text: str, out: str | None) -> None:
-    # in slices, so the stream never encodes a multi-MB document at once, and
-    # the newline on its own: text += "\n" would copy the document
-    end = "" if text.endswith("\n") else "\n"
-    pieces = chain((text[i:i + WRITE_SLICE] for i in range(0, len(text), WRITE_SLICE)), [end])
+def _write(pieces: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(_slices(pieces))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
+            handle.writelines(_slices(pieces))
+
+
+def _slices(pieces: Iterable[str]) -> Iterator[str]:
+    # the pieces as the command renders them, so no whole document is ever
+    # held; a piece longer than WRITE_SLICE in slices, so the stream never
+    # encodes a multi-MB str at once; then the newline, if the last non-empty
+    # piece lacks it
+    end = ""
+    for piece in pieces:
+        if len(piece) > WRITE_SLICE:
+            yield from (piece[i:i + WRITE_SLICE] for i in range(0, len(piece), WRITE_SLICE))
+        else:
+            yield piece
+        end = piece[-1:] or end
+        del piece  # not held while the next piece is rendered
+    if end != "\n":
+        yield "\n"
 
 
 def _parse_m_list(args) -> list[int]:
@@ -68,14 +82,16 @@ def _parse_t_range(args) -> list[int]:
     raise ValueError("need --t or --t-range")
 
 
-# Each command computes its result and renders it as (text, exit code);
-# main does the reading, the writing and the error handling.
+# Each command computes its result, running every guard, and returns its
+# document as (pieces, exit code): the pieces are strs, and an int array in
+# them is rendered only as it is written.  main does the reading, the writing
+# and the error handling.
 
-def cmd_classes(config: PointConfig, args) -> tuple[str, int]:
+def cmd_classes(config: PointConfig, args) -> tuple[Iterable[str], int]:
     classes = exceptional_classes(config)
     k = canonical_class(config.r)
     if args.format == "json":
-        return exporters.json_text({
+        return exporters.json_pieces({
             "config": str(config),
             "provenance": config.provenance,
             "count": len(classes),
@@ -92,51 +108,52 @@ def cmd_classes(config: PointConfig, args) -> tuple[str, int]:
     lines = [f"# {config} ({config.provenance}): {len(classes)} negative curve classes"]
     for c in classes:
         lines.append(f"{c}  C.C={intersect(c, c)}  C.K={intersect(c, k)}")
-    return "\n".join(lines), EXIT_OK
+    return ("\n".join(lines),), EXIT_OK
 
 
-def cmd_hilbert(config: PointConfig, args) -> tuple[str, int]:
+def cmd_hilbert(config: PointConfig, args) -> tuple[Iterable[str], int]:
     if args.m is None:
         raise ValueError("need --m")
     ts = _parse_t_range(args)
     rows = [(t, hilbert_fn(config, args.m, t)) for t in ts]
     if args.format == "json":
-        return exporters.json_text({
+        return exporters.json_pieces({
             "config": str(config),
             "m": args.m,
             "conjectural": config.conjectural,
             "values": rows,
         }), EXIT_OK
     if args.format == "csv":
-        return exporters.hilbert_csv(rows), EXIT_OK
+        return (exporters.hilbert_csv(rows),), EXIT_OK
     lines = [f"# {config}, m={args.m}" + (" (conjectural)" if config.conjectural else "")]
     lines += [f"t={t}  H={v}" for t, v in rows]
-    return "\n".join(lines), EXIT_OK
+    return ("\n".join(lines),), EXIT_OK
 
 
-def cmd_gin(config: PointConfig, args) -> tuple[str, int]:
+def cmd_gin(config: PointConfig, args) -> tuple[Iterable[str], int]:
     if args.m is None:
         raise ValueError("need --m")
     s = staircase.gin_staircase(config, args.m)
     if args.format == "json":
-        return exporters.staircase_json(s), EXIT_OK
-    lines = [
+        return exporters.json_pieces(exporters.staircase_payload(s)), EXIT_OK
+    head = "\n".join([
         f"# {config}, m={s.m}" + (" (conjectural)" if config.conjectural else ""),
         f"alpha={s.alpha} zeta={s.zeta} colength={staircase.colength(s)}",
-        "generators: " + _generator_line(s),
-    ]
-    return "\n".join(lines), EXIT_OK
+        "generators: ",
+    ])
+    return chain([head], _generator_line(s)), EXIT_OK
 
 
-def _generator_line(s: staircase.MonomialStaircase) -> str:
-    """The generators, descending in x: "x^%dy^%d" runs for the columns i >= 2 of height
-    >= 2 (heights fall strictly to >= 1, so only column alpha - 1 can have height 1)."""
+def _generator_line(s: staircase.MonomialStaircase) -> Iterator[str]:
+    """The generators, descending in x, as pieces of one line: "x^%dy^%d" runs for the
+    columns i >= 2 of height >= 2 (heights fall strictly to >= 1, so only column
+    alpha - 1 can have height 1), rendered only as they are read."""
     a, lambdas = s.alpha, s.lambdas
     edge = [(a, 0), *([(a - 1, 1)] if a > 2 and lambdas[-1] == 1 else [])]
-    words = [_monomial(x, y) for x, y in edge]
-    words += exporters.render_runs(exporters.column_runs(s, a - len(edge), 2), "x^%dy^%d", " ")
-    words += [_monomial(i, lambdas[i]) for i in range(min(a, 2) - 1, -1, -1)]
-    return " ".join(words)
+    runs = exporters.render_runs(exporters.column_runs(s, a - len(edge), 2), "x^%dy^%d", " ", " ")
+    first = " ".join([_monomial(x, y) for x, y in edge])
+    last = "".join([" " + _monomial(i, lambdas[i]) for i in range(min(a, 2) - 1, -1, -1)])
+    return chain([first], runs, [last])
 
 
 def _monomial(x: int, y: int) -> str:
@@ -145,14 +162,14 @@ def _monomial(x: int, y: int) -> str:
     return x_part + y_part
 
 
-def cmd_shape(config: PointConfig, args) -> tuple[str, int]:
+def cmd_shape(config: PointConfig, args) -> tuple[Iterable[str], int]:
     report = shape.shape_report(config, _parse_m_list(args))
     if args.format == "csv":
-        return exporters.shape_csv(report), EXIT_OK
+        return (exporters.shape_csv(report),), EXIT_OK
     if args.format == "svg":
-        return exporters.shape_svg(report), EXIT_OK
+        return (exporters.shape_svg(report),), EXIT_OK
     if args.format == "json":
-        return exporters.shape_json(report), EXIT_OK
+        return exporters.json_pieces(exporters.shape_payload(report)), EXIT_OK
     lines = [f"# {config} ({config.provenance})"]
     if report.predicted is not None:
         g1, g2 = report.predicted
@@ -166,14 +183,14 @@ def cmd_shape(config: PointConfig, args) -> tuple[str, int]:
                      f"y={exporters.rational_str(e.zeta, e.m)}  "
                      f"colength={staircase.colength(e)}")
     lines.append(f"seshadri estimate: {exporters.intercept_str(report.seshadri_estimate)}")
-    return "\n".join(lines), EXIT_OK
+    return ("\n".join(lines),), EXIT_OK
 
 
-def cmd_verify(config: PointConfig, args) -> tuple[str, int]:
+def cmd_verify(config: PointConfig, args) -> tuple[Iterable[str], int]:
     report = verify.run_verification(config, args.max_m)
     code = EXIT_OK if report.passed else EXIT_VERIFY
     if args.format == "json":
-        return exporters.json_text({
+        return exporters.json_pieces({
             "config": str(config),
             "max_m": report.max_m,
             "passed": report.passed,
@@ -187,7 +204,7 @@ def cmd_verify(config: PointConfig, args) -> tuple[str, int]:
         lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
     lines.append("all checks passed" if report.passed
                  else f"{len(report.failures)} check(s) failed")
-    return "\n".join(lines), code
+    return ("\n".join(lines),), code
 
 
 # (name, command, help, formats with the default first, flags); a flag is (flag, type, help)
@@ -268,9 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config_file(args)
         if args.config is None:
             raise ValueError("missing point configuration (positional argument or config file)")
-        text, code = args.func(PointConfig.parse(args.config), args)
+        pieces, code = args.func(PointConfig.parse(args.config), args)
         try:
-            _write(text, args.out)
+            _write(pieces, args.out)
         except BrokenPipeError:
             # the reader closed stdout: stop quietly, and point the descriptor at
             # devnull so the interpreter's last flush does not fail again

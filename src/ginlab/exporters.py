@@ -4,21 +4,24 @@ Identical inputs must produce identical bytes, so every emitter walks its
 data in a fixed order and formats numbers through a single code path.
 Rationals are written as "num/den" by `rational_str`, the one rational
 formatter; file payloads end with one newline.
-Every JSON document goes through `json_text`, the one hand-written emitter
-of the two-space layout; `json.dumps` with a two-space indent is its test
-oracle.  It appends pieces to one list and joins them once.  Arrays of ints
-and of int pairs, nearly all the bytes of a staircase, go through
-`render_runs`: each flat run of at most CHUNK items is formatted by one "%d"
-template, so no str is made per number.  A staircase's generators are laid
-out column by column (`column_runs`), without building the pairs, and a
-shape report's corners are rendered in "%d/%d" runs from the column profile
-(`corner_runs`), without building the pairs or their rational strs.
+Every JSON document goes through `json_pieces`, the one hand-written emitter
+of the two-space layout; `json_text` joins its pieces, and `json.dumps` with
+a two-space indent is the test oracle.  The command line writes the pieces
+as they come, so it never holds a whole document.  Arrays of ints and of int
+pairs, nearly all the bytes of a staircase, are rendered by `render_runs`
+only as the pieces are read: each flat run of at most CHUNK items is
+formatted by one "%d" template, so no str is made per number.  A
+staircase's generators are laid out column by column (`column_runs`),
+without building the pairs, and a shape report's corners are rendered in
+"%d/%d" runs from the column profile (`corner_runs`), without building the
+pairs or their rational strs.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, repeat
+from collections.abc import Iterator
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii as _string
 from math import gcd
 from operator import floordiv
@@ -48,9 +51,28 @@ def json_text(payload: dict) -> str:
     keys, lists, tuples, str, int, bool and None; any other type is a
     TypeError.
     """
-    out: list[str] = []
+    return "".join(json_pieces(payload))
+
+
+def json_pieces(payload: dict) -> Iterator[str]:
+    """The pieces of `json_text`'s document, in order.
+
+    The structure is rendered on the call, into a short list, so a TypeError
+    is raised before any piece; each int array is rendered only as the pieces
+    are read, one CHUNK run at a time.  The structure between two arrays comes
+    as one piece.
+    """
+    out: list = []
     _emit(payload, "\n", out)
-    return "".join(out)
+    return _pieces(out)
+
+
+def _pieces(out: list) -> Iterator[str]:
+    for kind, group in groupby(out, type):
+        if kind is str:
+            yield "".join(group)
+        else:  # an array's render_runs
+            yield from chain.from_iterable(group)
 
 
 # an array of leaves (width 1) or of [x, y] leaf pairs (width 2) as flat int runs
@@ -71,13 +93,7 @@ def _emit(o, nl: str, out: list[str]) -> None:
     elif isinstance(o, _IntRuns):  # a tuple itself, so tested first
         leaf = o.leaf
         item = leaf if o.width == 1 else "[" + inner + "  " + leaf + "," + inner + "  " + leaf + inner + "]"
-        # piece by piece: joining each array first costs a copy, and 2 MB more RSS
-        # on a 6 MB staircase document
-        lead = "[" + inner
-        for piece in render_runs(o.runs, item, "," + inner):
-            out += (lead, piece)
-            lead = "," + inner
-        out.append(nl + "]")
+        out += (render_runs(o.runs, item, "," + inner, "[" + inner), nl + "]")
     elif isinstance(o, (list, tuple)):
         # flat int lists and lists of int pairs skip the per-item dispatch
         kinds = set(map(type, o))
@@ -106,50 +122,73 @@ def _emit(o, nl: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def render_runs(runs, item: str, sep: str):
-    """Each flat run of ints as its items joined by sep, each item the %d template
-    `item` filled from the run's next ints; one template per distinct run length."""
+def render_runs(runs, item: str, sep: str, lead: str = "") -> Iterator[str]:
+    """The items of the flat int runs joined by sep, each item the %d template
+    `item` filled from the run's next ints: one str per run, which starts with
+    lead for the first run and with sep for the others.  The first run's
+    template is used once; the others keep one per distinct run length.  No
+    run or str is held after it is handed on."""
     width = item.count("%d")
     templates: dict[int, str] = {}
-    for run in runs:
+
+    def fill(first: bool, run) -> str:
         count = len(run) // width
+        if first:
+            return (lead + sep.join([item] * count)) % tuple(run)
         if count not in templates:
-            templates[count] = sep.join([item] * count)
-        yield templates[count] % tuple(run)
+            templates[count] = sep + sep.join([item] * count)
+        return templates[count] % tuple(run)
+
+    return map(fill, chain([True], repeat(False)), runs)
 
 
-def column_runs(s: MonomialStaircase, top: int, bottom: int):
+# The run builders below hand out tuples built by a helper, so that neither
+# the builder nor render_runs holds a run while the next one is made.
+
+def column_runs(s: MonomialStaircase, top: int, bottom: int) -> Iterator[tuple[int, ...]]:
     """Flat (i, lambdas[i]) runs of at most CHUNK columns, i = top down to
     bottom; column alpha, the generator x^alpha, has height 0."""
-    for hi in range(top, bottom - 1, -CHUNK):
-        n = min(CHUNK, hi - bottom + 1)
-        run = [0] * (2 * n)
-        run[::2] = range(hi, hi - n, -1)
-        heights = s.lambdas[hi - n + 1:hi + 1][::-1]  # stops short of column alpha
-        run[2 * (n - len(heights)) + 1::2] = heights
-        yield run
+    return (_column_run(s, hi, min(CHUNK, hi - bottom + 1))
+            for hi in range(top, bottom - 1, -CHUNK))
 
 
-def corner_runs(s: MonomialStaircase):
+def _column_run(s: MonomialStaircase, hi: int, n: int) -> tuple[int, ...]:
+    run = [0] * (2 * n)
+    run[::2] = range(hi, hi - n, -1)
+    # column alpha has no lambda: its height stays 0
+    run[3 if hi == s.alpha else 1::2] = s.lambdas[hi - n + 1:hi + 1][::-1]
+    return tuple(run)
+
+
+def corner_runs(s: MonomialStaircase) -> Iterator[tuple[int, ...]]:
     """Flat runs of at most CHUNK corners (x/m, y/m), ascending in x from
     (0, zeta) to (alpha, 0), each corner as x/g, m/g, y/h, m/h with
     g = gcd(x, m) and h = gcd(y, m): the "%d/%d" fill of `rational_str`."""
+    return (_corner_run(s, lo) for lo in range(0, s.alpha + 1, CHUNK))
+
+
+def _corner_run(s: MonomialStaircase, lo: int) -> tuple[int, ...]:
     m = s.m
-    for lo in range(0, s.alpha + 1, CHUNK):
-        xs = range(lo, min(lo + CHUNK, s.alpha + 1))
-        ys = s.lambdas[lo:lo + CHUNK]
-        if len(ys) < len(xs):  # the run reaches x^alpha, whose height is 0
-            ys += (0,)
-        run = [0] * (4 * len(xs))
-        for at, values in ((0, xs), (2, ys)):
-            g = list(map(gcd, values, repeat(m)))
-            run[at::4] = map(floordiv, values, g)
-            run[at + 1::4] = map(floordiv, repeat(m), g)
-        yield run
+    xs = range(lo, min(lo + CHUNK, s.alpha + 1))
+    ys = s.lambdas[lo:lo + CHUNK]
+    if len(ys) < len(xs):  # the run reaches x^alpha, whose height is 0
+        ys += (0,)
+    run = [0] * (4 * len(xs))
+    for at, values in ((0, xs), (2, ys)):
+        g = list(map(gcd, values, repeat(m)))
+        run[at::4] = map(floordiv, values, g)
+        # the denominators m/g are few, so each is made once
+        run[at + 1::4] = map({d: m // d for d in set(g)}.__getitem__, g)
+    return tuple(run)
 
 
 def staircase_json(s: MonomialStaircase) -> str:
-    return json_text({
+    return json_text(staircase_payload(s))
+
+
+def staircase_payload(s: MonomialStaircase) -> dict:
+    """The JSON payload of a staircase, its arrays still unrendered."""
+    return {
         "config": str(s.config),
         "m": s.m,
         "alpha": s.alpha,
@@ -158,14 +197,19 @@ def staircase_json(s: MonomialStaircase) -> str:
         "generators": _IntRuns(column_runs(s, s.alpha, 0), 2),
         "colength": colength(s),
         "conjectural": s.config.conjectural,
-    })
+    }
 
 
 def shape_json(report: ShapeReport) -> str:
+    return json_text(shape_payload(report))
+
+
+def shape_payload(report: ShapeReport) -> dict:
+    """The JSON payload of a shape report, the corner arrays still unrendered."""
     predicted = None
     if report.predicted is not None:
         predicted = [intercept_str(report.predicted[0]), intercept_str(report.predicted[1])]
-    return json_text({
+    return {
         "config": str(report.config),
         "predicted_intercepts": predicted,
         "seshadri_estimate": intercept_str(report.seshadri_estimate),
@@ -184,7 +228,7 @@ def shape_json(report: ShapeReport) -> str:
             }
             for e in report.entries
         ],
-    })
+    }
 
 
 def shape_csv(report: ShapeReport) -> str:

@@ -106,8 +106,8 @@ def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
         # a first difference in [0, t + 1], and no segment left of the one above
         if not lo <= start <= t + 1:
             raise ComputationGuardError(
-                f"segment at degree {t} starts at column {start}, outside [{lo}, {t + 1}]; "
-                "Hilbert engine bug")
+                f"segment at degree {t} starts at column {start}, outside [{lo}, {t + 1}] "
+                f"for {config}, m={m}; Hilbert engine bug")
         lambdas += range(t + 1 - lo, t + 1 - start, -1)
         lo = start
     return MonomialStaircase(alpha=lo, lambdas=tuple(lambdas), m=m, config=config)

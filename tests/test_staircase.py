@@ -198,9 +198,11 @@ def test_gin_staircase_rejects_nonpositive_m():
      "segment of 11 monomials at degree 11 is not the full 12 above the nef threshold"
      " for general:6, m=4"),
     (lambda t, h: h + 7 if t == 9 else h,  # first difference -1 at degree 10
-     "segment at degree 10 starts at column 12, outside [0, 11]; Hilbert engine bug"),
+     "segment at degree 10 starts at column 12, outside [0, 11] for general:6, m=4;"
+     " Hilbert engine bug"),
     (lambda t, h: 3 if t == 9 else h,  # segments of 3 at degrees 10 and 9
-     "segment at degree 9 starts at column 7, outside [8, 10]; Hilbert engine bug"),
+     "segment at degree 9 starts at column 7, outside [8, 10] for general:6, m=4;"
+     " Hilbert engine bug"),
 ], ids=["not-full", "out-of-range", "out-of-order"])
 def test_walk_guards_name_the_failure(monkeypatch, doctor, message):
     monkeypatch.setattr("ginlab.staircase.hilbert_fn",

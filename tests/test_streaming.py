@@ -1,0 +1,173 @@
+"""The command line streams its documents: the same bytes as the str
+exporters, to stdout and to --out, with a peak that does not grow with the
+document, and nothing written when a guard trips."""
+
+from __future__ import annotations
+
+import io
+import os
+import sys
+import tracemalloc
+
+import pytest
+
+from ginlab import PointConfig, cli, gin_staircase, shape_report
+from ginlab.exporters import (CHUNK, hilbert_csv, json_text, shape_csv, shape_json, shape_svg,
+                              staircase_json)
+from ginlab.hilbert import hilbert_fn
+from ginlab.lattice import canonical_class, exceptional_classes, intersect
+from ginlab.verify import run_verification
+
+
+def gin_text(spec: str, m: int) -> str:
+    """The gin text document built pair by pair, as one str."""
+    s = gin_staircase(PointConfig.parse(spec), m)
+
+    def monomial(x: int, y: int) -> str:
+        return (f"x^{x}" if x > 1 else "x" * x) + (f"y^{y}" if y > 1 else "y" * y)
+
+    return "\n".join([
+        f"# {s.config}, m={m}" + (" (conjectural)" if s.config.conjectural else ""),
+        f"alpha={s.alpha} zeta={s.zeta} colength={sum(s.lambdas)}",
+        "generators: " + " ".join(monomial(x, y) for x, y in s.generators),
+    ])
+
+
+def hilbert_json(spec: str, m: int, ts: range) -> str:
+    config = PointConfig.parse(spec)
+    return json_text({"config": spec, "m": m, "conjectural": config.conjectural,
+                      "values": [(t, hilbert_fn(config, m, t)) for t in ts]})
+
+
+def classes_json(spec: str) -> str:
+    config = PointConfig.parse(spec)
+    classes, k = exceptional_classes(config), canonical_class(config.r)
+    return json_text({
+        "config": spec, "provenance": config.provenance, "count": len(classes),
+        "classes": [{"d": c.d, "mults": c.mults, "self_intersection": intersect(c, c),
+                     "canonical_pairing": intersect(c, k)} for c in classes],
+    })
+
+
+def verify_json(spec: str, max_m: int) -> str:
+    report = run_verification(PointConfig.parse(spec), max_m)
+    return json_text({
+        "config": spec, "max_m": report.max_m, "passed": report.passed,
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                   for c in report.checks],
+    })
+
+
+def shape_of(spec: str, ms: list[int]):
+    return shape_report(PointConfig.parse(spec), ms)
+
+
+# every command and format; the document as one str where a str exporter makes it
+# (None: a one-piece document, checked against --out only).  shgh:16 at m = 3000
+# has alpha = 12001, so its lambdas and generators span three CHUNK runs each;
+# 9001 Hilbert values and the 8401 corners at m = 2800 span three as well
+CASES = [
+    ("gin general:2 --m 1", lambda: staircase_json(gin_staircase(PointConfig.general(2), 1))),
+    ("gin general:2 --m 1 --format text", lambda: gin_text("general:2", 1)),
+    ("gin shgh:16 --m 3000", lambda: staircase_json(gin_staircase(PointConfig.shgh(16), 3000))),
+    ("gin shgh:16 --m 3000 --format text", lambda: gin_text("shgh:16", 3000)),
+    ("gin collinear:4 --m 12",
+     lambda: staircase_json(gin_staircase(PointConfig.parse("collinear:4"), 12))),
+    ("gin general:8 --m 60 --format text", lambda: gin_text("general:8", 60)),
+    ("hilbert general:8 --m 30 --t-range 0..9000 --format json",
+     lambda: hilbert_json("general:8", 30, range(9001))),
+    ("hilbert general:6 --m 10 --t-range 20..30 --format csv",
+     lambda: hilbert_csv([(t, hilbert_fn(PointConfig.general(6), 10, t)) for t in range(20, 31)])),
+    ("hilbert collinear:3 --m 6 --t 9", None),
+    ("shape shgh:9 --m-list 1400,2800 --format json",
+     lambda: shape_json(shape_of("shgh:9", [1400, 2800]))),
+    ("shape general:6 --m-list 1,10,20 --format json",
+     lambda: shape_json(shape_of("general:6", [1, 10, 20]))),
+    ("shape general:6 --m-list 10,20,30 --format csv",
+     lambda: shape_csv(shape_of("general:6", [10, 20, 30]))),
+    ("shape collinear:3 --m-list 6,12 --format svg",
+     lambda: shape_svg(shape_of("collinear:3", [6, 12]))),
+    ("shape general:7 --m-list 24,48", None),
+    ("verify general:5 --max-m 6 --format json", lambda: verify_json("general:5", 6)),
+    ("verify collinear:3 --max-m 6", None),
+    ("classes general:6 --format json", lambda: classes_json("general:6")),
+    ("classes collinear:4", None),
+]
+
+
+def stdout_of(capsys, argv: list[str]) -> str:
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,expected", CASES, ids=[c for c, _ in CASES])
+def test_streamed_bytes_match_the_str_exporters(tmp_path, capsys, command, expected):
+    out = stdout_of(capsys, command.split())
+    if expected is not None:
+        text = expected()
+        assert out == (text if text.endswith("\n") else text + "\n")
+    path = tmp_path / "doc"
+    assert stdout_of(capsys, [*command.split(), "--out", str(path)]) == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_the_large_cases_span_several_chunks():
+    assert gin_staircase(PointConfig.shgh(16), 3000).alpha > 2 * CHUNK
+    assert gin_staircase(PointConfig.shgh(9), 2800).alpha + 1 > 2 * CHUNK
+
+
+@pytest.mark.parametrize("command", ["gin shgh:16 --m 3000", "gin shgh:16 --m 3000 --format text",
+                                     "shape shgh:9 --m-list 1400,2800 --format svg"])
+def test_pieces_longer_than_a_write_slice_keep_their_bytes(capsys, monkeypatch, command):
+    whole = stdout_of(capsys, command.split())
+    monkeypatch.setattr(cli, "WRITE_SLICE", 1000)  # every run's piece is sliced
+    assert stdout_of(capsys, command.split()) == whole
+
+
+def streamed(monkeypatch, argv: list[str]) -> tuple[int, int]:
+    """(tracemalloc peak, length) of the document that `argv` writes to a text
+    stream on devnull; a first run gives the length and warms every cache."""
+    buffer = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", buffer)
+    assert cli.main(argv) == 0
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    monkeypatch.undo()
+    return peak, len(buffer.getvalue())
+
+
+# the staircases are cached first, so each peak is the rendering and writing
+# alone: about one CHUNK run, where the joined document took two documents
+@pytest.mark.parametrize("argv", [["gin", "shgh:16", "--format", "json", "--m"],
+                                  ["gin", "shgh:16", "--format", "text", "--m"],
+                                  ["shape", "shgh:16", "--format", "json", "--m-list"]],
+                         ids=["gin-json", "gin-text", "shape-json"])
+def test_streamed_peak_does_not_grow_with_the_document(monkeypatch, argv):
+    small, small_size = streamed(monkeypatch, [*argv, "4000"])
+    large, large_size = streamed(monkeypatch, [*argv, "20000"])
+    assert large_size > 4 * small_size
+    assert large <= 0.35 * large_size
+    assert large <= 1.5 * small
+
+
+def test_a_tripped_guard_writes_nothing(tmp_path, capsys, monkeypatch):
+    # general:6 at m = 10 has H(23), H(24) = 0, 1; H(23) = 7 makes the first
+    # difference at degree 24 negative.  The cached wrapper is bypassed so the
+    # walk really runs.
+    monkeypatch.setattr("ginlab.staircase.gin_staircase", gin_staircase.__wrapped__)
+    monkeypatch.setattr("ginlab.staircase.hilbert_fn",
+                        lambda config, m, t: hilbert_fn(config, m, t) + 7 * (t == 23))
+    path = tmp_path / "doc.json"
+    for out in ([], ["--out", str(path)]):
+        code = cli.main(["gin", "general:6", "--m", "10", "--format", "json", *out])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("arithmetic guard: segment at degree 24 starts at column 31")
+        assert captured.err.endswith(" for general:6, m=10; Hilbert engine bug\n")
+        assert not path.exists()
