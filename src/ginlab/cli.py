@@ -28,29 +28,24 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
-WRITE_SLICE = 1 << 20  # characters per write
 
 
 def _write(pieces: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.writelines(_slices(pieces))
+        sys.stdout.writelines(_ended(pieces))
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.writelines(_slices(pieces))
+            handle.writelines(_ended(pieces))
 
 
-def _slices(pieces: Iterable[str]) -> Iterator[str]:
-    # the pieces as the command renders them, so no whole document is ever
-    # held; a piece longer than WRITE_SLICE in slices, so the stream never
-    # encodes a multi-MB str at once; then the newline, if the last non-empty
-    # piece lacks it
+def _ended(pieces: Iterable[str]) -> Iterator[str]:
+    # the pieces as the command renders them, each at most one CHUNK run of an
+    # array or the structure between two arrays, so no whole document is ever
+    # held; then the newline, if the last non-empty piece lacks it
     end = ""
     for piece in pieces:
-        if len(piece) > WRITE_SLICE:
-            yield from (piece[i:i + WRITE_SLICE] for i in range(0, len(piece), WRITE_SLICE))
-        else:
-            yield piece
+        yield piece
         end = piece[-1:] or end
         del piece  # not held while the next piece is rendered
     if end != "\n":
@@ -58,6 +53,8 @@ def _slices(pieces: Iterable[str]) -> Iterator[str]:
 
 
 def _parse_m_list(args) -> list[int]:
+    if args.m_list is not None and args.m is not None:
+        raise ValueError("give --m or --m-list, not both")
     if args.m_list:
         try:
             return [int(chunk) for chunk in args.m_list.split(",") if chunk.strip()]
@@ -69,6 +66,8 @@ def _parse_m_list(args) -> list[int]:
 
 
 def _parse_t_range(args) -> list[int]:
+    if args.t_range is not None and args.t is not None:
+        raise ValueError("give --t or --t-range, not both")
     if args.t_range:
         lo, sep, hi = args.t_range.partition("..")
         if not sep or not all(end.strip().removeprefix("-").isdecimal() for end in (lo, hi)):
@@ -121,7 +120,7 @@ def cmd_hilbert(config: PointConfig, args) -> tuple[Iterable[str], int]:
             "config": str(config),
             "m": args.m,
             "conjectural": config.conjectural,
-            "values": rows,
+            "values": exporters.int_runs(rows, 2),
         }), EXIT_OK
     if args.format == "csv":
         return (exporters.hilbert_csv(rows),), EXIT_OK

@@ -7,14 +7,15 @@ formatter; file payloads end with one newline.
 Every JSON document goes through `json_pieces`, the one hand-written emitter
 of the two-space layout; `json_text` joins its pieces, and `json.dumps` with
 a two-space indent is the test oracle.  The command line writes the pieces
-as they come, so it never holds a whole document.  Arrays of ints and of int
-pairs, nearly all the bytes of a staircase, are rendered by `render_runs`
-only as the pieces are read: each flat run of at most CHUNK items is
-formatted by one "%d" template, so no str is made per number.  A
-staircase's generators are laid out column by column (`column_runs`),
-without building the pairs, and a shape report's corners are rendered in
-"%d/%d" runs from the column profile (`corner_runs`), without building the
-pairs or their rational strs.
+as they come, so it never holds a whole document.  The large int arrays,
+nearly all the bytes of a staircase, are named by the code that builds the
+payload: `int_runs` for a sequence of ints or int pairs, `column_runs` for a
+staircase's generators, laid out column by column without building the
+pairs, and `corner_runs` for a shape report's corners, read from the column
+profile without building the pairs or their rational strs.  `render_runs`
+formats each such run of at most CHUNK items by one "%d" template, only as
+the pieces are read, so no str is made per number.  Every other list,
+whatever it holds, takes the generic path.
 """
 
 from __future__ import annotations
@@ -75,10 +76,22 @@ def _pieces(out: list) -> Iterator[str]:
             yield from chain.from_iterable(group)
 
 
-# an array of leaves (width 1) or of [x, y] leaf pairs (width 2) as flat int runs
-# of <= CHUNK items; the leaf template is "%d" for an int, or '"%d/%d"' for a
-# rational str filled from two ints
+# an array of leaves (width 1) or of [x, y] leaf pairs (width 2), handed over as
+# an iterator of flat int runs of <= CHUNK items; the leaf template is "%d" for
+# an int, or '"%d/%d"' for a rational str filled from two ints.  Only the
+# payload builders make one, so the emitter never inspects a list's items.
 _IntRuns = namedtuple("_IntRuns", "runs width leaf", defaults=("%d",))
+
+
+def int_runs(values, width: int = 1):
+    """A sequence of ints (width 1) or of int pairs (width 2) as a JSON array
+    rendered in CHUNK-item runs; an empty sequence is itself, "[]"."""
+    if not values:
+        return values
+    starts = range(0, len(values), CHUNK)
+    if width == 1:
+        return _IntRuns((values[i:i + CHUNK] for i in starts), 1)
+    return _IntRuns((tuple(chain.from_iterable(values[i:i + CHUNK])) for i in starts), 2)
 
 
 def _emit(o, nl: str, out: list[str]) -> None:
@@ -95,14 +108,6 @@ def _emit(o, nl: str, out: list[str]) -> None:
         item = leaf if o.width == 1 else "[" + inner + "  " + leaf + "," + inner + "  " + leaf + inner + "]"
         out += (render_runs(o.runs, item, "," + inner, "[" + inner), nl + "]")
     elif isinstance(o, (list, tuple)):
-        # flat int lists and lists of int pairs skip the per-item dispatch
-        kinds = set(map(type, o))
-        pairs = kinds <= {list, tuple} and set(map(len, o)) == {2}
-        starts = range(0, len(o), CHUNK)
-        if kinds == {int}:
-            return _emit(_IntRuns((o[i:i + CHUNK] for i in starts), 1), nl, out)
-        if pairs and set(map(type, chain.from_iterable(o))) == {int}:
-            return _emit(_IntRuns((tuple(chain.from_iterable(o[i:i + CHUNK])) for i in starts), 2), nl, out)
         lead = "[" + inner
         for item in o:
             out.append(lead)
@@ -125,21 +130,16 @@ def _emit(o, nl: str, out: list[str]) -> None:
 def render_runs(runs, item: str, sep: str, lead: str = "") -> Iterator[str]:
     """The items of the flat int runs joined by sep, each item the %d template
     `item` filled from the run's next ints: one str per run, which starts with
-    lead for the first run and with sep for the others.  The first run's
-    template is used once; the others keep one per distinct run length.  No
-    run or str is held after it is handed on."""
+    lead for the first run and with sep for the others.  Each run is filled
+    from its own template.  `map` calls fill only when the next str is read
+    and holds neither the run nor its str after handing it on, where a
+    generator expression would keep the last run while the next is built."""
     width = item.count("%d")
-    templates: dict[int, str] = {}
 
-    def fill(first: bool, run) -> str:
-        count = len(run) // width
-        if first:
-            return (lead + sep.join([item] * count)) % tuple(run)
-        if count not in templates:
-            templates[count] = sep + sep.join([item] * count)
-        return templates[count] % tuple(run)
+    def fill(start: str, run) -> str:
+        return (start + sep.join([item] * (len(run) // width))) % tuple(run)
 
-    return map(fill, chain([True], repeat(False)), runs)
+    return map(fill, chain([lead], repeat(sep)), runs)
 
 
 # The run builders below hand out tuples built by a helper, so that neither
@@ -192,7 +192,7 @@ def staircase_payload(s: MonomialStaircase) -> dict:
         "config": str(s.config),
         "m": s.m,
         "alpha": s.alpha,
-        "lambdas": s.lambdas,
+        "lambdas": int_runs(s.lambdas),
         # s.generators, laid out column by column without building the pairs
         "generators": _IntRuns(column_runs(s, s.alpha, 0), 2),
         "colength": colength(s),
@@ -255,21 +255,6 @@ def _fmt(value: float) -> str:
     return f"{value:.4f}".rstrip("0").rstrip(".")
 
 
-def _staircase_outline(entry: MonomialStaircase) -> list[tuple[float, float]]:
-    """Step-function boundary of the scaled ideal region, left to right.
-
-    Exponents are divided by m as ints: x / m is the same correctly rounded
-    double as float(Fraction(x, m)).
-    """
-    m = entry.m
-    points: list[tuple[float, float]] = []
-    for x, y in enumerate(entry.lambdas):  # column x spans x..x+1 at height y
-        points.append((x / m, y / m))
-        points.append(((x + 1) / m, y / m))
-    points.append((entry.alpha / m, 0.0))
-    return points
-
-
 def shape_svg(report: ShapeReport) -> str:
     """Scaled staircases for every multiplicity plus the predicted segment."""
     max_x = max(e.alpha / e.m for e in report.entries)
@@ -296,7 +281,13 @@ def shape_svg(report: ShapeReport) -> str:
     ]
     for idx, entry in enumerate(report.entries):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in _staircase_outline(entry))
+        # the step outline, left to right: column x spans x..x+1 at height y,
+        # then down to (alpha, 0); x / m is the same correctly rounded double
+        # as float(Fraction(x, m)), and each coordinate is formatted once
+        m = entry.m
+        xs = [_fmt(tx(x / m)) for x in range(entry.alpha + 1)]
+        ys = (_fmt(ty(y / m)) for y in entry.lambdas)
+        pts = " ".join([*map("{0},{1} {2},{1}".format, xs, ys, xs[1:]), f"{xs[-1]},{_fmt(ty(0.0))}"])
         parts.append(f'  <polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{pts}"/>')
         parts.append(f'  <text x="{_fmt(tx(0) + 4)}" y="{_fmt(ty(entry.zeta / entry.m) - 4 - 12 * idx)}" '

@@ -136,8 +136,9 @@ class PointConfig(namedtuple("PointConfig", "kind n")):
 
     @classmethod
     def parse(cls, spec: str) -> "PointConfig":
-        """Parse "general:R", "shgh:R" or "collinear:L"."""
+        """Parse "general:R", "shgh:R" or "collinear:L"; blanks around either part are dropped."""
         kind, sep, num = spec.partition(":")
+        num = num.strip()
         if not sep or not num.removeprefix("-").isdecimal():
             raise ValueError(f"bad configuration {spec!r}; expected kind:number")
         return cls(kind.strip(), int(num))

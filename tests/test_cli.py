@@ -452,6 +452,26 @@ def test_config_file_refuses_keys_gin_does_not_take(tmp_path, capsys, data, refu
     assert err == f"error: config file keys not taken by gin: {refused}\n"
 
 
+# a flag and its list form are one setting: giving both, on the command line
+# or as two keys of one config file, is refused rather than one being dropped
+@pytest.mark.parametrize("argv,data,message", [
+    (["hilbert", "general:6", "--m", "10", "--t", "25", "--t-range", "20..21"], None,
+     "error: give --t or --t-range, not both\n"),
+    (["hilbert", "general:6", "--m", "10"], {"t": 25, "t_range": "20..21"},
+     "error: give --t or --t-range, not both\n"),
+    (["shape", "general:6", "--m", "10", "--m-list", "4,8"], None,
+     "error: give --m or --m-list, not both\n"),
+    (["shape", "general:6"], {"m": 10, "m_list": "4,8"},
+     "error: give --m or --m-list, not both\n"),
+], ids=["t-flags", "t-file", "m-flags", "m-file"])
+def test_both_forms_of_one_setting_are_refused(tmp_path, capsys, argv, data, message):
+    if data is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv = [*argv, "--config-file", str(path)]
+    assert run_cli(capsys, argv) == (2, "", message)
+
+
 def test_shape_checks_colength_before_any_output(capsys, monkeypatch):
     wrong = MonomialStaircase(alpha=1, lambdas=(3,), m=1, config=PointConfig.general(2))
     monkeypatch.setattr("ginlab.shape.gin_staircase", lambda config, m: wrong)

@@ -11,7 +11,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ginlab import MonomialStaircase, PointConfig, gin_staircase, shape_report
-from ginlab.exporters import CHUNK, intercept_str, json_text, rational_str, shape_json, staircase_json
+from ginlab.exporters import (CHUNK, int_runs, intercept_str, json_text, rational_str, shape_json,
+                              staircase_json)
 from ginlab.hilbert import alpha_shgh
 from ginlab.staircase import colength
 
@@ -25,10 +26,35 @@ def pairs_of(leaf):
     return st.lists(st.tuples(leaf, leaf) | st.lists(leaf, min_size=2, max_size=2), max_size=6)
 
 
-# the two shapes with their own paths in the emitter, flat int lists and
-# lists of int pairs, as lists or tuples; str pairs take the generic path
+class Door(list):
+    """An int array that json.dumps reads as a list and `through_doors` hands
+    the emitter as int_runs(self, width)."""
+
+    def __init__(self, values, width: int):
+        super().__init__(values)
+        self.width = width
+
+
+def through_doors(o):
+    """o with every Door, at any depth, replaced by its int_runs."""
+    if isinstance(o, Door):
+        return int_runs(o, o.width)
+    if isinstance(o, dict):
+        return {key: through_doors(value) for key, value in o.items()}
+    if isinstance(o, (list, tuple)):
+        return type(o)(map(through_doors, o))
+    return o
+
+
+doors = (st.lists(st.integers(), max_size=6).map(lambda v: Door(v, 1))
+         | st.lists(st.tuples(st.integers(), st.integers()), max_size=6).map(lambda v: Door(v, 2)))
+
+# flat int lists and lists of int or str pairs, as lists or tuples, take the
+# emitter's generic path like any other list; a Door is the same array handed
+# over through int_runs, the path the payload builders name for large arrays
 payloads = st.recursive(
-    scalars | st.lists(st.integers(), max_size=6) | pairs_of(st.integers()) | pairs_of(st.text(max_size=4)),
+    scalars | st.lists(st.integers(), max_size=6) | pairs_of(st.integers()) | pairs_of(st.text(max_size=4))
+    | doors,
     lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
                    | st.dictionaries(st.text(max_size=6), inner, max_size=5)),
     max_leaves=12,
@@ -41,7 +67,9 @@ payloads = st.recursive(
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(payloads)
 def test_matches_json_dumps(payload):
-    assert json_text(payload) == json.dumps(payload, indent=2)
+    expected = json.dumps(payload, indent=2)
+    assert json_text(payload) == expected
+    assert json_text(through_doors(payload)) == expected
 
 
 @pytest.mark.parametrize("payload", [
@@ -61,13 +89,16 @@ def test_floats_and_non_str_keys_are_type_errors(payload):
         json_text(payload)
 
 
-# an int array of each length, as a list of lists and as a tuple of tuples
+# an int array of each length, as a list of lists and as a tuple of tuples,
+# rendered item by item and through int_runs
 @pytest.mark.parametrize("length", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 @pytest.mark.parametrize("container", [list, tuple])
 def test_int_arrays_across_chunk_boundaries_match_json_dumps(length, container):
     ints = container((-1) ** i * i * 10 ** (i % 25) for i in range(length))
     payload = {"ints": ints, "pairs": container(container((x, length - x)) for x in ints)}
-    assert json_text(payload) == json.dumps(payload, indent=2)
+    expected = json.dumps(payload, indent=2)
+    assert json_text(payload) == expected
+    assert json_text({"ints": int_runs(ints), "pairs": int_runs(payload["pairs"], 2)}) == expected
 
 
 def expected_staircase_json(s: MonomialStaircase) -> str:

@@ -307,6 +307,12 @@ def test_point_config_parse_and_validation():
             PointConfig.parse(bad)
 
 
+# blanks around the kind and the number are dropped, as around --t-range's ends
+@pytest.mark.parametrize("spec", [" general:6", "general :6", "general: 6", "general:6 "])
+def test_point_config_parse_strips_both_sides(spec):
+    assert PointConfig.parse(spec) == PointConfig.general(6)
+
+
 def test_provenance_flags():
     assert PointConfig.general(6).provenance == "proven"
     assert PointConfig.shgh(9).provenance == "conjectural"

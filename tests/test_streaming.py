@@ -116,14 +116,6 @@ def test_the_large_cases_span_several_chunks():
     assert gin_staircase(PointConfig.shgh(9), 2800).alpha + 1 > 2 * CHUNK
 
 
-@pytest.mark.parametrize("command", ["gin shgh:16 --m 3000", "gin shgh:16 --m 3000 --format text",
-                                     "shape shgh:9 --m-list 1400,2800 --format svg"])
-def test_pieces_longer_than_a_write_slice_keep_their_bytes(capsys, monkeypatch, command):
-    whole = stdout_of(capsys, command.split())
-    monkeypatch.setattr(cli, "WRITE_SLICE", 1000)  # every run's piece is sliced
-    assert stdout_of(capsys, command.split()) == whole
-
-
 def streamed(monkeypatch, argv: list[str]) -> tuple[int, int]:
     """(tracemalloc peak, length) of the document that `argv` writes to a text
     stream on devnull; a first run gives the length and warms every cache."""

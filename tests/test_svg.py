@@ -1,0 +1,70 @@
+"""shape_svg's outlines against the step outline built point by point, and
+its peak memory against its document."""
+
+from __future__ import annotations
+
+import re
+import tracemalloc
+
+import pytest
+
+from ginlab import PointConfig, shape_report
+from ginlab.exporters import _PAD, _UNIT, _fmt, shape_svg
+
+
+def staircase_outline(entry) -> list[tuple[float, float]]:
+    """Step-function boundary of the scaled ideal region, left to right: two
+    points per column, then down to (alpha/m, 0)."""
+    m = entry.m
+    points: list[tuple[float, float]] = []
+    for x, y in enumerate(entry.lambdas):  # column x spans x..x+1 at height y
+        points.append((x / m, y / m))
+        points.append(((x + 1) / m, y / m))
+    points.append((entry.alpha / m, 0.0))
+    return points
+
+
+def expected_points(report) -> list[str]:
+    """Each entry's polyline points, one f-string per outline point."""
+    max_y = max(e.zeta / e.m for e in report.entries)
+    if report.predicted is not None:
+        max_y = max(max_y, float(report.predicted[1]))
+    height = 2 * _PAD + _UNIT * max_y
+    return [" ".join(f"{_fmt(_PAD + _UNIT * x)},{_fmt(height - _PAD - _UNIT * y)}"
+                     for x, y in staircase_outline(e))
+            for e in report.entries]
+
+
+# alpha = 1; every kind at a few multiplicities; and shgh:9's outlines of
+# 4200 and 8400 columns
+CASES = [
+    ("general:2", [1]),
+    *((f"general:{r}", [1, 2, 7, 30]) for r in range(2, 9)),
+    *((f"collinear:{l}", [1, 2, 7, 30]) for l in range(3, 9)),
+    *((f"shgh:{r}", [1, 2, 7, 30]) for r in range(9, 17)),
+    ("shgh:9", [1400, 2800]),
+]
+
+
+@pytest.mark.parametrize("spec,m_list", CASES, ids=[f"{c}-{','.join(map(str, ms))}" for c, ms in CASES])
+def test_shape_svg_outlines_match_the_point_by_point_outline(spec, m_list):
+    report = shape_report(PointConfig.parse(spec), m_list)
+    svg = shape_svg(report)
+    assert re.findall(r' points="([^"]*)"', svg) == expected_points(report)
+
+
+def test_general_two_at_m_one_has_alpha_one():
+    assert shape_report(PointConfig.general(2), [1]).entries[0].alpha == 1
+
+
+def test_shape_svg_peak_memory_is_under_eight_documents():
+    # each coordinate formatted once; one float pair per outline point and one
+    # str per point took the peak to about twelve documents
+    report = shape_report(PointConfig.shgh(16), [20000])
+    tracemalloc.start()
+    try:
+        text = shape_svg(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(text)
