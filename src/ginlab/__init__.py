@@ -11,10 +11,8 @@ from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, EffectivityResult,
                       PointConfig, canonical_class, exceptional_classes, h0,
                       intersect, is_nef, reduce_to_nef, riemann_roch_h0)
 from .hilbert import alpha, alpha_shgh, hilbert_fn, nef_slope, nef_threshold, shgh_hilbert
-from .staircase import (MonomialStaircase, colength, gin_staircase,
-                        graded_products_contained, shgh_gin_closed_form, xy_count)
-from .shape import (ShapeReport, SquareRootIntercept, check_convergence,
-                    collinear_shape_check, scaled_staircases_nested,
+from .staircase import MonomialStaircase, colength, gin_staircase, shgh_gin_closed_form, xy_count
+from .shape import (ShapeReport, SquareRootIntercept, check_convergence, collinear_shape_check,
                     shape_report, theoretical_shape, within)
 from .verify import VerifyReport, brute_force_exceptional_classes, run_verification
 
@@ -27,8 +25,8 @@ __all__ = [
     "UnsupportedConfigError", "VerifyReport",
     "alpha", "alpha_shgh", "brute_force_exceptional_classes", "canonical_class",
     "check_convergence", "colength", "collinear_shape_check",
-    "exceptional_classes", "gin_staircase", "graded_products_contained", "h0",
-    "hilbert_fn", "intersect", "is_nef", "nef_slope", "nef_threshold", "reduce_to_nef",
-    "riemann_roch_h0", "run_verification", "scaled_staircases_nested", "shape_report",
+    "exceptional_classes", "gin_staircase", "h0", "hilbert_fn", "intersect", "is_nef",
+    "nef_slope", "nef_threshold", "reduce_to_nef", "riemann_roch_h0", "run_verification",
+    "shape_report",
     "shgh_gin_closed_form", "shgh_hilbert", "theoretical_shape", "within", "xy_count",
 ]

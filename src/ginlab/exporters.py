@@ -2,8 +2,9 @@
 
 Identical inputs must produce identical bytes, so every emitter walks its
 data in a fixed order and formats numbers through a single code path.
-Rationals are written as "num/den" by `rational_str`, the one rational
-formatter; file payloads end with one newline.
+Rationals are written as "num/den", reduced, by `rational_str`, except the
+shape report's corners: `_corner_run` gcd-reduces those itself, so that they
+render as "%d/%d" runs; file payloads end with one newline.
 Every JSON document goes through `json_pieces`, the one hand-written emitter
 of the two-space layout; `json_text` joins its pieces, and `json.dumps` with
 a two-space indent is the test oracle.  The command line writes the pieces

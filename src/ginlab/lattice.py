@@ -54,10 +54,6 @@ class DivisorClass(namedtuple("DivisorClass", "d mults")):
         return cls(t, (m,) * r)
 
     @classmethod
-    def line(cls, r: int) -> "DivisorClass":
-        return cls(1, (0,) * r)
-
-    @classmethod
     def exceptional(cls, i: int, r: int) -> "DivisorClass":
         """Class of the exceptional curve over point i (1-based)."""
         if not 1 <= i <= r:

@@ -106,10 +106,7 @@ def shape_report(config: PointConfig, m_list: list[int]) -> ShapeReport:
     alpha(m)/(r*m).
     """
     entries = _entries(config, m_list)
-    try:
-        predicted = theoretical_shape(config)
-    except UnsupportedConfigError:
-        predicted = None
+    predicted = None if config.kind == COLLINEAR else theoretical_shape(config)
     top = entries[-1]
     return ShapeReport(
         config=config,
@@ -117,19 +114,6 @@ def shape_report(config: PointConfig, m_list: list[int]) -> ShapeReport:
         predicted=predicted,
         seshadri_estimate=Fraction(top.alpha, config.r * top.m),
     )
-
-
-def scaled_staircases_nested(small: MonomialStaircase, big: MonomialStaircase) -> bool:
-    """Whether the 1/m-scaled ideal region of ``small`` sits inside ``big``'s.
-
-    Needs big.m to be a multiple of small.m; scaling each generator of the
-    coarse staircase by the ratio and testing membership suffices because
-    regions grow monotonically above their generators.
-    """
-    if big.m % small.m:
-        raise ValueError("nesting test needs multiplicities with an integer ratio")
-    factor = big.m // small.m
-    return all(big.contains(factor * x, factor * y) for x, y in small.generators)
 
 
 def convergence_scale(config: PointConfig) -> Fraction:

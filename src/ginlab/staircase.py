@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice
+from itertools import islice
 from operator import gt
 
 from .errors import ComputationGuardError
@@ -138,15 +138,3 @@ def colength(s: MonomialStaircase) -> int:
         raise ComputationGuardError(
             f"colength {count} differs from scheme length {expected} for {s.config}, m={s.m}")
     return count
-
-
-def graded_products_contained(small: MonomialStaircase, big: MonomialStaircase) -> bool:
-    """Check ideal(m) * ideal(m) inside ideal(2m) on generator products.
-
-    Generator products generate the product ideal, so checking them is
-    enough; membership of larger monomials follows from the staircase shape.
-    """
-    if big.config != small.config or big.m != 2 * small.m:
-        raise ValueError("expected staircases of the same configuration at m and 2m")
-    return all(big.contains(x1 + x2, y1 + y2)
-               for (x1, y1), (x2, y2) in combinations_with_replacement(small.generators, 2))

@@ -4,7 +4,8 @@ Every check recomputes its expected values from a different route than the
 engine under test: class lists against brute-force lattice enumeration, orbit
 peeling against curve-by-curve peeling, section counts against the
 interpolation count on nef classes, staircase colengths against the scheme
-length, and scaled staircases against the predicted limit.  First
+length, scaled staircases against the predicted limit, and generator
+products at m against the staircase at 2m (the graded system).  First
 differences of the Hilbert function are read through ``staircase.xy_count``,
 whose guard holds each to [0, t+1].  The table ``_CHECKS`` lists the checks
 in report order with the kinds each runs on.
@@ -22,9 +23,8 @@ from .errors import ComputationGuardError
 from .hilbert import alpha, hilbert_fn, nef_threshold
 from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, PointConfig,
                       canonical_class, exceptional_classes, intersect, reduce_to_nef)
-from .shape import check_convergence, collinear_shape_check, convergence_scale, scaled_staircases_nested
-from .staircase import (colength, gin_staircase, graded_products_contained, shgh_gin_closed_form,
-                        xy_count)
+from .shape import check_convergence, collinear_shape_check, convergence_scale
+from .staircase import colength, gin_staircase, shgh_gin_closed_form, xy_count
 
 DEFAULT_MAX_M = 50
 
@@ -156,13 +156,16 @@ def _check_convergence(config: PointConfig, max_m: int) -> tuple[bool, str]:
 
 
 def _check_graded_and_nested(config: PointConfig, max_m: int) -> tuple[bool, str]:
+    # Generator products generate ideal(m)^2, so they decide ideal(m)^2 inside
+    # ideal(2m).  The pair (g, g) is g scaled by 2, so the 1/m-scaled regions
+    # nest whenever the products do.
     for m in range(1, max_m // 2 + 1):
-        small = gin_staircase(config, m)
         big = gin_staircase(config, 2 * m)
-        if not graded_products_contained(small, big):
+        pairs = combinations_with_replacement(gin_staircase(config, m).generators, 2)
+        if not all(big.contains(x1 + x2, y1 + y2) for (x1, y1), (x2, y2) in pairs):
             return False, f"products escape at m={m}"
-        if not scaled_staircases_nested(small, big):
-            return False, f"scaled regions not nested at m={m}"
+    if max_m < 2:
+        return True, f"no pair m, 2m <= {max_m}; no product checked"
     return True, f"products and scaled nesting hold for m <= {max_m // 2}"
 
 

@@ -11,9 +11,8 @@ from itertools import combinations_with_replacement, permutations
 from math import comb
 
 from ginlab import (DivisorClass, MonomialStaircase, PointConfig, alpha,
-                    exceptional_classes, gin_staircase, graded_products_contained,
-                    hilbert_fn, intersect, nef_threshold, shgh_gin_closed_form,
-                    shgh_hilbert)
+                    exceptional_classes, gin_staircase, hilbert_fn, intersect,
+                    nef_threshold, shgh_gin_closed_form, shgh_hilbert, verify)
 
 F = Fraction
 
@@ -221,10 +220,10 @@ def test_criterion_09_collinear_degrees_and_shape():
 def test_criterion_10_graded_products():
     failures = []
     for config in ALL_CONFIGS:
-        for m in range(1, 26):
-            if not graded_products_contained(gin_staircase(config, m),
-                                             gin_staircase(config, 2 * m)):
-                failures.append(f"{config}, m={m}")
+        # verify's graded-system check at max m = 50 covers every m <= 25
+        passed, detail = verify._check_graded_and_nested(config, 50)
+        if not passed:
+            failures.append(f"{config}: {detail}")
     ok = _verdict(10, "generator products of staircase(m) land in staircase(2m) "
                       "for every criterion-5 configuration, m <= 25", not failures)
     assert ok, failures

@@ -574,3 +574,45 @@ def test_shape_svg_never_builds_the_generator_pairs(capsys, monkeypatch, command
     code, out, _ = run_cli(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Alternative routes that only verify's checks and tests may take; each
+# configuration kind has one engine path, and no other command reaches these.
+ORACLE_ROUTES = ("lattice.reduce_to_nef", "lattice.is_nef", "lattice.riemann_roch_h0", "lattice.h0",
+                 "hilbert.alpha", "staircase.xy_count", "verify.brute_force_exceptional_classes")
+ENGINE_COMMANDS = [f"{command} {spec}{flags}" for spec in ("general:6", "collinear:4", "shgh:10")
+                   for command, flags in (
+                       ("classes", ""), ("hilbert", " --m 7 --t-range 0..40"),
+                       ("gin", " --m 12"), ("gin", " --m 12 --format text"),
+                       *(("shape", f" --m-list 3,6,12 --format {f}") for f in ("text", "json", "csv", "svg")))]
+
+
+def ginlab_modules() -> list:
+    return [mod for name, mod in sys.modules.items() if name == "ginlab" or name.startswith("ginlab.")]
+
+
+def test_engine_commands_take_no_oracle_route(capsys, monkeypatch):
+    def run_all():
+        for cached in {v for mod in ginlab_modules() for v in vars(mod).values() if hasattr(v, "cache_clear")}:
+            cached.cache_clear()
+        return [run_cli(capsys, command.split()) for command in ENGINE_COMMANDS]
+
+    def raising(qualname):
+        def stub(*args, **kwargs):
+            raise AssertionError(f"{qualname} called")
+        return stub
+
+    expected = run_all()
+    routes = {}
+    for qualname in ORACLE_ROUTES:
+        module, name = qualname.split(".")
+        routes[id(getattr(sys.modules[f"ginlab.{module}"], name))] = qualname
+    # every name a ginlab module holds a route under, as bench/tracing.py rebinds them
+    rebound = [(mod, name, routes[id(value)]) for mod in ginlab_modules()
+               for name, value in vars(mod).items() if id(value) in routes]
+    for mod, name, qualname in rebound:
+        monkeypatch.setattr(mod, name, raising(qualname))
+    assert {qualname for _, _, qualname in rebound} == set(ORACLE_ROUTES)
+    assert run_all() == expected
+    # classes refuses shgh, which carries infinitely many exceptional classes
+    assert [c for c, (code, _, _) in zip(ENGINE_COMMANDS, expected) if code] == ["classes shgh:10"]

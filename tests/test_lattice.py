@@ -35,7 +35,7 @@ ORACLE_COUNTS = {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
 
 
 def test_intersect_basis_rules():
-    line = DivisorClass.line(3)
+    line = DivisorClass(1, (0,) * 3)
     assert intersect(line, line) == 1
     e1 = DivisorClass.exceptional(1, 3)
     assert intersect(e1, e1) == -1
@@ -46,7 +46,7 @@ def test_intersect_basis_rules():
 
 
 def test_intersect_rank_mismatch():
-    a, b = DivisorClass.line(3), DivisorClass.line(4)
+    a, b = DivisorClass(1, (0,) * 3), DivisorClass(1, (0,) * 4)
     for op in (intersect, operator.add, operator.sub):
         with pytest.raises(ValueError, match="^rank mismatch: 3 vs 4$"):
             op(a, b)
@@ -124,7 +124,7 @@ def test_is_nef_examples():
     g6 = PointConfig.general(6)
     assert is_nef(DivisorClass(5, (2,) * 6), g6)
     assert not is_nef(DivisorClass.uniform(24, 10, 6), g6)
-    assert is_nef(DivisorClass.line(4), PointConfig.general(4))
+    assert is_nef(DivisorClass(1, (0,) * 4), PointConfig.general(4))
     assert not is_nef(DivisorClass(3, (1, 1, -1, 1)), PointConfig.general(4))
 
 

@@ -8,9 +8,8 @@ from fractions import Fraction
 import pytest
 
 from ginlab import (PointConfig, SquareRootIntercept, check_convergence,
-                    collinear_shape_check, colength, gin_staircase,
-                    scaled_staircases_nested, shape_report, theoretical_shape,
-                    within)
+                    collinear_shape_check, colength, gin_staircase, shape_report,
+                    theoretical_shape, within)
 from ginlab.errors import UnsupportedConfigError
 from ginlab.exporters import shape_json
 from ginlab.shape import convergence_scale
@@ -176,13 +175,3 @@ def test_collinear_shape_check_reports_wrong_degrees(monkeypatch):
 @pytest.mark.parametrize("l", range(3, 9))
 def test_collinear_shape_check_holds_at_every_m(l):
     assert collinear_shape_check(l, range(1, 61)) == ()
-
-
-def test_scaled_staircases_nested():
-    config = PointConfig.general(6)
-    small = gin_staircase(config, 5)
-    big = gin_staircase(config, 10)
-    assert scaled_staircases_nested(small, big)
-    assert scaled_staircases_nested(small, small)
-    with pytest.raises(ValueError):
-        scaled_staircases_nested(gin_staircase(config, 4), gin_staircase(config, 10))

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import ginlab.lattice
 from ginlab import (MonomialStaircase, PointConfig, alpha, colength, gin_staircase,
-                    graded_products_contained, hilbert_fn, shgh_gin_closed_form,
-                    shgh_hilbert, xy_count)
+                    hilbert_fn, shgh_gin_closed_form, shgh_hilbert, verify, xy_count)
 from ginlab.errors import ComputationGuardError
 
 
@@ -247,13 +246,6 @@ def test_staircase_cache_returns_same_object():
        st.integers(1, 12))
 @settings(max_examples=40, deadline=None)
 def test_graded_products_contained_property(spec, m):
-    config = PointConfig.parse(spec)
-    small = gin_staircase(config, m)
-    big = gin_staircase(config, 2 * m)
-    assert graded_products_contained(small, big)
-
-
-def test_graded_products_requires_doubled_multiplicity():
-    config = PointConfig.general(6)
-    with pytest.raises(ValueError):
-        graded_products_contained(gin_staircase(config, 2), gin_staircase(config, 3))
+    # verify's graded-system check at max m = 2m covers every m' <= m
+    assert verify._check_graded_and_nested(PointConfig.parse(spec), 2 * m) == (
+        True, f"products and scaled nesting hold for m <= {m}")

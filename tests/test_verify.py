@@ -181,3 +181,30 @@ def test_shape_check_failures_fail_the_report(monkeypatch, target, spec, max_m, 
     report = run_verification(PointConfig.parse(spec), max_m=max_m)
     assert not report.passed
     assert [(c.name, c.detail) for c in report.failures] == [(check, "boom")]
+
+
+@pytest.mark.parametrize("m,column", [(1, 0), (3, 3), (5, 13), (6, 20)])
+def test_graded_check_catches_a_product_escaping(monkeypatch, m, column):
+    config = PointConfig.collinear_plus_one(5)
+
+    def raised(config, n):
+        s = gin_staircase(config, n)
+        if n != 2 * m:
+            return s
+        lambdas = (*s.lambdas[:column], s.lambdas[column] + 1, *s.lambdas[column + 1:])
+        return MonomialStaircase(alpha=s.alpha, lambdas=lambdas, m=n, config=config)
+
+    # raising column i of staircase(2m) by one, still strictly decreasing,
+    # leaves out x^i y^lambda_i, which is a product of two generators at m
+    monkeypatch.setattr("ginlab.verify.gin_staircase", raised)
+    report = run_verification(config, max_m=12)
+    (check,) = [c for c in report.checks if c.name == "graded-system"]
+    assert check == ("graded-system", False, f"products escape at m={m}")
+
+
+def test_graded_check_without_a_pair_says_so(capsys):
+    (check,) = [c for c in run_verification(PointConfig.general(2), max_m=1).checks
+                if c.name == "graded-system"]
+    assert check == ("graded-system", True, "no pair m, 2m <= 1; no product checked")
+    assert cli.main(["verify", "general:2", "--max-m", "1"]) == 0
+    assert "PASS graded-system: no pair m, 2m <= 1; no product checked\n" in capsys.readouterr().out
