@@ -5,8 +5,8 @@ family of regions whose complement tends to a fixed shape of area r/2.  For
 general points the boundary is a single segment with known intercepts; for
 the collinear-plus-one arrangement it is genuinely non-linear and is reported
 empirically from the computed corners.  The convergence checks take any
-positive multiplicities and compare each intercept within a tolerance of
-order 1/m.
+positive multiplicities, compare each intercept within a tolerance of order
+1/m, and return verify's (passed, detail) row.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from fractions import Fraction
 from math import isqrt, sqrt
 
 from .errors import UnsupportedConfigError
-from .hilbert import nef_slope
-from .lattice import COLLINEAR, SHGH, PointConfig
-from .staircase import MonomialStaircase, colength, gin_staircase
+from .lattice import COLLINEAR, SHGH, PointConfig, nef_slope
+from .staircase import colength, gin_staircase
 
 
 class SquareRootIntercept(namedtuple("SquareRootIntercept", "radicand")):
@@ -84,36 +83,26 @@ class ShapeReport(namedtuple("ShapeReport", "config entries predicted seshadri_e
     __slots__ = ()
 
 
-def _entries(config: PointConfig, m_list: list[int]) -> tuple[MonomialStaircase, ...]:
-    """One staircase per distinct multiplicity, ascending.  Each colength
-    is checked here, so a wrong one raises before any report is built."""
+def shape_report(config: PointConfig, m_list: list[int]) -> ShapeReport:
+    """Exact scaled-staircase report, one staircase per distinct
+    multiplicity, ascending.
+
+    Each colength is checked as its staircase is built, so a wrong one
+    raises before the next staircase or any report.  The last multiplicity
+    also yields the Seshadri-type estimate alpha(m)/(r*m).
+    """
     ms = sorted(set(m_list))
     if not ms:
         raise ValueError("need at least one multiplicity")
     if ms[0] < 1:
         raise ValueError("multiplicities must be positive")
-    staircases = []
+    entries = []
     for m in ms:
-        staircases.append(gin_staircase(config, m))
-        colength(staircases[-1])
-    return tuple(staircases)
-
-
-def shape_report(config: PointConfig, m_list: list[int]) -> ShapeReport:
-    """Exact scaled-staircase report, ordered by multiplicity.
-
-    The last multiplicity also yields the Seshadri-type estimate
-    alpha(m)/(r*m).
-    """
-    entries = _entries(config, m_list)
+        entries.append(gin_staircase(config, m))
+        colength(entries[-1])
     predicted = None if config.kind == COLLINEAR else theoretical_shape(config)
-    top = entries[-1]
-    return ShapeReport(
-        config=config,
-        entries=entries,
-        predicted=predicted,
-        seshadri_estimate=Fraction(top.alpha, config.r * top.m),
-    )
+    return ShapeReport(config, tuple(entries), predicted,
+                       Fraction(entries[-1].alpha, config.r * entries[-1].m))
 
 
 def convergence_scale(config: PointConfig) -> Fraction:
@@ -123,19 +112,20 @@ def convergence_scale(config: PointConfig) -> Fraction:
     return Fraction(isqrt(config.r - 1) + 3, 2) if config.kind == SHGH else Fraction(3)
 
 
-def check_convergence(config: PointConfig, m_list: list[int]) -> tuple[str, ...]:
+def check_convergence(config: PointConfig, m_list: list[int]) -> tuple[bool, str]:
     """Desk-scale convergence: both intercepts within c/m of the prediction,
     with c from convergence_scale, at any positive multiplicities.
 
-    The complement area needs no check of its own: every staircase passes
-    the colength guard, so its area per m^2 is exactly r(m+1)/(2m).  Returns
-    one message per violation, naming the multiplicity and deviation; an
-    empty tuple means the check passed.
+    The complement area needs no check of its own: shape_report's colength
+    guard fixes its area per m^2 at exactly r(m+1)/(2m).  Returns verify's
+    row: on failure, one message per violation, naming the multiplicity and
+    deviation, joined by "; ".
     """
     g1, g2 = theoretical_shape(config)
     scale = convergence_scale(config)
+    entries = shape_report(config, m_list).entries
     failures = []
-    for e in _entries(config, m_list):
+    for e in entries:
         m = e.m
         tol = scale / m
         x, y = Fraction(e.alpha, m), Fraction(e.zeta, m)
@@ -145,10 +135,13 @@ def check_convergence(config: PointConfig, m_list: list[int]) -> tuple[str, ...]
         if not within(y, g2, tol):
             failures.append(f"m={m}: y-intercept {y} is off {g2} "
                             f"by {deviation_str(y, g2)} > {tol}")
-    return tuple(failures)
+    if failures:
+        return False, "; ".join(failures)
+    tol = f"{scale}/m" if scale.denominator == 1 else f"{scale.numerator}/({scale.denominator}m)"
+    return True, f"intercepts within {tol} for m <= {entries[-1].m}"
 
 
-def collinear_shape_check(l: int, m_list: list[int]) -> tuple[str, ...]:
+def collinear_shape_check(l: int, m_list: list[int]) -> tuple[bool, str]:
     """Empirical limit shape for l collinear points plus one, at any
     positive multiplicities: the least and top generator degrees must be
     2m - floor(m/l) and l*m, so the scaled intercepts tend to (2 - 1/l, l).
@@ -156,14 +149,21 @@ def collinear_shape_check(l: int, m_list: list[int]) -> tuple[str, ...]:
     The colength guard fixes the complement area per m^2 at (l+1)(m+1)/(2m),
     tending to (l+1)/2, while one segment with those intercepts would enclose
     (2l-1)/2; the computed corner lists describe the non-linear limit.
-    Returns one message per wrong degree; an empty tuple means a pass.
+    Returns verify's row: on failure, one message per wrong degree, joined
+    by "; ".
     """
+    entries = shape_report(PointConfig.collinear_plus_one(l), m_list).entries
     failures = []
-    for e in _entries(PointConfig.collinear_plus_one(l), m_list):
+    for e in entries:
         m = e.m
         if e.alpha != 2 * m - m // l:
             failures.append(f"m={m}: least generator degree {e.alpha} "
                             f"!= 2m - floor(m/l) = {2 * m - m // l}")
         if e.zeta != l * m:
             failures.append(f"m={m}: top generator degree {e.zeta} != l*m = {l * m}")
-    return tuple(failures)
+    if failures:
+        return False, "; ".join(failures)
+    # PointConfig enforces l >= 3, so the single-segment area (2l-1)/2
+    # always exceeds the limit area (l+1)/2.
+    return True, (f"generator degrees 2m-floor(m/l) and lm confirmed for m <= {entries[-1].m}; "
+                  f"single segment excluded ({Fraction(2 * l - 1, 2)} > {Fraction(l + 1, 2)})")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, isqrt
 
@@ -23,8 +22,8 @@ from .errors import ComputationGuardError
 from .hilbert import alpha, hilbert_fn, nef_threshold
 from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, PointConfig,
                       canonical_class, exceptional_classes, intersect, reduce_to_nef)
-from .shape import check_convergence, collinear_shape_check, convergence_scale
-from .staircase import colength, gin_staircase, shgh_gin_closed_form, xy_count
+from .shape import check_convergence, collinear_shape_check, shape_report
+from .staircase import gin_staircase, shgh_gin_closed_form, xy_count
 
 DEFAULT_MAX_M = 50
 
@@ -109,8 +108,7 @@ def _check_class_list(config: PointConfig, max_m: int) -> tuple[bool, str]:
 
 
 def _check_colength(config: PointConfig, max_m: int) -> tuple[bool, str]:
-    for m in range(1, max_m + 1):
-        colength(gin_staircase(config, m))
+    shape_report(config, range(1, max_m + 1))
     return True, f"equals r*m*(m+1)/2 for every m <= {max_m}"
 
 
@@ -147,12 +145,7 @@ def _check_first_differences(config: PointConfig, max_m: int) -> tuple[bool, str
 
 
 def _check_convergence(config: PointConfig, max_m: int) -> tuple[bool, str]:
-    failures = check_convergence(config, range(1, max_m + 1))
-    if failures:
-        return False, "; ".join(failures)
-    scale = convergence_scale(config)
-    tol = f"{scale}/m" if scale.denominator == 1 else f"{scale.numerator}/({scale.denominator}m)"
-    return True, f"intercepts within {tol} for m <= {max_m}"
+    return check_convergence(config, range(1, max_m + 1))
 
 
 def _check_graded_and_nested(config: PointConfig, max_m: int) -> tuple[bool, str]:
@@ -184,14 +177,7 @@ def _check_shgh_closed_form(config: PointConfig, max_m: int) -> tuple[bool, str]
 
 
 def _check_collinear_degrees(config: PointConfig, max_m: int) -> tuple[bool, str]:
-    l = config.l
-    failures = collinear_shape_check(l, range(1, max_m + 1))
-    if failures:
-        return False, "; ".join(failures)
-    # PointConfig enforces l >= 3, so the single-segment area (2l-1)/2
-    # always exceeds the limit area (l+1)/2.
-    return True, (f"generator degrees 2m-floor(m/l) and lm confirmed for m <= {max_m}; "
-                  f"single segment excluded ({Fraction(2 * l - 1, 2)} > {Fraction(l + 1, 2)})")
+    return collinear_shape_check(config.l, range(1, max_m + 1))
 
 
 # (name, check, kinds it runs on), in report order

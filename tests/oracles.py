@@ -1,0 +1,45 @@
+"""Independent oracles shared by the test modules.
+
+Each rebuilds an engine result by a route that shares no code with the
+engine it checks, and neither calls ``verify``'s own oracles.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
+
+from ginlab import DivisorClass, MonomialStaircase, PointConfig, intersect, shgh_hilbert
+
+
+# Written before the template list and deliberately independent of it: scan
+# every degree 0..6 and every multiplicity multiset with entries in -1..6,
+# keep the classes with self-intersection -1 and canonical pairing -1.
+@lru_cache(maxsize=None)
+def oracle_neg_one_classes(r: int) -> frozenset[DivisorClass]:
+    k = DivisorClass(-3, (-1,) * r)
+    found: set[DivisorClass] = set()
+    for d in range(0, 7):
+        for sorted_mults in combinations_with_replacement(range(-1, 7), r):
+            c = DivisorClass(d, sorted_mults)
+            if intersect(c, c) == -1 and intersect(c, k) == -1:
+                found.update(DivisorClass(d, p) for p in set(permutations(sorted_mults)))
+    return frozenset(found)
+
+
+# The closed form's oracle: rebuild the staircase from the first differences
+# of the interpolation count, scanning from degree 0.  Column i enters the
+# ideal in the first degree whose top segment reaches it.
+def scan_shgh_staircase(r: int, m: int) -> MonomialStaircase:
+    heights: dict[int, int] = {}
+    t = 0
+    while True:
+        k = shgh_hilbert(r, m, t) - shgh_hilbert(r, m, t - 1)
+        for i in range(t - k + 1, t + 1):
+            heights.setdefault(i, t - i)
+        if k == t + 1:
+            break
+        t += 1
+    a = min(i for i, h in heights.items() if h == 0)
+    return MonomialStaircase(alpha=a, lambdas=tuple(heights[i] for i in range(a)),
+                             m=m, config=PointConfig.shgh(r))

@@ -7,12 +7,11 @@ lines; without -s pytest shows them only for failing criteria.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
 from math import comb
 
-from ginlab import (DivisorClass, MonomialStaircase, PointConfig, alpha,
-                    exceptional_classes, gin_staircase, hilbert_fn, intersect,
-                    nef_threshold, shgh_gin_closed_form, shgh_hilbert, verify)
+from ginlab import (PointConfig, alpha, exceptional_classes, gin_staircase, hilbert_fn,
+                    nef_threshold, shgh_gin_closed_form, verify)
+from oracles import oracle_neg_one_classes, scan_shgh_staircase
 
 F = Fraction
 
@@ -27,25 +26,11 @@ def _verdict(number: int, description: str, ok: bool) -> bool:
     return ok
 
 
-# Oracle for criterion 1, independent of the package's template list: scan
-# every degree 0..6 and every multiplicity multiset with entries in -1..6,
-# keep the classes with self-intersection -1 and canonical pairing -1.
-def _oracle_classes(r: int) -> frozenset[DivisorClass]:
-    k = DivisorClass(-3, (-1,) * r)
-    found: set[DivisorClass] = set()
-    for d in range(0, 7):
-        for sorted_mults in combinations_with_replacement(range(-1, 7), r):
-            c = DivisorClass(d, sorted_mults)
-            if intersect(c, c) == -1 and intersect(c, k) == -1:
-                found.update(DivisorClass(d, p) for p in set(permutations(sorted_mults)))
-    return frozenset(found)
-
-
 def test_criterion_01_class_lists_match_oracle():
     expected_counts = {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
     failures = []
     for r, count in expected_counts.items():
-        oracle = _oracle_classes(r)
+        oracle = oracle_neg_one_classes(r)
         listed = exceptional_classes(PointConfig.general(r))
         if len(oracle) != count:
             failures.append(f"r={r}: oracle finds {len(oracle)} classes, expected {count}")
@@ -167,29 +152,11 @@ def test_criterion_07_engine_agreement_on_nef_range():
     assert ok, failures
 
 
-# Oracle for criterion 8: the staircase rebuilt from the first differences
-# of the interpolation count, scanning from degree 0; column i enters the
-# ideal in the first degree whose top segment reaches it.
-def _scan_shgh_staircase(r: int, m: int) -> MonomialStaircase:
-    heights: dict[int, int] = {}
-    t = 0
-    while True:
-        k = shgh_hilbert(r, m, t) - shgh_hilbert(r, m, t - 1)
-        for i in range(t - k + 1, t + 1):
-            heights.setdefault(i, t - i)
-        if k == t + 1:
-            break
-        t += 1
-    a = min(i for i, h in heights.items() if h == 0)
-    return MonomialStaircase(alpha=a, lambdas=tuple(heights[i] for i in range(a)),
-                             m=m, config=PointConfig.shgh(r))
-
-
 def test_criterion_08_closed_form_cross_check():
     failures = []
     for r in range(9, 13):
         for m in range(1, 51):
-            if shgh_gin_closed_form(r, m) != _scan_shgh_staircase(r, m):
+            if shgh_gin_closed_form(r, m) != scan_shgh_staircase(r, m):
                 failures.append(f"r={r}, m={m}")
     ok = _verdict(8, "closed-form staircase equals the Hilbert-difference "
                      "reconstruction for r=9..12, m <= 50", not failures)

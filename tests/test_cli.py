@@ -111,6 +111,13 @@ def test_hilbert_csv(capsys):
     assert out == "t,hilbert\n23,0\n24,1\n25,21\n26,48\n"
 
 
+def test_hilbert_range_below_zero_in_equals_form(capsys):
+    # after a space argparse takes "-3..1" for a flag; joined by "=" it is the value
+    code, out, _ = run_cli(capsys, ["hilbert", "general:6", "--m", "10", "--t-range=-3..1"])
+    assert code == 0
+    assert out.splitlines() == ["# general:6, m=10", *(f"t={t}  H=0" for t in range(-3, 2))]
+
+
 def test_hilbert_text_single_degree(capsys):
     code, out, _ = run_cli(capsys, ["hilbert", "general:6", "--m", "10", "--t", "25"])
     assert code == 0

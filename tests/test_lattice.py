@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import operator
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -14,21 +14,7 @@ from ginlab import (DivisorClass, PointConfig, alpha, canonical_class, exception
                     riemann_roch_h0)
 from ginlab.errors import ComputationGuardError, UnsupportedConfigError
 from ginlab.lattice import _EXCEPTIONAL_TEMPLATES, uniform_h0
-
-
-# Oracle: enumerate every class of degree 0..6 with entries in -1..6 whose
-# self-intersection and canonical pairing are both -1.  Written before the
-# template list and deliberately independent of it.
-def oracle_neg_one_classes(r: int) -> set[DivisorClass]:
-    k = canonical_class(r)
-    found: set[DivisorClass] = set()
-    for d in range(0, 7):
-        for shape in combinations_with_replacement(range(-1, 7), r):
-            c = DivisorClass(d, shape)
-            if intersect(c, c) == -1 and intersect(c, k) == -1:
-                for mults in set(permutations(shape)):
-                    found.add(DivisorClass(d, mults))
-    return found
+from oracles import oracle_neg_one_classes
 
 
 ORACLE_COUNTS = {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}

@@ -108,16 +108,18 @@ def test_shape_report_rejects_bad_input():
 
 def test_convergence_general_six():
     config = PointConfig.general(6)
-    assert check_convergence(config, list(range(10, 51, 10))) == ()
+    assert check_convergence(config, list(range(10, 51, 10))) == (
+        True, "intercepts within 3/m for m <= 50")
     (first,) = shape_report(config, [10]).entries
     assert F(first.alpha, first.m) == F(12, 5)          # exact on the sequence
     assert F(first.zeta, first.m) - F(5, 2) == F(1, 10)  # off by exactly 1/m
 
 
 def test_convergence_general_seven_and_interpolated():
-    assert check_convergence(PointConfig.general(7), [24, 48]) == ()
+    assert check_convergence(PointConfig.general(7), [24, 48]) == (
+        True, "intercepts within 3/m for m <= 48")
     config = PointConfig.shgh(9)
-    assert check_convergence(config, [10, 20]) == ()
+    assert check_convergence(config, [10, 20]) == (True, "intercepts within 5/(2m) for m <= 20")
     (e,) = shape_report(config, [10]).entries
     assert F(e.alpha, e.m) == F(3)
 
@@ -125,13 +127,14 @@ def test_convergence_general_seven_and_interpolated():
 def test_convergence_reports_an_intercept_off_target(monkeypatch):
     monkeypatch.setattr("ginlab.shape.theoretical_shape", lambda config: (F(3), F(5, 2)))
     assert check_convergence(PointConfig.general(6), [10]) == (
-        "m=10: x-intercept 12/5 is off 3 by 3/5 > 3/10",)
+        False, "m=10: x-intercept 12/5 is off 3 by 3/5 > 3/10")
 
 
 @pytest.mark.parametrize("config", [PointConfig.general(r) for r in range(2, 9)]
                          + [PointConfig.shgh(r) for r in range(9, 65)], ids=str)
 def test_convergence_holds_at_every_m(config):
-    assert check_convergence(config, range(1, 61)) == ()
+    passed, detail = check_convergence(config, range(1, 61))
+    assert passed, detail
 
 
 def test_convergence_scale():
@@ -146,7 +149,7 @@ def test_convergence_message_names_the_applied_tolerance(monkeypatch):
     monkeypatch.setattr("ginlab.shape.theoretical_shape",
                         lambda config: (SquareRootIntercept(40), SquareRootIntercept(36)))
     assert check_convergence(PointConfig.shgh(40), [20]) == (
-        "m=20: y-intercept 13/2 is off sqrt(36) by ~0.500000 > 9/40",)
+        False, "m=20: y-intercept 13/2 is off sqrt(36) by ~0.500000 > 9/40")
 
 
 def test_convergence_rejects_collinear():
@@ -155,7 +158,9 @@ def test_convergence_rejects_collinear():
 
 
 def test_collinear_shape_check():
-    assert collinear_shape_check(3, [6, 12]) == ()
+    assert collinear_shape_check(3, [6, 12]) == (
+        True, "generator degrees 2m-floor(m/l) and lm confirmed for m <= 12; "
+        "single segment excluded (5/2 > 2)")
     (e,) = shape_report(PointConfig.collinear_plus_one(3), [6]).entries
     assert F(colength(e), e.m ** 2) == F(4 * 7, 12)
 
@@ -167,11 +172,11 @@ def test_collinear_shape_check_reports_wrong_degrees(monkeypatch):
     monkeypatch.setattr("ginlab.shape.gin_staircase",
                         lambda config, m: gin_staircase(general_four, m))
     assert collinear_shape_check(3, [6]) == (
-        "m=6: least generator degree 12 != 2m - floor(m/l) = 10",
-        "m=6: top generator degree 13 != l*m = 18",
-    )
+        False, "m=6: least generator degree 12 != 2m - floor(m/l) = 10; "
+        "m=6: top generator degree 13 != l*m = 18")
 
 
 @pytest.mark.parametrize("l", range(3, 9))
 def test_collinear_shape_check_holds_at_every_m(l):
-    assert collinear_shape_check(l, range(1, 61)) == ()
+    passed, detail = collinear_shape_check(l, range(1, 61))
+    assert passed, detail

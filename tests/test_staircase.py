@@ -10,26 +10,9 @@ from hypothesis import strategies as st
 
 import ginlab.lattice
 from ginlab import (MonomialStaircase, PointConfig, alpha, colength, gin_staircase,
-                    hilbert_fn, shgh_gin_closed_form, shgh_hilbert, verify, xy_count)
+                    hilbert_fn, shgh_gin_closed_form, verify, xy_count)
 from ginlab.errors import ComputationGuardError
-
-
-# Oracle for the closed form: rebuild the staircase from the first
-# differences of the interpolation count, scanning from degree 0.  Column i
-# enters the ideal in the first degree whose top segment reaches it.
-def scan_shgh_staircase(r: int, m: int) -> MonomialStaircase:
-    heights: dict[int, int] = {}
-    t = 0
-    while True:
-        k = shgh_hilbert(r, m, t) - shgh_hilbert(r, m, t - 1)
-        for i in range(t - k + 1, t + 1):
-            heights.setdefault(i, t - i)
-        if k == t + 1:
-            break
-        t += 1
-    a = min(i for i, h in heights.items() if h == 0)
-    return MonomialStaircase(alpha=a, lambdas=tuple(heights[i] for i in range(a)),
-                             m=m, config=PointConfig.shgh(r))
+from oracles import scan_shgh_staircase
 
 
 # Oracle: count the complement by walking the grid, independently of the

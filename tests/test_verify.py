@@ -149,6 +149,19 @@ def test_guard_errors_become_failed_checks(monkeypatch, capsys):
     assert out.endswith(f"{len(report.failures)} check(s) failed\n")
 
 
+def test_colength_and_convergence_read_shape_reports_staircases(monkeypatch):
+    # both rows take their staircases from shape_report, whose guard rejects
+    # the wrong colength; graded-system builds its own through verify's binding
+    wrong = MonomialStaircase(alpha=1, lambdas=(3,), m=1, config=PointConfig.general(2))
+    monkeypatch.setattr("ginlab.shape.gin_staircase", lambda config, m: wrong)
+    report = run_verification(PointConfig.general(2), max_m=3)
+    guard = "colength 3 differs from scheme length 2 for general:2, m=1"
+    assert [(c.name, c.detail) for c in report.failures] == [
+        ("colength", guard), ("convergence", guard)]
+    (graded,) = [c for c in report.checks if c.name == "graded-system"]
+    assert graded.passed
+
+
 def test_first_differences_failure_names_config_m_and_t(monkeypatch):
     def wrong(config, m, t):
         return hilbert_fn(config, m, t) + 10 * ((m, t) == (2, 3))
@@ -177,7 +190,7 @@ def test_every_check_is_in_the_table_once():
     ("collinear_shape_check", "collinear:3", 6, "collinear-degrees"),
 ])
 def test_shape_check_failures_fail_the_report(monkeypatch, target, spec, max_m, check):
-    monkeypatch.setattr(f"ginlab.verify.{target}", lambda *args: ("boom",))
+    monkeypatch.setattr(f"ginlab.verify.{target}", lambda *args: (False, "boom"))
     report = run_verification(PointConfig.parse(spec), max_m=max_m)
     assert not report.passed
     assert [(c.name, c.detail) for c in report.failures] == [(check, "boom")]
