@@ -7,6 +7,7 @@ From 9 points on, the conjectural interpolation count takes over.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import ceil, comb, isqrt
 
@@ -81,10 +82,4 @@ def alpha(config: PointConfig, m: int) -> int:
     hi = nef_threshold(config, m)
     if lo > hi or hilbert_fn(config, m, hi) <= 0:
         raise ComputationGuardError(f"no positive Hilbert value up to degree {hi} for {config}, m={m}")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if hilbert_fn(config, m, mid) > 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    return lo + bisect_left(range(lo, hi), True, key=lambda t: hilbert_fn(config, m, t) > 0)

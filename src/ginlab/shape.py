@@ -4,9 +4,9 @@ Scaling the staircase of the multiplicity-m ideal by 1/m produces a nested
 family of regions whose complement tends to a fixed shape of area r/2.  For
 general points the boundary is a single segment with known intercepts; for
 the collinear-plus-one arrangement it is genuinely non-linear and is reported
-empirically from the computed corners.  The convergence checks take any
-positive multiplicities, compare each intercept within a tolerance of order
-1/m, and return verify's (passed, detail) row.
+empirically from the computed corners.  ``check_convergence`` judges every
+kind at any positive multiplicities: intercepts within order 1/m of the
+segment, or the collinear generator degrees; it returns verify's row.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from collections import namedtuple
 from fractions import Fraction
 from math import isqrt, sqrt
 
-from .errors import UnsupportedConfigError
 from .lattice import COLLINEAR, SHGH, PointConfig, nef_slope
 from .staircase import colength, gin_staircase
 
@@ -57,17 +56,16 @@ def deviation_str(value: Fraction, target: Intercept) -> str:
     return f"~{abs(float(value) - float(target)):.6f}"
 
 
-def theoretical_shape(config: PointConfig) -> tuple[Intercept, Intercept]:
+def theoretical_shape(config: PointConfig) -> tuple[Intercept, Intercept] | None:
     """Intercepts (gamma1, gamma2) of the limiting segment x/g1 + y/g2 = 1.
 
     For up to 8 general points gamma2 is the nef slope nu and gamma1 = r/nu;
     from 9 points on both are sqrt(r).  Either way gamma1 * gamma2 = r,
     matching the complement area r/2.  The collinear arrangement has no
-    single-segment limit and is rejected.
+    single-segment limit: None.
     """
     if config.kind == COLLINEAR:
-        raise UnsupportedConfigError(
-            "the collinear arrangement has a non-linear limit; use collinear_shape_check")
+        return None
     if config.kind == SHGH:
         return SquareRootIntercept(config.r), SquareRootIntercept(config.r)
     nu = nef_slope(config)
@@ -100,8 +98,7 @@ def shape_report(config: PointConfig, m_list: list[int]) -> ShapeReport:
     for m in ms:
         entries.append(gin_staircase(config, m))
         colength(entries[-1])
-    predicted = None if config.kind == COLLINEAR else theoretical_shape(config)
-    return ShapeReport(config, tuple(entries), predicted,
+    return ShapeReport(config, tuple(entries), theoretical_shape(config),
                        Fraction(entries[-1].alpha, config.r * entries[-1].m))
 
 
@@ -113,15 +110,19 @@ def convergence_scale(config: PointConfig) -> Fraction:
 
 
 def check_convergence(config: PointConfig, m_list: list[int]) -> tuple[bool, str]:
-    """Desk-scale convergence: both intercepts within c/m of the prediction,
-    with c from convergence_scale, at any positive multiplicities.
+    """The limit-shape verdict for every kind, at any positive multiplicities:
+    both intercepts within c/m (convergence_scale) of the predicted segment,
+    or collinear_shape_check where theoretical_shape predicts none.
 
     The complement area needs no check of its own: shape_report's colength
     guard fixes its area per m^2 at exactly r(m+1)/(2m).  Returns verify's
     row: on failure, one message per violation, naming the multiplicity and
     deviation, joined by "; ".
     """
-    g1, g2 = theoretical_shape(config)
+    predicted = theoretical_shape(config)
+    if predicted is None:
+        return collinear_shape_check(config.l, m_list)
+    g1, g2 = predicted
     scale = convergence_scale(config)
     entries = shape_report(config, m_list).entries
     failures = []

@@ -4,11 +4,12 @@ Every check recomputes its expected values from a different route than the
 engine under test: class lists against brute-force lattice enumeration, orbit
 peeling against curve-by-curve peeling, section counts against the
 interpolation count on nef classes, staircase colengths against the scheme
-length, scaled staircases against the predicted limit, and generator
-products at m against the staircase at 2m (the graded system).  First
-differences of the Hilbert function are read through ``staircase.xy_count``,
-whose guard holds each to [0, t+1].  The table ``_CHECKS`` lists the checks
-in report order with the kinds each runs on.
+length, scaled staircases against the limit shape (one verdict for every
+kind, ``shape.check_convergence``), and generator products at m against the
+staircase at 2m (the graded system).  First differences of the Hilbert
+function are read through ``staircase.xy_count``, whose guard holds each to
+[0, t+1].  The table ``_CHECKS`` lists the checks in report order with the
+kinds each runs on.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import ComputationGuardError
 from .hilbert import alpha, hilbert_fn, nef_threshold
 from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, PointConfig,
                       canonical_class, exceptional_classes, intersect, reduce_to_nef)
-from .shape import check_convergence, collinear_shape_check, shape_report
+from .shape import check_convergence, shape_report
 from .staircase import gin_staircase, shgh_gin_closed_form, xy_count
 
 DEFAULT_MAX_M = 50
@@ -176,10 +177,6 @@ def _check_shgh_closed_form(config: PointConfig, max_m: int) -> tuple[bool, str]
     return True, f"closed form equals the reconstruction for m <= {max_m}"
 
 
-def _check_collinear_degrees(config: PointConfig, max_m: int) -> tuple[bool, str]:
-    return collinear_shape_check(config.l, range(1, max_m + 1))
-
-
 # (name, check, kinds it runs on), in report order
 _CHECKS = (
     ("class-list", _check_class_list, (GENERAL, COLLINEAR)),
@@ -188,8 +185,7 @@ _CHECKS = (
     ("nef-range-agreement", _check_engine_agreement, (GENERAL,)),
     ("closed-form", _check_shgh_closed_form, (SHGH,)),
     ("first-differences", _check_first_differences, (GENERAL, COLLINEAR, SHGH)),
-    ("collinear-degrees", _check_collinear_degrees, (COLLINEAR,)),
-    ("convergence", _check_convergence, (GENERAL, SHGH)),
+    ("convergence", _check_convergence, (GENERAL, COLLINEAR, SHGH)),
     ("graded-system", _check_graded_and_nested, (GENERAL, COLLINEAR, SHGH)),
 )
 

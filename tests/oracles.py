@@ -1,15 +1,17 @@
-"""Independent oracles shared by the test modules.
+"""Independent oracles and input finders shared by the test modules.
 
-Each rebuilds an engine result by a route that shares no code with the
-engine it checks, and neither calls ``verify``'s own oracles.
+Each oracle rebuilds an engine result by a route that shares no code with
+the engine it checks, and none calls ``verify``'s own oracles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
-from ginlab import DivisorClass, MonomialStaircase, PointConfig, intersect, shgh_hilbert
+from ginlab import DivisorClass, MonomialStaircase, PointConfig, gin_staircase, intersect, shgh_hilbert
+from ginlab.hilbert import alpha_shgh
 
 
 # Written before the template list and deliberately independent of it: scan
@@ -43,3 +45,19 @@ def scan_shgh_staircase(r: int, m: int) -> MonomialStaircase:
     a = min(i for i, h in heights.items() if h == 0)
     return MonomialStaircase(alpha=a, lambdas=tuple(heights[i] for i in range(a)),
                              m=m, config=PointConfig.shgh(r))
+
+
+def expected_generator_line(s: MonomialStaircase) -> str:
+    """The text generator line built pair by pair."""
+    def monomial(x: int, y: int) -> str:
+        return (f"x^{x}" if x > 1 else "x" * x) + (f"y^{y}" if y > 1 else "y" * y)
+    return "generators: " + " ".join(monomial(x, y) for x, y in s.generators)
+
+
+def shgh_with_alpha(a: int) -> MonomialStaircase:
+    """An shgh staircase with alpha = a, from the first r in 9..16 that has one."""
+    for r in range(9, 17):
+        m = 1 + bisect_left(range(1, a + 1), a, key=lambda m: alpha_shgh(r, m))
+        if alpha_shgh(r, m) == a:
+            return gin_staircase(PointConfig.shgh(r), m)
+    raise LookupError(f"no shgh staircase with alpha {a}")

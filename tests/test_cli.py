@@ -9,7 +9,6 @@ import os
 import re
 import subprocess
 import sys
-from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -17,8 +16,8 @@ import pytest
 from ginlab import MonomialStaircase, PointConfig, cli, gin_staircase
 from ginlab.errors import ComputationGuardError
 from ginlab.exporters import CHUNK
-from ginlab.hilbert import alpha_shgh
 from ginlab.verify import VerifyCheck, VerifyReport
+from oracles import expected_generator_line, shgh_with_alpha
 
 
 def run_cli(capsys, argv):
@@ -48,13 +47,6 @@ def test_gin_text(capsys):
     assert "generators: x y^2" in out
 
 
-def expected_generator_line(s: MonomialStaircase) -> str:
-    """The text generator line built pair by pair."""
-    def monomial(x: int, y: int) -> str:
-        return (f"x^{x}" if x > 1 else "x" * x) + (f"y^{y}" if y > 1 else "y" * y)
-    return "generators: " + " ".join(monomial(x, y) for x, y in s.generators)
-
-
 def gin_text_lines(capsys, config: str, m: int) -> list[str]:
     code, out, _ = run_cli(capsys, ["gin", config, "--m", str(m), "--format", "text"])
     assert code == 0
@@ -81,21 +73,11 @@ def test_gin_text_edge_columns(capsys, config, m, line):
     assert gin_text_lines(capsys, config, m)[2] == line
 
 
-def shgh_with_alpha(a: int) -> tuple[int, int]:
-    """(r, m) of an shgh staircase with alpha = a, for the first r in 9..16 that has one."""
-    for r in range(9, 17):
-        m = 1 + bisect_left(range(1, a + 1), a, key=lambda m: alpha_shgh(r, m))
-        if alpha_shgh(r, m) == a:
-            return r, m
-    raise LookupError(f"no shgh staircase with alpha {a}")
-
-
 # the x^%dy^%d columns, alpha - 2 or alpha - 3 down to 2, on each side of one chunk
 @pytest.mark.parametrize("a", [CHUNK + 1, CHUNK + 2, CHUNK + 3])
 def test_gin_text_generators_across_chunk_boundaries(capsys, a):
-    r, m = shgh_with_alpha(a)
-    s = gin_staircase(PointConfig.shgh(r), m)
-    assert gin_text_lines(capsys, f"shgh:{r}", m)[2] == expected_generator_line(s)
+    s = shgh_with_alpha(a)
+    assert gin_text_lines(capsys, str(s.config), s.m)[2] == expected_generator_line(s)
 
 
 def test_gin_conjectural_flag(capsys):
@@ -518,9 +500,9 @@ GOLDEN = [
     ("verify general:6 --max-m 10",
      "bd0ea7a0132988d4c7ea5537a08e603a2e549e1abf5194a7b00838c5c34c208b"),
     ("verify collinear:3 --max-m 12",
-     "72796d1a9b48f8c354cad9127ad1b059b57609aeb8d6be916932f5281e9d5c17"),
+     "e08ad1ea3a244d4e554744e9d0b171b2015a06c91c832b371eb704439ca84a22"),
     ("verify collinear:4 --max-m 12 --format json",
-     "870d788c70aa1d86de37c992a60bfecf6719b081ec635de366600319bd6cfee5"),
+     "caafd220bb39cd4fcbe42423d31126e30c2d3e039e277453280441ee9b89c852"),
     ("classes general:6 --format json",
      "a7b1a4254f5ce71a41f00cfc64635a2e150bebd158bdb211fab7d9692ca205e7"),
     ("classes collinear:4",

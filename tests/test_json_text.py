@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import tracemalloc
-from bisect import bisect_left
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -13,8 +12,8 @@ from hypothesis import strategies as st
 from ginlab import MonomialStaircase, PointConfig, gin_staircase, shape_report
 from ginlab.exporters import (CHUNK, int_runs, intercept_str, json_text, rational_str, shape_json,
                               staircase_json)
-from ginlab.hilbert import alpha_shgh
 from ginlab.staircase import colength
+from oracles import shgh_with_alpha
 
 # ints past 64 bits, and text with non-ASCII, control characters, quotes
 # and backslashes
@@ -111,15 +110,6 @@ def expected_staircase_json(s: MonomialStaircase) -> str:
         "colength": colength(s),
         "conjectural": s.config.conjectural,
     }, indent=2)
-
-
-def shgh_with_alpha(a: int) -> MonomialStaircase:
-    """An shgh staircase with alpha = a, from the first r in 9..16 that has one."""
-    for r in range(9, 17):
-        m = 1 + bisect_left(range(1, a + 1), a, key=lambda m: alpha_shgh(r, m))
-        if alpha_shgh(r, m) == a:
-            return gin_staircase(PointConfig.shgh(r), m)
-    raise LookupError(f"no shgh staircase with alpha {a}")
 
 
 def test_large_staircase_matches_json_dumps():

@@ -10,7 +10,6 @@ import pytest
 from ginlab import (PointConfig, SquareRootIntercept, check_convergence,
                     collinear_shape_check, colength, gin_staircase, shape_report,
                     theoretical_shape, within)
-from ginlab.errors import UnsupportedConfigError
 from ginlab.exporters import shape_json
 from ginlab.shape import convergence_scale
 
@@ -36,9 +35,8 @@ def test_theoretical_shape_table():
         assert g2 == SquareRootIntercept(r)
 
 
-def test_theoretical_shape_rejects_collinear():
-    with pytest.raises(UnsupportedConfigError):
-        theoretical_shape(PointConfig.collinear_plus_one(3))
+def test_theoretical_shape_collinear_is_none():
+    assert theoretical_shape(PointConfig.collinear_plus_one(3)) is None
 
 
 def test_square_root_intercept():
@@ -152,9 +150,10 @@ def test_convergence_message_names_the_applied_tolerance(monkeypatch):
         False, "m=20: y-intercept 13/2 is off sqrt(36) by ~0.500000 > 9/40")
 
 
-def test_convergence_rejects_collinear():
-    with pytest.raises(UnsupportedConfigError):
-        check_convergence(PointConfig.collinear_plus_one(3), [6])
+def test_convergence_judges_collinear_by_its_generator_degrees():
+    for l in range(3, 9):
+        assert check_convergence(PointConfig.collinear_plus_one(l), range(1, 61)) == \
+            collinear_shape_check(l, range(1, 61)), l
 
 
 def test_collinear_shape_check():

@@ -17,19 +17,16 @@ from ginlab.exporters import (CHUNK, hilbert_csv, json_text, shape_csv, shape_js
 from ginlab.hilbert import hilbert_fn
 from ginlab.lattice import canonical_class, exceptional_classes, intersect
 from ginlab.verify import run_verification
+from oracles import expected_generator_line
 
 
 def gin_text(spec: str, m: int) -> str:
     """The gin text document built pair by pair, as one str."""
     s = gin_staircase(PointConfig.parse(spec), m)
-
-    def monomial(x: int, y: int) -> str:
-        return (f"x^{x}" if x > 1 else "x" * x) + (f"y^{y}" if y > 1 else "y" * y)
-
     return "\n".join([
         f"# {s.config}, m={m}" + (" (conjectural)" if s.config.conjectural else ""),
         f"alpha={s.alpha} zeta={s.zeta} colength={sum(s.lambdas)}",
-        "generators: " + " ".join(monomial(x, y) for x, y in s.generators),
+        expected_generator_line(s),
     ])
 
 

@@ -9,7 +9,7 @@ import pytest
 from ginlab import (DivisorClass, MonomialStaircase, PointConfig, brute_force_exceptional_classes, cli,
                     exceptional_classes, gin_staircase, hilbert_fn, run_verification,
                     shgh_gin_closed_form)
-from ginlab import verify
+from ginlab import shape, verify
 from ginlab.lattice import uniform_h0
 
 
@@ -60,7 +60,7 @@ SHAPE_CHECK_DETAILS = {
 @pytest.mark.parametrize("spec", SHAPE_CHECK_DETAILS)
 def test_shape_check_detail_covers_every_m(spec):
     report = run_verification(PointConfig.parse(spec), max_m=4)
-    (check,) = [c for c in report.checks if c.name in ("convergence", "collinear-degrees")]
+    (check,) = [c for c in report.checks if c.name == "convergence"]
     assert check.detail == SHAPE_CHECK_DETAILS[spec]
 
 
@@ -73,7 +73,7 @@ def test_check_names_by_kind():
                      "convergence", "graded-system"]
     names = [c.name for c in run_verification(PointConfig.collinear_plus_one(3), max_m=6).checks]
     assert names == ["class-list", "orbit-engine", "colength", "first-differences",
-                     "collinear-degrees", "graded-system"]
+                     "convergence", "graded-system"]
 
 
 def test_run_verification_rejects_bad_max_m():
@@ -187,10 +187,13 @@ def test_every_check_is_in_the_table_once():
 
 @pytest.mark.parametrize("target,spec,max_m,check", [
     ("check_convergence", "general:2", 4, "convergence"),
-    ("collinear_shape_check", "collinear:3", 6, "collinear-degrees"),
+    ("collinear_shape_check", "collinear:3", 6, "convergence"),
 ])
 def test_shape_check_failures_fail_the_report(monkeypatch, target, spec, max_m, check):
-    monkeypatch.setattr(f"ginlab.verify.{target}", lambda *args: (False, "boom"))
+    # each check is stubbed where its caller looks it up: verify calls
+    # check_convergence, which calls collinear_shape_check for collinear
+    owner = verify if target in vars(verify) else shape
+    monkeypatch.setattr(owner, target, lambda *args: (False, "boom"))
     report = run_verification(PointConfig.parse(spec), max_m=max_m)
     assert not report.passed
     assert [(c.name, c.detail) for c in report.failures] == [(check, "boom")]
