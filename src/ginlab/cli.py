@@ -7,17 +7,25 @@ silently, with the command's own code.  Output is deterministic byte for byte
 for identical invocations; files always end with a newline.
 
 The table ``_COMMANDS`` is the single list of subcommands and their flags:
-the parser and the ``--config-file`` keys are both derived from it.
+the parser, the ``--config-file`` keys and the plain reader are all derived
+from it.  The plain reader takes an argv of the form
+``COMMAND [CONFIG] (--FLAG VALUE)...``, each flag spelled in full and given
+at most once, each value non-empty, not starting with ``-`` and valid for
+its flag (an int for an int flag, one of the command's formats for
+``--format``), and builds the namespace argparse would build for it.
+Every other argv, ``--help`` and every usage error go to argparse, the one
+owner of help and error text, which is imported only then.  So a plain
+command loads neither argparse nor, unless it writes JSON or reads a config
+file, json.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain
+from types import SimpleNamespace
 
 from . import exporters, shape, staircase, verify
 from .errors import ComputationGuardError
@@ -206,6 +214,10 @@ def cmd_verify(config: PointConfig, args) -> tuple[Iterable[str], int]:
     return ("\n".join(lines),), code
 
 
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
 # (name, command, help, formats with the default first, flags); a flag is (flag, type, help)
 _COMMANDS = (
     ("classes", cmd_classes, "list the negative curve classes", ("text", "json"), ()),
@@ -218,13 +230,14 @@ _COMMANDS = (
     ("verify", cmd_verify, "run the cross-validation suite", ("text", "json"),
      (("--max-m", int, "largest multiplicity the suite touches"),)),
 )
+_BY_NAME = {row[0]: row for row in _COMMANDS}
 _FILE_KEYS = {"config": str, "format": str, "out": str,
-              **{flag[2:].replace("-", "_"): kind for row in _COMMANDS for flag, kind, _ in row[4]}}
+              **{_dest(flag): kind for row in _COMMANDS for flag, kind, _ in row[4]}}
 # a flag and its list form are one setting: either on the command line hides both in the file
 _SETTING = {"m_list": "m", "t_range": "t"}
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _apply_config_file(args) -> None:
     """Fill flags left off the command line from a JSON file, then default the rest.
 
     Flags that have a default are parsed as None, so an explicit flag that
@@ -233,6 +246,8 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     A key the subcommand does not take is refused.
     """
     if args.config_file:
+        import json
+
         with open(args.config_file, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         if not isinstance(data, dict):
@@ -255,7 +270,49 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         args.max_m = verify.DEFAULT_MAX_M
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of ``build_parser().parse_args(argv)`` for a plain argv,
+    ``COMMAND [CONFIG] (--FLAG VALUE)...``; None for any other argv."""
+    row = _BY_NAME.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    name, func, _, formats, flags = row
+    # the three flags every subcommand shares take a str; then its own flags
+    kinds = dict.fromkeys(("--config-file", "--format", "--out"), str)
+    kinds |= {flag: kind for flag, kind, _ in flags}
+    args = {"command": name, "config": None, **dict.fromkeys(map(_dest, kinds)),
+            "func": func, "formats": formats, "file_keys": _file_keys(flags)}
+    words = argv[1:]
+    if words and _plain(words[0]):
+        args["config"], words = words[0], words[1:]
+    if len(words) % 2:
+        return None
+    for flag, value in zip(words[::2], words[1::2]):
+        kind = kinds.pop(flag, None)  # popped, so a repeated flag is not plain
+        if kind is None or not _plain(value):
+            return None
+        try:
+            args[_dest(flag)] = kind(value)
+        except ValueError:
+            return None
+    if args["format"] not in (None, *formats):
+        return None
+    return SimpleNamespace(**args)
+
+
+def _plain(word: str) -> bool:
+    # argparse reads a word without a leading "-" as a value, never as a flag
+    return word != "" and word[0] != "-"
+
+
+def _file_keys(flags) -> list[str]:
+    """The config-file keys a subcommand with these flags takes."""
+    return ["config", "format", "out", *(_dest(flag) for flag, _, _ in flags)]
+
+
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ginlab",
         description="Exact staircase computations for uniform fat-point ideals in the plane.")
@@ -267,19 +324,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config-file", help="JSON file supplying any of the flags below")
         p.add_argument("--format", choices=formats)
         p.add_argument("--out", help="write output to this file")
-        keys = ["config", "format", "out"]  # the config-file keys this subcommand takes
         for flag, kind, flag_help in flags:
-            keys.append(p.add_argument(flag, type=kind, help=flag_help).dest)
-        p.set_defaults(func=func, formats=formats, file_keys=keys)
+            p.add_argument(flag, type=kind, help=flag_help)
+        p.set_defaults(func=func, formats=formats, file_keys=_file_keys(flags))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
+            return int(exc.code or 0)
     try:
         _apply_config_file(args)
         if args.config is None:

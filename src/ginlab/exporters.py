@@ -7,16 +7,17 @@ shape report's corners: `_corner_run` gcd-reduces those itself, so that they
 render as "%d/%d" runs; file payloads end with one newline.
 Every JSON document goes through `json_pieces`, the one hand-written emitter
 of the two-space layout; `json_text` joins its pieces, and `json.dumps` with
-a two-space indent is the test oracle.  The command line writes the pieces
-as they come, so it never holds a whole document.  The large int arrays,
-nearly all the bytes of a staircase, are named by the code that builds the
-payload: `int_runs` for a sequence of ints or int pairs, `column_runs` for a
-staircase's generators, laid out column by column without building the
-pairs, and `corner_runs` for a shape report's corners, read from the column
-profile without building the pairs or their rational strs.  `render_runs`
-formats each such run of at most CHUNK items by one "%d" template, only as
-the pieces are read, so no str is made per number.  Every other list,
-whatever it holds, takes the generic path.
+a two-space indent is the test oracle.  `json_pieces` imports json's string
+encoder itself, so only JSON output loads json.  The command line writes
+the pieces as they come, so it never holds a whole document.  The large
+int arrays, nearly all the bytes of a staircase, are named by the code that
+builds the payload: `int_runs` for a sequence of ints or int pairs,
+`column_runs` for a staircase's generators, laid out column by column
+without building the pairs, and `corner_runs` for a shape report's
+corners, read from the column profile without building the pairs or their
+rational strs.  `render_runs` formats each such run of at most CHUNK items
+by one "%d" template, only as the pieces are read, so no str is made per
+number.  Every other list, whatever it holds, takes the generic path.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import chain, groupby, repeat
-from json.encoder import encode_basestring_ascii as _string
 from math import gcd
 from operator import floordiv
 
@@ -64,8 +64,10 @@ def json_pieces(payload: dict) -> Iterator[str]:
     are read, one CHUNK run at a time.  The structure between two arrays comes
     as one piece.
     """
+    from json.encoder import encode_basestring_ascii  # loaded only for JSON output
+
     out: list = []
-    _emit(payload, "\n", out)
+    _emit(payload, "\n", out, encode_basestring_ascii)
     return _pieces(out)
 
 
@@ -95,11 +97,12 @@ def int_runs(values, width: int = 1):
     return _IntRuns((tuple(chain.from_iterable(values[i:i + CHUNK])) for i in starts), 2)
 
 
-def _emit(o, nl: str, out: list[str]) -> None:
-    """Append o rendered with its nested lines indented by nl (newline + indent)."""
+def _emit(o, nl: str, out: list[str], string) -> None:
+    """Append o rendered with its nested lines indented by nl (newline + indent);
+    string renders a str as a JSON string."""
     inner = nl + "  "
     if isinstance(o, str):
-        out.append(_string(o))
+        out.append(string(o))
     elif o is None or isinstance(o, bool):
         out.append("null" if o is None else "true" if o else "false")
     elif isinstance(o, int):
@@ -112,7 +115,7 @@ def _emit(o, nl: str, out: list[str]) -> None:
         lead = "[" + inner
         for item in o:
             out.append(lead)
-            _emit(item, inner, out)
+            _emit(item, inner, out, string)
             lead = "," + inner
         out.append(nl + "]" if o else "[]")
     elif isinstance(o, dict):
@@ -120,8 +123,8 @@ def _emit(o, nl: str, out: list[str]) -> None:
         for key, value in o.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(lead + _string(key) + ": ")
-            _emit(value, inner, out)
+            out.append(lead + string(key) + ": ")
+            _emit(value, inner, out, string)
             lead = "," + inner
         out.append(nl + "}" if o else "{}")
     else:

@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ginlab import MonomialStaircase, PointConfig, cli, gin_staircase
 from ginlab.errors import ComputationGuardError
@@ -292,6 +294,57 @@ def test_usage_error_bytes(capsys, monkeypatch):
                    "                  [config]\n"
                    "ginlab gin: error: argument --format: invalid choice: 'csv' "
                    "(choose from 'json', 'text')\n")
+
+
+def parsed(argv):
+    try:
+        return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv}")
+
+
+# one plain argv per subcommand; the format is appended, as benchmark commands do
+PLAIN_ARGV = {
+    "classes": ["classes", "general:6"],
+    "hilbert": ["hilbert", "general:6", "--m", "10", "--t-range", "20..25"],
+    "gin": ["gin", "collinear:3", "--m", "12"],
+    "shape": ["shape", "shgh:10", "--m-list", "2,4"],
+    "verify": ["verify", "general:3", "--max-m", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", [[*PLAIN_ARGV[name], "--format", fmt]
+                                  for name, _, _, formats, _ in cli._COMMANDS for fmt in formats],
+                         ids=" ".join)
+def test_plain_reader_serves_every_command_and_format(argv):
+    plain = cli._read_plain(argv)
+    assert plain is not None
+    assert vars(plain) == parsed(argv)
+
+
+_FLAGS = sorted({"--config-file", "--format", "--out",
+                 *(flag for row in cli._COMMANDS for flag, _, _ in row[4])})
+_FORMATS = sorted({fmt for row in cli._COMMANDS for fmt in row[3]} | {"xml"})
+_WORDS = ["--form", "--m=3", "-h", "--help", "--", "", "-3", "+3", "1_0", " 7", "3", "x",
+          "general:6", "2,4", "20..25", "-3..1", "--t-range=-3..1", *_FORMATS]
+_COMMAND_NAMES = [row[0] for row in cli._COMMANDS]
+# a soup of every token, and argvs shaped like the plain form with drawn flags and values
+_SOUP = st.lists(st.sampled_from(_COMMAND_NAMES + _FLAGS + _WORDS), max_size=9)
+_SHAPED = st.builds(
+    lambda name, config, pairs: [name, *config, *(word for pair in pairs for word in pair)],
+    st.sampled_from(_COMMAND_NAMES + ["bogus", "-h"]),
+    st.lists(st.sampled_from(_WORDS), max_size=1),
+    st.lists(st.tuples(st.sampled_from(_FLAGS + ["--form", "--m=3", "-h"]),
+                       st.sampled_from(_WORDS + ["-3", "1", "7"])), max_size=4))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_SOUP, _SHAPED))
+@example(["gin", "general:2", "--format", "csv", "--format", "text"])  # argparse checks each
+def test_plain_reader_matches_argparse(argv):
+    plain = cli._read_plain(argv)
+    if plain is not None:
+        assert vars(plain) == parsed(argv)
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -137,3 +137,26 @@ def test_cli_import_skips_dataclasses_inspect_and_typing():
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert result.stdout == "[]\n"
+
+
+# main's exit code and which of these it loaded, on stderr's last line
+_HEAVY = ("argparse", "gettext", "json", "locale")
+_RUN_MAIN = ("import ginlab.cli, sys; code = ginlab.cli.main(sys.argv[1:]); "
+             f"print(code, sorted(set({_HEAVY!r}) & set(sys.modules)), file=sys.stderr)")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    ("gin general:6 --m 12 --format text", []),
+    ("hilbert general:6 --m 10 --t-range 20..25 --format csv", []),
+    ("shape general:6 --m-list 2,4 --format svg", []),
+    ("verify general:3 --max-m 3 --format text", []),
+    ("gin shgh:10 --m 4", ["json"]),
+    ("--help", ["argparse", "gettext", "locale"]),
+])
+def test_cli_main_loads_argparse_and_json_only_when_used(argv, loaded):
+    # a plain command skips argparse, and json unless it writes JSON; --help goes to argparse
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-S", "-c", _RUN_MAIN, *argv.split()],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stderr.splitlines()[-1] == f"0 {loaded}"
