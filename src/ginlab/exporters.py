@@ -294,8 +294,9 @@ def shape_svg(report: ShapeReport) -> str:
         pts = " ".join([*map("{0},{1} {2},{1}".format, xs, ys, xs[1:]), f"{xs[-1]},{_fmt(ty(0.0))}"])
         parts.append(f'  <polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{pts}"/>')
-        parts.append(f'  <text x="{_fmt(tx(0) + 4)}" y="{_fmt(ty(entry.zeta / entry.m) - 4 - 12 * idx)}" '
-                     f'font-size="12" fill="{color}">m={entry.m}</text>')
+        # a legend in the top right corner, which every outline leaves empty
+        parts.append(f'  <text x="{_fmt(width - 4)}" y="{12 * (idx + 1)}" font-size="12" '
+                     f'text-anchor="end" fill="{color}">m={entry.m}</text>')
     if report.predicted is not None:
         g1, g2 = report.predicted
         parts.append(f'  <line x1="{_fmt(tx(float(g1)))}" y1="{_fmt(ty(0))}" '

@@ -4,15 +4,17 @@ Classes live in the Picard lattice with basis e0 (pullback of a line) and
 e_1..e_r (exceptional curves); the intersection form is diag(1, -1, ..., -1).
 Section counts of nef classes come from Riemann-Roch.  Other classes are
 driven to a nef representative by peeling off negative curves; each peel
-preserves the section count.  ``reduce_to_nef`` peels curve by curve on
-``DivisorClass`` values.  The orbit engine ``uniform_h0`` peels uniform
-classes a whole orbit at a time on plain ints (d, a, b) and evaluates
-Riemann-Roch on them in closed form; the two share only the curve list.
+preserves the section count.  The curves are one table of orbits under
+permuting the points, ``_curve_orbits``.  The orbit engine ``uniform_h0``
+peels uniform classes a whole orbit at a time on plain ints (d, a, b) and
+evaluates Riemann-Roch on them in closed form; ``reduce_to_nef`` peels
+curve by curve on ``DivisorClass`` values from the table's expansion,
+``exceptional_classes``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
@@ -207,37 +209,35 @@ def _distinct_permutations(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]
             yield (first,) + tail
 
 
-@lru_cache(maxsize=None)
-def exceptional_classes(config: PointConfig) -> tuple[DivisorClass, ...]:
-    """Every negative curve the nef test has to see, sorted by (d, mults).
+def _curve_orbits(config: PointConfig) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """The negative curves the nef test has to see, one row per orbit under
+    permuting the first n points: (degree, sorted multiplicities on those n
+    points, the multiplicities past them), in that order.
 
-    General position: all index permutations of the template shapes fitting
-    into r points.  Collinear-plus-one: the r exceptional curves, the line
-    through the collinear points, and the lines joining each collinear point
-    to the extra one.
+    General position: the template shapes fitting into r points.
+    Collinear-plus-one: the exceptional curves over the line's points and
+    over the extra point, the lines joining a collinear point to the extra
+    one, and the line through the collinear points.
     """
     if config.kind == SHGH:
         raise UnsupportedConfigError(
             "9 or more general points carry infinitely many exceptional classes")
-    r = config.r
-    classes: set[DivisorClass] = set()
     if config.kind == GENERAL:
-        for d, support in _EXCEPTIONAL_TEMPLATES:
-            if len(support) > r:
-                continue
-            for mults in _distinct_permutations(support + (0,) * (r - len(support))):
-                classes.add(DivisorClass(d, mults))
-    else:
-        l = config.l
-        for i in range(1, r + 1):
-            classes.add(DivisorClass.exceptional(i, r))
-        classes.add(DivisorClass(1, (1,) * l + (0,)))
-        for i in range(1, l + 1):
-            mults = [0] * r
-            mults[i - 1] = 1
-            mults[l] = 1
-            classes.add(DivisorClass(1, tuple(mults)))
-    out = tuple(sorted(classes, key=lambda c: (c.d, c.mults)))
+        r = config.r
+        return tuple((d, tuple(sorted(support + (0,) * (r - len(support)))), ())
+                     for d, support in _EXCEPTIONAL_TEMPLATES if len(support) <= r)
+    zeros = (0,) * (config.l - 1)
+    return ((0, (-1, *zeros), (0,)), (0, (0, *zeros), (-1,)),
+            (1, (*zeros, 1), (1,)), (1, (1,) * config.l, (0,)))
+
+
+@lru_cache(maxsize=None)
+def exceptional_classes(config: PointConfig) -> tuple[DivisorClass, ...]:
+    """Every listed negative curve, sorted by (d, mults): the rows of
+    ``_curve_orbits`` expanded over the distinct orderings of their first n
+    multiplicities, for the curve-by-curve routes and the class listings."""
+    out = tuple(sorted((DivisorClass(d, on + off) for d, orbit, off in _curve_orbits(config)
+                        for on in _distinct_permutations(orbit)), key=lambda c: (c.d, c.mults)))
     for c in out:
         # the reduction loop divides by -C.C, so every listed curve must be negative
         if intersect(c, c) >= 0:
@@ -326,7 +326,7 @@ def reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
 
 @lru_cache(maxsize=None)
 def _orbits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
-    """The listed curves in orbits under permuting the first n points.
+    """The rows of ``_curve_orbits`` as the orbit engine reads them.
 
     Each orbit is (degree, multiplicity sum on the n points, multiplicity
     off them) of one member C, then the same for the orbit sum S, whose
@@ -334,15 +334,12 @@ def _orbits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int, in
     one subtraction of S raises the pairing with C.
     """
     n = config.n
-    sizes = Counter((c.d, tuple(sorted(c.mults[:n])), sum(c.mults[n:]))
-                    for c in exceptional_classes(config))
     orbits = []
-    for (d, on, off), size in sorted(sizes.items()):
-        a = sum(on)
-        if size * a % n:
-            raise ComputationGuardError(f"curve list of {config} is not symmetric in its first {n} points")
-        sd, sa, sb = size * d, size * a // n, size * off
-        orbits.append((d, a, off, sd, sa, sb, sa * a + sb * off - sd * d))
+    for d, on, off in _curve_orbits(config):
+        size = sum(1 for _ in _distinct_permutations(on))
+        a, b = sum(on), sum(off)
+        sd, sa, sb = size * d, size * a // n, size * b
+        orbits.append((d, a, b, sd, sa, sb, sa * a + sb * b - sd * d))
     return tuple(orbits)
 
 

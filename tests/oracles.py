@@ -7,10 +7,12 @@ the engine it checks, and none calls ``verify``'s own oracles.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
-from ginlab import DivisorClass, MonomialStaircase, PointConfig, gin_staircase, intersect, shgh_hilbert
+from ginlab import (DivisorClass, MonomialStaircase, PointConfig, exceptional_classes, gin_staircase, intersect,
+                    shgh_hilbert)
 from ginlab.hilbert import alpha_shgh
 
 
@@ -27,6 +29,24 @@ def oracle_neg_one_classes(r: int) -> frozenset[DivisorClass]:
             if intersect(c, c) == -1 and intersect(c, k) == -1:
                 found.update(DivisorClass(d, p) for p in set(permutations(sorted_mults)))
     return frozenset(found)
+
+
+# The orbit table's oracle: group the expanded class list into orbits under
+# permuting the first n points, count each orbit, build its sum S, whose
+# multiplicity is the same at each of those points, and pair one member C
+# with S.  Rows are (cd, ca, cb, sd, sa, sb, -C.S), sorted by orbit.
+def grouped_orbits(config: PointConfig) -> tuple[tuple[int, ...], ...]:
+    n, rest = config.n, config.r - config.n
+    sizes = Counter((c.d, tuple(sorted(c.mults[:n])), sum(c.mults[n:]))
+                    for c in exceptional_classes(config))
+    rows = []
+    for (d, on, off), size in sorted(sizes.items()):
+        a = sum(on)
+        assert size * a % n == 0, f"curve list of {config} is not symmetric in its first {n} points"
+        member = DivisorClass(d, on + (off,) * rest)
+        orbit_sum = DivisorClass(size * d, (size * a // n,) * n + (size * off,) * rest)
+        rows.append((d, a, off, orbit_sum.d, orbit_sum.mults[0], size * off, -intersect(member, orbit_sum)))
+    return tuple(rows)
 
 
 # The closed form's oracle: rebuild the staircase from the first differences

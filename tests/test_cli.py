@@ -541,7 +541,7 @@ GOLDEN = [
     ("shape general:6 --m-list 10,20,30 --format json",
      "75563025c6ff089b17b926cde17618646ba4eed80659883552f27f334e7833ad"),
     ("shape general:8 --m-list 17,34 --format svg",
-     "0de56292b9bb45ad699e9fa6acdb91fdfb97da507c0f2768d4024658d323460b"),
+     "bbaddb018529f3e70451a60ae0b1ce66b14f432e789c5035a0f551d3e4732955"),
     ("shape shgh:10 --m-list 5,10,15 --format csv",
      "f3618505369788d8fc00319891a50aeb04948acc41dd184b66b0e6e423a2a0d9"),
     ("verify shgh:11 --max-m 12",
@@ -569,7 +569,7 @@ GOLDEN = [
     ("shape collinear:4 --m-list 12,24 --format json",
      "b369fa1d4bd6f9223976a8a5712ff81ff8300432b4b63422481a8bf320bfef94"),
     ("shape shgh:10 --m-list 3,6,9 --format svg",
-     "f467ce92815572bb66e3b915663c777d97d5225ca539135093eaac2ca7ca97f2"),
+     "53ac84cd7345955abe035efa68c2f4fef7a2c58df495e784b6a3e9cb3ce9dfed"),
     ("gin general:6 --m 10",
      "667b2690b0b3137edb8f5d86ffa7fadb0694451ddab9b45a8e2b9e4f98a94551"),
     ("hilbert general:7 --m 20 --t-range 40..70 --format json",
@@ -581,7 +581,7 @@ GOLDEN = [
     ("shape collinear:4 --m-list 12,24 --format csv",
      "5119e9a319bdc0a44dcb16b0091692d735edef81e5153e0e226698158a6e1398"),
     ("shape collinear:3 --m-list 6,12 --format svg",
-     "4d393081acda65a8f49119bc7c6bfa54a650d0e70b1821bdda3b49a39de7b839"),
+     "0278ec56f4fdb21d2b5caf5d162a4cfc63786f0f041ca5a0425c46bc19aa4d4c"),
     ("shape shgh:12 --m-list 4,8",
      "a1186f80b4e5bf49f0d8453e85e46ba08bf658eac25cba24e9417efecd96105c"),
     ("gin shgh:9 --m 3 --format text",
@@ -634,27 +634,34 @@ def ginlab_modules() -> list:
 
 
 def test_engine_commands_take_no_oracle_route(capsys, monkeypatch):
-    def run_all():
+    def run_all(commands):
         for cached in {v for mod in ginlab_modules() for v in vars(mod).values() if hasattr(v, "cache_clear")}:
             cached.cache_clear()
-        return [run_cli(capsys, command.split()) for command in ENGINE_COMMANDS]
+        return [run_cli(capsys, command.split()) for command in commands]
 
     def raising(qualname):
         def stub(*args, **kwargs):
             raise AssertionError(f"{qualname} called")
         return stub
 
-    expected = run_all()
-    routes = {}
-    for qualname in ORACLE_ROUTES:
-        module, name = qualname.split(".")
-        routes[id(getattr(sys.modules[f"ginlab.{module}"], name))] = qualname
-    # every name a ginlab module holds a route under, as bench/tracing.py rebinds them
-    rebound = [(mod, name, routes[id(value)]) for mod in ginlab_modules()
-               for name, value in vars(mod).items() if id(value) in routes]
-    for mod, name, qualname in rebound:
-        monkeypatch.setattr(mod, name, raising(qualname))
-    assert {qualname for _, _, qualname in rebound} == set(ORACLE_ROUTES)
-    assert run_all() == expected
+    def stub_every_name(qualnames):
+        routes = {}
+        for qualname in qualnames:
+            module, name = qualname.split(".")
+            routes[id(getattr(sys.modules[f"ginlab.{module}"], name))] = qualname
+        # every name a ginlab module holds a route under, as bench/tracing.py rebinds them
+        rebound = [(mod, name, routes[id(value)]) for mod in ginlab_modules()
+                   for name, value in vars(mod).items() if id(value) in routes]
+        for mod, name, qualname in rebound:
+            monkeypatch.setattr(mod, name, raising(qualname))
+        assert {qualname for _, _, qualname in rebound} == set(qualnames)
+
+    expected = run_all(ENGINE_COMMANDS)
+    stub_every_name(ORACLE_ROUTES)
+    assert run_all(ENGINE_COMMANDS) == expected
+    # hilbert, gin and shape read the orbit table, never the expanded class list
+    stub_every_name(("lattice.exceptional_classes",))
+    engine = [i for i, command in enumerate(ENGINE_COMMANDS) if not command.startswith("classes ")]
+    assert run_all([ENGINE_COMMANDS[i] for i in engine]) == [expected[i] for i in engine]
     # classes refuses shgh, which carries infinitely many exceptional classes
     assert [c for c, (code, _, _) in zip(ENGINE_COMMANDS, expected) if code] == ["classes shgh:10"]

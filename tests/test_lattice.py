@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,8 @@ from ginlab import (DivisorClass, PointConfig, alpha, canonical_class, exception
                     h0, hilbert_fn, intersect, is_nef, nef_threshold, reduce_to_nef,
                     riemann_roch_h0)
 from ginlab.errors import ComputationGuardError, UnsupportedConfigError
-from ginlab.lattice import _EXCEPTIONAL_TEMPLATES, uniform_h0
-from oracles import oracle_neg_one_classes
+from ginlab.lattice import _EXCEPTIONAL_TEMPLATES, _curve_orbits, _orbits, uniform_h0
+from oracles import grouped_orbits, oracle_neg_one_classes
 
 
 ORACLE_COUNTS = {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
@@ -92,6 +94,25 @@ def test_exceptional_classes_r2_explicit():
 def test_exceptional_classes_shgh_rejected():
     with pytest.raises(UnsupportedConfigError):
         exceptional_classes(PointConfig.shgh(9))
+
+
+ORBIT_CONFIGS = [*(f"general:{r}" for r in range(2, 9)), *(f"collinear:{l}" for l in range(3, 13))]
+
+
+@pytest.mark.parametrize("spec", ORBIT_CONFIGS)
+def test_orbit_rows_match_the_grouped_class_list(spec):
+    config = PointConfig.parse(spec)
+    assert _orbits(config) == grouped_orbits(config)
+
+
+@pytest.mark.parametrize("spec", ORBIT_CONFIGS)
+def test_class_list_is_the_orbit_table_expanded(spec):
+    config = PointConfig.parse(spec)
+    # an orbit's size is the number of distinct orderings of its first n multiplicities
+    sizes = [factorial(config.n) // prod(map(factorial, Counter(on).values()))
+             for _, on, _ in _curve_orbits(config)]
+    expected = ORACLE_COUNTS[config.r] if config.kind == "general" else 2 * config.l + 2
+    assert len(exceptional_classes(config)) == sum(sizes) == expected
 
 
 def test_collinear_class_list():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -68,3 +69,28 @@ def test_shape_svg_peak_memory_is_under_eight_documents():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * len(text)
+
+
+# every kind, with m-lists of 1 to 20 entries, small and sweep-sized
+LABEL_CASES = [(spec, list(range(step, step * (k + 1), step)))
+               for spec in ("general:2", "general:5", "general:8", "collinear:3", "collinear:7",
+                            "shgh:9", "shgh:16")
+               for k in (1, 2, 3, 6, 11, 20) for step in (1, 57)]
+
+
+@pytest.mark.parametrize("spec,m_list", LABEL_CASES, ids=[f"{c}-{len(ms)}x{ms[0]}" for c, ms in LABEL_CASES])
+def test_shape_svg_labels_lie_inside_the_canvas_and_apart(spec, m_list):
+    report = shape_report(PointConfig.parse(spec), m_list)
+    root = ET.fromstring(shape_svg(report))
+    width, height = float(root.get("width")), float(root.get("height"))
+    labels = [t for t in root if t.tag.endswith("}text")]
+    # one label per entry, in entry order
+    assert [t.text for t in labels] == [f"m={e.m}" for e in report.entries]
+    baselines = [float(t.get("y")) for t in labels]
+    for t, y in zip(labels, baselines):
+        size = float(t.get("font-size"))
+        assert size <= y <= height
+        assert 0 <= float(t.get("x")) <= width
+    # labels share one x and anchor, so they are apart when their baselines are a font size apart
+    assert len({(t.get("x"), t.get("text-anchor")) for t in labels}) == 1
+    assert all(b - a >= float(t.get("font-size")) for a, b, t in zip(baselines, baselines[1:], labels))
