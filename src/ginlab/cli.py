@@ -6,13 +6,14 @@ arithmetic guard tripped.  A reader that closes stdout early ends the output
 silently, with the command's own code.  Output is deterministic byte for byte
 for identical invocations; files always end with a newline.
 
-The table ``_COMMANDS`` is the single list of subcommands and their flags:
-the parser, the ``--config-file`` keys and the plain reader are all derived
-from it.  The plain reader takes an argv of the form
-``COMMAND [CONFIG] (--FLAG VALUE)...``, each flag spelled in full and given
-at most once, each value non-empty, not starting with ``-`` and valid for
-its flag (an int for an int flag, one of the command's formats for
-``--format``), and builds the namespace argparse would build for it.
+The table ``_COMMANDS`` is the single list of subcommands and their flags,
+and ``_SHARED`` the list of the flags they all take: the parser, the
+``--config-file`` keys and the plain reader are all derived from the two.
+The plain reader takes an argv of the form ``COMMAND [CONFIG] (--FLAG
+VALUE)...``, each flag spelled in full and given at most once, each value
+non-empty, not starting with ``-`` and valid for its flag (an int for an int
+flag, one of the command's formats for ``--format``), and builds the
+namespace argparse would build for it: the command's name and its settings.
 Every other argv, ``--help`` and every usage error go to argparse, the one
 owner of help and error text, which is imported only then.  So a plain
 command loads neither argparse nor, unless it writes JSON or reads a config
@@ -230,9 +231,13 @@ _COMMANDS = (
     ("verify", cmd_verify, "run the cross-validation suite", ("text", "json"),
      (("--max-m", int, "largest multiplicity the suite touches"),)),
 )
+# the flags every subcommand takes ahead of its own; a config file supplies the
+# config and every flag after --config-file
+_SHARED = (("--config-file", str, "JSON file supplying any of the flags below"),
+           ("--format", str, None), ("--out", str, "write output to this file"))
 _BY_NAME = {row[0]: row for row in _COMMANDS}
-_FILE_KEYS = {"config": str, "format": str, "out": str,
-              **{_dest(flag): kind for row in _COMMANDS for flag, kind, _ in row[4]}}
+_FILE_KEYS = {"config": str, **{_dest(flag): kind for row in _COMMANDS
+                                for flag, kind, _ in (*_SHARED, *row[4])[1:]}}
 # a flag and its list form are one setting: either on the command line hides both in the file
 _SETTING = {"m_list": "m", "t_range": "t"}
 
@@ -245,6 +250,7 @@ def _apply_config_file(args) -> None:
     ``--m-list`` count as one setting, and so do ``--t`` and ``--t-range``.
     A key the subcommand does not take is refused.
     """
+    _, _, _, formats, flags = _BY_NAME[args.command]
     if args.config_file:
         import json
 
@@ -252,20 +258,21 @@ def _apply_config_file(args) -> None:
             data = json.load(handle)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-        refused = ", ".join(repr(key) for key in data if key not in args.file_keys)
+        keys = ["config", *(_dest(flag) for flag, _, _ in (*_SHARED, *flags)[1:])]
+        refused = ", ".join(repr(key) for key in data if key not in keys)
         if refused:
             raise ValueError(f"config file keys not taken by {args.command}: {refused}")
-        given = {_SETTING.get(key, key) for key in args.file_keys if getattr(args, key) is not None}
-        for key in args.file_keys:
+        given = {_SETTING.get(key, key) for key in keys if getattr(args, key) is not None}
+        for key in keys:
             if key in data and _SETTING.get(key, key) not in given:
                 value, kind = data[key], _FILE_KEYS[key]
                 if not isinstance(value, kind) or isinstance(value, bool):
                     raise ValueError(f"config file entry {key!r} must be of type {kind.__name__}")
                 setattr(args, key, value)
     if args.format is None:
-        args.format = args.formats[0]
-    elif args.format not in args.formats:
-        raise ValueError(f"format {args.format!r} is not one of {', '.join(args.formats)}")
+        args.format = formats[0]
+    elif args.format not in formats:
+        raise ValueError(f"format {args.format!r} is not one of {', '.join(formats)}")
     if args.command == "verify" and args.max_m is None:
         args.max_m = verify.DEFAULT_MAX_M
 
@@ -276,12 +283,9 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     row = _BY_NAME.get(argv[0]) if argv else None
     if row is None:
         return None
-    name, func, _, formats, flags = row
-    # the three flags every subcommand shares take a str; then its own flags
-    kinds = dict.fromkeys(("--config-file", "--format", "--out"), str)
-    kinds |= {flag: kind for flag, kind, _ in flags}
-    args = {"command": name, "config": None, **dict.fromkeys(map(_dest, kinds)),
-            "func": func, "formats": formats, "file_keys": _file_keys(flags)}
+    name, _, _, formats, flags = row
+    kinds = {flag: kind for flag, kind, _ in (*_SHARED, *flags)}
+    args = {"command": name, "config": None, **dict.fromkeys(map(_dest, kinds))}
     words = argv[1:]
     if words and _plain(words[0]):
         args["config"], words = words[0], words[1:]
@@ -305,11 +309,6 @@ def _plain(word: str) -> bool:
     return word != "" and word[0] != "-"
 
 
-def _file_keys(flags) -> list[str]:
-    """The config-file keys a subcommand with these flags takes."""
-    return ["config", "format", "out", *(_dest(flag) for flag, _, _ in flags)]
-
-
 def build_parser():
     import argparse
 
@@ -317,16 +316,13 @@ def build_parser():
         prog="ginlab",
         description="Exact staircase computations for uniform fat-point ideals in the plane.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text, formats, flags in _COMMANDS:
+    for name, _, help_text, formats, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", nargs="?",
                        help="point configuration: general:R, shgh:R or collinear:L")
-        p.add_argument("--config-file", help="JSON file supplying any of the flags below")
-        p.add_argument("--format", choices=formats)
-        p.add_argument("--out", help="write output to this file")
-        for flag, kind, flag_help in flags:
-            p.add_argument(flag, type=kind, help=flag_help)
-        p.set_defaults(func=func, formats=formats, file_keys=_file_keys(flags))
+        for flag, kind, flag_help in (*_SHARED, *flags):
+            p.add_argument(flag, type=kind, help=flag_help,
+                           choices=formats if flag == "--format" else None)
     return parser
 
 
@@ -343,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config_file(args)
         if args.config is None:
             raise ValueError("missing point configuration (positional argument or config file)")
-        pieces, code = args.func(PointConfig.parse(args.config), args)
+        pieces, code = _BY_NAME[args.command][1](PointConfig.parse(args.config), args)
         try:
             _write(pieces, args.out)
         except BrokenPipeError:

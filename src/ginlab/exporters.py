@@ -6,10 +6,10 @@ Rationals are written as "num/den", reduced, by `rational_str`, except the
 shape report's corners: `_corner_run` gcd-reduces those itself, so that they
 render as "%d/%d" runs; file payloads end with one newline.
 Every JSON document goes through `json_pieces`, the one hand-written emitter
-of the two-space layout; `json_text` joins its pieces, and `json.dumps` with
-a two-space indent is the test oracle.  `json_pieces` imports json's string
-encoder itself, so only JSON output loads json.  The command line writes
-the pieces as they come, so it never holds a whole document.  The large
+of the two-space layout, with `json.dumps` and a two-space indent as the test
+oracle.  `json_pieces` imports json's string encoder itself, so only JSON
+output loads json.  The command line writes the pieces as they come, so it
+never holds a whole document.  The large
 int arrays, nearly all the bytes of a staircase, are named by the code that
 builds the payload: `int_runs` for a sequence of ints or int pairs,
 `column_runs` for a staircase's generators, laid out column by column
@@ -46,23 +46,16 @@ def intercept_str(value: Intercept) -> str:
     return rational_str(value.numerator, value.denominator)
 
 
-def json_text(payload: dict) -> str:
-    """The one JSON layout: two-space indent, fields in insertion order.
-
-    The same bytes as json.dumps with a two-space indent for dicts with str
-    keys, lists, tuples, str, int, bool and None; any other type is a
-    TypeError.
-    """
-    return "".join(json_pieces(payload))
-
-
 def json_pieces(payload: dict) -> Iterator[str]:
-    """The pieces of `json_text`'s document, in order.
+    """The pieces of the one JSON layout: two-space indent, fields in
+    insertion order.
 
-    The structure is rendered on the call, into a short list, so a TypeError
-    is raised before any piece; each int array is rendered only as the pieces
-    are read, one CHUNK run at a time.  The structure between two arrays comes
-    as one piece.
+    Joined, they are byte for byte json.dumps with a two-space indent for
+    dicts with str keys, lists, tuples, str, int, bool and None; any other
+    type is a TypeError.  The structure is rendered on the call, into a short
+    list, so a TypeError is raised before any piece; each int array is
+    rendered only as the pieces are read, one CHUNK run at a time.  The
+    structure between two arrays comes as one piece.
     """
     from json.encoder import encode_basestring_ascii  # loaded only for JSON output
 
@@ -187,7 +180,7 @@ def _corner_run(s: MonomialStaircase, lo: int) -> tuple[int, ...]:
 
 
 def staircase_json(s: MonomialStaircase) -> str:
-    return json_text(staircase_payload(s))
+    return "".join(json_pieces(staircase_payload(s)))
 
 
 def staircase_payload(s: MonomialStaircase) -> dict:
@@ -205,7 +198,7 @@ def staircase_payload(s: MonomialStaircase) -> dict:
 
 
 def shape_json(report: ShapeReport) -> str:
-    return json_text(shape_payload(report))
+    return "".join(json_pieces(shape_payload(report)))
 
 
 def shape_payload(report: ShapeReport) -> dict:
@@ -268,6 +261,14 @@ def shape_svg(report: ShapeReport) -> str:
         max_y = max(max_y, float(report.predicted[1]))
     width = 2 * _PAD + _UNIT * max_x
     height = 2 * _PAD + _UNIT * max_y
+    # a legend in the top right corner, which every outline leaves empty: one
+    # 12-unit row per entry, in columns of height // 12 rows; each column past
+    # the first widens the canvas by 8 units per character of the longest
+    # label, and 8 more between columns
+    rows = int(height // 12)
+    pitch = 8 * (len(f"m={report.entries[-1].m}") + 1)
+    legend_x = width - 4
+    width += (len(report.entries) - 1) // rows * pitch
 
     def tx(x: float) -> float:
         return _PAD + _UNIT * x
@@ -294,9 +295,9 @@ def shape_svg(report: ShapeReport) -> str:
         pts = " ".join([*map("{0},{1} {2},{1}".format, xs, ys, xs[1:]), f"{xs[-1]},{_fmt(ty(0.0))}"])
         parts.append(f'  <polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{pts}"/>')
-        # a legend in the top right corner, which every outline leaves empty
-        parts.append(f'  <text x="{_fmt(width - 4)}" y="{12 * (idx + 1)}" font-size="12" '
-                     f'text-anchor="end" fill="{color}">m={entry.m}</text>')
+        column, row = divmod(idx, rows)
+        parts.append(f'  <text x="{_fmt(legend_x + column * pitch)}" y="{12 * (row + 1)}" '
+                     f'font-size="12" text-anchor="end" fill="{color}">m={entry.m}</text>')
     if report.predicted is not None:
         g1, g2 = report.predicted
         parts.append(f'  <line x1="{_fmt(tx(float(g1)))}" y1="{_fmt(ty(0))}" '

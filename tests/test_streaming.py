@@ -5,6 +5,7 @@ document, and nothing written when a guard trips."""
 from __future__ import annotations
 
 import io
+import json
 import os
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ import tracemalloc
 import pytest
 
 from ginlab import PointConfig, cli, gin_staircase, shape_report
-from ginlab.exporters import (CHUNK, hilbert_csv, json_text, shape_csv, shape_json, shape_svg,
+from ginlab.exporters import (CHUNK, hilbert_csv, shape_csv, shape_json, shape_svg,
                               staircase_json)
 from ginlab.hilbert import hilbert_fn
 from ginlab.lattice import canonical_class, exceptional_classes, intersect
@@ -32,27 +33,27 @@ def gin_text(spec: str, m: int) -> str:
 
 def hilbert_json(spec: str, m: int, ts: range) -> str:
     config = PointConfig.parse(spec)
-    return json_text({"config": spec, "m": m, "conjectural": config.conjectural,
-                      "values": [(t, hilbert_fn(config, m, t)) for t in ts]})
+    return json.dumps({"config": spec, "m": m, "conjectural": config.conjectural,
+                       "values": [(t, hilbert_fn(config, m, t)) for t in ts]}, indent=2)
 
 
 def classes_json(spec: str) -> str:
     config = PointConfig.parse(spec)
     classes, k = exceptional_classes(config), canonical_class(config.r)
-    return json_text({
+    return json.dumps({
         "config": spec, "provenance": config.provenance, "count": len(classes),
         "classes": [{"d": c.d, "mults": c.mults, "self_intersection": intersect(c, c),
                      "canonical_pairing": intersect(c, k)} for c in classes],
-    })
+    }, indent=2)
 
 
 def verify_json(spec: str, max_m: int) -> str:
     report = run_verification(PointConfig.parse(spec), max_m)
-    return json_text({
+    return json.dumps({
         "config": spec, "max_m": report.max_m, "passed": report.passed,
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                    for c in report.checks],
-    })
+    }, indent=2)
 
 
 def shape_of(spec: str, ms: list[int]):

@@ -71,11 +71,20 @@ def test_shape_svg_peak_memory_is_under_eight_documents():
     assert peak <= 8 * len(text)
 
 
-# every kind, with m-lists of 1 to 20 entries, small and sweep-sized
-LABEL_CASES = [(spec, list(range(step, step * (k + 1), step)))
-               for spec in ("general:2", "general:5", "general:8", "collinear:3", "collinear:7",
-                            "shgh:9", "shgh:16")
-               for k in (1, 2, 3, 6, 11, 20) for step in (1, 57)]
+# every kind, with m-lists of 1 to 20 entries, small and sweep-sized; and
+# legends of more than one column: general:2's canvas holds 26 rows, shgh:16's 46
+LABEL_CASES = [
+    *((spec, list(range(step, step * (k + 1), step)))
+      for spec in ("general:2", "general:5", "general:8", "collinear:3", "collinear:7", "shgh:9", "shgh:16")
+      for k in (1, 2, 3, 6, 11, 20) for step in (1, 57)),
+    *((spec, list(range(1, k + 1))) for spec in ("general:2", "shgh:16") for k in (27, 60, 200)),
+]
+# advance widths in em of the label glyphs in Helvetica, the SVG default sans-serif
+GLYPH_EM = {"m": 0.833, "=": 0.584, **dict.fromkeys("0123456789", 0.556)}
+
+
+def label_width(text) -> float:
+    return float(text.get("font-size")) * sum(GLYPH_EM[c] for c in text.text)
 
 
 @pytest.mark.parametrize("spec,m_list", LABEL_CASES, ids=[f"{c}-{len(ms)}x{ms[0]}" for c, ms in LABEL_CASES])
@@ -83,14 +92,27 @@ def test_shape_svg_labels_lie_inside_the_canvas_and_apart(spec, m_list):
     report = shape_report(PointConfig.parse(spec), m_list)
     root = ET.fromstring(shape_svg(report))
     width, height = float(root.get("width")), float(root.get("height"))
+    assert root.get("viewBox") == f"0 0 {root.get('width')} {root.get('height')}"
     labels = [t for t in root if t.tag.endswith("}text")]
     # one label per entry, in entry order
     assert [t.text for t in labels] == [f"m={e.m}" for e in report.entries]
-    baselines = [float(t.get("y")) for t in labels]
-    for t, y in zip(labels, baselines):
-        size = float(t.get("font-size"))
-        assert size <= y <= height
+    for t in labels:
+        assert float(t.get("font-size")) <= float(t.get("y")) <= height
         assert 0 <= float(t.get("x")) <= width
-    # labels share one x and anchor, so they are apart when their baselines are a font size apart
-    assert len({(t.get("x"), t.get("text-anchor")) for t in labels}) == 1
-    assert all(b - a >= float(t.get("font-size")) for a, b, t in zip(baselines, baselines[1:], labels))
+    # a column is a run of labels going down the canvas
+    columns = [[labels[0]]]
+    for above, t in zip(labels, labels[1:]):
+        if float(t.get("y")) > float(above.get("y")):
+            columns[-1].append(t)
+        else:
+            columns.append([t])
+    for column in columns:
+        # labels in one column share one x and anchor, and sit a font size apart
+        assert len({(t.get("x"), t.get("text-anchor")) for t in column}) == 1
+        assert all(float(b.get("y")) - float(a.get("y")) >= float(a.get("font-size"))
+                   for a, b in zip(column, column[1:]))
+    # right-anchored columns do not overlap: each one's widest label ends
+    # right of the column before it
+    assert all(t.get("text-anchor") == "end" for t in labels)
+    for left, right in zip(columns, columns[1:]):
+        assert float(right[0].get("x")) - max(map(label_width, right)) > float(left[0].get("x"))
