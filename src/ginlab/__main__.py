@@ -1,8 +1,6 @@
-"""Module entry point so that python -m ginlab works like the console script."""
+"""python -m ginlab: the program, cli.run, as the ginlab console script runs it."""
 
-import sys
-
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

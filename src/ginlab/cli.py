@@ -18,6 +18,13 @@ Every other argv, ``--help`` and every usage error go to argparse, the one
 owner of help and error text, which is imported only then.  So a plain
 command loads neither argparse nor, unless it writes JSON or reads a config
 file, json.
+
+``run`` is the program, the one exit path of ``python -m ginlab`` and of the
+``ginlab`` script: it calls ``main`` on ``sys.argv``, flushes stdout and
+stderr, and ends the process with ``os._exit``, skipping interpreter
+teardown.  ``main`` registers no ``atexit`` handler, starts no thread and
+closes every file it opens, so the skipped teardown has nothing left to
+write.  A library caller calls ``main``, which returns the exit code.
 """
 
 from __future__ import annotations
@@ -41,8 +48,10 @@ EXIT_GUARD = 3
 
 def _write(pieces: Iterable[str], out: str | None) -> None:
     if out is None:
+        if sys.stdout is None:  # descriptor 1 was closed when the process started
+            raise OSError("stdout is closed")
         sys.stdout.writelines(_ended(pieces))
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        sys.stdout.flush()  # a closed pipe shows here, inside main's error handling
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.writelines(_ended(pieces))
@@ -344,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
             _write(pieces, args.out)
         except BrokenPipeError:
             # the reader closed stdout: stop quietly, and point the descriptor at
-            # devnull so the interpreter's last flush does not fail again
+            # devnull so run's final flush does not fail again
             with open(os.devnull, "w") as sink:
                 os.dup2(sink.fileno(), sys.stdout.fileno())
         return code
@@ -359,5 +368,27 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def run():
+    """Run main on sys.argv, flush stdout and stderr, and end the process
+    with the exit code, skipping interpreter teardown; never returns.
+
+    A reader that closed the pipe ends the output silently with the
+    command's own code.  Any other failed flush turns a success into one
+    error line and exit 2; a command that failed has said why already and
+    keeps its code."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None when its descriptor was closed at start
+                stream.flush()
+        except BrokenPipeError:
+            pass
+        except OSError as exc:
+            if code == EXIT_OK:
+                print(f"error: {exc}", file=sys.stderr)
+                code = EXIT_USAGE
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

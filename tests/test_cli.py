@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -26,6 +27,23 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def ginlab_popen(argv, **kwargs) -> subprocess.Popen:
+    """python -m ginlab ARGV as a child process, its streams buffered as in a
+    plain shell (PYTHONUNBUFFERED dropped) and help wrapped at 80 columns."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), COLUMNS="80")
+    return subprocess.Popen([sys.executable, "-m", "ginlab", *argv], env=env, **kwargs)
+
+
+def run_process(argv, **kwargs) -> tuple[int, bytes, bytes]:
+    """The exit code, stdout and stderr of ginlab_popen(argv), both streams
+    captured unless kwargs route them."""
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    with ginlab_popen(argv, **kwargs) as proc:
+        out, err = proc.communicate(timeout=60)
+    return proc.returncode, out, err
 
 
 def test_gin_json_two_points(capsys):
@@ -207,13 +225,70 @@ def test_repeat_invocations_identical(capsys):
 
 
 def test_fresh_processes_are_deterministic():
-    argv = [sys.executable, "-m", "ginlab", "shape", "general:6",
-            "--m-list", "2,4,6", "--format", "json"]
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    a = subprocess.run(argv, capture_output=True, check=True, env=env)
-    b = subprocess.run(argv, capture_output=True, check=True, env=env)
-    assert a.stdout == b.stdout
-    assert a.stdout.endswith(b"\n")
+    argv = ["shape", "general:6", "--m-list", "2,4,6", "--format", "json"]
+    a, b = run_process(argv), run_process(argv)
+    assert a == b
+    assert a[0] == 0
+    assert a[1].endswith(b"\n")
+
+
+# one small command per subcommand and format, then --help and a usage error,
+# each with its exit code
+PROCESS_CASES = [
+    *(([name, spec, "--format", fmt, *flags], 0)
+      for name, spec, flags in [("classes", "collinear:4", []),
+                                ("hilbert", "general:6", ["--m", "10", "--t-range", "20..30"]),
+                                ("gin", "shgh:10", ["--m", "7"]),
+                                ("shape", "general:7", ["--m-list", "8,16"]),
+                                ("verify", "collinear:3", ["--max-m", "4"])]
+      for fmt in cli._BY_NAME[name][3]),
+    (["--help"], 0),
+    (["gin", "general:2", "--m", "x"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", PROCESS_CASES, ids=[" ".join(a) for a, _ in PROCESS_CASES])
+def test_process_matches_main(capsys, monkeypatch, argv, code):
+    # python -m ginlab ends through run, which flushes and skips interpreter
+    # teardown; what it leaves must be what main returns and writes
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = run_cli(capsys, argv)
+    assert expected[0] == code
+    assert run_process(argv) == (code, expected[1].encode(), expected[2].encode())
+
+
+def test_process_writes_a_large_document_whole(capsys, tmp_path):
+    # 555 kB, past a 64 KiB pipe buffer, so the reader drains it while it is written
+    argv = ["gin", "shgh:16", "--m", "3000"]
+    code, out, _ = run_cli(capsys, argv)
+    piped = run_process(argv)
+    written = run_process([*argv, "--out", str(tmp_path / "gin.json")])
+    assert (code, piped[0], piped[2], written) == (0, 0, b"", (0, b"", b""))
+    assert len(piped[1]) > 64 * 1024
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert hashlib.sha256(piped[1]).hexdigest() == digest
+    assert hashlib.sha256((tmp_path / "gin.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["gin", "general:3", "--m", "3"], ["--help"]], ids=["gin", "help"])
+def test_full_device_is_one_error_line(argv):
+    # gin's own flush fails in main; the help, which argparse leaves in the
+    # buffer, fails only in run's final flush
+    with open("/dev/full", "wb") as full:
+        result = run_process(argv, stdout=full)
+    assert result == (2, None, b"error: [Errno 28] No space left on device\n")
+
+
+def test_closed_descriptor_one(capsys, monkeypatch):
+    # descriptor 1 closed at start leaves sys.stdout None: a command exits 2
+    # with one error line, and argparse writes the help to stderr instead
+    closed = {"stdout": None, "preexec_fn": functools.partial(os.close, 1)}
+    assert run_process(["gin", "general:2", "--m", "1"], **closed) == (
+        2, None, b"error: stdout is closed\n")
+    monkeypatch.setenv("COLUMNS", "80")
+    _, help_text, _ = run_cli(capsys, ["--help"])
+    assert run_process(["--help"], **closed) == (0, None, help_text.encode())
 
 
 @pytest.mark.parametrize("argv", [
@@ -448,15 +523,26 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
     assert err == "error: out of memory running gin; try a smaller input\n"
 
 
-@pytest.mark.parametrize("fmt", [[], ["--format", "text"]], ids=["json", "text"])
-def test_closed_stdout_ends_quietly(fmt):
+@pytest.mark.parametrize("argv,read", [
     # 555 kB of JSON and 158 kB of text, both past a 64 KiB pipe buffer, so a
     # write meets the closed pipe while the process still runs
-    argv = [sys.executable, "-m", "ginlab", "gin", "shgh:16", "--m", "3000", *fmt]
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        assert len(proc.stdout.read(10)) == 10
-        proc.stdout.close()
+    (["gin", "shgh:16", "--m", "3000"], 10),
+    (["gin", "shgh:16", "--m", "3000", "--format", "text"], 10),
+    # the reader is gone before the process starts: gin's own flush meets the
+    # closed pipe in main, the help, which argparse leaves in the buffer, only
+    # run's final flush
+    (["gin", "general:2", "--m", "1"], 0),
+    (["--help"], 0),
+], ids=["json", "text", "gone-gin", "gone-help"])
+def test_closed_stdout_ends_quietly(argv, read):
+    reader, writer = os.pipe()
+    if not read:
+        os.close(reader)
+    with ginlab_popen(argv, stdout=writer, stderr=subprocess.PIPE) as proc:
+        os.close(writer)
+        if read:
+            with open(reader, "rb") as pipe:
+                assert len(pipe.read(read)) == read
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (code, err) == (0, b"")  # no "Broken pipe" usage error, no "Exception ignored"
@@ -476,7 +562,7 @@ def test_closed_stdout_keeps_the_failed_verify_code(tmp_path, capsys, monkeypatc
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         code = cli.main(["verify", "general:2"])
         monkeypatch.undo()
-        # the descriptor now points at devnull, for the interpreter's last flush
+        # the descriptor now points at devnull, for run's final flush
         assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
     assert (code, capsys.readouterr().err) == (1, "")
 

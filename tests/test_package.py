@@ -8,7 +8,10 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
+import os
 import re
+import subprocess
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -73,22 +76,26 @@ def test_every_module_is_placed():
     assert {path.stem for path in PACKAGE.glob("*.py")} == {*FORBIDDEN, "errors", "cli", "__init__", "__main__"}
 
 
-def test_console_script_runs_cli_main(monkeypatch, capsys):
+def test_console_script_runs_cli_main():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     with open(ROOT / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
-    assert scripts == {"ginlab": "ginlab.cli:main"}
+    assert scripts == {"ginlab": "ginlab.cli:run"}
     module, _, attr = scripts["ginlab"].partition(":")
-    entry = getattr(importlib.import_module(module), attr)
-    assert entry is cli.main
-    # a console-script wrapper calls the entry point with no arguments and
-    # hands its return value to sys.exit
-    monkeypatch.setattr(sys, "argv", ["ginlab", "gin", "general:2", "--m", "1"])
-    assert entry() == 0
-    assert '"colength": 2' in capsys.readouterr().out
-    monkeypatch.setattr(sys, "argv", ["ginlab", "gin", "general:2", "--m", "x"])
-    assert entry() == 2
-    assert "usage: ginlab gin" in capsys.readouterr().err
+    assert getattr(importlib.import_module(module), attr) is cli.run
+    # run ends the process, so it runs in a child, called as a console-script
+    # wrapper calls it: with no arguments, its return value handed to sys.exit
+    wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def script(*argv):
+        return subprocess.run([sys.executable, "-c", wrapper, *argv], capture_output=True, env=env)
+
+    ok = script("gin", "general:2", "--m", "1")
+    assert (ok.returncode, json.loads(ok.stdout)["colength"], ok.stderr) == (0, 2, b"")
+    bad = script("gin", "general:2", "--m", "x")
+    assert (bad.returncode, bad.stdout) == (2, b"")
+    assert bad.stderr.startswith(b"usage: ginlab gin")
 
 
 # Reachability: every def in src/ginlab is entered by some command, or is on
@@ -150,13 +157,29 @@ REACH_COMMANDS = [
 
 def run_reach_commands() -> None:
     """REACH_COMMANDS, then a verify whose convergence row fails, which
-    reaches the failure-only paths; their output is dropped."""
+    reaches the failure-only paths, then one command through run; their
+    output is dropped."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv, code in REACH_COMMANDS:
             assert cli.main(argv) == code, argv
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(shape, "theoretical_shape", lambda config: (Fraction(1), Fraction(1)))
             assert cli.main(["verify", "general:6", "--max-m", "3"]) == 1
+        # run, the program's exit path, with os._exit raising instead of ending the process
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys, "argv", ["ginlab", "gin", "general:6", "--m", "1"])
+            patch.setattr(os, "_exit", exit_raising)
+            with pytest.raises(Exited) as exited:
+                cli.run()
+            assert exited.value.args == (0,)
+
+
+class Exited(Exception):
+    """What os._exit(code) raises in run_reach_commands."""
+
+
+def exit_raising(code: int):
+    raise Exited(code)
 
 
 def clear_ginlab_caches() -> None:
