@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 a verification or convergence suite failed,
 2 bad usage, an unsupported configuration or out of memory, 3 an internal
 arithmetic guard tripped.  A reader that closes stdout early ends the output
-silently, with the command's own code.  Output is deterministic byte for byte
-for identical invocations; files always end with a newline.
+silently, with the command's own code.  An error line that stderr cannot take
+is dropped, and the code stays the one the error calls for.  Output is
+deterministic byte for byte for identical invocations; files always end with
+a newline.
 
 The table ``_COMMANDS`` is the single list of subcommands and their flags,
 and ``_SHARED`` the list of the flags they all take: the parser, the
@@ -321,7 +323,16 @@ def _plain(word: str) -> bool:
 def build_parser():
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            # argparse drops a failed write, which unbuffered stdout meets at
+            # once; written as a command's output is, it reaches main's handling
+            if file is None and sys.stdout is not None:
+                _write([self.format_help()], None)
+            else:  # with descriptor 1 closed at start, argparse writes to stderr
+                super().print_help(file)
+
+    parser = Parser(
         prog="ginlab",
         description="Exact staircase computations for uniform fat-point ideals in the plane.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -338,34 +349,43 @@ def build_parser():
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_plain(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-            return int(exc.code or 0)
+    args, code = _read_plain(argv), EXIT_OK
     try:
+        if args is None:
+            args = build_parser().parse_args(argv)
         _apply_config_file(args)
         if args.config is None:
             raise ValueError("missing point configuration (positional argument or config file)")
         pieces, code = _BY_NAME[args.command][1](PointConfig.parse(args.config), args)
-        try:
-            _write(pieces, args.out)
-        except BrokenPipeError:
-            # the reader closed stdout: stop quietly, and point the descriptor at
-            # devnull so run's final flush does not fail again
-            with open(os.devnull, "w") as sink:
-                os.dup2(sink.fileno(), sys.stdout.fileno())
+        _write(pieces, args.out)
+        return code
+    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 after --help
+        return int(exc.code or 0)
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly with the command's code, and point
+        # the descriptor at devnull so run's final flush does not fail again
+        with open(os.devnull, "w") as sink:
+            os.dup2(sink.fileno(), sys.stdout.fileno())
         return code
     except ComputationGuardError as exc:
-        print(f"arithmetic guard: {exc}", file=sys.stderr)
+        _say(f"arithmetic guard: {exc}")
         return EXIT_GUARD
     except MemoryError:
-        print(f"error: out of memory running {args.command}; try a smaller input", file=sys.stderr)
+        _say(f"error: out of memory running {args.command}; try a smaller input")
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_USAGE
+
+
+def _say(line: str) -> None:
+    """Write one line to stderr if it takes it; a line it cannot take is
+    dropped, so that it never changes the exit code it explains."""
+    if sys.stderr is not None:  # None when descriptor 2 was closed at start
+        try:
+            sys.stderr.write(line + "\n")
+        except OSError:
+            pass
 
 
 def run():
@@ -385,7 +405,7 @@ def run():
             pass
         except OSError as exc:
             if code == EXIT_OK:
-                print(f"error: {exc}", file=sys.stderr)
+                _say(f"error: {exc}")
                 code = EXIT_USAGE
     os._exit(code)
 

@@ -28,7 +28,7 @@ from itertools import chain, groupby, repeat
 from math import gcd
 from operator import floordiv
 
-from .shape import Intercept, ShapeReport, SquareRootIntercept
+from .shape import ShapeReport, SquareRootIntercept
 from .staircase import MonomialStaircase, colength
 
 CHUNK = 4096  # array items per %d template, which bounds each template and run
@@ -40,7 +40,7 @@ def rational_str(n: int, d: int) -> str:
     return f"{n // g}/{d // g}"
 
 
-def intercept_str(value: Intercept) -> str:
+def intercept_str(value: Fraction | SquareRootIntercept) -> str:
     if isinstance(value, SquareRootIntercept):
         return str(value)
     return rational_str(value.numerator, value.denominator)

@@ -2,17 +2,19 @@
 
 For up to 8 general points (and the collinear-plus-one arrangement) the value
 in degree t is the section count of the class (t; m, ..., m) on the blow-up.
-From 9 points on, the conjectural interpolation count takes over.
+From 9 points on, the conjectural interpolation count takes over.  The nef
+slope nu enters only through two integer ceilings on its lowest-terms pair
+(p, q): the nef threshold ceil(nu*m) and alpha's lower bracket ceil(r*m/nu).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from math import ceil, comb, isqrt
+from math import comb, isqrt
 
 from .errors import ComputationGuardError
-from .lattice import SHGH, PointConfig, nef_slope, uniform_h0
+from .lattice import SHGH, PointConfig, nef_ratio, uniform_h0
 
 def shgh_hilbert(r: int, m: int, t: int) -> int:
     """Conjectural Hilbert function for r >= 9 general points.
@@ -45,7 +47,8 @@ def nef_threshold(config: PointConfig, m: int) -> int:
     """Smallest N making (t; m, ..., m) nef for every t >= N: ceil(nu*m)."""
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
-    return ceil(m * nef_slope(config))
+    p, q = nef_ratio(config)
+    return -(-m * p // q)
 
 @lru_cache(maxsize=None)
 def hilbert_fn(config: PointConfig, m: int, t: int) -> int:
@@ -78,7 +81,8 @@ def alpha(config: PointConfig, m: int) -> int:
     # (t; m, ..., m) meets it nonnegatively: t >= r*m/nu.  At the threshold
     # the class is nef, and -K is effective on every divisor kind, so the
     # value there is its Euler characteristic, at least 1.
-    lo = ceil(r * m / nef_slope(config))
+    p, q = nef_ratio(config)
+    lo = -(-r * m * q // p)
     hi = nef_threshold(config, m)
     if lo > hi or hilbert_fn(config, m, hi) <= 0:
         raise ComputationGuardError(f"no positive Hilbert value up to degree {hi} for {config}, m={m}")

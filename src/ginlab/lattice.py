@@ -9,16 +9,18 @@ permuting the points, ``_curve_orbits``.  The orbit engine ``uniform_h0``
 peels uniform classes a whole orbit at a time on plain ints (d, a, b) and
 evaluates Riemann-Roch on them in closed form; ``reduce_to_nef`` peels
 curve by curve on ``DivisorClass`` values from the table's expansion,
-``exceptional_classes``.
+``exceptional_classes``.  The nef slope read off the same orbits is the
+int pair ``nef_ratio``; ``nef_slope`` is its Fraction view, and only it
+imports ``fractions``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from math import gcd
 from operator import add, mul, sub
 
 from .errors import ComputationGuardError, UnsupportedConfigError
@@ -344,14 +346,29 @@ def _orbits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int, in
 
 
 @lru_cache(maxsize=None)
-def nef_slope(config: PointConfig) -> Fraction:
-    """Slope nu at which (t; m, ..., m) turns nef: it is nef exactly when t >= nu*m.
+def nef_ratio(config: PointConfig) -> tuple[int, int]:
+    """Slope nu at which (t; m, ..., m) turns nef, as (p, q) in lowest terms
+    with q > 0: the class is nef exactly when q*t >= p*m.
 
     The uniform class meets curve C nonnegatively once t >= m*sum(C)/deg(C),
-    and that ratio is the same across an orbit of the listed curves.  For
-    general points nu is the y-intercept of the limiting shape.
+    and that ratio is the same across an orbit of the listed curves.  The
+    largest ratio is found by cross-multiplying, so nu stays exact without a
+    Fraction.  For general points nu is the y-intercept of the limiting shape.
     """
-    return max(Fraction(ca + cb, cd) for cd, ca, cb, *_ in _orbits(config) if cd > 0)
+    # every divisor kind lists a line through two or more points, so nu > 0
+    p, q = 0, 1
+    for cd, ca, cb, *_ in _orbits(config):
+        if cd > 0 and (ca + cb) * q > p * cd:
+            p, q = ca + cb, cd
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def nef_slope(config: PointConfig) -> Fraction:
+    """nef_ratio as a Fraction, the y-intercept the shape report predicts."""
+    from fractions import Fraction  # loaded only by callers that want the Fraction
+
+    return Fraction(*nef_ratio(config))
 
 
 def uniform_h0(config: PointConfig, t: int, m: int) -> int:

@@ -7,12 +7,15 @@ the collinear-plus-one arrangement it is genuinely non-linear and is reported
 empirically from the computed corners.  ``check_convergence`` judges every
 kind at any positive multiplicities: intercepts within order 1/m of the
 segment, or the collinear generator degrees; it returns verify's row.
+
+Intercepts are a Fraction or a ``SquareRootIntercept``.  ``fractions`` is
+imported inside the functions that make a Fraction, so a process that only
+computes Hilbert functions or staircases never loads it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import isqrt, sqrt
 
 from .lattice import COLLINEAR, SHGH, PointConfig, nef_slope
@@ -35,12 +38,9 @@ class SquareRootIntercept(namedtuple("SquareRootIntercept", "radicand")):
         return f"sqrt({self.radicand})"
 
 
-Intercept = Fraction | SquareRootIntercept
-
-
-def within(value: Fraction, target: Intercept, tol: Fraction) -> bool:
+def within(value: Fraction, target: Fraction | SquareRootIntercept, tol: Fraction) -> bool:
     """Exact test |value - target| <= tol, squaring when target is a root."""
-    if isinstance(target, Fraction):
+    if not isinstance(target, SquareRootIntercept):
         return abs(value - target) <= tol
     lo = value - tol
     hi = value + tol
@@ -50,13 +50,14 @@ def within(value: Fraction, target: Intercept, tol: Fraction) -> bool:
     return lower_ok and hi * hi >= target.radicand
 
 
-def deviation_str(value: Fraction, target: Intercept) -> str:
-    if isinstance(target, Fraction):
-        return str(abs(value - target))
-    return f"~{abs(float(value) - float(target)):.6f}"
+def deviation_str(value: Fraction, target: Fraction | SquareRootIntercept) -> str:
+    if isinstance(target, SquareRootIntercept):
+        return f"~{abs(float(value) - float(target)):.6f}"
+    return str(abs(value - target))
 
 
-def theoretical_shape(config: PointConfig) -> tuple[Intercept, Intercept] | None:
+def theoretical_shape(config: PointConfig) -> (
+        tuple[Fraction, Fraction] | tuple[SquareRootIntercept, SquareRootIntercept] | None):
     """Intercepts (gamma1, gamma2) of the limiting segment x/g1 + y/g2 = 1.
 
     For up to 8 general points gamma2 is the nef slope nu and gamma1 = r/nu;
@@ -89,6 +90,8 @@ def shape_report(config: PointConfig, m_list: list[int]) -> ShapeReport:
     raises before the next staircase or any report.  The last multiplicity
     also yields the Seshadri-type estimate alpha(m)/(r*m).
     """
+    from fractions import Fraction
+
     ms = sorted(set(m_list))
     if not ms:
         raise ValueError("need at least one multiplicity")
@@ -106,6 +109,8 @@ def convergence_scale(config: PointConfig) -> Fraction:
     """The c of check_convergence's tolerance c/m: 3, or (ceil(sqrt(r)) + 2)/2
     for shgh, where alpha(alpha+1) <= r*m(m+1) < (alpha+1)(alpha+2) and
     zeta <= alpha+1 put both intercepts within (sqrt(r)/2 + 1)/m of sqrt(r)."""
+    from fractions import Fraction
+
     return Fraction(isqrt(config.r - 1) + 3, 2) if config.kind == SHGH else Fraction(3)
 
 
@@ -119,6 +124,8 @@ def check_convergence(config: PointConfig, m_list: list[int]) -> tuple[bool, str
     row: on failure, one message per violation, naming the multiplicity and
     deviation, joined by "; ".
     """
+    from fractions import Fraction
+
     predicted = theoretical_shape(config)
     if predicted is None:
         return collinear_shape_check(config.l, m_list)
@@ -153,6 +160,8 @@ def collinear_shape_check(l: int, m_list: list[int]) -> tuple[bool, str]:
     Returns verify's row: on failure, one message per wrong degree, joined
     by "; ".
     """
+    from fractions import Fraction
+
     entries = shape_report(PointConfig.collinear_plus_one(l), m_list).entries
     failures = []
     for e in entries:

@@ -280,6 +280,30 @@ def test_full_device_is_one_error_line(argv):
     assert result == (2, None, b"error: [Errno 28] No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv,full", [
+    (["gin", "general:2", "--m", "0"], ("stderr",)),
+    (["gin", "general:2", "--m", "x"], ("stderr",)),
+    (["gin", "general:2", "--m", "1"], ("stdout", "stderr")),
+    (["--help"], ("stdout", "stderr")),
+], ids=["bad-value", "usage", "gin", "help"])
+def test_unwritable_stderr_keeps_the_exit_code(argv, full):
+    # the error line is dropped, and the code is still the one it explains
+    with open("/dev/full", "wb") as sink:
+        result = run_process(argv, **dict.fromkeys(full, sink))
+    assert result == (2, *(None if name in full else b"" for name in ("stdout", "stderr")))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unbuffered_help_on_a_full_device_is_one_error_line():
+    # with -u the help's own write fails, inside argparse, which would drop it
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-u", "-m", "ginlab", "--help"],
+                                stdout=full, stderr=subprocess.PIPE, env=env)
+    assert (result.returncode, result.stderr) == (2, b"error: [Errno 28] No space left on device\n")
+
+
 def test_closed_descriptor_one(capsys, monkeypatch):
     # descriptor 1 closed at start leaves sys.stdout None: a command exits 2
     # with one error line, and argparse writes the help to stderr instead

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
-from math import ceil, comb, isqrt
+from math import ceil, comb, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -208,10 +208,27 @@ def test_nef_threshold_values():
 
 
 def test_nef_slope_lives_beside_the_orbit_table():
-    # only lattice knows the layout of the _orbits rows
-    assert hilbert.nef_slope is lattice.nef_slope is nef_slope
-    assert not hasattr(hilbert, "_orbits")
-    assert nef_slope.cache_info().maxsize is None
+    # only lattice knows the layout of the _orbits rows; hilbert reads the slope
+    # as lattice's int pair and never makes the Fraction
+    assert hilbert.nef_ratio is lattice.nef_ratio
+    assert not [name for name in ("_orbits", "nef_slope", "Fraction") if hasattr(hilbert, name)]
+    assert lattice.nef_ratio.cache_info().maxsize is None
+
+
+@pytest.mark.parametrize("spec", [*(f"general:{r}" for r in range(2, 9)),
+                                  *(f"collinear:{l}" for l in range(3, 9))])
+def test_nef_ratio_is_the_nef_slope_exactly(spec):
+    # the int pair in lowest terms, and both ceilings hilbert takes on it, against
+    # the same ceilings taken on the Fraction
+    config = PointConfig.parse(spec)
+    p, q = lattice.nef_ratio(config)
+    assert q > 0 and gcd(p, q) == 1
+    nu = nef_slope(config)
+    assert F(p, q) == nu
+    for m in range(2001):
+        assert nef_threshold(config, m) == ceil(m * nu)
+    for m in range(1, 41):
+        assert alpha(config, m) >= ceil(config.r * m / nu)
 
 
 @pytest.mark.parametrize("spec", [*(f"general:{r}" for r in range(2, 9)),

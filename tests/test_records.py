@@ -140,23 +140,44 @@ def test_cli_import_skips_dataclasses_inspect_and_typing():
 
 
 # main's exit code and which of these it loaded, on stderr's last line
-_HEAVY = ("argparse", "gettext", "json", "locale")
+_HEAVY = ("argparse", "decimal", "fractions", "gettext", "json", "locale", "numbers")
 _RUN_MAIN = ("import ginlab.cli, sys; code = ginlab.cli.main(sys.argv[1:]); "
              f"print(code, sorted(set({_HEAVY!r}) & set(sys.modules)), file=sys.stderr)")
+_FRACTIONS = ["decimal", "fractions", "numbers"]
 
 
 @pytest.mark.parametrize("argv,loaded", [
     ("gin general:6 --m 12 --format text", []),
     ("hilbert general:6 --m 10 --t-range 20..25 --format csv", []),
-    ("shape general:6 --m-list 2,4 --format svg", []),
-    ("verify general:3 --max-m 3 --format text", []),
+    ("shape general:6 --m-list 2,4 --format svg", _FRACTIONS),
+    ("verify general:3 --max-m 3 --format text", _FRACTIONS),
     ("gin shgh:10 --m 4", ["json"]),
     ("--help", ["argparse", "gettext", "locale"]),
+    ("gin collinear:4 --m 5", ["json"]),
+    ("classes general:6", []),
 ])
 def test_cli_main_loads_argparse_and_json_only_when_used(argv, loaded):
-    # a plain command skips argparse, and json unless it writes JSON; --help goes to argparse
+    # a plain command skips argparse, and json unless it writes JSON; --help goes
+    # to argparse; only shape and verify, which make Fractions, load fractions
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run([sys.executable, "-S", "-c", _RUN_MAIN, *argv.split()],
                             capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert result.stderr.splitlines()[-1] == f"0 {loaded}"
+
+
+def test_entry_path_and_package_import_skip_fractions():
+    # the real entry point, as -X importtime reports each module it imports
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    gin = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "ginlab",
+                          "gin", "general:6", "--m", "12", "--format", "text"],
+                         capture_output=True, text=True, env=env, check=True)
+    imported = {line.rsplit("|", 1)[-1].strip() for line in gin.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "ginlab.hilbert" in imported
+    assert not imported & set(_FRACTIONS)
+    code = f"import ginlab, sys; print(sorted(set({_FRACTIONS!r}) & set(sys.modules)))"
+    package = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+    assert package.stdout == "[]\n"
