@@ -13,7 +13,7 @@ from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, EffectivityResult,
 from .hilbert import alpha, alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
 from .staircase import MonomialStaircase, colength, gin_staircase, shgh_gin_closed_form, xy_count
 from .shape import (ShapeReport, SquareRootIntercept, check_convergence, collinear_shape_check,
-                    shape_report, theoretical_shape, within)
+                    shape_report, theoretical_shape)
 from .verify import VerifyReport, brute_force_exceptional_classes, run_verification
 
 __version__ = "0.1.0"
@@ -28,5 +28,5 @@ __all__ = [
     "exceptional_classes", "gin_staircase", "h0", "hilbert_fn", "intersect", "is_nef",
     "nef_slope", "nef_threshold", "reduce_to_nef", "riemann_roch_h0", "run_verification",
     "shape_report",
-    "shgh_gin_closed_form", "shgh_hilbert", "theoretical_shape", "within", "xy_count",
+    "shgh_gin_closed_form", "shgh_hilbert", "theoretical_shape", "xy_count",
 ]

@@ -371,7 +371,9 @@ def main(argv: list[str] | None = None) -> int:
         _say(f"arithmetic guard: {exc}")
         return EXIT_GUARD
     except MemoryError:
-        _say(f"error: out of memory running {args.command}; try a smaller input")
+        # args is None when argparse itself ran out, before any command was read
+        running = "" if args is None else f" running {args.command}"
+        _say(f"error: out of memory{running}; try a smaller input")
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
         _say(f"error: {exc}")

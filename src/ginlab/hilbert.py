@@ -61,7 +61,7 @@ def hilbert_fn(config: PointConfig, m: int, t: int) -> int:
         raise ValueError("multiplicity must be nonnegative")
     if config.kind == SHGH:
         return shgh_hilbert(config.r, m, t)
-    return uniform_h0(config, t, m)
+    return uniform_h0(config, m, t)
 
 def alpha(config: PointConfig, m: int) -> int:
     """Least degree whose Hilbert value is positive.

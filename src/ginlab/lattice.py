@@ -371,7 +371,7 @@ def nef_slope(config: PointConfig) -> Fraction:
     return Fraction(*nef_ratio(config))
 
 
-def uniform_h0(config: PointConfig, t: int, m: int) -> int:
+def uniform_h0(config: PointConfig, m: int, t: int) -> int:
     """Section count of (t; m, ..., m), peeling whole orbits of curves.
 
     The class stays uniform on the n permuted points, as (d, a on them, b

@@ -5,8 +5,8 @@ family of regions whose complement tends to a fixed shape of area r/2.  For
 general points the boundary is a single segment with known intercepts; for
 the collinear-plus-one arrangement it is genuinely non-linear and is reported
 empirically from the computed corners.  ``check_convergence`` judges every
-kind at any positive multiplicities: intercepts within order 1/m of the
-segment, or the collinear generator degrees; it returns verify's row.
+kind at any positive multiplicities: degrees within a constant of m times
+the intercepts, or the collinear generator degrees; it returns verify's row.
 
 Intercepts are a Fraction or a ``SquareRootIntercept``.  ``fractions`` is
 imported inside the functions that make a Fraction, so a process that only
@@ -36,24 +36,6 @@ class SquareRootIntercept(namedtuple("SquareRootIntercept", "radicand")):
 
     def __str__(self) -> str:
         return f"sqrt({self.radicand})"
-
-
-def within(value: Fraction, target: Fraction | SquareRootIntercept, tol: Fraction) -> bool:
-    """Exact test |value - target| <= tol, squaring when target is a root."""
-    if not isinstance(target, SquareRootIntercept):
-        return abs(value - target) <= tol
-    lo = value - tol
-    hi = value + tol
-    if hi < 0:
-        return False
-    lower_ok = lo <= 0 or lo * lo <= target.radicand
-    return lower_ok and hi * hi >= target.radicand
-
-
-def deviation_str(value: Fraction, target: Fraction | SquareRootIntercept) -> str:
-    if isinstance(target, SquareRootIntercept):
-        return f"~{abs(float(value) - float(target)):.6f}"
-    return str(abs(value - target))
 
 
 def theoretical_shape(config: PointConfig) -> (
@@ -105,24 +87,26 @@ def shape_report(config: PointConfig, m_list: list[int]) -> ShapeReport:
                        Fraction(entries[-1].alpha, config.r * entries[-1].m))
 
 
-def convergence_scale(config: PointConfig) -> Fraction:
-    """The c of check_convergence's tolerance c/m: 3, or (ceil(sqrt(r)) + 2)/2
-    for shgh, where alpha(alpha+1) <= r*m(m+1) < (alpha+1)(alpha+2) and
-    zeta <= alpha+1 put both intercepts within (sqrt(r)/2 + 1)/m of sqrt(r)."""
-    from fractions import Fraction
-
-    return Fraction(isqrt(config.r - 1) + 3, 2) if config.kind == SHGH else Fraction(3)
+def _near(v: int, m: int, g: Fraction | SquareRootIntercept, c: Fraction | int) -> bool:
+    """Exact test |v - m*g| <= c, squaring both sides when g is a root."""
+    if isinstance(g, SquareRootIntercept):
+        return max(v - c, 0) ** 2 <= m * m * g.radicand <= (v + c) ** 2
+    return abs(v - m * g) <= c
 
 
 def check_convergence(config: PointConfig, m_list: list[int]) -> tuple[bool, str]:
     """The limit-shape verdict for every kind, at any positive multiplicities:
-    both intercepts within c/m (convergence_scale) of the predicted segment,
-    or collinear_shape_check where theoretical_shape predicts none.
+    alpha and zeta within c of m*gamma1 and m*gamma2, compared exactly (so the
+    intercepts alpha/m and zeta/m lie within c/m of the predicted segment), or
+    collinear_shape_check where theoretical_shape predicts none.
 
-    The complement area needs no check of its own: shape_report's colength
-    guard fixes its area per m^2 at exactly r(m+1)/(2m).  Returns verify's
-    row: on failure, one message per violation, naming the multiplicity and
-    deviation, joined by "; ".
+    c is 3 for up to 8 points, and (isqrt(r - 1) + 3)/2 = (ceil(sqrt(r)) + 2)/2
+    for shgh: alpha(alpha+1) <= r*m(m+1) < (alpha+1)(alpha+2) and zeta <=
+    alpha+1 put both degrees within sqrt(r)/2 + 1 of m*sqrt(r).  The
+    complement area needs no check of its own: shape_report's colength guard
+    fixes its area per m^2 at exactly r(m+1)/(2m).  Returns verify's row: on
+    failure, one message per intercept off the segment, naming the
+    multiplicity and the tolerance c/m it exceeds, joined by "; ".
     """
     from fractions import Fraction
 
@@ -130,22 +114,17 @@ def check_convergence(config: PointConfig, m_list: list[int]) -> tuple[bool, str
     if predicted is None:
         return collinear_shape_check(config.l, m_list)
     g1, g2 = predicted
-    scale = convergence_scale(config)
+    c = Fraction(isqrt(config.r - 1) + 3, 2) if config.kind == SHGH else 3
     entries = shape_report(config, m_list).entries
     failures = []
     for e in entries:
-        m = e.m
-        tol = scale / m
-        x, y = Fraction(e.alpha, m), Fraction(e.zeta, m)
-        if not within(x, g1, tol):
-            failures.append(f"m={m}: x-intercept {x} is off {g1} "
-                            f"by {deviation_str(x, g1)} > {tol}")
-        if not within(y, g2, tol):
-            failures.append(f"m={m}: y-intercept {y} is off {g2} "
-                            f"by {deviation_str(y, g2)} > {tol}")
+        for axis, v, g in (("x", e.alpha, g1), ("y", e.zeta, g2)):
+            if not _near(v, e.m, g, c):
+                failures.append(f"m={e.m}: {axis}-intercept {Fraction(v, e.m)} is off {g} "
+                                f"by more than {Fraction(c, e.m)}")
     if failures:
         return False, "; ".join(failures)
-    tol = f"{scale}/m" if scale.denominator == 1 else f"{scale.numerator}/({scale.denominator}m)"
+    tol = f"{c}/m" if c.denominator == 1 else f"{c.numerator}/({c.denominator}m)"
     return True, f"intercepts within {tol} for m <= {entries[-1].m}"
 
 

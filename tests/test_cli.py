@@ -547,6 +547,19 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
     assert err == "error: out of memory running gin; try a smaller input\n"
 
 
+def test_out_of_memory_while_parsing_names_no_command(capsys, monkeypatch):
+    # "--m=3" is not a plain argv, so argparse reads it; running out there
+    # leaves no parsed command to name
+    class Exhausted:
+        def parse_args(self, argv):
+            raise MemoryError
+
+    monkeypatch.setattr(cli, "build_parser", Exhausted)
+    code, out, err = run_cli(capsys, ["gin", "general:2", "--m=3"])
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory; try a smaller input\n"
+
+
 @pytest.mark.parametrize("argv,read", [
     # 555 kB of JSON and 158 kB of text, both past a 64 KiB pipe buffer, so a
     # write meets the closed pipe while the process still runs

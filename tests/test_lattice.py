@@ -259,7 +259,7 @@ def test_reduce_matches_reference(config, data):
 def test_orbit_engine_guards_name_the_class(monkeypatch, rows, message):
     monkeypatch.setattr("ginlab.lattice._orbits", lambda config: rows)
     with pytest.raises(ComputationGuardError) as excinfo:
-        uniform_h0(PointConfig.collinear_plus_one(3), 0, 5)
+        uniform_h0(PointConfig.collinear_plus_one(3), 5, 0)
     assert str(excinfo.value) == message
 
 

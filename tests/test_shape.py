@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ginlab import (PointConfig, SquareRootIntercept, check_convergence,
                     collinear_shape_check, colength, gin_staircase, shape_report,
-                    theoretical_shape, within)
+                    theoretical_shape)
 from ginlab.exporters import shape_json
-from ginlab.shape import convergence_scale
+from ginlab.shape import _near
 
 F = Fraction
 
@@ -44,20 +47,49 @@ def test_square_root_intercept():
     assert 3.16 < float(SquareRootIntercept(10)) < 3.17
 
 
-def test_within_rational_target():
-    assert within(F(5, 2), F(5, 2), F(0))
-    assert within(F(24, 10), F(5, 2), F(1, 10))
-    assert not within(F(24, 10), F(5, 2), F(1, 11))
+def test_near_rational_target():
+    # |v - m*g| <= c in degrees is |v/m - g| <= c/m on the scaled intercepts
+    assert _near(25, 10, F(5, 2), 0)
+    assert _near(24, 10, F(5, 2), 1)
+    assert not _near(24, 10, F(5, 2), F(10, 11))
 
 
-def test_within_root_target_squares_exactly():
+def test_near_root_target_squares_exactly():
     ten = SquareRootIntercept(10)
-    assert within(F(3), ten, F(1, 5))       # sqrt(10) - 3 ~ 0.1623
-    assert not within(F(3), ten, F(1, 10))
-    assert within(F(3), SquareRootIntercept(9), F(0))
-    assert not within(F(3), SquareRootIntercept(9), F(-1))
-    assert within(F(0), SquareRootIntercept(4), F(2))
-    assert not within(F(0), SquareRootIntercept(4), F(1))
+    assert _near(3, 1, ten, F(1, 5))        # sqrt(10) - 3 ~ 0.1623
+    assert not _near(3, 1, ten, F(1, 10))
+    assert _near(3, 1, SquareRootIntercept(9), 0)
+    assert _near(0, 1, SquareRootIntercept(4), 2)
+    assert not _near(0, 1, SquareRootIntercept(4), 1)
+
+
+# R drawn also as a perfect square, where m*sqrt(R) is an integer that v +- c can hit
+_RADICANDS = st.integers(1, 10**4) | st.integers(1, 100).map(lambda s: s * s)
+
+
+@given(v=st.integers(0, 10**4), m=st.integers(1, 300), radicand=_RADICANDS, k=st.integers(0, 40))
+@example(v=8, m=2, radicand=9, k=4)      # v - c = 6 = m*sqrt(R)
+@example(v=10, m=3, radicand=16, k=4)    # v + c = 12 = m*sqrt(R)
+@example(v=7, m=2, radicand=9, k=3)      # v - c = 11/2, just under m*sqrt(R)
+@example(v=5, m=2, radicand=9, k=1)      # v + c = 11/2, just under m*sqrt(R)
+@example(v=0, m=1, radicand=1, k=2)      # v - c = -1 < 0, v + c = 1 = m*sqrt(R)
+def test_near_root_matches_integer_square_roots(v, m, radicand, k):
+    # |v - m*sqrt(R)| <= k/2 is 2v - k <= sqrt(4m^2 R) <= 2v + k, and with
+    # integer ends that is a test on floor and ceil of the root, isqrt(n) and
+    # isqrt(n - 1) + 1 for n >= 1: nothing squared
+    n = 4 * m * m * radicand
+    expected = 2 * v - k <= isqrt(n) and isqrt(n - 1) + 1 <= 2 * v + k
+    assert _near(v, m, SquareRootIntercept(radicand), F(k, 2)) == expected
+
+
+@given(v=st.integers(0, 10**4), m=st.integers(1, 300), p=st.integers(0, 10**3),
+       q=st.integers(1, 10**3), k=st.integers(0, 40))
+@example(v=24, m=10, p=5, q=2, k=2)      # |24 - 25| = 1 = c
+@example(v=24, m=10, p=5, q=2, k=1)      # |24 - 25| = 1 > 1/2
+def test_near_rational_matches_cross_multiplication(v, m, p, q, k):
+    # |v - m*p/q| <= k/2 is |2(v*q - m*p)| <= k*q
+    expected = 2 * abs(v * q - m * p) <= k * q
+    assert _near(v, m, F(p, q), F(k, 2)) == expected
 
 
 def test_shape_report_general_six():
@@ -125,7 +157,7 @@ def test_convergence_general_seven_and_interpolated():
 def test_convergence_reports_an_intercept_off_target(monkeypatch):
     monkeypatch.setattr("ginlab.shape.theoretical_shape", lambda config: (F(3), F(5, 2)))
     assert check_convergence(PointConfig.general(6), [10]) == (
-        False, "m=10: x-intercept 12/5 is off 3 by 3/5 > 3/10")
+        False, "m=10: x-intercept 12/5 is off 3 by more than 3/10")
 
 
 @pytest.mark.parametrize("config", [PointConfig.general(r) for r in range(2, 9)]
@@ -135,19 +167,28 @@ def test_convergence_holds_at_every_m(config):
     assert passed, detail
 
 
-def test_convergence_scale():
-    # 3/m would fail shgh:40 at m=20, where zeta/m = 13/2 is about 0.175 above sqrt(40)
-    assert convergence_scale(PointConfig.general(8)) == 3
-    assert convergence_scale(PointConfig.shgh(9)) == F(5, 2)
-    assert {convergence_scale(PointConfig.shgh(r)) for r in range(10, 17)} == {3}
-    assert convergence_scale(PointConfig.shgh(40)) == F(9, 2)
+def test_convergence_tolerance_in_the_pass_line():
+    def tolerance(config):
+        passed, detail = check_convergence(config, [1, 2, 3])
+        assert passed, detail
+        return detail.removeprefix("intercepts within ").removesuffix(" for m <= 3")
+
+    assert tolerance(PointConfig.general(8)) == "3/m"
+    assert tolerance(PointConfig.shgh(9)) == "5/(2m)"
+    assert {tolerance(PointConfig.shgh(r)) for r in range(10, 17)} == {"3/m"}
+    assert tolerance(PointConfig.shgh(40)) == "9/(2m)"
+    # 3 would fail shgh:40 at m=20, where zeta = 130 is about 3.5 above 20*sqrt(40)
+    (e,) = shape_report(PointConfig.shgh(40), [20]).entries
+    assert e.zeta == 130
+    assert not _near(e.zeta, 20, SquareRootIntercept(40), 3)
+    assert _near(e.zeta, 20, SquareRootIntercept(40), F(9, 2))
 
 
 def test_convergence_message_names_the_applied_tolerance(monkeypatch):
     monkeypatch.setattr("ginlab.shape.theoretical_shape",
                         lambda config: (SquareRootIntercept(40), SquareRootIntercept(36)))
     assert check_convergence(PointConfig.shgh(40), [20]) == (
-        False, "m=20: y-intercept 13/2 is off sqrt(36) by ~0.500000 > 9/40")
+        False, "m=20: y-intercept 13/2 is off sqrt(36) by more than 9/40")
 
 
 def test_convergence_judges_collinear_by_its_generator_degrees():

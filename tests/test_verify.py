@@ -110,8 +110,8 @@ def test_collinear_class_list_check_needs_the_line(monkeypatch):
 
 
 def test_orbit_check_catches_a_wrong_engine(monkeypatch):
-    def wrong(config, t, m):
-        return uniform_h0(config, t, m) + ((m, t) == (3, 7))
+    def wrong(config, m, t):
+        return uniform_h0(config, m, t) + ((m, t) == (3, 7))
 
     # the engine hilbert_fn calls is off by one at an (m, t) that only this
     # check notices; the cached values it leaves behind are dropped afterwards
@@ -125,8 +125,8 @@ def test_orbit_check_catches_a_wrong_engine(monkeypatch):
 
 
 def test_guard_errors_become_failed_checks(monkeypatch, capsys):
-    def wrong(config, t, m):
-        return uniform_h0(config, t, m) + ((m, t) == (2, 5))
+    def wrong(config, m, t):
+        return uniform_h0(config, m, t) + ((m, t) == (2, 5))
 
     # the wrong value breaks staircase reconstruction, which raises a guard
     # error inside several checks; each of them fails instead of the suite
