@@ -7,10 +7,10 @@ shape report's corners: `_corner_run` gcd-reduces those itself, so that they
 render as "%d/%d" runs; file payloads end with one newline.
 Every JSON document goes through `json_pieces`, the one hand-written emitter
 of the two-space layout, with `json.dumps` and a two-space indent as the test
-oracle.  `json_pieces` imports json's string encoder itself, so only JSON
-output loads json.  The command line writes the pieces as they come, so it
-never holds a whole document.  The large
-int arrays, nearly all the bytes of a staircase, are named by the code that
+oracle.  `json_pieces` takes the C string encoder that `json.dumps` uses
+from `_json`, so no process loads the json package.  The command line
+writes the pieces as they come, so it never holds a whole document.  The
+large int arrays, nearly all the bytes of a staircase, are named by the code that
 builds the payload: `int_runs` for a sequence of ints or int pairs,
 `column_runs` for a staircase's generators, laid out column by column
 without building the pairs, and `corner_runs` for a shape report's
@@ -28,7 +28,7 @@ from itertools import chain, groupby, repeat
 from math import gcd
 from operator import floordiv
 
-from .shape import ShapeReport, SquareRootIntercept
+from .shape import Rational, ShapeReport, SquareRootIntercept
 from .staircase import MonomialStaircase, colength
 
 CHUNK = 4096  # array items per %d template, which bounds each template and run
@@ -40,7 +40,7 @@ def rational_str(n: int, d: int) -> str:
     return f"{n // g}/{d // g}"
 
 
-def intercept_str(value: Fraction | SquareRootIntercept) -> str:
+def intercept_str(value: Rational | SquareRootIntercept) -> str:
     if isinstance(value, SquareRootIntercept):
         return str(value)
     return rational_str(value.numerator, value.denominator)
@@ -57,7 +57,7 @@ def json_pieces(payload: dict) -> Iterator[str]:
     rendered only as the pieces are read, one CHUNK run at a time.  The
     structure between two arrays comes as one piece.
     """
-    from json.encoder import encode_basestring_ascii  # loaded only for JSON output
+    from _json import encode_basestring_ascii  # loaded only for JSON output
 
     out: list = []
     _emit(payload, "\n", out, encode_basestring_ascii)

@@ -10,8 +10,7 @@ peels uniform classes a whole orbit at a time on plain ints (d, a, b) and
 evaluates Riemann-Roch on them in closed form; ``reduce_to_nef`` peels
 curve by curve on ``DivisorClass`` values from the table's expansion,
 ``exceptional_classes``.  The nef slope read off the same orbits is the
-int pair ``nef_ratio``; ``nef_slope`` is its Fraction view, and only it
-imports ``fractions``.
+int pair ``nef_ratio``.
 """
 
 from __future__ import annotations
@@ -362,13 +361,6 @@ def nef_ratio(config: PointConfig) -> tuple[int, int]:
             p, q = ca + cb, cd
     g = gcd(p, q)
     return p // g, q // g
-
-
-def nef_slope(config: PointConfig) -> Fraction:
-    """nef_ratio as a Fraction, the y-intercept the shape report predicts."""
-    from fractions import Fraction  # loaded only by callers that want the Fraction
-
-    return Fraction(*nef_ratio(config))
 
 
 def uniform_h0(config: PointConfig, m: int, t: int) -> int:

@@ -8,18 +8,36 @@ empirically from the computed corners.  ``check_convergence`` judges every
 kind at any positive multiplicities: degrees within a constant of m times
 the intercepts, or the collinear generator degrees; it returns verify's row.
 
-Intercepts are a Fraction or a ``SquareRootIntercept``.  ``fractions`` is
-imported inside the functions that make a Fraction, so a process that only
-computes Hilbert functions or staircases never loads it.
+Intercepts are a ``Rational``, an int pair in lowest terms, or a
+``SquareRootIntercept``; every verdict cross-multiplies integers, so no
+process loads ``fractions``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from math import isqrt, sqrt
+from math import gcd, isqrt, sqrt
 
-from .lattice import COLLINEAR, SHGH, PointConfig, nef_slope
+from .lattice import COLLINEAR, SHGH, PointConfig, nef_ratio
 from .staircase import colength, gin_staircase
+
+
+class Rational(namedtuple("Rational", "numerator denominator")):
+    """numerator/denominator in lowest terms, for a denominator > 0: the str
+    and float of the equal Fraction, which Fraction(*x) makes."""
+
+    __slots__ = ()
+
+    def __new__(cls, numerator: int, denominator: int):
+        g = gcd(numerator, denominator)
+        return super().__new__(cls, numerator // g, denominator // g)
+
+    def __float__(self) -> float:
+        return self.numerator / self.denominator
+
+    def __str__(self) -> str:
+        n, d = self
+        return f"{n}/{d}" if d != 1 else str(n)
 
 
 class SquareRootIntercept(namedtuple("SquareRootIntercept", "radicand")):
@@ -39,7 +57,7 @@ class SquareRootIntercept(namedtuple("SquareRootIntercept", "radicand")):
 
 
 def theoretical_shape(config: PointConfig) -> (
-        tuple[Fraction, Fraction] | tuple[SquareRootIntercept, SquareRootIntercept] | None):
+        tuple[Rational, Rational] | tuple[SquareRootIntercept, SquareRootIntercept] | None):
     """Intercepts (gamma1, gamma2) of the limiting segment x/g1 + y/g2 = 1.
 
     For up to 8 general points gamma2 is the nef slope nu and gamma1 = r/nu;
@@ -51,13 +69,13 @@ def theoretical_shape(config: PointConfig) -> (
         return None
     if config.kind == SHGH:
         return SquareRootIntercept(config.r), SquareRootIntercept(config.r)
-    nu = nef_slope(config)
-    return config.r / nu, nu
+    p, q = nef_ratio(config)
+    return Rational(config.r * q, p), Rational(p, q)
 
 
 class ShapeReport(namedtuple("ShapeReport", "config entries predicted seshadri_estimate")):
     """The staircases ascending in m, the predicted (gamma1, gamma2)
-    intercepts or None, and the Fraction alpha(m)/(r*m) at the last
+    intercepts or None, and the Rational alpha(m)/(r*m) at the last
     multiplicity.  Each staircase scales to intercepts alpha/m and zeta/m
     and to colength/m^2."""
 
@@ -72,8 +90,6 @@ def shape_report(config: PointConfig, m_list: list[int]) -> ShapeReport:
     raises before the next staircase or any report.  The last multiplicity
     also yields the Seshadri-type estimate alpha(m)/(r*m).
     """
-    from fractions import Fraction
-
     ms = sorted(set(m_list))
     if not ms:
         raise ValueError("need at least one multiplicity")
@@ -84,14 +100,17 @@ def shape_report(config: PointConfig, m_list: list[int]) -> ShapeReport:
         entries.append(gin_staircase(config, m))
         colength(entries[-1])
     return ShapeReport(config, tuple(entries), theoretical_shape(config),
-                       Fraction(entries[-1].alpha, config.r * entries[-1].m))
+                       Rational(entries[-1].alpha, config.r * entries[-1].m))
 
 
-def _near(v: int, m: int, g: Fraction | SquareRootIntercept, c: Fraction | int) -> bool:
-    """Exact test |v - m*g| <= c, squaring both sides when g is a root."""
+def _near(v: int, m: int, g: Rational | SquareRootIntercept, c: Rational | int) -> bool:
+    """Exact test |v - m*g| <= c on ints: both sides times the denominators,
+    and squared when g is a root.  A rational g or c has .numerator and
+    .denominator, as an int and a Fraction do."""
+    a, b = c.numerator, c.denominator
     if isinstance(g, SquareRootIntercept):
-        return max(v - c, 0) ** 2 <= m * m * g.radicand <= (v + c) ** 2
-    return abs(v - m * g) <= c
+        return max(b * v - a, 0) ** 2 <= (b * m) ** 2 * g.radicand <= (b * v + a) ** 2
+    return abs(v * g.denominator - m * g.numerator) * b <= a * g.denominator
 
 
 def check_convergence(config: PointConfig, m_list: list[int]) -> tuple[bool, str]:
@@ -108,20 +127,18 @@ def check_convergence(config: PointConfig, m_list: list[int]) -> tuple[bool, str
     failure, one message per intercept off the segment, naming the
     multiplicity and the tolerance c/m it exceeds, joined by "; ".
     """
-    from fractions import Fraction
-
     predicted = theoretical_shape(config)
     if predicted is None:
         return collinear_shape_check(config.l, m_list)
     g1, g2 = predicted
-    c = Fraction(isqrt(config.r - 1) + 3, 2) if config.kind == SHGH else 3
+    c = Rational(isqrt(config.r - 1) + 3, 2) if config.kind == SHGH else 3
     entries = shape_report(config, m_list).entries
     failures = []
     for e in entries:
         for axis, v, g in (("x", e.alpha, g1), ("y", e.zeta, g2)):
             if not _near(v, e.m, g, c):
-                failures.append(f"m={e.m}: {axis}-intercept {Fraction(v, e.m)} is off {g} "
-                                f"by more than {Fraction(c, e.m)}")
+                failures.append(f"m={e.m}: {axis}-intercept {Rational(v, e.m)} is off {g} "
+                                f"by more than {Rational(c.numerator, c.denominator * e.m)}")
     if failures:
         return False, "; ".join(failures)
     tol = f"{c}/m" if c.denominator == 1 else f"{c.numerator}/({c.denominator}m)"
@@ -139,8 +156,6 @@ def collinear_shape_check(l: int, m_list: list[int]) -> tuple[bool, str]:
     Returns verify's row: on failure, one message per wrong degree, joined
     by "; ".
     """
-    from fractions import Fraction
-
     entries = shape_report(PointConfig.collinear_plus_one(l), m_list).entries
     failures = []
     for e in entries:
@@ -155,4 +170,4 @@ def collinear_shape_check(l: int, m_list: list[int]) -> tuple[bool, str]:
     # PointConfig enforces l >= 3, so the single-segment area (2l-1)/2
     # always exceeds the limit area (l+1)/2.
     return True, (f"generator degrees 2m-floor(m/l) and lm confirmed for m <= {entries[-1].m}; "
-                  f"single segment excluded ({Fraction(2 * l - 1, 2)} > {Fraction(l + 1, 2)})")
+                  f"single segment excluded ({Rational(2 * l - 1, 2)} > {Rational(l + 1, 2)})")

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
-from ginlab import (DivisorClass, MonomialStaircase, PointConfig, exceptional_classes, gin_staircase, intersect,
-                    shgh_hilbert)
+from ginlab import (DivisorClass, MonomialStaircase, PointConfig, SquareRootIntercept, exceptional_classes,
+                    gin_staircase, intersect, shgh_hilbert)
 from ginlab.hilbert import alpha_shgh
 
 
@@ -81,3 +82,15 @@ def shgh_with_alpha(a: int) -> MonomialStaircase:
         if alpha_shgh(r, m) == a:
             return gin_staircase(PointConfig.shgh(r), m)
     raise LookupError(f"no shgh staircase with alpha {a}")
+
+
+# shape._near's oracle: |v - m*g| <= c on Fractions.  For g = sqrt(R) the
+# distance is bounded by its ends: v - c <= m*sqrt(R) holds at once when
+# v - c <= 0, and otherwise squares to (v - c)^2 <= m^2 R; m*sqrt(R) <= v + c
+# needs v + c >= 0 and then squares to m^2 R <= (v + c)^2.
+def near_oracle(v: int, m: int, g, c) -> bool:
+    c = Fraction(*c) if isinstance(c, tuple) else Fraction(c)
+    if isinstance(g, SquareRootIntercept):
+        low, high, square = v - c, v + c, m * m * g.radicand
+        return (low <= 0 or low * low <= square) and high >= 0 and square <= high * high
+    return abs(v - m * Fraction(*g)) <= c

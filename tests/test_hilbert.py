@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ginlab import hilbert, lattice
 from ginlab import (DivisorClass, PointConfig, alpha, alpha_shgh, exceptional_classes,
-                    gin_staircase, hilbert_fn, nef_slope, nef_threshold, shgh_hilbert)
+                    gin_staircase, hilbert_fn, nef_threshold, shgh_hilbert)
 from ginlab.errors import ComputationGuardError
 
 
@@ -122,7 +122,7 @@ def test_orbit_engine_builds_no_divisor_class(spec, monkeypatch):
     # uniform_h0 works on (d, a, b) alone; only the cached curve list holds classes
     config = PointConfig.parse(spec)
     expected = {m: gin_staircase(config, m) for m in (1, 4, 11)}
-    nef_slope(config)
+    lattice.nef_ratio(config)
     hilbert_fn.cache_clear()
     gin_staircase.cache_clear()
 
@@ -202,9 +202,9 @@ def test_nef_threshold_values():
     assert nef_threshold(PointConfig.collinear_plus_one(3), 6) == 18
     assert nef_threshold(PointConfig.general(6), 0) == 0
     slopes = [F(2), F(2), F(2), F(5, 2), F(5, 2), F(8, 3), F(17, 6)]
-    assert [nef_slope(PointConfig.general(r)) for r in range(2, 9)] == slopes
+    assert [F(*lattice.nef_ratio(PointConfig.general(r))) for r in range(2, 9)] == slopes
     for l in range(3, 9):
-        assert nef_slope(PointConfig.collinear_plus_one(l)) == l
+        assert F(*lattice.nef_ratio(PointConfig.collinear_plus_one(l))) == l
 
 
 def test_nef_slope_lives_beside_the_orbit_table():
@@ -223,8 +223,7 @@ def test_nef_ratio_is_the_nef_slope_exactly(spec):
     config = PointConfig.parse(spec)
     p, q = lattice.nef_ratio(config)
     assert q > 0 and gcd(p, q) == 1
-    nu = nef_slope(config)
-    assert F(p, q) == nu
+    nu = F(p, q)
     for m in range(2001):
         assert nef_threshold(config, m) == ceil(m * nu)
     for m in range(1, 41):

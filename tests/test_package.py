@@ -14,7 +14,6 @@ import re
 import subprocess
 import sys
 from collections import namedtuple
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -163,7 +162,7 @@ def run_reach_commands() -> None:
         for argv, code in REACH_COMMANDS:
             assert cli.main(argv) == code, argv
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(shape, "theoretical_shape", lambda config: (Fraction(1), Fraction(1)))
+            patch.setattr(shape, "theoretical_shape", lambda config: (shape.Rational(1, 1),) * 2)
             assert cli.main(["verify", "general:6", "--max-m", "3"]) == 1
         # run, the program's exit path, with os._exit raising instead of ending the process
         with pytest.MonkeyPatch.context() as patch:

@@ -2,17 +2,18 @@
 
 from __future__ import annotations
 
+import ast
+import json.encoder
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ginlab import (DivisorClass, EffectivityResult, MonomialStaircase, PointConfig,
+from ginlab import (DivisorClass, EffectivityResult, MonomialStaircase, PointConfig, Rational,
                     ShapeReport, SquareRootIntercept, VerifyReport,
-                    exceptional_classes, gin_staircase)
+                    exceptional_classes, exporters, gin_staircase)
 from ginlab.errors import ComputationGuardError
 from ginlab.verify import VerifyCheck
 
@@ -35,13 +36,15 @@ RECORDS = {
                         {"lambdas": (4, 1), "m": 2, "config": PointConfig.general(3)}),
     SquareRootIntercept: (lambda: {"radicand": 10},
                           {"radicand": 11}),
+    Rational: (lambda: {"numerator": 5, "denominator": 2},
+               {"numerator": 7, "denominator": 3}),
     ShapeReport: (lambda: {"config": PointConfig.general(6),
                            "entries": (MonomialStaircase(alpha=2, lambdas=(3, 1), m=1,
                                                          config=PointConfig.general(2)),),
-                           "predicted": (Fraction(12, 5), Fraction(5, 2)),
-                           "seshadri_estimate": Fraction(2, 5)},
+                           "predicted": (Rational(12, 5), Rational(5, 2)),
+                           "seshadri_estimate": Rational(2, 5)},
                   {"config": PointConfig.general(7), "entries": (), "predicted": None,
-                   "seshadri_estimate": Fraction(1, 2)}),
+                   "seshadri_estimate": Rational(1, 2)}),
     VerifyCheck: (lambda: {"name": "colength", "passed": True, "detail": "ok"},
                   {"name": "class-list", "passed": False, "detail": "off"}),
     VerifyReport: (lambda: {"max_m": 5, "checks": (VerifyCheck("colength", True, "ok"),)},
@@ -149,16 +152,19 @@ _FRACTIONS = ["decimal", "fractions", "numbers"]
 @pytest.mark.parametrize("argv,loaded", [
     ("gin general:6 --m 12 --format text", []),
     ("hilbert general:6 --m 10 --t-range 20..25 --format csv", []),
-    ("shape general:6 --m-list 2,4 --format svg", _FRACTIONS),
-    ("verify general:3 --max-m 3 --format text", _FRACTIONS),
-    ("gin shgh:10 --m 4", ["json"]),
+    ("shape general:6 --m-list 2,4 --format svg", []),
+    ("verify general:3 --max-m 3 --format text", []),
+    ("gin shgh:10 --m 4", []),
     ("--help", ["argparse", "gettext", "locale"]),
-    ("gin collinear:4 --m 5", ["json"]),
+    ("gin collinear:4 --m 5", []),
     ("classes general:6", []),
+    ("shape general:6 --m-list 2,4 --format json", []),
+    ("verify general:3 --max-m 3 --format json", []),
 ])
 def test_cli_main_loads_argparse_and_json_only_when_used(argv, loaded):
-    # a plain command skips argparse, and json unless it writes JSON; --help goes
-    # to argparse; only shape and verify, which make Fractions, load fractions
+    # a plain command skips argparse, --help goes to argparse; JSON output takes
+    # its string encoder from _json, and intercepts are int pairs, so no command
+    # loads json or fractions
     src = Path(__file__).resolve().parents[1] / "src"
     result = subprocess.run([sys.executable, "-S", "-c", _RUN_MAIN, *argv.split()],
                             capture_output=True, text=True,
@@ -181,3 +187,42 @@ def test_entry_path_and_package_import_skip_fractions():
     package = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                              env=env, check=True)
     assert package.stdout == "[]\n"
+
+
+def test_a_config_file_is_the_one_json_read(tmp_path):
+    path = tmp_path / "gin.json"
+    path.write_text('{"config": "general:6", "m": 3}', encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["gin", "--config-file", str(path)]
+    result = subprocess.run([sys.executable, "-S", "-c", _RUN_MAIN, *argv], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stderr.splitlines()[-1] == "0 ['json']"
+
+
+def test_json_strings_use_the_encoder_json_dumps_uses(monkeypatch):
+    # the C encoder from _json is the one json.dumps picks, so the bytes cannot drift
+    seen = []
+    monkeypatch.setattr(exporters, "_emit", lambda o, nl, out, string: seen.append(string))
+    exporters.json_pieces({})
+    assert len(seen) == 1 and seen[0] is json.encoder.encode_basestring_ascii
+
+
+def test_no_module_imports_fractions_or_json_but_the_config_file_read():
+    # (module.qualname, imported module) for every import of a heavy module, at
+    # any depth; only cli._apply_config_file reads JSON, with json.load
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((scope, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append((scope, child.module))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ginlab").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    heavy = [(scope, module) for scope, module in found
+             if module.split(".")[0] in {"decimal", "fractions", "json", "numbers"}]
+    assert heavy == [("cli._apply_config_file", "json")]

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ginlab import (PointConfig, SquareRootIntercept, check_convergence,
+from ginlab import (PointConfig, Rational, SquareRootIntercept, check_convergence,
                     collinear_shape_check, colength, gin_staircase, shape_report,
                     theoretical_shape)
 from ginlab.exporters import shape_json
 from ginlab.shape import _near
+from oracles import near_oracle
 
 F = Fraction
 
@@ -30,7 +31,7 @@ def test_theoretical_shape_table():
         8: (F(48, 17), F(17, 6)),
     }
     for r, pair in expected.items():
-        assert theoretical_shape(PointConfig.general(r)) == pair
+        assert tuple(F(*g) for g in theoretical_shape(PointConfig.general(r))) == pair
         assert pair[0] * pair[1] == r
     for r in (9, 10, 16):
         g1, g2 = theoretical_shape(PointConfig.shgh(r))
@@ -45,6 +46,17 @@ def test_theoretical_shape_collinear_is_none():
 def test_square_root_intercept():
     assert str(SquareRootIntercept(9)) == "sqrt(9)"
     assert 3.16 < float(SquareRootIntercept(10)) < 3.17
+
+
+@given(n=st.integers(-10**30, 10**30), d=st.integers(1, 10**30))
+@example(n=6, d=3)       # an integer: "2"
+@example(n=0, d=7)       # zero: "0", denominator 1
+@example(n=-5, d=10)     # a negative: "-1/2"
+@example(n=1, d=3)       # not a finite binary fraction
+def test_rational_spells_and_converts_as_fraction(n, d):
+    x = Rational(n, d)
+    assert (str(x), float(x)) == (str(F(n, d)), float(F(n, d)))
+    assert F(*x) == F(n, d) and x == (F(n, d).numerator, F(n, d).denominator)
 
 
 def test_near_rational_target():
@@ -92,9 +104,26 @@ def test_near_rational_matches_cross_multiplication(v, m, p, q, k):
     assert _near(v, m, F(p, q), F(k, 2)) == expected
 
 
+_INTERCEPTS = (st.builds(Rational, st.integers(0, 10**3), st.integers(1, 10**3))
+               | st.builds(SquareRootIntercept, _RADICANDS))
+_TOLERANCES = st.integers(0, 12) | st.integers(0, 40).map(lambda k: Rational(k, 2))
+
+
+@given(v=st.integers(0, 10**4), m=st.integers(1, 300), g=_INTERCEPTS, c=_TOLERANCES)
+@example(v=8, m=2, g=SquareRootIntercept(9), c=2)               # v - c = m*sqrt(R)
+@example(v=7, m=2, g=SquareRootIntercept(9), c=Rational(3, 2))  # v - c just under m*sqrt(R)
+@example(v=0, m=1, g=SquareRootIntercept(1), c=2)               # v - c < 0, v + c > m*sqrt(R)
+@example(v=24, m=10, g=Rational(5, 2), c=1)                     # |24 - 25| = c
+@example(v=24, m=10, g=Rational(5, 2), c=Rational(1, 2))        # |24 - 25| > c
+def test_near_matches_the_fraction_oracle(v, m, g, c):
+    # the intercepts and tolerances check_convergence passes: a Rational or a
+    # root g, c an int or a half-integer
+    assert _near(v, m, g, c) == near_oracle(v, m, g, c)
+
+
 def test_shape_report_general_six():
     report = shape_report(PointConfig.general(6), [10])
-    assert report.predicted == (F(12, 5), F(5, 2))
+    assert tuple(F(*g) for g in report.predicted) == (F(12, 5), F(5, 2))
     assert not report.config.conjectural
     (e,) = report.entries
     assert (e.alpha, e.zeta, colength(e)) == (24, 26, 330)
@@ -106,7 +135,7 @@ def test_shape_report_general_six():
     assert corners[-1] == ["12/5", "0/1"]
     xs = [F(x) for x, _ in corners]
     assert xs == sorted(xs)
-    assert report.seshadri_estimate == F(24, 60)
+    assert F(*report.seshadri_estimate) == F(24, 60)
 
 
 def test_shape_report_interpolation_nine():
