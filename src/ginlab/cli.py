@@ -167,11 +167,11 @@ def _generator_line(s: staircase.MonomialStaircase) -> Iterator[str]:
     """The generators, descending in x, as pieces of one line: "x^%dy^%d" runs for the
     columns i >= 2 of height >= 2 (heights fall strictly to >= 1, so only column
     alpha - 1 can have height 1), rendered only as they are read."""
-    a, lambdas = s.alpha, s.lambdas
-    edge = [(a, 0), *([(a - 1, 1)] if a > 2 and lambdas[-1] == 1 else [])]
+    a, left = s.alpha, s.heights(0, 2)
+    edge = [(a, 0), *([(a - 1, 1)] if a > 2 and s.runs[-1][-1] == 1 else [])]
     runs = exporters.render_runs(exporters.column_runs(s, a - len(edge), 2), "x^%dy^%d", " ", " ")
     first = " ".join([_monomial(x, y) for x, y in edge])
-    last = "".join([" " + _monomial(i, lambdas[i]) for i in range(min(a, 2) - 1, -1, -1)])
+    last = "".join([" " + _monomial(i, left[i]) for i in range(min(a, 2) - 1, -1, -1)])
     return chain([first], runs, [last])
 
 

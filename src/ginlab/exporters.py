@@ -14,10 +14,10 @@ large int arrays, nearly all the bytes of a staircase, are named by the code tha
 builds the payload: `int_runs` for a sequence of ints or int pairs,
 `column_runs` for a staircase's generators, laid out column by column
 without building the pairs, and `corner_runs` for a shape report's
-corners, read from the column profile without building the pairs or their
-rational strs.  `render_runs` formats each such run of at most CHUNK items
-by one "%d" template, only as the pieces are read, so no str is made per
-number.  Every other list, whatever it holds, takes the generic path.
+corners, without the pairs or their rational strs; each slices the
+staircase's runs, so no profile is expanded whole.  `render_runs` formats
+each run of at most CHUNK items by one "%d" template, only as the pieces
+are read, so no str is made per number.  Other lists take the generic path.
 """
 
 from __future__ import annotations
@@ -143,17 +143,17 @@ def render_runs(runs, item: str, sep: str, lead: str = "") -> Iterator[str]:
 # the builder nor render_runs holds a run while the next one is made.
 
 def column_runs(s: MonomialStaircase, top: int, bottom: int) -> Iterator[tuple[int, ...]]:
-    """Flat (i, lambdas[i]) runs of at most CHUNK columns, i = top down to
-    bottom; column alpha, the generator x^alpha, has height 0."""
-    return (_column_run(s, hi, min(CHUNK, hi - bottom + 1))
-            for hi in range(top, bottom - 1, -CHUNK))
+    """Flat (i, lambdas[i]) runs of at most CHUNK // 2 columns, CHUNK ints made
+    for the run, i = top down to bottom; column alpha, x^alpha, has height 0."""
+    return (_column_run(s, hi, min(CHUNK // 2, hi - bottom + 1))
+            for hi in range(top, bottom - 1, -(CHUNK // 2)))
 
 
 def _column_run(s: MonomialStaircase, hi: int, n: int) -> tuple[int, ...]:
     run = [0] * (2 * n)
     run[::2] = range(hi, hi - n, -1)
     # column alpha has no lambda: its height stays 0
-    run[3 if hi == s.alpha else 1::2] = s.lambdas[hi - n + 1:hi + 1][::-1]
+    run[3 if hi == s.alpha else 1::2] = s.heights(hi - n + 1, hi + 1)[::-1]
     return tuple(run)
 
 
@@ -167,9 +167,9 @@ def corner_runs(s: MonomialStaircase) -> Iterator[tuple[int, ...]]:
 def _corner_run(s: MonomialStaircase, lo: int) -> tuple[int, ...]:
     m = s.m
     xs = range(lo, min(lo + CHUNK, s.alpha + 1))
-    ys = s.lambdas[lo:lo + CHUNK]
+    ys = s.heights(lo, lo + CHUNK)
     if len(ys) < len(xs):  # the run reaches x^alpha, whose height is 0
-        ys += (0,)
+        ys.append(0)
     run = [0] * (4 * len(xs))
     for at, values in ((0, xs), (2, ys)):
         g = list(map(gcd, values, repeat(m)))
@@ -189,7 +189,7 @@ def staircase_payload(s: MonomialStaircase) -> dict:
         "config": str(s.config),
         "m": s.m,
         "alpha": s.alpha,
-        "lambdas": int_runs(s.lambdas),
+        "lambdas": _IntRuns((s.heights(lo, lo + CHUNK) for lo in range(0, s.alpha, CHUNK)), 1),
         # s.generators, laid out column by column without building the pairs
         "generators": _IntRuns(column_runs(s, s.alpha, 0), 2),
         "colength": colength(s),
@@ -291,7 +291,7 @@ def shape_svg(report: ShapeReport) -> str:
         # as float(Fraction(x, m)), and each coordinate is formatted once
         m = entry.m
         xs = [_fmt(tx(x / m)) for x in range(entry.alpha + 1)]
-        ys = (_fmt(ty(y / m)) for y in entry.lambdas)
+        ys = (_fmt(ty(y / m)) for y in chain.from_iterable(entry.runs))
         pts = " ".join([*map("{0},{1} {2},{1}".format, xs, ys, xs[1:]), f"{xs[-1]},{_fmt(ty(0.0))}"])
         parts.append(f'  <polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{pts}"/>')

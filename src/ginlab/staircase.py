@@ -6,47 +6,71 @@ each degree it is the top segment in the x-exponent.  The segment sizes are
 the first differences of the Hilbert function, so the whole staircase can be
 rebuilt from Hilbert values alone, walking down from the nef threshold.  For
 r >= 9 general points the staircase has a closed form, which serves that
-kind directly.
+kind directly.  Both keep a staircase as its runs, one step -1 range of
+column heights per generator degree, and never expand the profile.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
-from itertools import islice
-from operator import gt
+from itertools import accumulate, chain, islice
 
 from .errors import ComputationGuardError
 from .hilbert import alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
 from .lattice import SHGH, PointConfig
 
 
-class MonomialStaircase(namedtuple("MonomialStaircase", "alpha lambdas m config")):
+class MonomialStaircase(namedtuple("MonomialStaircase", "alpha runs m config")):
     """Staircase of a Borel-fixed monomial ideal in x and y.
 
-    ``lambdas[i]`` is the least e with x^i y^e in the ideal (i < alpha), and
-    x^alpha is the lowest pure power of x.  Borel-fixedness forces the
-    strictly decreasing profile lambdas[0] > lambdas[1] > ... >= 1.
+    Column i < alpha has height lambdas[i], the least e with x^i y^e in the
+    ideal, and x^alpha is the lowest pure power of x.  Borel-fixedness forces
+    the strictly decreasing profile lambdas[0] > lambdas[1] > ... >= 1.
+    ``runs`` holds it from column 0 as step -1 ranges, one per maximal stretch
+    falling by exactly 1, which is one generator degree: O(runs), not O(alpha).
     """
 
     __slots__ = ()
 
-    def __new__(cls, alpha: int, lambdas: tuple[int, ...], m: int,
+    def __new__(cls, alpha: int, runs: tuple[range, ...], m: int,
                 config: PointConfig) -> "MonomialStaircase":
         if alpha < 1:
             raise ComputationGuardError("staircase needs a positive initial degree")
-        if len(lambdas) != alpha:
+        if not all(isinstance(run, range) and run.step == -1 and run for run in runs):
+            raise ComputationGuardError("each run must be a non-empty range of step -1")
+        if sum(map(len, runs)) != alpha:
             raise ComputationGuardError("one column height per x-exponent below alpha")
-        if not all(map(gt, lambdas, islice(lambdas, 1, None))):
-            raise ComputationGuardError(f"column heights must strictly decrease: {lambdas}")
-        if lambdas[-1] < 1:
+        column = 0
+        for left, right in zip(runs, runs[1:]):
+            column += len(left)
+            if right[0] >= left[-1] - 1:
+                raise ComputationGuardError(
+                    f"column heights must strictly decrease, by 2 or more between runs: column "
+                    f"{column - 1} has height {left[-1]}, column {column} has height {right[0]}")
+        if runs[-1][-1] < 1:
             raise ComputationGuardError("the column next to x^alpha must be positive")
-        return tuple.__new__(cls, (alpha, lambdas, m, config))
+        return tuple.__new__(cls, (alpha, runs, m, config))
 
     @property
     def zeta(self) -> int:
         """Largest generator degree; the pure y generator is y^zeta."""
-        return self.lambdas[0]
+        return self.runs[0][0]
+
+    @property
+    def lambdas(self) -> tuple[int, ...]:
+        """Every column height, expanded: O(alpha), for oracles and library callers."""
+        return tuple(chain.from_iterable(self.runs))
+
+    def heights(self, start: int, stop: int) -> list[int]:
+        """Heights of columns start..stop-1 below alpha, for 0 <= start <= stop;
+        the runs before column start are skipped whole, never expanded."""
+        ends = list(accumulate(map(len, self.runs)))
+        i = bisect_right(ends, start)  # the run that holds column start, if start < alpha
+        # start - ends[i] < 0 slices the run from its end: columns start.. of that run
+        first = self.runs[i][start - ends[i]:] if i < len(ends) else ()
+        return list(islice(chain(first, *self.runs[i + 1:]), stop - start))
 
     @property
     def generators(self) -> tuple[tuple[int, int], ...]:
@@ -54,12 +78,8 @@ class MonomialStaircase(namedtuple("MonomialStaircase", "alpha lambdas m config"
         return ((self.alpha, 0), *zip(range(self.alpha - 1, -1, -1), reversed(self.lambdas)))
 
     def contains(self, x: int, y: int) -> bool:
-        """Monomial membership of x^x y^y."""
-        if x < 0 or y < 0:
-            return False
-        if x >= self.alpha:
-            return True
-        return y >= self.lambdas[x]
+        """Monomial membership of x^x y^y, O(runs); columns from alpha on have height 0."""
+        return x >= 0 and y >= max(self.heights(x, x + 1), default=0)
 
 
 def xy_count(config: PointConfig, m: int, t: int) -> int:
@@ -96,7 +116,7 @@ def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
         raise ComputationGuardError(
             f"segment of {upper - lower} monomials at degree {t} is not the full {t + 1} "
             f"above the nef threshold for {config}, m={m}")
-    lambdas: list[int] = []
+    runs: list[range] = []
     lo = 0  # lo(t + 1): columns 0..lo-1 have their heights
     while upper:
         t -= 1
@@ -108,9 +128,10 @@ def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
             raise ComputationGuardError(
                 f"segment at degree {t} starts at column {start}, outside [{lo}, {t + 1}] "
                 f"for {config}, m={m}; Hilbert engine bug")
-        lambdas += range(t + 1 - lo, t + 1 - start, -1)
+        if start > lo:  # the degree's generators, one run; consecutive degrees drop by >= 2
+            runs.append(range(t + 1 - lo, t + 1 - start, -1))
         lo = start
-    return MonomialStaircase(alpha=lo, lambdas=tuple(lambdas), m=m, config=config)
+    return MonomialStaircase(alpha=lo, runs=tuple(runs), m=m, config=config)
 
 
 def shgh_gin_closed_form(r: int, m: int) -> MonomialStaircase:
@@ -126,13 +147,13 @@ def shgh_gin_closed_form(r: int, m: int) -> MonomialStaircase:
     eta = shgh_hilbert(r, m, a)
     if not 1 <= eta <= a + 1:
         raise ComputationGuardError(f"value {eta} at the initial degree is out of range")
-    lambdas = (*range(a + 1, eta, -1), *range(eta - 1, 0, -1))
-    return MonomialStaircase(alpha=a, lambdas=lambdas, m=m, config=PointConfig.shgh(r))
+    runs = tuple(run for run in (range(a + 1, eta, -1), range(eta - 1, 0, -1)) if run)
+    return MonomialStaircase(alpha=a, runs=runs, m=m, config=PointConfig.shgh(r))
 
 
 def colength(s: MonomialStaircase) -> int:
     """Monomials outside the ideal; must equal the scheme length r*m*(m+1)/2."""
-    count = sum(s.lambdas)
+    count = sum(len(run) * (run[0] + run[-1]) // 2 for run in s.runs)  # arithmetic series
     expected = s.config.r * s.m * (s.m + 1) // 2
     if count != expected:
         raise ComputationGuardError(

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
 from ginlab import (DivisorClass, MonomialStaircase, PointConfig, SquareRootIntercept, exceptional_classes,
-                    gin_staircase, intersect, shgh_hilbert)
+                    gin_staircase, hilbert_fn, intersect, nef_threshold, shgh_hilbert)
 from ginlab.hilbert import alpha_shgh
 
 
@@ -64,8 +64,48 @@ def scan_shgh_staircase(r: int, m: int) -> MonomialStaircase:
             break
         t += 1
     a = min(i for i, h in heights.items() if h == 0)
-    return MonomialStaircase(alpha=a, lambdas=tuple(heights[i] for i in range(a)),
-                             m=m, config=PointConfig.shgh(r))
+    return staircase_of(tuple(heights[i] for i in range(a)), m, PointConfig.shgh(r))
+
+
+def runs_of(heights: tuple[int, ...]) -> tuple[range, ...]:
+    """A column profile cut into its maximal stretches falling by exactly 1."""
+    runs, start = [], 0
+    for i in range(1, len(heights) + 1):
+        if i == len(heights) or heights[i] != heights[i - 1] - 1:
+            runs.append(range(heights[start], heights[i - 1] - 1, -1))
+            start = i
+    return tuple(runs)
+
+
+def staircase_of(heights: tuple[int, ...], m: int, config: PointConfig) -> MonomialStaircase:
+    """The staircase with these column heights, alpha = their number."""
+    return MonomialStaircase(alpha=len(heights), runs=runs_of(heights), m=m, config=config)
+
+
+# The profile as the engine built it before it kept runs: the walk down from
+# the nef threshold, every column height appended to one list, and the shgh
+# closed form as one tuple.  Property tests expand the runs against these.
+def walk_heights(config: PointConfig, m: int) -> tuple[int, ...]:
+    t = nef_threshold(config, m) + 1
+    upper, lower = hilbert_fn(config, m, t), hilbert_fn(config, m, t - 1)
+    assert upper - lower == t + 1
+    heights: list[int] = []
+    lo = 0
+    while upper:
+        t -= 1
+        upper = lower
+        lower = hilbert_fn(config, m, t - 1) if upper else 0
+        start = t + 1 - (upper - lower)
+        assert lo <= start <= t + 1
+        heights += range(t + 1 - lo, t + 1 - start, -1)
+        lo = start
+    return tuple(heights)
+
+
+def closed_form_heights(r: int, m: int) -> tuple[int, ...]:
+    a = alpha_shgh(r, m)
+    eta = shgh_hilbert(r, m, a)
+    return (*range(a + 1, eta, -1), *range(eta - 1, 0, -1))
 
 
 def expected_generator_line(s: MonomialStaircase) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 import io
@@ -10,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from ginlab import MonomialStaircase, PointConfig, cli, gin_staircase
 from ginlab.errors import ComputationGuardError
 from ginlab.exporters import CHUNK
 from ginlab.verify import VerifyCheck, VerifyReport
-from oracles import expected_generator_line, shgh_with_alpha
+from oracles import expected_generator_line, shgh_with_alpha, staircase_of
 
 
 def run_cli(capsys, argv):
@@ -638,7 +640,7 @@ def test_both_forms_of_one_setting_are_refused(tmp_path, capsys, argv, data, mes
 
 
 def test_shape_checks_colength_before_any_output(capsys, monkeypatch):
-    wrong = MonomialStaircase(alpha=1, lambdas=(3,), m=1, config=PointConfig.general(2))
+    wrong = staircase_of((3,), 1, PointConfig.general(2))
     monkeypatch.setattr("ginlab.shape.gin_staircase", lambda config, m: wrong)
     for fmt in ("text", "csv", "json", "svg"):
         code, out, err = run_cli(capsys, ["shape", "general:2", "--m", "1", "--format", fmt])
@@ -739,6 +741,51 @@ def test_shape_svg_never_builds_the_generator_pairs(capsys, monkeypatch, command
     code, out, _ = run_cli(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# gin and shape read each staircase's runs in CHUNK slices, so no command path
+# expands the whole profile; shgh:16 at m = 3000 spans several chunks
+EXPANSION_FREE = [f"{command} {spec} {flag} {m} --format {fmt}"
+                  for spec, m in (("general:6", 40), ("collinear:4", 24), ("shgh:16", 3000))
+                  for command, flag, formats in (("gin", "--m", ("text", "json")),
+                                                 ("shape", "--m-list", ("text", "csv", "json", "svg")))
+                  for fmt in formats]
+
+
+@pytest.mark.parametrize("command", EXPANSION_FREE)
+def test_gin_and_shape_never_expand_the_profile(capsys, monkeypatch, command):
+    expected = run_cli(capsys, command.split())
+    monkeypatch.setattr(MonomialStaircase, "lambdas",
+                        property(lambda self: pytest.fail("a command read s.lambdas")))
+    gin_staircase.cache_clear()
+    assert run_cli(capsys, command.split()) == expected
+    assert expected[0] == 0
+
+
+class Discard:
+    """A stdout that drops each piece as it is handed over."""
+
+    def writelines(self, pieces):
+        collections.deque(pieces, maxlen=0)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_large_staircase_is_built_and_written_in_little_memory(monkeypatch, fmt):
+    # alpha = 160,001: the expanded profile alone would take about 6 MB
+    monkeypatch.setattr(sys, "stdout", Discard())
+    gin_staircase.cache_clear()
+    tracemalloc.start()
+    try:
+        assert cli.main(["gin", "shgh:16", "--m", "40000", "--format", fmt]) == 0
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gin_staircase.cache_info().currsize == 1
+    assert peak < 2 * 2**20
+    assert retained < 64 * 2**10
 
 
 # Alternative routes that only verify's checks and tests may take; each

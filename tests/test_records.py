@@ -19,7 +19,7 @@ from ginlab.verify import VerifyCheck
 
 
 # type -> (fresh keyword arguments in field order, one other valid value per field);
-# MonomialStaircase's alpha is tied to len(lambdas), so it has no lone variant
+# MonomialStaircase's alpha is tied to the length of its runs, so it has no lone variant
 RECORDS = {
     DivisorClass: (lambda: {"d": 3, "mults": (1, 1, 0)},
                    {"d": 4, "mults": (1, 0, 1)}),
@@ -31,16 +31,17 @@ RECORDS = {
                         {"effective": False, "h0": 2, "nef_remainder": DivisorClass(1, (0, 0)),
                          "witness": DivisorClass(-1, (0, 0)),
                          "trace": ((DivisorClass.exceptional(1, 2), 1),)}),
-    MonomialStaircase: (lambda: {"alpha": 2, "lambdas": (3, 1), "m": 1,
+    MonomialStaircase: (lambda: {"alpha": 2, "runs": (range(3, 2, -1), range(1, 0, -1)), "m": 1,
                                  "config": PointConfig.general(2)},
-                        {"lambdas": (4, 1), "m": 2, "config": PointConfig.general(3)}),
+                        {"runs": (range(4, 3, -1), range(1, 0, -1)), "m": 2,
+                         "config": PointConfig.general(3)}),
     SquareRootIntercept: (lambda: {"radicand": 10},
                           {"radicand": 11}),
     Rational: (lambda: {"numerator": 5, "denominator": 2},
                {"numerator": 7, "denominator": 3}),
     ShapeReport: (lambda: {"config": PointConfig.general(6),
-                           "entries": (MonomialStaircase(alpha=2, lambdas=(3, 1), m=1,
-                                                         config=PointConfig.general(2)),),
+                           "entries": (MonomialStaircase(alpha=2, runs=(range(3, 2, -1), range(1, 0, -1)),
+                                                         m=1, config=PointConfig.general(2)),),
                            "predicted": (Rational(12, 5), Rational(5, 2)),
                            "seshadri_estimate": Rational(2, 5)},
                   {"config": PointConfig.general(7), "entries": (), "predicted": None,
@@ -103,13 +104,27 @@ def test_divisor_class_stores_mults_as_a_tuple():
     (lambda: PointConfig("conic", 5), ValueError, "unknown configuration kind 'conic'"),
     (lambda: PointConfig.parse("general:--6"), ValueError,
      "bad configuration 'general:--6'; expected kind:number"),
-    (lambda: MonomialStaircase(alpha=0, lambdas=(), m=1, config=PointConfig.general(2)),
+    (lambda: MonomialStaircase(alpha=0, runs=(), m=1, config=PointConfig.general(2)),
      ComputationGuardError, "staircase needs a positive initial degree"),
-    (lambda: MonomialStaircase(alpha=2, lambdas=(3,), m=1, config=PointConfig.general(2)),
+    (lambda: MonomialStaircase(alpha=2, runs=(range(3, 2, -1),), m=1, config=PointConfig.general(2)),
      ComputationGuardError, "one column height per x-exponent below alpha"),
-    (lambda: MonomialStaircase(alpha=2, lambdas=(1, 2), m=1, config=PointConfig.general(2)),
-     ComputationGuardError, "column heights must strictly decrease: (1, 2)"),
-    (lambda: MonomialStaircase(alpha=2, lambdas=(1, 0), m=1, config=PointConfig.general(2)),
+    (lambda: MonomialStaircase(alpha=1, runs=(range(3, 2, -1), range(2, 2, -1)), m=1,
+                               config=PointConfig.general(2)),
+     ComputationGuardError, "each run must be a non-empty range of step -1"),
+    (lambda: MonomialStaircase(alpha=2, runs=(range(3, 1, -2),), m=1, config=PointConfig.general(2)),
+     ComputationGuardError, "each run must be a non-empty range of step -1"),
+    (lambda: MonomialStaircase(alpha=2, runs=((3, 1),), m=1, config=PointConfig.general(2)),
+     ComputationGuardError, "each run must be a non-empty range of step -1"),
+    (lambda: MonomialStaircase(alpha=3, runs=(range(5, 4, -1), range(1, 0, -1), range(2, 1, -1)), m=1,
+                               config=PointConfig.general(2)),
+     ComputationGuardError, "column heights must strictly decrease, by 2 or more between runs: "
+                            "column 1 has height 1, column 2 has height 2"),
+    # (3, 2) strictly decreases but is one run, so two runs for it are not canonical
+    (lambda: MonomialStaircase(alpha=2, runs=(range(3, 2, -1), range(2, 1, -1)), m=1,
+                               config=PointConfig.general(2)),
+     ComputationGuardError, "column heights must strictly decrease, by 2 or more between runs: "
+                            "column 0 has height 3, column 1 has height 2"),
+    (lambda: MonomialStaircase(alpha=2, runs=(range(1, -1, -1),), m=1, config=PointConfig.general(2)),
      ComputationGuardError, "the column next to x^alpha must be positive"),
 ])
 def test_validation_keeps_error_types_and_texts(build, error, text):

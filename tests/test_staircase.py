@@ -12,7 +12,8 @@ import ginlab.lattice
 from ginlab import (MonomialStaircase, PointConfig, alpha, colength, gin_staircase,
                     hilbert_fn, shgh_gin_closed_form, verify, xy_count)
 from ginlab.errors import ComputationGuardError
-from oracles import scan_shgh_staircase
+from ginlab.lattice import SHGH
+from oracles import closed_form_heights, scan_shgh_staircase, staircase_of, walk_heights
 
 
 # Oracle: count the complement by walking the grid, independently of the
@@ -158,11 +159,11 @@ def test_contains_membership():
 def test_staircase_validation_rejects_bad_profiles():
     config = PointConfig.general(2)
     with pytest.raises(ComputationGuardError):
-        MonomialStaircase(alpha=2, lambdas=(2, 2), m=1, config=config)
+        staircase_of((2, 2), 1, config)
     with pytest.raises(ComputationGuardError):
-        MonomialStaircase(alpha=2, lambdas=(2, 0), m=1, config=config)
+        staircase_of((2, 0), 1, config)
     with pytest.raises(ComputationGuardError):
-        MonomialStaircase(alpha=2, lambdas=(3,), m=1, config=config)
+        MonomialStaircase(alpha=2, runs=(range(3, 2, -1),), m=1, config=config)
 
 
 def test_gin_staircase_rejects_nonpositive_m():
@@ -232,3 +233,41 @@ def test_graded_products_contained_property(spec, m):
     # verify's graded-system check at max m = 2m covers every m' <= m
     assert verify._check_graded_and_nested(PointConfig.parse(spec), 2 * m) == (
         True, f"products and scaled nesting hold for m <= {m}")
+
+
+# Runs against the tuple-building walk and closed form the engine used before
+# it kept runs: any kind, any r, m up to a few hundred.
+CONFIGS = st.one_of(st.builds("general:{}".format, st.integers(2, 8)),
+                    st.builds("collinear:{}".format, st.integers(3, 8)),
+                    st.builds("shgh:{}".format, st.integers(9, 40)))
+
+
+@given(CONFIGS, st.integers(1, 300), st.data())
+@settings(max_examples=150, deadline=None)
+def test_runs_expand_to_the_tuple_oracle(spec, m, data):
+    config = PointConfig.parse(spec)
+    s = gin_staircase(config, m)
+    oracle = closed_form_heights(config.r, m) if config.kind == SHGH else walk_heights(config, m)
+    heights = s.lambdas
+    assert heights == oracle and s.alpha == len(oracle)
+    # canonical: non-empty step -1 ranges, each the generators of one degree
+    # i + lambdas[i], and the degrees strictly fall from run to run
+    column, degrees = 0, []
+    for run in s.runs:
+        assert isinstance(run, range) and run.step == -1 and len(run) > 0
+        (degree,) = {column + i + h for i, h in enumerate(run)}
+        degrees.append(degree)
+        column += len(run)
+    assert degrees == sorted(set(degrees), reverse=True)
+    assert set(degrees) == {i + h for i, h in enumerate(heights)}
+    assert colength(s) == sum(heights)
+    assert s.zeta == heights[0]
+    assert s.generators == ((s.alpha, 0), *((i, heights[i]) for i in range(s.alpha - 1, -1, -1)))
+    drawn = data.draw(st.lists(st.integers(0, s.alpha - 1), max_size=12))
+    for x in {-1, 0, s.alpha - 1, s.alpha, s.alpha + 1, *drawn}:
+        height = heights[x] if 0 <= x < s.alpha else 0
+        for y in (-1, height - 1, height):
+            assert s.contains(x, y) == (x >= 0 and y >= 0 and y >= height), (x, y)
+    start = data.draw(st.integers(0, s.alpha + 3))
+    stop = data.draw(st.integers(start, s.alpha + 5))
+    assert s.heights(start, stop) == list(heights[start:stop])

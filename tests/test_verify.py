@@ -6,11 +6,12 @@ from itertools import permutations
 
 import pytest
 
-from ginlab import (DivisorClass, MonomialStaircase, PointConfig, brute_force_exceptional_classes, cli,
+from ginlab import (DivisorClass, PointConfig, brute_force_exceptional_classes, cli,
                     exceptional_classes, gin_staircase, hilbert_fn, run_verification,
                     shgh_gin_closed_form)
 from ginlab import shape, verify
 from ginlab.lattice import uniform_h0
+from oracles import staircase_of
 
 
 def clear_caches():
@@ -84,8 +85,7 @@ def test_run_verification_rejects_bad_max_m():
 def test_closed_form_check_catches_a_wrong_staircase(monkeypatch):
     def wrong(r, m):
         s = shgh_gin_closed_form(r, m)
-        return MonomialStaircase(alpha=s.alpha, lambdas=(s.lambdas[0] + 1,) + s.lambdas[1:],
-                                 m=m, config=s.config)
+        return staircase_of((s.lambdas[0] + 1,) + s.lambdas[1:], m, s.config)
 
     # only the check's own binding: the wrong staircase must be caught by the
     # closed-form check alone, not by colength inside the other checks
@@ -152,7 +152,7 @@ def test_guard_errors_become_failed_checks(monkeypatch, capsys):
 def test_colength_and_convergence_read_shape_reports_staircases(monkeypatch):
     # both rows take their staircases from shape_report, whose guard rejects
     # the wrong colength; graded-system builds its own through verify's binding
-    wrong = MonomialStaircase(alpha=1, lambdas=(3,), m=1, config=PointConfig.general(2))
+    wrong = staircase_of((3,), 1, PointConfig.general(2))
     monkeypatch.setattr("ginlab.shape.gin_staircase", lambda config, m: wrong)
     report = run_verification(PointConfig.general(2), max_m=3)
     guard = "colength 3 differs from scheme length 2 for general:2, m=1"
@@ -208,7 +208,7 @@ def test_graded_check_catches_a_product_escaping(monkeypatch, m, column):
         if n != 2 * m:
             return s
         lambdas = (*s.lambdas[:column], s.lambdas[column] + 1, *s.lambdas[column + 1:])
-        return MonomialStaircase(alpha=s.alpha, lambdas=lambdas, m=n, config=config)
+        return staircase_of(lambdas, n, config)
 
     # raising column i of staircase(2m) by one, still strictly decreasing,
     # leaves out x^i y^lambda_i, which is a product of two generators at m
