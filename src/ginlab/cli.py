@@ -61,8 +61,9 @@ def _write(pieces: Iterable[str], out: str | None) -> None:
 
 def _ended(pieces: Iterable[str]) -> Iterator[str]:
     # the pieces as the command renders them, each at most one CHUNK run of an
-    # array or the structure between two arrays, so no whole document is ever
-    # held; then the newline, if the last non-empty piece lacks it
+    # array, one piece of an SVG outline or the structure between two of them,
+    # so no whole document is ever held; then the newline, if the last
+    # non-empty piece lacks it
     end = ""
     for piece in pieces:
         yield piece
@@ -186,7 +187,7 @@ def cmd_shape(config: PointConfig, args) -> tuple[Iterable[str], int]:
     if args.format == "csv":
         return (exporters.shape_csv(report),), EXIT_OK
     if args.format == "svg":
-        return (exporters.shape_svg(report),), EXIT_OK
+        return exporters.svg_pieces(report), EXIT_OK
     if args.format == "json":
         return exporters.json_pieces(exporters.shape_payload(report)), EXIT_OK
     lines = [f"# {config} ({config.provenance})"]

@@ -14,24 +14,28 @@ large int arrays, nearly all the bytes of a staircase, are named by the code tha
 builds the payload: `int_runs` for a sequence of ints or int pairs,
 `column_runs` for a staircase's generators, laid out column by column
 without building the pairs, and `corner_runs` for a shape report's
-corners, without the pairs or their rational strs; each slices the
-staircase's runs, so no profile is expanded whole.  `render_runs` formats
-each run of at most CHUNK items by one "%d" template, only as the pieces
-are read, so no str is made per number.  Other lists take the generic path.
+corners, without the pairs or their rational strs; the last two slice the
+staircase's runs, so no profile is expanded whole, and make at most CHUNK
+ints per run.  `render_runs` formats each run by one "%d" template, only as
+the pieces are read, so no str is made per number.  Other lists take the
+generic path.  The SVG has pieces of its own, `svg_pieces`, each outline
+CHUNK // 4 columns (CHUNK numbers) to a piece.  `staircase_json`,
+`shape_json` and `shape_svg` join the pieces into one str; no command
+calls them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby, islice, repeat
 from math import gcd
 from operator import floordiv
 
 from .shape import Rational, ShapeReport, SquareRootIntercept
 from .staircase import MonomialStaircase, colength
 
-CHUNK = 4096  # array items per %d template, which bounds each template and run
+CHUNK = 4096  # numbers per %d template or SVG piece, which bounds each run and piece
 
 
 def rational_str(n: int, d: int) -> str:
@@ -158,18 +162,18 @@ def _column_run(s: MonomialStaircase, hi: int, n: int) -> tuple[int, ...]:
 
 
 def corner_runs(s: MonomialStaircase) -> Iterator[tuple[int, ...]]:
-    """Flat runs of at most CHUNK corners (x/m, y/m), ascending in x from
-    (0, zeta) to (alpha, 0), each corner as x/g, m/g, y/h, m/h with
-    g = gcd(x, m) and h = gcd(y, m): the "%d/%d" fill of `rational_str`."""
-    return (_corner_run(s, lo) for lo in range(0, s.alpha + 1, CHUNK))
+    """Flat runs of at most CHUNK // 4 corners (x/m, y/m), CHUNK ints made for
+    the run, ascending in x from (0, zeta) to (alpha, 0), each corner as x/g,
+    m/g, y/h, m/h with g = gcd(x, m) and h = gcd(y, m): the "%d/%d" fill of
+    `rational_str`.  The heights are read from the runs in one pass, then
+    the height 0 of x^alpha."""
+    heights = chain(chain.from_iterable(s.runs), (0,))
+    return (_corner_run(lo, list(islice(heights, CHUNK // 4)), s.m)
+            for lo in range(0, s.alpha + 1, CHUNK // 4))
 
 
-def _corner_run(s: MonomialStaircase, lo: int) -> tuple[int, ...]:
-    m = s.m
-    xs = range(lo, min(lo + CHUNK, s.alpha + 1))
-    ys = s.heights(lo, lo + CHUNK)
-    if len(ys) < len(xs):  # the run reaches x^alpha, whose height is 0
-        ys.append(0)
+def _corner_run(lo: int, ys: list[int], m: int) -> tuple[int, ...]:
+    xs = range(lo, lo + len(ys))
     run = [0] * (4 * len(xs))
     for at, values in ((0, xs), (2, ys)):
         g = list(map(gcd, values, repeat(m)))
@@ -253,7 +257,13 @@ def _fmt(value: float) -> str:
 
 
 def shape_svg(report: ShapeReport) -> str:
-    """Scaled staircases for every multiplicity plus the predicted segment."""
+    return "".join(svg_pieces(report))
+
+
+def svg_pieces(report: ShapeReport) -> Iterator[str]:
+    """Scaled staircases for every multiplicity plus the predicted segment,
+    as pieces: each outline's points come CHUNK // 4 columns (CHUNK numbers)
+    to a piece, formatted only as the pieces are read."""
     max_x = max(e.alpha / e.m for e in report.entries)
     max_y = max(e.zeta / e.m for e in report.entries)
     if report.predicted is not None:
@@ -276,35 +286,36 @@ def shape_svg(report: ShapeReport) -> str:
     def ty(y: float) -> float:
         return height - _PAD - _UNIT * y
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'  <line x1="{_fmt(tx(0))}" y1="{_fmt(ty(0))}" x2="{_fmt(tx(max_x))}" '
-        f'y2="{_fmt(ty(0))}" stroke="#999" stroke-width="1"/>',
-        f'  <line x1="{_fmt(tx(0))}" y1="{_fmt(ty(0))}" x2="{_fmt(tx(0))}" '
-        f'y2="{_fmt(ty(max_y))}" stroke="#999" stroke-width="1"/>',
-    ]
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
+           f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
+           f'  <line x1="{_fmt(tx(0))}" y1="{_fmt(ty(0))}" x2="{_fmt(tx(max_x))}" '
+           f'y2="{_fmt(ty(0))}" stroke="#999" stroke-width="1"/>\n'
+           f'  <line x1="{_fmt(tx(0))}" y1="{_fmt(ty(0))}" x2="{_fmt(tx(0))}" '
+           f'y2="{_fmt(ty(max_y))}" stroke="#999" stroke-width="1"/>\n')
+    step = CHUNK // 4
     for idx, entry in enumerate(report.entries):
         color = _PALETTE[idx % len(_PALETTE)]
+        yield f'  <polyline fill="none" stroke="{color}" stroke-width="1.5" points="'
         # the step outline, left to right: column x spans x..x+1 at height y,
         # then down to (alpha, 0); x / m is the same correctly rounded double
-        # as float(Fraction(x, m)), and each coordinate is formatted once
-        m = entry.m
-        xs = [_fmt(tx(x / m)) for x in range(entry.alpha + 1)]
-        ys = (_fmt(ty(y / m)) for y in chain.from_iterable(entry.runs))
-        pts = " ".join([*map("{0},{1} {2},{1}".format, xs, ys, xs[1:]), f"{xs[-1]},{_fmt(ty(0.0))}"])
-        parts.append(f'  <polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                     f'points="{pts}"/>')
+        # as float(Fraction(x, m)); each height is formatted once, and each x
+        # once per piece, a piece's right end again as the next one's left end
+        m, alpha = entry.m, entry.alpha
+        heights = chain.from_iterable(entry.runs)
+        for lo in range(0, alpha, step):
+            xs = [_fmt(tx(x / m)) for x in range(lo, min(lo + step, alpha) + 1)]
+            ys = [_fmt(ty(y / m)) for y in islice(heights, step)]
+            yield (" " if lo else "") + " ".join(map("{0},{1} {2},{1}".format, xs, ys, xs[1:]))
         column, row = divmod(idx, rows)
-        parts.append(f'  <text x="{_fmt(legend_x + column * pitch)}" y="{12 * (row + 1)}" '
-                     f'font-size="12" text-anchor="end" fill="{color}">m={entry.m}</text>')
+        yield (f' {xs[-1]},{_fmt(ty(0.0))}"/>\n'
+               f'  <text x="{_fmt(legend_x + column * pitch)}" y="{12 * (row + 1)}" '
+               f'font-size="12" text-anchor="end" fill="{color}">m={entry.m}</text>\n')
     if report.predicted is not None:
         g1, g2 = report.predicted
-        parts.append(f'  <line x1="{_fmt(tx(float(g1)))}" y1="{_fmt(ty(0))}" '
-                     f'x2="{_fmt(tx(0))}" y2="{_fmt(ty(float(g2)))}" '
-                     f'stroke="#000" stroke-width="1.5" stroke-dasharray="6 3"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        yield (f'  <line x1="{_fmt(tx(float(g1)))}" y1="{_fmt(ty(0))}" '
+               f'x2="{_fmt(tx(0))}" y2="{_fmt(ty(float(g2)))}" '
+               f'stroke="#000" stroke-width="1.5" stroke-dasharray="6 3"/>\n')
+    yield "</svg>\n"
 
 
 def hilbert_csv(rows: list[tuple[int, int]]) -> str:

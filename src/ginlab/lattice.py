@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import repeat
-from math import gcd
+from math import factorial, gcd
 from operator import add, mul, sub
 
 from .errors import ComputationGuardError, UnsupportedConfigError
@@ -332,12 +332,16 @@ def _orbits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int, in
     Each orbit is (degree, multiplicity sum on the n points, multiplicity
     off them) of one member C, then the same for the orbit sum S, whose
     multiplicity is the same at each of the n points, then -C.S, by which
-    one subtraction of S raises the pairing with C.
+    one subtraction of S raises the pairing with C.  An orbit has as many
+    members as its multiplicities on the n points have distinct orderings:
+    the multinomial n! / prod(c_v!) over the count c_v of each value v.
     """
     n = config.n
     orbits = []
     for d, on, off in _curve_orbits(config):
-        size = sum(1 for _ in _distinct_permutations(on))
+        size = factorial(n)
+        for value in set(on):
+            size //= factorial(on.count(value))
         a, b = sum(on), sum(off)
         sd, sa, sb = size * d, size * a // n, size * b
         orbits.append((d, a, b, sd, sa, sb, sa * a + sb * b - sd * d))

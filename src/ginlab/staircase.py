@@ -19,7 +19,7 @@ from itertools import accumulate, chain, islice
 
 from .errors import ComputationGuardError
 from .hilbert import alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
-from .lattice import SHGH, PointConfig
+from .lattice import SHGH, PointConfig, uniform_h0
 
 
 class MonomialStaircase(namedtuple("MonomialStaircase", "alpha runs m config")):
@@ -101,17 +101,19 @@ def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
 
     The shgh kind takes the closed form.  The divisor kinds walk down once
     from degree N + 1, N the nef threshold, where H is the Euler
-    characteristic and the segment is full, reading each H(t) once.  The
-    degree-t piece of the ideal is the top H(t) - H(t-1) monomials in the
-    x-exponent, from column lo(t), so columns lo(t+1)..lo(t)-1 have height
-    t + 1 - i.  The walk ends at H(alpha - 1) = 0, below which H vanishes.
+    characteristic and the segment is full, reading each H(t) once straight
+    from the divisor engine ``uniform_h0``, so ``hilbert_fn``'s cache keeps
+    none of them.  The degree-t piece of the ideal is the top H(t) - H(t-1)
+    monomials in the x-exponent, from column lo(t), so columns
+    lo(t+1)..lo(t)-1 have height t + 1 - i.  The walk ends at
+    H(alpha - 1) = 0, below which H vanishes.
     """
     if m < 1:
         raise ValueError("multiplicity must be positive")
     if config.kind == SHGH:
         return shgh_gin_closed_form(config.r, m)
     t = nef_threshold(config, m) + 1
-    upper, lower = hilbert_fn(config, m, t), hilbert_fn(config, m, t - 1)
+    upper, lower = uniform_h0(config, m, t), uniform_h0(config, m, t - 1)
     if upper - lower != t + 1:
         raise ComputationGuardError(
             f"segment of {upper - lower} monomials at degree {t} is not the full {t + 1} "
@@ -121,7 +123,7 @@ def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
     while upper:
         t -= 1
         upper = lower
-        lower = hilbert_fn(config, m, t - 1) if upper else 0
+        lower = uniform_h0(config, m, t - 1) if upper else 0
         start = t + 1 - (upper - lower)
         # a first difference in [0, t + 1], and no segment left of the one above
         if not lo <= start <= t + 1:

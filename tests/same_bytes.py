@@ -9,7 +9,9 @@ corpus under each tree, in one child process per tree that calls
 - the distinct argv of `bench/workloads.py` `commands` for seeds 1-3 of
   every workload;
 - the GOLDEN and HELP_GOLDEN commands of tests/test_cli.py;
-- `verify` on general:2-8, collinear:3-8 and shgh:9-16.
+- `verify` on general:2-8, collinear:3-8 and shgh:9-16;
+- EXTRA: large shape documents, whose SVG polyline comes in many pieces and
+  whose JSON corners span many runs, and usage errors.
 
 Prints each argv whose exit code, stdout sha256 or stderr differs, then a
 count, and exits 1 if any argv differs.  It reads bench/ and tests/ and
@@ -33,6 +35,19 @@ SEEDS = (1, 2, 3)
 VERIFY_CONFIGS = ([f"general:{r}" for r in range(2, 9)] + [f"collinear:{l}" for l in range(3, 9)]
                   + [f"shgh:{r}" for r in range(9, 17)])
 VERIFY_FLAGS = (["--max-m", "12"], ["--max-m", "30", "--format", "json"])
+EXTRA = [
+    "shape shgh:16 --m-list 20000 --format svg",
+    "shape shgh:16 --m-list 20000 --format json",
+    "gin general:2 --m 1 --format svg",  # a format the command does not take
+    "shape general:2 --m-list 1 --format pdf",
+    "gin general:2 --m 0",
+    "shape general:2 --m-list 0,1",
+    "hilbert general:2 --m 1 --t-range 3..1",
+    "gin general:2 --m 1 --m 2",  # a repeated flag
+    "gin general:2 --m 1 --m-list 1",
+    "gin general:9 --m 1",
+    "classes",
+]
 
 # Runs in the child: argv lists as JSON lines on stdin, one JSON line per argv
 # on stdout, [exit code, stdout sha256, stderr].  COLUMNS is fixed by the
@@ -70,6 +85,7 @@ def corpus() -> list[list[str]]:
              for argv in workloads.commands(name, seed)]
     argvs += golden_commands()
     argvs += [["verify", config, *flags] for config in VERIFY_CONFIGS for flags in VERIFY_FLAGS]
+    argvs += [command.split() for command in EXTRA]
     return list(dict.fromkeys(map(tuple, argvs)))
 
 

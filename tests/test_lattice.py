@@ -15,7 +15,8 @@ from ginlab import (DivisorClass, PointConfig, alpha, canonical_class, exception
                     h0, hilbert_fn, intersect, is_nef, nef_threshold, reduce_to_nef,
                     riemann_roch_h0)
 from ginlab.errors import ComputationGuardError, UnsupportedConfigError
-from ginlab.lattice import _EXCEPTIONAL_TEMPLATES, _curve_orbits, _orbits, uniform_h0
+from ginlab.lattice import (_EXCEPTIONAL_TEMPLATES, _curve_orbits, _distinct_permutations, _orbits,
+                            uniform_h0)
 from oracles import grouped_orbits, oracle_neg_one_classes
 
 
@@ -103,6 +104,17 @@ ORBIT_CONFIGS = [*(f"general:{r}" for r in range(2, 9)), *(f"collinear:{l}" for 
 def test_orbit_rows_match_the_grouped_class_list(spec):
     config = PointConfig.parse(spec)
     assert _orbits(config) == grouped_orbits(config)
+
+
+@pytest.mark.parametrize("spec", [*(f"general:{r}" for r in range(2, 9)),
+                                  *(f"collinear:{l}" for l in range(3, 9))])
+def test_orbit_sizes_are_the_enumeration_counts(spec):
+    # _orbits counts each orbit by the multinomial; the orbit sum S = size * C
+    # shows the size in its degree and multiplicities
+    config = PointConfig.parse(spec)
+    for (d, on, off), row in zip(_curve_orbits(config), _orbits(config), strict=True):
+        size = sum(1 for _ in _distinct_permutations(on))
+        assert row[3:6] == (size * d, size * sum(on) // config.n, size * sum(off)), (d, on, off)
 
 
 @pytest.mark.parametrize("spec", ORBIT_CONFIGS)

@@ -12,7 +12,7 @@ import ginlab.lattice
 from ginlab import (MonomialStaircase, PointConfig, alpha, colength, gin_staircase,
                     hilbert_fn, shgh_gin_closed_form, verify, xy_count)
 from ginlab.errors import ComputationGuardError
-from ginlab.lattice import SHGH
+from ginlab.lattice import SHGH, uniform_h0
 from oracles import closed_form_heights, scan_shgh_staircase, staircase_of, walk_heights
 
 
@@ -188,8 +188,8 @@ def test_gin_staircase_rejects_nonpositive_m():
      " Hilbert engine bug"),
 ], ids=["not-full", "out-of-range", "out-of-order"])
 def test_walk_guards_name_the_failure(monkeypatch, doctor, message):
-    monkeypatch.setattr("ginlab.staircase.hilbert_fn",
-                        lambda config, m, t: doctor(t, hilbert_fn(config, m, t)))
+    monkeypatch.setattr("ginlab.staircase.uniform_h0",
+                        lambda config, m, t: doctor(t, uniform_h0(config, m, t)))
     with pytest.raises(ComputationGuardError) as excinfo:
         gin_staircase.__wrapped__(PointConfig.general(6), 4)
     assert str(excinfo.value) == message
@@ -204,12 +204,13 @@ def test_walk_reads_each_hilbert_value_once(monkeypatch, spec):
 
     def counted(config, m, t):
         reads.append((config, m, t))
-        return hilbert_fn(config, m, t)
+        return uniform_h0(config, m, t)
 
-    monkeypatch.setattr("ginlab.staircase.hilbert_fn", counted)
+    monkeypatch.setattr("ginlab.staircase.uniform_h0", counted)  # the binding the walk reads
     config = PointConfig.parse(spec)
     for m in (1, 7, 40):
         gin_staircase.__wrapped__(config, m)
+    assert reads
     assert [read for read, count in Counter(reads).items() if count > 1] == []
 
 

@@ -16,7 +16,7 @@ from ginlab import PointConfig, cli, gin_staircase, shape_report
 from ginlab.exporters import (CHUNK, hilbert_csv, shape_csv, shape_json, shape_svg,
                               staircase_json)
 from ginlab.hilbert import hilbert_fn
-from ginlab.lattice import canonical_class, exceptional_classes, intersect
+from ginlab.lattice import canonical_class, exceptional_classes, intersect, uniform_h0
 from ginlab.verify import run_verification
 from oracles import expected_generator_line
 
@@ -146,13 +146,50 @@ def test_streamed_peak_does_not_grow_with_the_document(monkeypatch, argv):
     assert large <= 1.5 * small
 
 
+# the SVG's polylines come CHUNK // 4 columns to a piece and the corners
+# CHUNK // 4 to a run, so a 2.45 MB SVG and a 5.4 MB JSON report each peak
+# at a few hundred KB: about 15 MB and 0.9 MB when the SVG was one str and a
+# corner run held 4 * CHUNK ints
+@pytest.mark.parametrize("fmt", ["svg", "json"])
+def test_a_large_shape_document_peaks_under_half_a_megabyte(monkeypatch, fmt):
+    peak, size = streamed(monkeypatch, ["shape", "shgh:16", "--m-list", "20000", "--format", fmt])
+    assert size > 2_000_000
+    assert peak < 500_000
+
+
+def clear_ginlab_caches() -> None:
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ginlab."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_the_walk_leaves_no_hilbert_values_behind(monkeypatch):
+    # the walk reads each H(t) once from the divisor engine, so the command
+    # keeps only its staircase: 2,765 cached Hilbert values took about 0.5 MB
+    argv = ["gin", "collinear:8", "--m", "451", "--format", "text"]
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert cli.main(argv) == 0  # warms whatever is not a cache
+        clear_ginlab_caches()
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    assert hilbert_fn.cache_info().currsize == 0
+    assert retained < 100_000
+
+
 def test_a_tripped_guard_writes_nothing(tmp_path, capsys, monkeypatch):
     # general:6 at m = 10 has H(23), H(24) = 0, 1; H(23) = 7 makes the first
     # difference at degree 24 negative.  The cached wrapper is bypassed so the
     # walk really runs.
     monkeypatch.setattr("ginlab.staircase.gin_staircase", gin_staircase.__wrapped__)
-    monkeypatch.setattr("ginlab.staircase.hilbert_fn",
-                        lambda config, m, t: hilbert_fn(config, m, t) + 7 * (t == 23))
+    monkeypatch.setattr("ginlab.staircase.uniform_h0",
+                        lambda config, m, t: uniform_h0(config, m, t) + 7 * (t == 23))
     path = tmp_path / "doc.json"
     for out in ([], ["--out", str(path)]):
         code = cli.main(["gin", "general:6", "--m", "10", "--format", "json", *out])

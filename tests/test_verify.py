@@ -130,7 +130,7 @@ def test_guard_errors_become_failed_checks(monkeypatch, capsys):
 
     # the wrong value breaks staircase reconstruction, which raises a guard
     # error inside several checks; each of them fails instead of the suite
-    monkeypatch.setattr("ginlab.hilbert.uniform_h0", wrong)
+    monkeypatch.setattr("ginlab.staircase.uniform_h0", wrong)
     clear_caches()
     try:
         report = run_verification(PointConfig.general(5), max_m=4)
