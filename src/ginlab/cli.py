@@ -161,25 +161,7 @@ def cmd_gin(config: PointConfig, args) -> tuple[Iterable[str], int]:
         f"alpha={s.alpha} zeta={s.zeta} colength={staircase.colength(s)}",
         "generators: ",
     ])
-    return chain([head], _generator_line(s)), EXIT_OK
-
-
-def _generator_line(s: staircase.MonomialStaircase) -> Iterator[str]:
-    """The generators, descending in x, as pieces of one line: "x^%dy^%d" runs for the
-    columns i >= 2 of height >= 2 (heights fall strictly to >= 1, so only column
-    alpha - 1 can have height 1), rendered only as they are read."""
-    a, left = s.alpha, s.heights(0, 2)
-    edge = [(a, 0), *([(a - 1, 1)] if a > 2 and s.runs[-1][-1] == 1 else [])]
-    runs = exporters.render_runs(exporters.column_runs(s, a - len(edge), 2), "x^%dy^%d", " ", " ")
-    first = " ".join([_monomial(x, y) for x, y in edge])
-    last = "".join([" " + _monomial(i, left[i]) for i in range(min(a, 2) - 1, -1, -1)])
-    return chain([first], runs, [last])
-
-
-def _monomial(x: int, y: int) -> str:
-    x_part = "" if x == 0 else "x" if x == 1 else f"x^{x}"
-    y_part = "" if y == 0 else "y" if y == 1 else f"y^{y}"
-    return x_part + y_part
+    return chain([head], exporters.generator_line(s)), EXIT_OK
 
 
 def cmd_shape(config: PointConfig, args) -> tuple[Iterable[str], int]:

@@ -10,25 +10,26 @@ of the two-space layout, with `json.dumps` and a two-space indent as the test
 oracle.  `json_pieces` takes the C string encoder that `json.dumps` uses
 from `_json`, so no process loads the json package.  The command line
 writes the pieces as they come, so it never holds a whole document.  The
-large int arrays, nearly all the bytes of a staircase, are named by the code that
-builds the payload: `int_runs` for a sequence of ints or int pairs,
-`column_runs` for a staircase's generators, laid out column by column
-without building the pairs, and `corner_runs` for a shape report's
-corners, without the pairs or their rational strs; the last two slice the
-staircase's runs, so no profile is expanded whole, and make at most CHUNK
-ints per run.  `render_runs` formats each run by one "%d" template, only as
-the pieces are read, so no str is made per number.  Other lists take the
-generic path.  The SVG has pieces of its own, `svg_pieces`, each outline
-CHUNK // 4 columns (CHUNK numbers) to a piece.  `staircase_json`,
-`shape_json` and `shape_svg` join the pieces into one str; no command
-calls them.
+large int arrays, nearly all the bytes of a staircase, are named by the code
+that builds the payload: `int_runs` for a sequence of ints or int pairs, and
+`column_runs` and `corner_runs` for a staircase's generators and a shape
+report's corners, without building the pairs or their rational strs.  One
+chunker, `_batches`, cuts every array into runs of at most CHUNK ints, and
+the staircase arrays, the `gin` text line and the SVG outlines read the
+heights in one pass over the runs, forward from column 0 or backward from
+x^alpha (`heights_down`), so no profile is expanded whole.  `render_runs`
+formats each run by one "%d" template, only as the pieces are read, so no
+str is made per number.  Other lists take the generic path.  The SVG,
+`svg_pieces`, has CHUNK // 4 columns (CHUNK numbers) of an outline to a
+piece.  `staircase_json`, `shape_json` and `shape_svg` join the pieces into
+one str; no command calls them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, count, groupby, islice, repeat
 from math import gcd
 from operator import floordiv
 
@@ -77,7 +78,7 @@ def _pieces(out: list) -> Iterator[str]:
 
 
 # an array of leaves (width 1) or of [x, y] leaf pairs (width 2), handed over as
-# an iterator of flat int runs of <= CHUNK items; the leaf template is "%d" for
+# an iterator of flat int runs of <= CHUNK ints; the leaf template is "%d" for
 # an int, or '"%d/%d"' for a rational str filled from two ints.  Only the
 # payload builders make one, so the emitter never inspects a list's items.
 _IntRuns = namedtuple("_IntRuns", "runs width leaf", defaults=("%d",))
@@ -85,13 +86,17 @@ _IntRuns = namedtuple("_IntRuns", "runs width leaf", defaults=("%d",))
 
 def int_runs(values, width: int = 1):
     """A sequence of ints (width 1) or of int pairs (width 2) as a JSON array
-    rendered in CHUNK-item runs; an empty sequence is itself, "[]"."""
+    rendered in runs of CHUNK ints; an empty sequence is itself, "[]"."""
     if not values:
         return values
-    starts = range(0, len(values), CHUNK)
-    if width == 1:
-        return _IntRuns((values[i:i + CHUNK] for i in starts), 1)
-    return _IntRuns((tuple(chain.from_iterable(values[i:i + CHUNK])) for i in starts), 2)
+    ints = iter(values) if width == 1 else chain.from_iterable(values)
+    return _IntRuns(_batches(ints, CHUNK), width)
+
+
+def _batches(items: Iterator, size: int) -> Iterator[tuple]:
+    """The items in tuples of size, the last one shorter, each made only when
+    it is read; neither this nor render_runs holds one while the next is made."""
+    return iter(lambda: tuple(islice(items, size)), ())
 
 
 def _emit(o, nl: str, out: list[str], string) -> None:
@@ -143,22 +148,42 @@ def render_runs(runs, item: str, sep: str, lead: str = "") -> Iterator[str]:
     return map(fill, chain([lead], repeat(sep)), runs)
 
 
-# The run builders below hand out tuples built by a helper, so that neither
-# the builder nor render_runs holds a run while the next one is made.
-
-def column_runs(s: MonomialStaircase, top: int, bottom: int) -> Iterator[tuple[int, ...]]:
-    """Flat (i, lambdas[i]) runs of at most CHUNK // 2 columns, CHUNK ints made
-    for the run, i = top down to bottom; column alpha, x^alpha, has height 0."""
-    return (_column_run(s, hi, min(CHUNK // 2, hi - bottom + 1))
-            for hi in range(top, bottom - 1, -(CHUNK // 2)))
+def heights_down(s: MonomialStaircase) -> Iterator[int]:
+    """The heights of columns alpha down to 0, the order of s.generators, in
+    one backward pass over the runs: x^alpha's 0 first, then each run reversed."""
+    return chain((0,), chain.from_iterable(map(reversed, reversed(s.runs))))
 
 
-def _column_run(s: MonomialStaircase, hi: int, n: int) -> tuple[int, ...]:
-    run = [0] * (2 * n)
-    run[::2] = range(hi, hi - n, -1)
-    # column alpha has no lambda: its height stays 0
-    run[3 if hi == s.alpha else 1::2] = s.heights(hi - n + 1, hi + 1)[::-1]
+def column_runs(top: int, heights: Iterator[int]) -> Iterator[tuple[int, ...]]:
+    """Flat (x, height) runs of at most CHUNK // 2 columns, CHUNK ints made for
+    the run, x = top, top - 1, ... down the heights."""
+    return map(_column_run, count(top, -(CHUNK // 2)), _batches(heights, CHUNK // 2))
+
+
+def _column_run(top: int, ys: tuple[int, ...]) -> tuple[int, ...]:
+    run = [0] * (2 * len(ys))
+    run[::2] = range(top, top - len(ys), -1)
+    run[1::2] = ys
     return tuple(run)
+
+
+def generator_line(s: MonomialStaircase) -> Iterator[str]:
+    """The generators, descending in x, as pieces of the `gin` text line:
+    "x^%dy^%d" runs for the columns 2 <= x < alpha of height >= 2, between
+    the monomials at the ends, rendered only as they are read.  Heights fall
+    strictly to >= 1, so only column alpha - 1 can have height 1."""
+    a, ys = s.alpha, heights_down(s)
+    edge = 2 if a > 2 and s.runs[-1][-1] == 1 else 1
+    yield " ".join([_monomial(x, y) for x, y in zip(range(a, a - edge, -1), ys)])
+    middle = column_runs(a - edge, islice(ys, max(a - 1 - edge, 0)))
+    yield from render_runs(middle, "x^%dy^%d", " ", " ")
+    yield "".join([" " + _monomial(x, y) for x, y in zip(range(min(a, 2) - 1, -1, -1), ys)])
+
+
+def _monomial(x: int, y: int) -> str:
+    x_part = "" if x == 0 else "x" if x == 1 else f"x^{x}"
+    y_part = "" if y == 0 else "y" if y == 1 else f"y^{y}"
+    return x_part + y_part
 
 
 def corner_runs(s: MonomialStaircase) -> Iterator[tuple[int, ...]]:
@@ -167,12 +192,11 @@ def corner_runs(s: MonomialStaircase) -> Iterator[tuple[int, ...]]:
     m/g, y/h, m/h with g = gcd(x, m) and h = gcd(y, m): the "%d/%d" fill of
     `rational_str`.  The heights are read from the runs in one pass, then
     the height 0 of x^alpha."""
-    heights = chain(chain.from_iterable(s.runs), (0,))
-    return (_corner_run(lo, list(islice(heights, CHUNK // 4)), s.m)
-            for lo in range(0, s.alpha + 1, CHUNK // 4))
+    ys = _batches(chain(chain.from_iterable(s.runs), (0,)), CHUNK // 4)
+    return map(_corner_run, count(0, CHUNK // 4), ys, repeat(s.m))
 
 
-def _corner_run(lo: int, ys: list[int], m: int) -> tuple[int, ...]:
+def _corner_run(lo: int, ys: tuple[int, ...], m: int) -> tuple[int, ...]:
     xs = range(lo, lo + len(ys))
     run = [0] * (4 * len(xs))
     for at, values in ((0, xs), (2, ys)):
@@ -193,9 +217,8 @@ def staircase_payload(s: MonomialStaircase) -> dict:
         "config": str(s.config),
         "m": s.m,
         "alpha": s.alpha,
-        "lambdas": _IntRuns((s.heights(lo, lo + CHUNK) for lo in range(0, s.alpha, CHUNK)), 1),
-        # s.generators, laid out column by column without building the pairs
-        "generators": _IntRuns(column_runs(s, s.alpha, 0), 2),
+        "lambdas": _IntRuns(_batches(chain.from_iterable(s.runs), CHUNK), 1),
+        "generators": _IntRuns(column_runs(s.alpha, heights_down(s)), 2),
         "colength": colength(s),
         "conjectural": s.config.conjectural,
     }
@@ -300,11 +323,10 @@ def svg_pieces(report: ShapeReport) -> Iterator[str]:
         # then down to (alpha, 0); x / m is the same correctly rounded double
         # as float(Fraction(x, m)); each height is formatted once, and each x
         # once per piece, a piece's right end again as the next one's left end
-        m, alpha = entry.m, entry.alpha
-        heights = chain.from_iterable(entry.runs)
-        for lo in range(0, alpha, step):
-            xs = [_fmt(tx(x / m)) for x in range(lo, min(lo + step, alpha) + 1)]
-            ys = [_fmt(ty(y / m)) for y in islice(heights, step)]
+        m = entry.m
+        heights = (_fmt(ty(y / m)) for y in chain.from_iterable(entry.runs))
+        for lo, ys in zip(count(0, step), _batches(heights, step)):
+            xs = [_fmt(tx(x / m)) for x in range(lo, lo + len(ys) + 1)]
             yield (" " if lo else "") + " ".join(map("{0},{1} {2},{1}".format, xs, ys, xs[1:]))
         column, row = divmod(idx, rows)
         yield (f' {xs[-1]},{_fmt(ty(0.0))}"/>\n'

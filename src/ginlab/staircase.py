@@ -7,15 +7,16 @@ the first differences of the Hilbert function, so the whole staircase can be
 rebuilt from Hilbert values alone, walking down from the nef threshold.  For
 r >= 9 general points the staircase has a closed form, which serves that
 kind directly.  Both keep a staircase as its runs, one step -1 range of
-column heights per generator degree, and never expand the profile.
+column heights per generator degree, and never expand the profile.  Only
+this module and `exporters`, whose writers read the runs in one pass each,
+know that layout; no reader slices a staircase by column.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, chain, islice
+from itertools import chain
 
 from .errors import ComputationGuardError
 from .hilbert import alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
@@ -63,15 +64,6 @@ class MonomialStaircase(namedtuple("MonomialStaircase", "alpha runs m config")):
         """Every column height, expanded: O(alpha), for oracles and library callers."""
         return tuple(chain.from_iterable(self.runs))
 
-    def heights(self, start: int, stop: int) -> list[int]:
-        """Heights of columns start..stop-1 below alpha, for 0 <= start <= stop;
-        the runs before column start are skipped whole, never expanded."""
-        ends = list(accumulate(map(len, self.runs)))
-        i = bisect_right(ends, start)  # the run that holds column start, if start < alpha
-        # start - ends[i] < 0 slices the run from its end: columns start.. of that run
-        first = self.runs[i][start - ends[i]:] if i < len(ends) else ()
-        return list(islice(chain(first, *self.runs[i + 1:]), stop - start))
-
     @property
     def generators(self) -> tuple[tuple[int, int], ...]:
         """Minimal generators as (x, y) exponents, descending x-exponent."""
@@ -79,7 +71,11 @@ class MonomialStaircase(namedtuple("MonomialStaircase", "alpha runs m config")):
 
     def contains(self, x: int, y: int) -> bool:
         """Monomial membership of x^x y^y, O(runs); columns from alpha on have height 0."""
-        return x >= 0 and y >= max(self.heights(x, x + 1), default=0)
+        for run in self.runs:
+            if 0 <= x < len(run):
+                return y >= run[x]
+            x -= len(run)
+        return x >= 0 and y >= 0  # x is now x - alpha, negative if it was
 
 
 def xy_count(config: PointConfig, m: int, t: int) -> int:

@@ -11,7 +11,8 @@ corpus under each tree, in one child process per tree that calls
 - the GOLDEN and HELP_GOLDEN commands of tests/test_cli.py;
 - `verify` on general:2-8, collinear:3-8 and shgh:9-16;
 - EXTRA: large shape documents, whose SVG polyline comes in many pieces and
-  whose JSON corners span many runs, and usage errors.
+  whose JSON corners span many runs; large gin and hilbert documents, whose
+  arrays span many runs; the ends of the gin text line; and usage errors.
 
 Prints each argv whose exit code, stdout sha256 or stderr differs, then a
 count, and exits 1 if any argv differs.  It reads bench/ and tests/ and
@@ -38,6 +39,17 @@ VERIFY_FLAGS = (["--max-m", "12"], ["--max-m", "30", "--format", "json"])
 EXTRA = [
     "shape shgh:16 --m-list 20000 --format svg",
     "shape shgh:16 --m-list 20000 --format json",
+    # many runs: a gin document read in many CHUNK runs, from thousands of
+    # staircase runs, and Hilbert values in runs of CHUNK ints
+    "gin collinear:3 --m 20000 --format json",
+    "gin collinear:3 --m 20000 --format text",
+    "gin general:8 --m 5000",
+    "hilbert general:8 --m 30 --t-range 0..9000 --format json",
+    # the ends of the text line: alpha = 1, 2, 3, and column alpha - 1 at height 1
+    "gin general:2 --m 1 --format text",
+    "gin general:2 --m 2 --format text",
+    "gin general:3 --m 1 --format text",
+    "gin general:8 --m 1 --format text",
     "gin general:2 --m 1 --format svg",  # a format the command does not take
     "shape general:2 --m-list 1 --format pdf",
     "gin general:2 --m 0",

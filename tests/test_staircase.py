@@ -12,6 +12,7 @@ import ginlab.lattice
 from ginlab import (MonomialStaircase, PointConfig, alpha, colength, gin_staircase,
                     hilbert_fn, shgh_gin_closed_form, verify, xy_count)
 from ginlab.errors import ComputationGuardError
+from ginlab.exporters import heights_down
 from ginlab.lattice import SHGH, uniform_h0
 from oracles import closed_form_heights, scan_shgh_staircase, staircase_of, walk_heights
 
@@ -269,6 +270,5 @@ def test_runs_expand_to_the_tuple_oracle(spec, m, data):
         height = heights[x] if 0 <= x < s.alpha else 0
         for y in (-1, height - 1, height):
             assert s.contains(x, y) == (x >= 0 and y >= 0 and y >= height), (x, y)
-    start = data.draw(st.integers(0, s.alpha + 3))
-    stop = data.draw(st.integers(start, s.alpha + 5))
-    assert s.heights(start, stop) == list(heights[start:stop])
+    # the writers' backward pass, reversed, is the expansion and x^alpha's 0
+    assert tuple(heights_down(s))[::-1] == (*heights, 0)

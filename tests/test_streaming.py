@@ -133,16 +133,30 @@ def streamed(monkeypatch, argv: list[str]) -> tuple[int, int]:
 
 
 # the staircases are cached first, so each peak is the rendering and writing
-# alone: about one CHUNK run, where the joined document took two documents
+# alone: about one CHUNK run, where the joined document took two documents.
+# collinear:3 has about alpha / 2 runs (16,667 at m = 20000): its peak grew
+# 3x with them while each CHUNK of columns was sliced out of the runs afresh
 @pytest.mark.parametrize("argv", [["gin", "shgh:16", "--format", "json", "--m"],
                                   ["gin", "shgh:16", "--format", "text", "--m"],
-                                  ["shape", "shgh:16", "--format", "json", "--m-list"]],
-                         ids=["gin-json", "gin-text", "shape-json"])
+                                  ["shape", "shgh:16", "--format", "json", "--m-list"],
+                                  ["gin", "collinear:3", "--format", "json", "--m"]],
+                         ids=["gin-json", "gin-text", "shape-json", "gin-json-many-runs"])
 def test_streamed_peak_does_not_grow_with_the_document(monkeypatch, argv):
     small, small_size = streamed(monkeypatch, [*argv, "4000"])
     large, large_size = streamed(monkeypatch, [*argv, "20000"])
     assert large_size > 4 * small_size
     assert large <= 0.35 * large_size
+    assert large <= 1.5 * small
+
+
+# the same for the text line of many runs, a 0.48 MB document, about twice
+# one CHUNK run's peak, so only the growth is bounded: 335 -> 1,021 KB when
+# the runs were sliced afresh per CHUNK of columns
+def test_a_many_run_text_line_peaks_alike_at_any_size(monkeypatch):
+    argv = ["gin", "collinear:3", "--format", "text", "--m"]
+    small, small_size = streamed(monkeypatch, [*argv, "4000"])
+    large, large_size = streamed(monkeypatch, [*argv, "20000"])
+    assert large_size > 4 * small_size
     assert large <= 1.5 * small
 
 
