@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a verification or convergence suite failed,
-2 bad usage, an unsupported configuration or out of memory, 3 an internal
-arithmetic guard tripped.  A reader that closes stdout early ends the output
-silently, with the command's own code.  An error line that stderr cannot take
-is dropped, and the code stays the one the error calls for.  Output is
-deterministic byte for byte for identical invocations; files always end with
-a newline.
+2 bad usage, an unsupported configuration or out of memory (a size past
+sys.maxsize included), 3 an internal arithmetic guard tripped.  A reader that
+closes stdout early ends the output silently, with the command's own code.
+An error line that stderr cannot take is dropped, and the code stays the one
+the error calls for.  Output is deterministic byte for byte for identical
+invocations; files always end with a newline.
 
 The table ``_COMMANDS`` is the single list of subcommands and their flags,
 and ``_SHARED`` the list of the flags they all take: the parser, the
@@ -86,7 +86,7 @@ def _parse_m_list(args) -> list[int]:
     raise ValueError("need --m or --m-list")
 
 
-def _parse_t_range(args) -> list[int]:
+def _parse_t_range(args) -> range:
     if args.t_range is not None and args.t is not None:
         raise ValueError("give --t or --t-range, not both")
     if args.t_range:
@@ -96,9 +96,9 @@ def _parse_t_range(args) -> list[int]:
         start, stop = int(lo), int(hi)
         if stop < start:
             raise ValueError("degree range must be increasing")
-        return list(range(start, stop + 1))
+        return range(start, stop + 1)
     if args.t is not None:
-        return [args.t]
+        return range(args.t, args.t + 1)
     raise ValueError("need --t or --t-range")
 
 
@@ -135,19 +135,11 @@ def cmd_hilbert(config: PointConfig, args) -> tuple[Iterable[str], int]:
     if args.m is None:
         raise ValueError("need --m")
     ts = _parse_t_range(args)
-    rows = [(t, hilbert_fn(config, args.m, t)) for t in ts]
-    if args.format == "json":
-        return exporters.json_pieces({
-            "config": str(config),
-            "m": args.m,
-            "conjectural": config.conjectural,
-            "values": exporters.int_runs(rows, 2),
-        }), EXIT_OK
-    if args.format == "csv":
-        return (exporters.hilbert_csv(rows),), EXIT_OK
-    lines = [f"# {config}, m={args.m}" + (" (conjectural)" if config.conjectural else "")]
-    lines += [f"t={t}  H={v}" for t, v in rows]
-    return ("\n".join(lines),), EXIT_OK
+    # sized up front, so a range too long to hold fails before any value is read
+    values = [0] * len(ts)
+    for i, t in enumerate(ts):
+        values[i] = hilbert_fn(config, args.m, t)
+    return exporters.hilbert_pieces(config, args.m, zip(ts, values), args.format), EXIT_OK
 
 
 def cmd_gin(config: PointConfig, args) -> tuple[Iterable[str], int]:
@@ -353,7 +345,8 @@ def main(argv: list[str] | None = None) -> int:
     except ComputationGuardError as exc:
         _say(f"arithmetic guard: {exc}")
         return EXIT_GUARD
-    except MemoryError:
+    except (MemoryError, OverflowError):
+        # an OverflowError is a size past sys.maxsize, which no list could hold;
         # args is None when argparse itself ran out, before any command was read
         running = "" if args is None else f" running {args.command}"
         _say(f"error: out of memory{running}; try a smaller input")

@@ -11,24 +11,25 @@ oracle.  `json_pieces` takes the C string encoder that `json.dumps` uses
 from `_json`, so no process loads the json package.  The command line
 writes the pieces as they come, so it never holds a whole document.  The
 large int arrays, nearly all the bytes of a staircase, are named by the code
-that builds the payload: `int_runs` for a sequence of ints or int pairs, and
-`column_runs` and `corner_runs` for a staircase's generators and a shape
-report's corners, without building the pairs or their rational strs.  One
+that builds the payload as `_IntRuns`: a staircase's lambdas, its generators
+(`column_runs`), a shape report's corners (`corner_runs`, without building
+the pairs or their rational strs) and `hilbert`'s (t, H) values.  One
 chunker, `_batches`, cuts every array into runs of at most CHUNK ints, and
 the staircase arrays, the `gin` text line and the SVG outlines read the
 heights in one pass over the runs, forward from column 0 or backward from
 x^alpha (`heights_down`), so no profile is expanded whole.  `render_runs`
 formats each run by one "%d" template, only as the pieces are read, so no
-str is made per number.  Other lists take the generic path.  The SVG,
-`svg_pieces`, has CHUNK // 4 columns (CHUNK numbers) of an outline to a
-piece.  `staircase_json`, `shape_json` and `shape_svg` join the pieces into
-one str; no command calls them.
+str is made per number; `hilbert_pieces` writes every `hilbert` document,
+text and CSV rows included, through it.  Other lists take the generic path.
+The SVG, `svg_pieces`, has CHUNK // 4 columns (CHUNK numbers) of an outline
+to a piece.  `staircase_json`, `shape_json`, `shape_svg` and `hilbert_csv`
+join the pieces into one str; no command calls them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain, count, groupby, islice, repeat
 from math import gcd
 from operator import floordiv
@@ -84,15 +85,6 @@ def _pieces(out: list) -> Iterator[str]:
 _IntRuns = namedtuple("_IntRuns", "runs width leaf", defaults=("%d",))
 
 
-def int_runs(values, width: int = 1):
-    """A sequence of ints (width 1) or of int pairs (width 2) as a JSON array
-    rendered in runs of CHUNK ints; an empty sequence is itself, "[]"."""
-    if not values:
-        return values
-    ints = iter(values) if width == 1 else chain.from_iterable(values)
-    return _IntRuns(_batches(ints, CHUNK), width)
-
-
 def _batches(items: Iterator, size: int) -> Iterator[tuple]:
     """The items in tuples of size, the last one shorter, each made only when
     it is read; neither this nor render_runs holds one while the next is made."""
@@ -133,7 +125,7 @@ def _emit(o, nl: str, out: list[str], string) -> None:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def render_runs(runs, item: str, sep: str, lead: str = "") -> Iterator[str]:
+def render_runs(runs, item: str, sep: str, lead: str) -> Iterator[str]:
     """The items of the flat int runs joined by sep, each item the %d template
     `item` filled from the run's next ints: one str per run, which starts with
     lead for the first run and with sep for the others.  Each run is filled
@@ -340,8 +332,19 @@ def svg_pieces(report: ShapeReport) -> Iterator[str]:
     yield "</svg>\n"
 
 
+def hilbert_pieces(config, m, pairs: Iterable[tuple[int, int]], fmt: str) -> Iterator[str]:
+    """The `hilbert` document in fmt ("text", "csv" or "json"): one run of the
+    (t, H) ints, cut into CHUNK-int runs, as "t=%d  H=%d" or "%d,%d" rows under
+    the head line, or as JSON's `values`.  CSV reads neither config nor m."""
+    runs = _batches(chain.from_iterable(pairs), CHUNK)
+    if fmt == "json":
+        return json_pieces({"config": str(config), "m": m, "conjectural": config.conjectural,
+                            "values": _IntRuns(runs, 2)})
+    if fmt == "csv":
+        return chain(["t,hilbert"], render_runs(runs, "%d,%d", "\n", "\n"))
+    head = f"# {config}, m={m}" + (" (conjectural)" if config.conjectural else "")
+    return chain([head], render_runs(runs, "t=%d  H=%d", "\n", "\n"))
+
+
 def hilbert_csv(rows: list[tuple[int, int]]) -> str:
-    lines = ["t,hilbert"]
-    for t, value in rows:
-        lines.append(f"{t},{value}")
-    return "\n".join(lines) + "\n"
+    return "".join(hilbert_pieces(None, None, rows, "csv")) + "\n"

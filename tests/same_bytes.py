@@ -12,7 +12,8 @@ corpus under each tree, in one child process per tree that calls
 - `verify` on general:2-8, collinear:3-8 and shgh:9-16;
 - EXTRA: large shape documents, whose SVG polyline comes in many pieces and
   whose JSON corners span many runs; large gin and hilbert documents, whose
-  arrays span many runs; the ends of the gin text line; and usage errors.
+  arrays and rows span many runs; every `hilbert` format at one degree; the
+  ends of the gin text line; and usage errors.
 
 Prints each argv whose exit code, stdout sha256 or stderr differs, then a
 count, and exits 1 if any argv differs.  It reads bench/ and tests/ and
@@ -45,6 +46,14 @@ EXTRA = [
     "gin collinear:3 --m 20000 --format text",
     "gin general:8 --m 5000",
     "hilbert general:8 --m 30 --t-range 0..9000 --format json",
+    "hilbert general:8 --m 30 --t-range 0..9000 --format text",
+    "hilbert general:8 --m 30 --t-range 0..9000 --format csv",
+    # one degree in each format, a range below zero, and the conjectural head line
+    "hilbert collinear:3 --m 6 --t 9 --format text",
+    "hilbert collinear:3 --m 6 --t 9 --format csv",
+    "hilbert collinear:3 --m 6 --t 9 --format json",
+    "hilbert general:6 --m 10 --t-range=-3..1 --format csv",
+    "hilbert shgh:10 --m 4 --t-range 0..40",
     # the ends of the text line: alpha = 1, 2, 3, and column alpha - 1 at height 1
     "gin general:2 --m 1 --format text",
     "gin general:2 --m 2 --format text",

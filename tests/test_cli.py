@@ -562,6 +562,39 @@ def test_out_of_memory_while_parsing_names_no_command(capsys, monkeypatch):
     assert err == "error: out of memory; try a smaller input\n"
 
 
+# sizes past sys.maxsize, which no list could hold: len() of a staircase run
+# or of the degree range raises OverflowError before anything is allocated
+@pytest.mark.parametrize("argv", [
+    ["gin", "shgh:9", "--m", "100000000000000000000"],
+    ["gin", "shgh:9", "--m", "100000000000000000000", "--format", "text"],
+    ["gin", "shgh:9", "--m", "4000000000000000000"],
+    ["shape", "shgh:9", "--m-list", "100000000000000000000"],
+    ["hilbert", "shgh:9", "--m", "3", "--t-range", "0..100000000000000000000"],
+], ids=["gin-json", "gin-text", "gin-just-past", "shape", "hilbert-range"])
+def test_a_size_past_maxsize_is_out_of_memory(capsys, argv):
+    assert run_cli(capsys, argv) == (
+        2, "", f"error: out of memory running {argv[0]}; try a smaller input\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as Linux applies it")
+def test_a_range_too_long_to_hold_fails_fast():
+    # 10^10 + 1 degrees: the values list is sized before any value is read, so
+    # the command fails at once rather than reading values until memory runs out
+    import resource
+
+    def limit():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+    argv = ["hilbert", "general:6", "--m", "5", "--t-range", "0..10000000000"]
+    with ginlab_popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=limit) as proc:
+        try:
+            out, err = proc.communicate(timeout=5)  # TimeoutExpired fails the test
+        finally:
+            proc.kill()  # a no-op once the child has exited
+    assert (proc.returncode, out, err) == (
+        2, b"", b"error: out of memory running hilbert; try a smaller input\n")
+
+
 @pytest.mark.parametrize("argv,read", [
     # 555 kB of JSON and 158 kB of text, both past a 64 KiB pipe buffer, so a
     # write meets the closed pipe while the process still runs

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from itertools import chain
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ginlab import MonomialStaircase, PointConfig, gin_staircase, shape_report
-from ginlab.exporters import (CHUNK, int_runs, intercept_str, json_pieces, rational_str, shape_json,
-                              staircase_json)
+from ginlab.exporters import (CHUNK, _batches, _IntRuns, intercept_str, json_pieces, rational_str,
+                              shape_json, staircase_json)
 from ginlab.staircase import colength
 from oracles import shgh_with_alpha
 
@@ -30,9 +31,16 @@ def pairs_of(leaf):
     return st.lists(st.tuples(leaf, leaf) | st.lists(leaf, min_size=2, max_size=2), max_size=6)
 
 
+def named(values, width: int = 1):
+    """A sequence of ints (width 1) or of int pairs (width 2) as the payload
+    builders name an int array: an _IntRuns over _batches of CHUNK ints."""
+    ints = iter(values) if width == 1 else chain.from_iterable(values)
+    return _IntRuns(_batches(ints, CHUNK), width)
+
+
 class Door(list):
     """An int array that json.dumps reads as a list and `through_doors` hands
-    the emitter as int_runs(self, width)."""
+    the emitter as named(self, width); an empty one stays a plain list, "[]"."""
 
     def __init__(self, values, width: int):
         super().__init__(values)
@@ -40,9 +48,9 @@ class Door(list):
 
 
 def through_doors(o):
-    """o with every Door, at any depth, replaced by its int_runs."""
+    """o with every Door, at any depth, replaced by its named array."""
     if isinstance(o, Door):
-        return int_runs(o, o.width)
+        return named(o, o.width) if o else []
     if isinstance(o, dict):
         return {key: through_doors(value) for key, value in o.items()}
     if isinstance(o, (list, tuple)):
@@ -55,7 +63,7 @@ doors = (st.lists(st.integers(), max_size=6).map(lambda v: Door(v, 1))
 
 # flat int lists and lists of int or str pairs, as lists or tuples, take the
 # emitter's generic path like any other list; a Door is the same array handed
-# over through int_runs, the path the payload builders name for large arrays
+# over as a named array, the path the payload builders name for large arrays
 payloads = st.recursive(
     scalars | st.lists(st.integers(), max_size=6) | pairs_of(st.integers()) | pairs_of(st.text(max_size=4))
     | doors,
@@ -94,7 +102,7 @@ def test_floats_and_non_str_keys_are_type_errors(payload):
 
 
 # an int array of each length, as a list of lists and as a tuple of tuples,
-# rendered item by item and through int_runs
+# rendered item by item and as a named array
 @pytest.mark.parametrize("length", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 @pytest.mark.parametrize("container", [list, tuple])
 def test_int_arrays_across_chunk_boundaries_match_json_dumps(length, container):
@@ -102,7 +110,7 @@ def test_int_arrays_across_chunk_boundaries_match_json_dumps(length, container):
     payload = {"ints": ints, "pairs": container(container((x, length - x)) for x in ints)}
     expected = json.dumps(payload, indent=2)
     assert joined(payload) == expected
-    assert joined({"ints": int_runs(ints), "pairs": int_runs(payload["pairs"], 2)}) == expected
+    assert joined({"ints": named(ints), "pairs": named(payload["pairs"], 2)}) == expected
 
 
 def expected_staircase_json(s: MonomialStaircase) -> str:

@@ -227,6 +227,7 @@ ALLOWLIST = {
     "exporters.staircase_json": pinned("exporters.staircase_json"),
     "exporters.shape_json": pinned("exporters.shape_json"),
     "exporters.shape_svg": pinned("exporters.shape_svg"),
+    "exporters.hilbert_csv": pinned("exporters.hilbert_csv"),
     "lattice.is_nef": pinned("lattice.is_nef"),
     "lattice.riemann_roch_h0": pinned("lattice.riemann_roch_h0"),
     "lattice.h0": pinned("lattice.h0"),

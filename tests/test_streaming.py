@@ -13,8 +13,8 @@ import tracemalloc
 import pytest
 
 from ginlab import PointConfig, cli, gin_staircase, shape_report
-from ginlab.exporters import (CHUNK, hilbert_csv, shape_csv, shape_json, shape_svg,
-                              staircase_json)
+from ginlab.errors import ComputationGuardError
+from ginlab.exporters import CHUNK, shape_csv, shape_json, shape_svg, staircase_json
 from ginlab.hilbert import hilbert_fn
 from ginlab.lattice import canonical_class, exceptional_classes, intersect, uniform_h0
 from ginlab.verify import run_verification
@@ -75,7 +75,8 @@ CASES = [
     ("hilbert general:8 --m 30 --t-range 0..9000 --format json",
      lambda: hilbert_json("general:8", 30, range(9001))),
     ("hilbert general:6 --m 10 --t-range 20..30 --format csv",
-     lambda: hilbert_csv([(t, hilbert_fn(PointConfig.general(6), 10, t)) for t in range(20, 31)])),
+     lambda: "t,hilbert\n" + "".join(f"{t},{hilbert_fn(PointConfig.general(6), 10, t)}\n"
+                                     for t in range(20, 31))),
     ("hilbert collinear:3 --m 6 --t 9", None),
     ("shape shgh:9 --m-list 1400,2800 --format json",
      lambda: shape_json(shape_of("shgh:9", [1400, 2800]))),
@@ -171,6 +172,17 @@ def test_a_large_shape_document_peaks_under_half_a_megabyte(monkeypatch, fmt):
     assert peak < 500_000
 
 
+# 20,001 Hilbert values, warm in hilbert_fn's cache, make a 0.29-0.81 MB
+# document in each format, which peaks at 0.31-0.43 MB; as one list of (t, H)
+# rows and one str, or that list handed to JSON, they peaked at 2.0-4.0 MB
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_long_hilbert_range_peaks_under_one_and_a_half_megabytes(monkeypatch, fmt):
+    peak, size = streamed(monkeypatch, ["hilbert", "general:8", "--m", "30",
+                                        "--t-range", "0..20000", "--format", fmt])
+    assert size > 250_000
+    assert peak < 1_500_000
+
+
 def clear_ginlab_caches() -> None:
     for name, module in list(sys.modules.items()):
         if name.startswith("ginlab."):
@@ -211,4 +223,24 @@ def test_a_tripped_guard_writes_nothing(tmp_path, capsys, monkeypatch):
         assert (code, captured.out) == (3, "")
         assert captured.err.startswith("arithmetic guard: segment at degree 24 starts at column 31")
         assert captured.err.endswith(" for general:6, m=10; Hilbert engine bug\n")
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_tripped_hilbert_guard_writes_nothing(tmp_path, capsys, monkeypatch, fmt):
+    # the guard trips at the range's last degree, so a writer that read each
+    # H(t) as it wrote its row would have written every row before it
+    def tripped(config, m, t):
+        if t == 30:
+            raise ComputationGuardError("forced at degree 30")
+        return uniform_h0(config, m, t)
+
+    hilbert_fn.cache_clear()
+    monkeypatch.setattr("ginlab.hilbert.uniform_h0", tripped)
+    path = tmp_path / "doc"
+    for out in ([], ["--out", str(path)]):
+        code = cli.main(["hilbert", "general:6", "--m", "10", "--t-range", "20..30",
+                         "--format", fmt, *out])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (3, "", "arithmetic guard: forced at degree 30\n")
         assert not path.exists()
