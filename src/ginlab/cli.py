@@ -1,6 +1,7 @@
-"""Command-line interface.
+"""Command-line interface: it parses the command line, computes the result
+and writes the document that ``exporters`` lays out.
 
-Exit codes: 0 success, 1 a verification or convergence suite failed,
+Exit codes: 0 success, 1 a verification suite reported failures,
 2 bad usage, an unsupported configuration or out of memory (a size past
 sys.maxsize included), 3 an internal arithmetic guard tripped.  A reader that
 closes stdout early ends the output silently, with the command's own code.
@@ -34,13 +35,12 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain
 from types import SimpleNamespace
 
 from . import exporters, shape, staircase, verify
 from .errors import ComputationGuardError
 from .hilbert import hilbert_fn
-from .lattice import PointConfig, canonical_class, exceptional_classes, intersect
+from .lattice import PointConfig, exceptional_classes
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -103,32 +103,12 @@ def _parse_t_range(args) -> range:
 
 
 # Each command computes its result, running every guard, and returns its
-# document as (pieces, exit code): the pieces are strs, and an int array in
-# them is rendered only as it is written.  main does the reading, the writing
-# and the error handling.
+# document as (pieces, exit code), the pieces laid out in args.format by one
+# exporters renderer: they are strs, and an int array in them is rendered only
+# as it is written.  main does the reading, the writing and the error handling.
 
 def cmd_classes(config: PointConfig, args) -> tuple[Iterable[str], int]:
-    classes = exceptional_classes(config)
-    k = canonical_class(config.r)
-    if args.format == "json":
-        return exporters.json_pieces({
-            "config": str(config),
-            "provenance": config.provenance,
-            "count": len(classes),
-            "classes": [
-                {
-                    "d": c.d,
-                    "mults": c.mults,
-                    "self_intersection": intersect(c, c),
-                    "canonical_pairing": intersect(c, k),
-                }
-                for c in classes
-            ],
-        }), EXIT_OK
-    lines = [f"# {config} ({config.provenance}): {len(classes)} negative curve classes"]
-    for c in classes:
-        lines.append(f"{c}  C.C={intersect(c, c)}  C.K={intersect(c, k)}")
-    return ("\n".join(lines),), EXIT_OK
+    return exporters.classes_pieces(config, exceptional_classes(config), args.format), EXIT_OK
 
 
 def cmd_hilbert(config: PointConfig, args) -> tuple[Iterable[str], int]:
@@ -145,60 +125,18 @@ def cmd_hilbert(config: PointConfig, args) -> tuple[Iterable[str], int]:
 def cmd_gin(config: PointConfig, args) -> tuple[Iterable[str], int]:
     if args.m is None:
         raise ValueError("need --m")
-    s = staircase.gin_staircase(config, args.m)
-    if args.format == "json":
-        return exporters.json_pieces(exporters.staircase_payload(s)), EXIT_OK
-    head = "\n".join([
-        f"# {config}, m={s.m}" + (" (conjectural)" if config.conjectural else ""),
-        f"alpha={s.alpha} zeta={s.zeta} colength={staircase.colength(s)}",
-        "generators: ",
-    ])
-    return chain([head], exporters.generator_line(s)), EXIT_OK
+    return exporters.gin_pieces(staircase.gin_staircase(config, args.m), args.format), EXIT_OK
 
 
 def cmd_shape(config: PointConfig, args) -> tuple[Iterable[str], int]:
     report = shape.shape_report(config, _parse_m_list(args))
-    if args.format == "csv":
-        return (exporters.shape_csv(report),), EXIT_OK
-    if args.format == "svg":
-        return exporters.svg_pieces(report), EXIT_OK
-    if args.format == "json":
-        return exporters.json_pieces(exporters.shape_payload(report)), EXIT_OK
-    lines = [f"# {config} ({config.provenance})"]
-    if report.predicted is not None:
-        g1, g2 = report.predicted
-        lines.append(f"predicted intercepts: {exporters.intercept_str(g1)}, "
-                     f"{exporters.intercept_str(g2)}")
-    else:
-        lines.append("predicted intercepts: none (non-linear limit)")
-    for e in report.entries:
-        lines.append(f"m={e.m}  alpha={e.alpha}  zeta={e.zeta}  "
-                     f"x={exporters.rational_str(e.alpha, e.m)}  "
-                     f"y={exporters.rational_str(e.zeta, e.m)}  "
-                     f"colength={staircase.colength(e)}")
-    lines.append(f"seshadri estimate: {exporters.intercept_str(report.seshadri_estimate)}")
-    return ("\n".join(lines),), EXIT_OK
+    return exporters.shape_pieces(report, args.format), EXIT_OK
 
 
 def cmd_verify(config: PointConfig, args) -> tuple[Iterable[str], int]:
     report = verify.run_verification(config, args.max_m)
-    code = EXIT_OK if report.passed else EXIT_VERIFY
-    if args.format == "json":
-        return exporters.json_pieces({
-            "config": str(config),
-            "max_m": report.max_m,
-            "passed": report.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
-        }), code
-    lines = [f"# verify {config} --max-m {report.max_m}"]
-    for c in report.checks:
-        lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
-    lines.append("all checks passed" if report.passed
-                 else f"{len(report.failures)} check(s) failed")
-    return ("\n".join(lines),), code
+    return exporters.verify_pieces(config, report, args.format), (
+        EXIT_OK if report.passed else EXIT_VERIFY)
 
 
 def _dest(flag: str) -> str:

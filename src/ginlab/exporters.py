@@ -1,10 +1,14 @@
-"""Byte-reproducible serialization of staircases and shape reports.
+"""The layout of every document the command line writes, in every format.
 
-Identical inputs must produce identical bytes, so every emitter walks its
-data in a fixed order and formats numbers through a single code path.
-Rationals are written as "num/den", reduced, by `rational_str`, except the
-shape report's corners: `_corner_run` gcd-reduces those itself, so that they
-render as "%d/%d" runs; file payloads end with one newline.
+Each command hands its result to one renderer, `classes_pieces`,
+`hilbert_pieces`, `gin_pieces`, `shape_pieces` or `verify_pieces`, which
+returns the document as pieces.  Identical inputs must produce identical
+bytes, so every emitter walks its data in a fixed order and formats each
+fact through a single code path: `head_line` the `gin` and `hilbert` head
+line, `_shape_rows` the `shape` rows in text, CSV and JSON, and `rational_str` and
+`intercept_str` a rational as "num/den", reduced by `shape.Rational`, except
+the shape report's corners, which `_corner_run` gcd-reduces a run at a time,
+so that they render as "%d/%d" runs; file payloads end with one newline.
 Every JSON document goes through `json_pieces`, the one hand-written emitter
 of the two-space layout, with `json.dumps` and a two-space indent as the test
 oracle.  `json_pieces` takes the C string encoder that `json.dumps` uses
@@ -34,6 +38,7 @@ from itertools import chain, count, groupby, islice, repeat
 from math import gcd
 from operator import floordiv
 
+from .lattice import PointConfig, canonical_class, intersect
 from .shape import Rational, ShapeReport, SquareRootIntercept
 from .staircase import MonomialStaircase, colength
 
@@ -42,14 +47,16 @@ CHUNK = 4096  # numbers per %d template or SVG piece, which bounds each run and 
 
 def rational_str(n: int, d: int) -> str:
     """n/d in lowest terms as "num/den", for d > 0; "2/1", not "2"."""
-    g = gcd(n, d)
-    return f"{n // g}/{d // g}"
+    return "%d/%d" % Rational(n, d)
 
 
 def intercept_str(value: Rational | SquareRootIntercept) -> str:
-    if isinstance(value, SquareRootIntercept):
-        return str(value)
-    return rational_str(value.numerator, value.denominator)
+    return str(value) if isinstance(value, SquareRootIntercept) else "%d/%d" % value
+
+
+def head_line(config: PointConfig, m: int) -> str:
+    """The first line of the `gin` and `hilbert` text documents."""
+    return f"# {config}, m={m}" + (" (conjectural)" if config.conjectural else "")
 
 
 def json_pieces(payload: dict) -> Iterator[str]:
@@ -216,49 +223,68 @@ def staircase_payload(s: MonomialStaircase) -> dict:
     }
 
 
+def gin_pieces(s: MonomialStaircase, fmt: str) -> Iterable[str]:
+    """The `gin` document in fmt ("json" or "text"); the text generators come
+    as `generator_line` renders them."""
+    if fmt == "json":
+        return json_pieces(staircase_payload(s))
+    head = (f"{head_line(s.config, s.m)}\n"
+            f"alpha={s.alpha} zeta={s.zeta} colength={colength(s)}\ngenerators: ")
+    return chain([head], generator_line(s))
+
+
 def shape_json(report: ShapeReport) -> str:
     return "".join(json_pieces(shape_payload(report)))
 
 
 def shape_payload(report: ShapeReport) -> dict:
     """The JSON payload of a shape report, the corner arrays still unrendered."""
-    predicted = None
-    if report.predicted is not None:
-        predicted = [intercept_str(report.predicted[0]), intercept_str(report.predicted[1])]
     return {
         "config": str(report.config),
-        "predicted_intercepts": predicted,
+        "predicted_intercepts": (None if report.predicted is None
+                                 else list(map(intercept_str, report.predicted))),
         "seshadri_estimate": intercept_str(report.seshadri_estimate),
         "conjectural": report.config.conjectural,
         "entries": [
             {
-                "m": e.m,
-                "alpha": e.alpha,
-                "zeta": e.zeta,
-                "colength": (length := colength(e)),
-                "x_intercept": rational_str(e.alpha, e.m),
-                "y_intercept": rational_str(e.zeta, e.m),
-                "colength_over_m2": rational_str(length, e.m * e.m),
+                "m": m, "alpha": alpha, "zeta": zeta, "colength": length,
+                "x_intercept": x, "y_intercept": y,
+                "colength_over_m2": rational_str(length, m * m),
                 # generator exponents over m, ascending in x: (0, zeta/m) .. (alpha/m, 0)
                 "corners": _IntRuns(corner_runs(e), 2, '"%d/%d"'),
             }
-            for e in report.entries
+            for e, (m, alpha, zeta, x, y, length) in zip(report.entries, _shape_rows(report))
         ],
     }
 
 
+def shape_pieces(report: ShapeReport, fmt: str) -> Iterable[str]:
+    """The `shape` document in fmt ("text", "csv", "json" or "svg")."""
+    if fmt == "csv":
+        return (shape_csv(report),)
+    if fmt == "svg":
+        return svg_pieces(report)
+    if fmt == "json":
+        return json_pieces(shape_payload(report))
+    predicted = ("none (non-linear limit)" if report.predicted is None
+                 else ", ".join(map(intercept_str, report.predicted)))
+    return ("\n".join([f"# {report.config} ({report.config.provenance})",
+                       f"predicted intercepts: {predicted}",
+                       *("m=%d  alpha=%d  zeta=%d  x=%s  y=%s  colength=%d" % row
+                         for row in _shape_rows(report)),
+                       f"seshadri estimate: {intercept_str(report.seshadri_estimate)}"]),)
+
+
 def shape_csv(report: ShapeReport) -> str:
-    lines = ["m,alpha,zeta,x_intercept,y_intercept,colength"]
-    for e in report.entries:
-        lines.append(",".join([
-            str(e.m),
-            str(e.alpha),
-            str(e.zeta),
-            rational_str(e.alpha, e.m),
-            rational_str(e.zeta, e.m),
-            str(colength(e)),
-        ]))
-    return "\n".join(lines) + "\n"
+    return "\n".join(["m,alpha,zeta,x_intercept,y_intercept,colength",
+                      *("%d,%d,%d,%s,%s,%d" % row for row in _shape_rows(report))]) + "\n"
+
+
+def _shape_rows(report: ShapeReport) -> list[tuple[int, int, int, str, str, int]]:
+    """(m, alpha, zeta, x = alpha/m, y = zeta/m, colength) for each staircase,
+    the row of every `shape` document."""
+    return [(e.m, e.alpha, e.zeta, rational_str(e.alpha, e.m), rational_str(e.zeta, e.m),
+             colength(e)) for e in report.entries]
 
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
@@ -342,9 +368,39 @@ def hilbert_pieces(config, m, pairs: Iterable[tuple[int, int]], fmt: str) -> Ite
                             "values": _IntRuns(runs, 2)})
     if fmt == "csv":
         return chain(["t,hilbert"], render_runs(runs, "%d,%d", "\n", "\n"))
-    head = f"# {config}, m={m}" + (" (conjectural)" if config.conjectural else "")
-    return chain([head], render_runs(runs, "t=%d  H=%d", "\n", "\n"))
+    return chain([head_line(config, m)], render_runs(runs, "t=%d  H=%d", "\n", "\n"))
 
 
 def hilbert_csv(rows: list[tuple[int, int]]) -> str:
     return "".join(hilbert_pieces(None, None, rows, "csv")) + "\n"
+
+
+def verify_pieces(config: PointConfig, report, fmt: str) -> Iterable[str]:
+    """The `verify` document in fmt ("text" or "json"), read from a report's
+    max_m, checks (each a name, passed, detail record), passed and failures."""
+    if fmt == "json":
+        return json_pieces({
+            "config": str(config), "max_m": report.max_m, "passed": report.passed,
+            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                       for c in report.checks],
+        })
+    return ("\n".join([f"# verify {config} --max-m {report.max_m}",
+                       *(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}"
+                         for c in report.checks),
+                       "all checks passed" if report.passed
+                       else f"{len(report.failures)} check(s) failed"]),)
+
+
+def classes_pieces(config: PointConfig, classes, fmt: str) -> Iterable[str]:
+    """The `classes` document in fmt ("text" or "json"): each class with its
+    self-intersection C.C and its pairing C.K with the canonical class."""
+    k = canonical_class(config.r)
+    rows = [(c, intersect(c, c), intersect(c, k)) for c in classes]
+    if fmt == "json":
+        return json_pieces({
+            "config": str(config), "provenance": config.provenance, "count": len(rows),
+            "classes": [{"d": c.d, "mults": c.mults, "self_intersection": cc, "canonical_pairing": ck}
+                        for c, cc, ck in rows],
+        })
+    return ("\n".join([f"# {config} ({config.provenance}): {len(rows)} negative curve classes",
+                       *(f"{c}  C.C={cc}  C.K={ck}" for c, cc, ck in rows)]),)

@@ -13,7 +13,11 @@ corpus under each tree, in one child process per tree that calls
 - EXTRA: large shape documents, whose SVG polyline comes in many pieces and
   whose JSON corners span many runs; large gin and hilbert documents, whose
   arrays and rows span many runs; every `hilbert` format at one degree; the
-  ends of the gin text line; and usage errors.
+  ends of the gin text line; `classes` documents; and usage errors.
+
+Then it runs PROCESSES, a short list, through `python -m ginlab` itself,
+one child process per argv and tree, so that the exit path (`cli.run`'s
+flush and `os._exit`) is compared too.
 
 Prints each argv whose exit code, stdout sha256 or stderr differs, then a
 count, and exits 1 if any argv differs.  It reads bench/ and tests/ and
@@ -23,6 +27,7 @@ writes nothing there.
 from __future__ import annotations
 
 import ast
+import hashlib
 import io
 import json
 import os
@@ -68,6 +73,18 @@ EXTRA = [
     "gin general:2 --m 1 --m-list 1",
     "gin general:9 --m 1",
     "classes",
+    "classes general:8",  # 240 classes
+    "classes general:2",
+    "classes collinear:8 --format json",
+]
+# run through `python -m ginlab`: a document, help, a usage error, a refused
+# value and a JSON document
+PROCESSES = [
+    "gin general:2 --m 1",
+    "--help",
+    "gin general:2 --m x",
+    "gin general:2 --m 0",
+    "verify general:3 --max-m 3 --format json",
 ]
 
 # Runs in the child: argv lists as JSON lines on stdin, one JSON line per argv
@@ -111,11 +128,19 @@ def corpus() -> list[list[str]]:
 
 
 def run_tree(src: Path, argvs: list[tuple[str, ...]]) -> list[list]:
+    """[exit code, stdout sha256, stderr] of each argv under src: the corpus
+    in one child, then each of PROCESSES in a `python -m ginlab` child."""
     env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
     stdin = "".join(json.dumps(argv) + "\n" for argv in argvs)
     done = subprocess.run([sys.executable, "-c", CHILD], input=stdin, capture_output=True,
                           text=True, env=env, cwd=tempfile.gettempdir(), check=True)
-    return [json.loads(line) for line in done.stdout.splitlines()]
+    results = [json.loads(line) for line in done.stdout.splitlines()]
+    for command in PROCESSES:
+        done = subprocess.run([sys.executable, "-m", "ginlab", *command.split()],
+                              capture_output=True, env=env, cwd=tempfile.gettempdir())
+        results.append([done.returncode, hashlib.sha256(done.stdout).hexdigest(),
+                        done.stderr.decode("utf-8", "replace")])
+    return results
 
 
 def main(argv: list[str]) -> int:
@@ -123,6 +148,8 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     argvs = corpus()
+    labels = [" ".join(args) for args in argvs]
+    labels += [f"python -m ginlab {command}" for command in PROCESSES]
     with tempfile.TemporaryDirectory() as workdir:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", argv[0], "src"],
                                  capture_output=True, check=True).stdout
@@ -130,14 +157,15 @@ def main(argv: list[str]) -> int:
             tar.extractall(workdir, filter="data")
         theirs = run_tree(Path(workdir) / "src", argvs)
     ours = run_tree(ROOT / "src", argvs)
-    differing = [(a, t, o) for a, t, o in zip(argvs, theirs, ours) if t != o]
-    for args, (code_t, sha_t, err_t), (code_o, sha_o, err_o) in differing:
-        print(" ".join(args))
+    differing = [(a, t, o) for a, t, o in zip(labels, theirs, ours) if t != o]
+    for label, (code_t, sha_t, err_t), (code_o, sha_o, err_o) in differing:
+        print(label)
         for what, before, after in (("exit", code_t, code_o), ("stdout sha256", sha_t, sha_o),
                                     ("stderr", err_t, err_o)):
             if before != after:
                 print(f"  {what}: {before!r} -> {after!r}")
-    print(f"{len(differing)} of {len(argvs)} argv differ from {argv[0]}")
+    print(f"{len(differing)} of {len(labels)} argv ({len(PROCESSES)} through python -m ginlab) "
+          f"differ from {argv[0]}")
     return 1 if differing else 0
 
 

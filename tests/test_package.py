@@ -71,6 +71,24 @@ def test_module_imports_follow_the_pipeline(module):
     assert not imported & FORBIDDEN[module], f"{module} imports {sorted(imported & FORBIDDEN[module])}"
 
 
+def test_the_commands_lay_out_no_document():
+    # each cmd_* ends in its one return, of an exporters renderer's pieces and
+    # the exit code, and reads args.format only to hand it to the renderer
+    source = (PACKAGE / "cli.py").read_text()
+    commands = {node.name: node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")}
+    assert sorted(commands) == sorted(row[1].__name__ for row in cli._COMMANDS)
+    for name, command in commands.items():
+        (returned,) = [node for node in ast.walk(command) if isinstance(node, ast.Return)]
+        assert returned is command.body[-1], name
+        pieces, _ = returned.value.elts
+        assert ast.unparse(pieces.func).startswith("exporters."), name
+        formats = [node for node in ast.walk(command)
+                   if isinstance(node, ast.Attribute) and node.attr == "format"]
+        assert formats == [pieces.args[-1]], name
+    assert '"\\n".join' not in source
+
+
 def test_every_module_is_placed():
     assert {path.stem for path in PACKAGE.glob("*.py")} == {*FORBIDDEN, "errors", "cli", "__init__", "__main__"}
 

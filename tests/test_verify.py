@@ -149,6 +149,77 @@ def test_guard_errors_become_failed_checks(monkeypatch, capsys):
     assert out.endswith(f"{len(report.failures)} check(s) failed\n")
 
 
+CONVERGENCE_FAILED = ("m=2: y-intercept 3 is off 1 by more than 3/2; "
+                      "m=3: x-intercept 8/3 is off 1 by more than 1; "
+                      "m=3: y-intercept 8/3 is off 1 by more than 1")
+FAILING_VERIFY = {
+    "text": (
+        "# verify general:6 --max-m 3\n"
+        "PASS class-list: 27 classes match brute-force enumeration\n"
+        "PASS orbit-engine: orbit peeling equals reduce_to_nef from alpha-1 to the nef"
+        " threshold+1 for m <= 3\n"
+        "PASS colength: equals r*m*(m+1)/2 for every m <= 3\n"
+        "PASS nef-range-agreement: matches the naive count on nef degrees for m <= 3\n"
+        "PASS first-differences: within [0, t+1] for m in [1, 3]\n"
+        f"FAIL convergence: {CONVERGENCE_FAILED}\n"
+        "PASS graded-system: products and scaled nesting hold for m <= 1\n"
+        "1 check(s) failed\n"),
+    "json": (
+        '{\n'
+        '  "config": "general:6",\n'
+        '  "max_m": 3,\n'
+        '  "passed": false,\n'
+        '  "checks": [\n'
+        '    {\n'
+        '      "name": "class-list",\n'
+        '      "passed": true,\n'
+        '      "detail": "27 classes match brute-force enumeration"\n'
+        '    },\n'
+        '    {\n'
+        '      "name": "orbit-engine",\n'
+        '      "passed": true,\n'
+        '      "detail": "orbit peeling equals reduce_to_nef from alpha-1 to the nef'
+        ' threshold+1 for m <= 3"\n'
+        '    },\n'
+        '    {\n'
+        '      "name": "colength",\n'
+        '      "passed": true,\n'
+        '      "detail": "equals r*m*(m+1)/2 for every m <= 3"\n'
+        '    },\n'
+        '    {\n'
+        '      "name": "nef-range-agreement",\n'
+        '      "passed": true,\n'
+        '      "detail": "matches the naive count on nef degrees for m <= 3"\n'
+        '    },\n'
+        '    {\n'
+        '      "name": "first-differences",\n'
+        '      "passed": true,\n'
+        '      "detail": "within [0, t+1] for m in [1, 3]"\n'
+        '    },\n'
+        '    {\n'
+        '      "name": "convergence",\n'
+        '      "passed": false,\n'
+        f'      "detail": "{CONVERGENCE_FAILED}"\n'
+        '    },\n'
+        '    {\n'
+        '      "name": "graded-system",\n'
+        '      "passed": true,\n'
+        '      "detail": "products and scaled nesting hold for m <= 1"\n'
+        '    }\n'
+        '  ]\n'
+        '}\n'),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FAILING_VERIFY))
+def test_a_failing_verify_document_byte_for_byte(monkeypatch, capsys, fmt):
+    # every intercept predicted at 1, so the convergence row fails and the
+    # others pass
+    monkeypatch.setattr(shape, "theoretical_shape", lambda config: (shape.Rational(1, 1),) * 2)
+    assert cli.main(["verify", "general:6", "--max-m", "3", "--format", fmt]) == 1
+    assert capsys.readouterr().out == FAILING_VERIFY[fmt]
+
+
 def test_colength_and_convergence_read_shape_reports_staircases(monkeypatch):
     # both rows take their staircases from shape_report, whose guard rejects
     # the wrong colength; graded-system builds its own through verify's binding
