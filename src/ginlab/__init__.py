@@ -8,11 +8,11 @@ Everything runs in exact integer and rational arithmetic.
 
 from .errors import ComputationGuardError, UnsupportedConfigError
 from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, EffectivityResult,
-                      PointConfig, canonical_class, exceptional_classes, h0,
+                      PointConfig, Rational, canonical_class, exceptional_classes, h0,
                       intersect, is_nef, reduce_to_nef, riemann_roch_h0)
 from .hilbert import alpha, alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
 from .staircase import MonomialStaircase, colength, gin_staircase, shgh_gin_closed_form, xy_count
-from .shape import (Rational, ShapeReport, SquareRootIntercept, check_convergence,
+from .shape import (ShapeReport, SquareRootIntercept, check_convergence,
                     collinear_shape_check, shape_report, theoretical_shape)
 from .verify import VerifyReport, brute_force_exceptional_classes, run_verification
 

@@ -32,14 +32,13 @@ join the pieces into one str; no command calls them.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import chain, count, groupby, islice, repeat
 from math import gcd
 from operator import floordiv
 
-from .lattice import PointConfig, canonical_class, intersect
-from .shape import Rational, ShapeReport, SquareRootIntercept
+from .lattice import PointConfig, Rational, Record, canonical_class, intersect
+from .shape import ShapeReport, SquareRootIntercept
 from .staircase import MonomialStaircase, colength
 
 CHUNK = 4096  # numbers per %d template or SVG piece, which bounds each run and piece
@@ -89,7 +88,11 @@ def _pieces(out: list) -> Iterator[str]:
 # an iterator of flat int runs of <= CHUNK ints; the leaf template is "%d" for
 # an int, or '"%d/%d"' for a rational str filled from two ints.  Only the
 # payload builders make one, so the emitter never inspects a list's items.
-_IntRuns = namedtuple("_IntRuns", "runs width leaf", defaults=("%d",))
+class _IntRuns(Record, fields="runs width leaf"):
+    __slots__ = ()
+
+    def __new__(cls, runs: Iterator[tuple], width: int, leaf: str = "%d") -> "_IntRuns":
+        return tuple.__new__(cls, (runs, width, leaf))
 
 
 def _batches(items: Iterator, size: int) -> Iterator[tuple]:

@@ -10,12 +10,16 @@ peels uniform classes a whole orbit at a time on plain ints (d, a, b) and
 evaluates Riemann-Roch on them in closed form; ``reduce_to_nef`` peels
 curve by curve on ``DivisorClass`` values from the table's expansion,
 ``exceptional_classes``.  The nef slope read off the same orbits is the
-int pair ``nef_ratio``.
+``Rational`` ``nef_ratio``.
+
+Every result record in the package is a ``Record``: a tuple subclass whose
+fields are the C getters ``namedtuple`` installs, built without compiling
+any source, so importing the package runs no compiler.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import _tuplegetter
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import repeat
@@ -29,7 +33,47 @@ SHGH = "shgh"
 COLLINEAR = "collinear"
 
 
-class DivisorClass(namedtuple("DivisorClass", "d mults")):
+class Record(tuple):
+    """Base of the result records: what ``namedtuple`` gives, built without
+    compiling any source.  ``class R(Record, fields="a b")`` reads field i
+    through the C getter ``namedtuple`` installs; each record writes its own
+    ``__new__`` and ``__slots__ = ()``.  The repr is namedtuple's, and pickle
+    and ``copy`` rebuild a record through its ``__new__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, fields: str) -> None:
+        cls._fields = tuple(fields.split())
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+
+class Rational(Record, fields="numerator denominator"):
+    """numerator/denominator in lowest terms, for a denominator > 0: the str
+    and float of the equal Fraction, which Fraction(*x) makes."""
+
+    __slots__ = ()
+
+    def __new__(cls, numerator: int, denominator: int) -> "Rational":
+        g = gcd(numerator, denominator)
+        return tuple.__new__(cls, (numerator // g, denominator // g))
+
+    def __float__(self) -> float:
+        return self.numerator / self.denominator
+
+    def __str__(self) -> str:
+        n, d = self
+        return f"{n}/{d}" if d != 1 else str(n)
+
+
+class DivisorClass(Record, fields="d mults"):
     """The class d*e0 - sum(mults[i] * e_{i+1}).
 
     The sign convention keeps fat-point data positive: the scheme of r points
@@ -91,7 +135,7 @@ def _check_same_rank(a: DivisorClass, b: DivisorClass) -> None:
         raise ValueError(f"rank mismatch: {len(a.mults)} vs {len(b.mults)}")
 
 
-class PointConfig(namedtuple("PointConfig", "kind n")):
+class PointConfig(Record, fields="kind n"):
     """Point arrangement selecting a Hilbert-function engine.
 
     kind "general" is 2..8 points in general position: the exceptional
@@ -274,8 +318,7 @@ def _euler_h0(f: DivisorClass) -> int:
     return value
 
 
-class EffectivityResult(namedtuple("EffectivityResult",
-                                   "effective h0 nef_remainder witness trace")):
+class EffectivityResult(Record, fields="effective h0 nef_remainder witness trace"):
     """Outcome of driving a class to a nef representative.
 
     When ``effective``, ``h0`` counts sections, ``nef_remainder`` is the nef
@@ -288,6 +331,10 @@ class EffectivityResult(namedtuple("EffectivityResult",
     """
 
     __slots__ = ()
+
+    def __new__(cls, effective: bool, h0: int, nef_remainder: DivisorClass | None,
+                witness: DivisorClass | None, trace: tuple) -> "EffectivityResult":
+        return tuple.__new__(cls, (effective, h0, nef_remainder, witness, trace))
 
 
 def reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
@@ -349,9 +396,9 @@ def _orbits(config: PointConfig) -> tuple[tuple[int, int, int, int, int, int, in
 
 
 @lru_cache(maxsize=None)
-def nef_ratio(config: PointConfig) -> tuple[int, int]:
-    """Slope nu at which (t; m, ..., m) turns nef, as (p, q) in lowest terms
-    with q > 0: the class is nef exactly when q*t >= p*m.
+def nef_ratio(config: PointConfig) -> Rational:
+    """Slope nu at which (t; m, ..., m) turns nef, as the Rational p/q: the
+    class is nef exactly when q*t >= p*m.
 
     The uniform class meets curve C nonnegatively once t >= m*sum(C)/deg(C),
     and that ratio is the same across an orbit of the listed curves.  The
@@ -363,8 +410,7 @@ def nef_ratio(config: PointConfig) -> tuple[int, int]:
     for cd, ca, cb, *_ in _orbits(config):
         if cd > 0 and (ca + cb) * q > p * cd:
             p, q = ca + cb, cd
-    g = gcd(p, q)
-    return p // g, q // g
+    return Rational(p, q)
 
 
 def uniform_h0(config: PointConfig, m: int, t: int) -> int:

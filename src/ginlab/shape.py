@@ -8,39 +8,20 @@ empirically from the computed corners.  ``check_convergence`` judges every
 kind at any positive multiplicities: degrees within a constant of m times
 the intercepts, or the collinear generator degrees; it returns verify's row.
 
-Intercepts are a ``Rational``, an int pair in lowest terms, or a
-``SquareRootIntercept``; every verdict cross-multiplies integers, so no
-process loads ``fractions``.
+Intercepts are a ``Rational`` (``lattice``'s, re-exported here), an int
+pair in lowest terms, or a ``SquareRootIntercept``; every verdict
+cross-multiplies integers, so no process loads ``fractions``.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from math import gcd, isqrt, sqrt
+from math import isqrt, sqrt
 
-from .lattice import COLLINEAR, SHGH, PointConfig, nef_ratio
+from .lattice import COLLINEAR, SHGH, PointConfig, Rational, Record, nef_ratio
 from .staircase import colength, gin_staircase
 
 
-class Rational(namedtuple("Rational", "numerator denominator")):
-    """numerator/denominator in lowest terms, for a denominator > 0: the str
-    and float of the equal Fraction, which Fraction(*x) makes."""
-
-    __slots__ = ()
-
-    def __new__(cls, numerator: int, denominator: int):
-        g = gcd(numerator, denominator)
-        return super().__new__(cls, numerator // g, denominator // g)
-
-    def __float__(self) -> float:
-        return self.numerator / self.denominator
-
-    def __str__(self) -> str:
-        n, d = self
-        return f"{n}/{d}" if d != 1 else str(n)
-
-
-class SquareRootIntercept(namedtuple("SquareRootIntercept", "radicand")):
+class SquareRootIntercept(Record, fields="radicand"):
     """Intercept equal to sqrt(radicand), kept symbolic.
 
     Comparisons against rationals square both sides, so no floating-point
@@ -48,6 +29,9 @@ class SquareRootIntercept(namedtuple("SquareRootIntercept", "radicand")):
     """
 
     __slots__ = ()
+
+    def __new__(cls, radicand: int) -> "SquareRootIntercept":
+        return tuple.__new__(cls, (radicand,))
 
     def __float__(self) -> float:
         return sqrt(self.radicand)
@@ -69,17 +53,21 @@ def theoretical_shape(config: PointConfig) -> (
         return None
     if config.kind == SHGH:
         return SquareRootIntercept(config.r), SquareRootIntercept(config.r)
-    p, q = nef_ratio(config)
-    return Rational(config.r * q, p), Rational(p, q)
+    nu = nef_ratio(config)
+    return Rational(config.r * nu.denominator, nu.numerator), nu
 
 
-class ShapeReport(namedtuple("ShapeReport", "config entries predicted seshadri_estimate")):
+class ShapeReport(Record, fields="config entries predicted seshadri_estimate"):
     """The staircases ascending in m, the predicted (gamma1, gamma2)
     intercepts or None, and the Rational alpha(m)/(r*m) at the last
     multiplicity.  Each staircase scales to intercepts alpha/m and zeta/m
     and to colength/m^2."""
 
     __slots__ = ()
+
+    def __new__(cls, config: PointConfig, entries: tuple, predicted: tuple | None,
+                seshadri_estimate: Rational) -> "ShapeReport":
+        return tuple.__new__(cls, (config, entries, predicted, seshadri_estimate))
 
 
 def shape_report(config: PointConfig, m_list: list[int]) -> ShapeReport:

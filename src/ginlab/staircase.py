@@ -14,16 +14,15 @@ know that layout; no reader slices a staircase by column.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from itertools import chain
 
 from .errors import ComputationGuardError
 from .hilbert import alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
-from .lattice import SHGH, PointConfig, uniform_h0
+from .lattice import SHGH, PointConfig, Record, uniform_h0
 
 
-class MonomialStaircase(namedtuple("MonomialStaircase", "alpha runs m config")):
+class MonomialStaircase(Record, fields="alpha runs m config"):
     """Staircase of a Borel-fixed monomial ideal in x and y.
 
     Column i < alpha has height lambdas[i], the least e with x^i y^e in the

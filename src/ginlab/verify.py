@@ -15,14 +15,13 @@ kinds each runs on.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import namedtuple
 from collections.abc import Iterator
 from itertools import combinations_with_replacement
 from math import comb, isqrt
 
 from .errors import ComputationGuardError
 from .hilbert import alpha, hilbert_fn, nef_threshold
-from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, PointConfig,
+from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, PointConfig, Record,
                       canonical_class, exceptional_classes, intersect, reduce_to_nef)
 from .shape import check_convergence, shape_report
 from .staircase import gin_staircase, shgh_gin_closed_form, xy_count
@@ -75,11 +74,22 @@ def _orderings(ascending: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         items[i + 1:] = reversed(items[i + 1:])
 
 
-VerifyCheck = namedtuple("VerifyCheck", "name passed detail")
+class VerifyCheck(Record, fields="name passed detail"):
+    """One row of a verify report: the check's name, its verdict and a detail line."""
 
-
-class VerifyReport(namedtuple("VerifyReport", "max_m checks")):
     __slots__ = ()
+
+    def __new__(cls, name: str, passed: bool, detail: str) -> "VerifyCheck":
+        return tuple.__new__(cls, (name, passed, detail))
+
+
+class VerifyReport(Record, fields="max_m checks"):
+    """The VerifyChecks run_verification ran, in report order, up to max_m."""
+
+    __slots__ = ()
+
+    def __new__(cls, max_m: int, checks: tuple[VerifyCheck, ...]) -> "VerifyReport":
+        return tuple.__new__(cls, (max_m, checks))
 
     @property
     def passed(self) -> bool:

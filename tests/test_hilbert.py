@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginlab import hilbert, lattice
+import ginlab
+from ginlab import hilbert, lattice, shape
 from ginlab import (DivisorClass, PointConfig, alpha, alpha_shgh, exceptional_classes,
                     gin_staircase, hilbert_fn, nef_threshold, shgh_hilbert)
 from ginlab.errors import ComputationGuardError
@@ -209,8 +210,10 @@ def test_nef_threshold_values():
 
 def test_nef_slope_lives_beside_the_orbit_table():
     # only lattice knows the layout of the _orbits rows; hilbert reads the slope
-    # as lattice's int pair and never makes the Fraction
+    # as lattice's Rational, an int pair, and never makes the Fraction; shape
+    # and the package re-export the one Rational
     assert hilbert.nef_ratio is lattice.nef_ratio
+    assert shape.Rational is ginlab.Rational is lattice.Rational
     assert not [name for name in ("_orbits", "nef_slope", "Fraction") if hasattr(hilbert, name)]
     assert lattice.nef_ratio.cache_info().maxsize is None
 
@@ -218,9 +221,10 @@ def test_nef_slope_lives_beside_the_orbit_table():
 @pytest.mark.parametrize("spec", [*(f"general:{r}" for r in range(2, 9)),
                                   *(f"collinear:{l}" for l in range(3, 9))])
 def test_nef_ratio_is_the_nef_slope_exactly(spec):
-    # the int pair in lowest terms, and both ceilings hilbert takes on it, against
-    # the same ceilings taken on the Fraction
+    # the Rational, an int pair in lowest terms, and both ceilings hilbert takes
+    # on it, against the same ceilings taken on the Fraction
     config = PointConfig.parse(spec)
+    assert type(lattice.nef_ratio(config)) is lattice.Rational
     p, q = lattice.nef_ratio(config)
     assert q > 0 and gcd(p, q) == 1
     nu = F(p, q)

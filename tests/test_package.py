@@ -10,6 +10,7 @@ import importlib.util
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from ginlab import DivisorClass, cli, shape
+from ginlab import DivisorClass, PointConfig, cli, shape
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ginlab"
@@ -252,6 +253,14 @@ ALLOWLIST = {
     "lattice.PointConfig.general": pinned("PointConfig.general"),
     # a guard: DivisorClass is a tuple, whose own + would concatenate two classes
     "lattice.DivisorClass.__add__": lambda bench: issubclass(DivisorClass, tuple),
+    # the record base: it sets each record's fields at import, before any
+    # command runs; the repr and pickling are namedtuple's, for library callers
+    "lattice.Record.__init_subclass__":
+        lambda bench: type(vars(DivisorClass)["d"]) is type(vars(Bench)["traced"]),
+    "lattice.Record.__repr__":
+        lambda bench: repr(PointConfig.general(6)) == "PointConfig(kind='general', n=6)",
+    "lattice.Record.__getnewargs__":
+        lambda bench: pickle.loads(pickle.dumps(PointConfig.general(6))) == PointConfig.general(6),
 }
 
 

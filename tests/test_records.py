@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import ast
+import copy
 import json.encoder
 import os
+import pickle
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from ginlab import (DivisorClass, EffectivityResult, MonomialStaircase, PointCon
                     ShapeReport, SquareRootIntercept, VerifyReport,
                     exceptional_classes, exporters, gin_staircase)
 from ginlab.errors import ComputationGuardError
+from ginlab.exporters import _IntRuns
 from ginlab.verify import VerifyCheck
 
 
@@ -50,6 +54,8 @@ RECORDS = {
                   {"name": "class-list", "passed": False, "detail": "off"}),
     VerifyReport: (lambda: {"max_m": 5, "checks": (VerifyCheck("colength", True, "ok"),)},
                    {"max_m": 6, "checks": ()}),
+    _IntRuns: (lambda: {"runs": ((1, 2, 3, 4),), "width": 2, "leaf": '"%d/%d"'},
+               {"runs": ((5,),), "width": 1, "leaf": "%d"}),
 }
 TYPES = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 
@@ -85,6 +91,33 @@ def test_records_cannot_be_assigned(cls):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert record == cls(**fields())
+
+
+@TYPES
+def test_repr_is_the_namedtuple_repr(cls):
+    fields, _ = RECORDS[cls]
+    plain = namedtuple(cls.__name__, list(fields()))(**fields())
+    assert repr(cls(**fields())) == repr(plain)
+
+
+@TYPES
+def test_pickle_and_copy_rebuild_an_equal_record(cls):
+    fields, _ = RECORDS[cls]
+    record = cls(**fields())
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(record, protocol))
+        assert type(again) is cls and again == record, protocol
+    assert type(copy.deepcopy(record)) is cls and copy.deepcopy(record) == record
+    assert copy.copy(record) == record
+
+
+@TYPES
+def test_fields_are_namedtuple_getters(cls):
+    # the C getter namedtuple installs, which reads a field faster than a property
+    fields, _ = RECORDS[cls]
+    getter = type(namedtuple("Plain", "field").field)
+    assert cls._fields == tuple(fields())
+    assert [type(getattr(cls, name)) for name in fields()] == [getter] * len(fields())
 
 
 def test_divisor_class_stores_mults_as_a_tuple():
@@ -145,6 +178,39 @@ def test_separately_parsed_configs_share_cache_entries(cached, args):
     hits = cached.cache_info().hits
     assert cached(second, *args) is value
     assert cached.cache_info().hits == hits + 1
+
+
+# one plain argv per subcommand, gin in both of its formats
+_PLAIN = (["gin", "general:6", "--m", "5"], ["gin", "general:6", "--m", "5", "--format", "text"],
+          ["hilbert", "general:6", "--m", "5", "--t-range", "0..12", "--format", "csv"],
+          ["shape", "general:6", "--m-list", "2,4", "--format", "svg"],
+          ["verify", "general:3", "--max-m", "3", "--format", "json"], ["classes", "general:6"])
+# the modules whose own namedtuples would count are imported before the hook;
+# a module compiled from its .py file, when no bytecode is cached, does not count
+_COUNT_COMPILES = f"""
+import functools, collections, itertools, io, sys
+compiled = []
+sys.addaudithook(lambda event, args: event == "compile" and not str(args[1]).endswith(".py")
+                 and compiled.append(args[1]))
+import ginlab.cli
+real = sys.stdout
+for argv in {_PLAIN!r}:
+    sys.stdout = io.StringIO()
+    code = ginlab.cli.main(argv)
+    sys.stdout = real
+    print(code, file=sys.stderr)
+print(compiled)
+"""
+
+
+def test_no_command_compiles_source_at_import_or_run():
+    # a namedtuple evals the source of its __new__, so each record built
+    # with one would compile at import
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-S", "-c", _COUNT_COMPILES], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stderr.split() == ["0"] * len(_PLAIN)
+    assert result.stdout == "[]\n"
 
 
 def test_cli_import_skips_dataclasses_inspect_and_typing():
