@@ -24,7 +24,15 @@ heights in one pass over the runs, forward from column 0 or backward from
 x^alpha (`heights_down`), so no profile is expanded whole.  `render_runs`
 formats each run by one "%d" template, only as the pieces are read, so no
 str is made per number; `hilbert_pieces` writes every `hilbert` document,
-text and CSV rows included, through it.  Other lists take the generic path.
+text and CSV rows included, through it.  A staircase whose runs average at
+least BREAK_EVEN columns (`long_runs`, chosen once per staircase) renders
+its lambdas, generators and `gin` text line through `render_ranges`
+instead: straight from the runs as ranges (`column_ranges`), in blocks of
+at most 1000 numbers that share the part above their last three digits,
+each block joined from that part and slices of two 1000-entry tables,
+`_suffixes`, built on the first such staircase in a process.  Short runs,
+every collinear staircase among them, keep render_runs, since each block
+costs about forty numbers' formatting.  Other lists take the generic path.
 The SVG, `svg_pieces`, has CHUNK // 4 columns (CHUNK numbers) of an outline
 to a piece.  `staircase_json`, `shape_json`, `shape_svg` and `hilbert_csv`
 join the pieces into one str; no command calls them.
@@ -33,6 +41,7 @@ join the pieces into one str; no command calls them.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 from itertools import chain, count, groupby, islice, repeat
 from math import gcd
 from operator import floordiv
@@ -42,6 +51,9 @@ from .shape import ShapeReport, SquareRootIntercept
 from .staircase import MonomialStaircase, colength
 
 CHUNK = 4096  # numbers per %d template or SVG piece, which bounds each run and piece
+# the mean run length, in columns, from which a staircase's arrays render
+# faster through render_ranges than through render_runs (measured)
+BREAK_EVEN = 40
 
 
 def rational_str(n: int, d: int) -> str:
@@ -85,14 +97,16 @@ def _pieces(out: list) -> Iterator[str]:
 
 
 # an array of leaves (width 1) or of [x, y] leaf pairs (width 2), handed over as
-# an iterator of flat int runs of <= CHUNK ints; the leaf template is "%d" for
-# an int, or '"%d/%d"' for a rational str filled from two ints.  Only the
-# payload builders make one, so the emitter never inspects a list's items.
-class _IntRuns(Record, fields="runs width leaf"):
+# runs that `render` writes: an iterator of flat int runs of <= CHUNK ints for
+# render_runs, or of range segments for render_ranges; the leaf template is
+# "%d" for an int, or '"%d/%d"' for a rational str filled from two ints.  Only
+# the payload builders make one, so the emitter never inspects a list's items.
+class _IntRuns(Record, fields="runs width leaf render"):
     __slots__ = ()
 
-    def __new__(cls, runs: Iterator[tuple], width: int, leaf: str = "%d") -> "_IntRuns":
-        return tuple.__new__(cls, (runs, width, leaf))
+    def __new__(cls, runs: Iterator[tuple], width: int, leaf: str = "%d",
+                render=None) -> "_IntRuns":
+        return tuple.__new__(cls, (runs, width, leaf, render or render_runs))
 
 
 def _batches(items: Iterator, size: int) -> Iterator[tuple]:
@@ -114,7 +128,7 @@ def _emit(o, nl: str, out: list[str], string) -> None:
     elif isinstance(o, _IntRuns):  # a tuple itself, so tested first
         leaf = o.leaf
         item = leaf if o.width == 1 else "[" + inner + "  " + leaf + "," + inner + "  " + leaf + inner + "]"
-        out += (render_runs(o.runs, item, "," + inner, "[" + inner), nl + "]")
+        out += (o.render(o.runs, item, "," + inner, "[" + inner), nl + "]")
     elif isinstance(o, (list, tuple)):
         lead = "[" + inner
         for item in o:
@@ -141,13 +155,73 @@ def render_runs(runs, item: str, sep: str, lead: str) -> Iterator[str]:
     lead for the first run and with sep for the others.  Each run is filled
     from its own template.  `map` calls fill only when the next str is read
     and holds neither the run nor its str after handing it on, where a
-    generator expression would keep the last run while the next is built."""
+    generator expression would keep the last run while the next is built.
+    Every int array goes through here but a long-run staircase's three,
+    which `render_ranges` writes to the same bytes."""
     width = item.count("%d")
 
     def fill(start: str, run) -> str:
         return (start + sep.join([item] * (len(run) // width))) % tuple(run)
 
     return map(fill, chain([lead], repeat(sep)), runs)
+
+
+def render_ranges(segments, item: str, sep: str, lead: str) -> Iterator[str]:
+    """render_runs' text for the ints of segments, each a tuple of equal-length
+    ranges of step 1 or -1 over ints >= 0, whose k-th range fills the k-th %d
+    of `item`.  Each segment is cut into blocks in which every number of one
+    range has the same part above its last three digits, so a block of at
+    most 1000 items is one "".join of those parts and slices of the
+    `_suffixes` tables: one str per block, read as render_runs reads its
+    runs.  No number is formatted, but a block costs about what render_runs
+    takes for forty numbers, hence BREAK_EVEN."""
+    texts = item.split("%d")
+    tail = texts[-1]
+    plain, padded = _suffixes()
+
+    def fill(start: str, block: list[range]) -> str:
+        heads, lows = [], []  # per range: the text before its numbers' last three digits, and those
+        for text, numbers in zip(texts, block):
+            high, low = divmod(numbers[0], 1000)
+            stop = low + len(numbers) * numbers.step
+            heads.append(text + str(high) if high else text)
+            lows.append((padded if high else plain)[low:stop if stop >= 0 else None:numbers.step])
+        first, heads[0] = start + heads[0], tail + sep + heads[0]
+        if len(lows) == 1:  # one join: under half the time of the interleaved list below
+            return first + heads[0].join(lows[0]) + tail
+        joined = [*chain.from_iterable(zip(heads, repeat(None)))] * len(block[0])
+        for k, column in enumerate(lows, 1):
+            joined[2 * k - 1::2 * len(lows)] = column
+        joined[0] = first
+        return "".join(joined) + tail
+
+    return map(fill, chain([lead], repeat(sep)), _blocks(segments))
+
+
+def _blocks(segments) -> Iterator[list[range]]:
+    """Each segment cut where one of its ranges crosses a multiple of 1000."""
+    for segment in segments:
+        i, n = 0, len(segment[0])
+        while i < n:
+            # the numbers left before each range's part above the last three digits changes
+            k = min(n - i, *[r[i] % 1000 + 1 if r.step < 0 else 1000 - r[i] % 1000
+                             for r in segment])
+            yield [r[i:i + k] for r in segment]
+            i += k
+
+
+@lru_cache(maxsize=None)
+def _suffixes() -> tuple[list[str], list[str]]:
+    """Each i < 1000 as a whole number and as the last three digits of a
+    larger one: built on the first render_ranges call in a process."""
+    return [str(i) for i in range(1000)], ["%03d" % i for i in range(1000)]
+
+
+def long_runs(s: MonomialStaircase) -> bool:
+    """Whether s's runs average at least BREAK_EVEN columns, so that its
+    lambdas, generators and `gin` text line render through render_ranges;
+    chosen once per staircase."""
+    return len(s.runs) * BREAK_EVEN <= s.alpha
 
 
 def heights_down(s: MonomialStaircase) -> Iterator[int]:
@@ -169,17 +243,42 @@ def _column_run(top: int, ys: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(run)
 
 
+def column_ranges(s: MonomialStaircase) -> Iterator[tuple[range, range]]:
+    """The (x, height) columns of s.generators as segments of render_ranges:
+    x^alpha, then one (x, height) range pair per run, in heights_down's order."""
+    x = s.alpha
+    yield range(x, x - 1, -1), range(1)
+    for run in reversed(s.runs):
+        yield range(x - 1, x - 1 - len(run), -1), run[::-1]
+        x -= len(run)
+
+
+def _window(segments, start: int, stop: int) -> Iterator[tuple[range, ...]]:
+    """Columns start..stop - 1, counted from the first, of segments of
+    equal-length ranges."""
+    for segment in segments:
+        n = len(segment[0])
+        if start < n and stop > 0:
+            yield tuple(r[max(start, 0):stop] for r in segment)
+        start, stop = start - n, stop - n
+
+
 def generator_line(s: MonomialStaircase) -> Iterator[str]:
     """The generators, descending in x, as pieces of the `gin` text line:
     "x^%dy^%d" runs for the columns 2 <= x < alpha of height >= 2, between
     the monomials at the ends, rendered only as they are read.  Heights fall
     strictly to >= 1, so only column alpha - 1 can have height 1."""
-    a, ys = s.alpha, heights_down(s)
+    a = s.alpha
     edge = 2 if a > 2 and s.runs[-1][-1] == 1 else 1
-    yield " ".join([_monomial(x, y) for x, y in zip(range(a, a - edge, -1), ys)])
-    middle = column_runs(a - edge, islice(ys, max(a - 1 - edge, 0)))
-    yield from render_runs(middle, "x^%dy^%d", " ", " ")
-    yield "".join([" " + _monomial(x, y) for x, y in zip(range(min(a, 2) - 1, -1, -1), ys)])
+    yield " ".join([_monomial(x, y) for x, y in zip(range(a, a - edge, -1), (0, 1))])
+    stop = max(a - 1, edge)  # columns edge..stop - 1 from x^alpha: x = alpha - edge down to 2
+    if long_runs(s):
+        yield from render_ranges(_window(column_ranges(s), edge, stop), "x^%dy^%d", " ", " ")
+    else:
+        middle = column_runs(a - edge, islice(heights_down(s), edge, stop))
+        yield from render_runs(middle, "x^%dy^%d", " ", " ")
+    low = enumerate(islice(chain.from_iterable(s.runs), min(a, 2)))  # columns 0 and 1
+    yield "".join([" " + _monomial(x, y) for x, y in reversed([*low])])
 
 
 def _monomial(x: int, y: int) -> str:
@@ -215,12 +314,18 @@ def staircase_json(s: MonomialStaircase) -> str:
 
 def staircase_payload(s: MonomialStaircase) -> dict:
     """The JSON payload of a staircase, its arrays still unrendered."""
+    if long_runs(s):
+        lambdas = _IntRuns(zip(s.runs), 1, render=render_ranges)
+        generators = _IntRuns(column_ranges(s), 2, render=render_ranges)
+    else:
+        lambdas = _IntRuns(_batches(chain.from_iterable(s.runs), CHUNK), 1)
+        generators = _IntRuns(column_runs(s.alpha, heights_down(s)), 2)
     return {
         "config": str(s.config),
         "m": s.m,
         "alpha": s.alpha,
-        "lambdas": _IntRuns(_batches(chain.from_iterable(s.runs), CHUNK), 1),
-        "generators": _IntRuns(column_runs(s.alpha, heights_down(s)), 2),
+        "lambdas": lambdas,
+        "generators": generators,
         "colength": colength(s),
         "conjectural": s.config.conjectural,
     }

@@ -15,11 +15,15 @@ know that layout; no reader slices a staircase by column.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
+from operator import attrgetter, lt, mul
 
 from .errors import ComputationGuardError
 from .hilbert import alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
 from .lattice import SHGH, PointConfig, Record, uniform_h0
+
+
+_START, _STOP = attrgetter("start"), attrgetter("stop")  # a step -1 run's first height and last - 1
 
 
 class MonomialStaircase(Record, fields="alpha runs m config"):
@@ -42,13 +46,14 @@ class MonomialStaircase(Record, fields="alpha runs m config"):
             raise ComputationGuardError("each run must be a non-empty range of step -1")
         if sum(map(len, runs)) != alpha:
             raise ComputationGuardError("one column height per x-exponent below alpha")
-        column = 0
-        for left, right in zip(runs, runs[1:]):
-            column += len(left)
-            if right[0] >= left[-1] - 1:
-                raise ComputationGuardError(
-                    f"column heights must strictly decrease, by 2 or more between runs: column "
-                    f"{column - 1} has height {left[-1]}, column {column} has height {right[0]}")
+        # right[0] <= left[-1] - 2 for each adjacent pair, in one C-level pass
+        drops = [*map(lt, map(_START, islice(runs, 1, None)), map(_STOP, runs))]
+        if False in drops:
+            i = drops.index(False)
+            left, right, column = runs[i], runs[i + 1], sum(map(len, runs[:i + 1]))
+            raise ComputationGuardError(
+                f"column heights must strictly decrease, by 2 or more between runs: column "
+                f"{column - 1} has height {left[-1]}, column {column} has height {right[0]}")
         if runs[-1][-1] < 1:
             raise ComputationGuardError("the column next to x^alpha must be positive")
         return tuple.__new__(cls, (alpha, runs, m, config))
@@ -149,8 +154,13 @@ def shgh_gin_closed_form(r: int, m: int) -> MonomialStaircase:
 
 
 def colength(s: MonomialStaircase) -> int:
-    """Monomials outside the ideal; must equal the scheme length r*m*(m+1)/2."""
-    count = sum(len(run) * (run[0] + run[-1]) // 2 for run in s.runs)  # arithmetic series
+    """Monomials outside the ideal; must equal the scheme length r*m*(m+1)/2.
+
+    A run from height a down to b + 1 sums to (a^2 - b^2 + a - b) / 2, and
+    the lengths a - b of the runs sum to alpha, so the count takes two
+    C-level passes over the runs' ends."""
+    starts, stops = [*map(_START, s.runs)], [*map(_STOP, s.runs)]
+    count = (sum(map(mul, starts, starts)) - sum(map(mul, stops, stops)) + s.alpha) // 2
     expected = s.config.r * s.m * (s.m + 1) // 2
     if count != expected:
         raise ComputationGuardError(

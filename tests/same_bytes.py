@@ -12,7 +12,8 @@ corpus under each tree, in one child process per tree that calls
 - `verify` on general:2-8, collinear:3-8 and shgh:9-16;
 - EXTRA: large shape documents, whose SVG polyline comes in many pieces and
   whose JSON corners span many runs; large gin and hilbert documents, whose
-  arrays and rows span many runs; every `hilbert` format at one degree; the
+  arrays and rows span many runs; gin documents at the digit and break-even
+  boundaries of the range renderer; every `hilbert` format at one degree; the
   ends of the gin text line; `classes` documents; and usage errors.
 
 Then it runs PROCESSES, a short list, through `python -m ginlab` itself,
@@ -52,6 +53,13 @@ EXTRA = [
     "gin collinear:3 --m 20000 --format json",
     "gin collinear:3 --m 20000 --format text",
     "gin general:8 --m 5000",
+    # exporters.render_ranges' boundaries: alpha = 1001, 10001 and 100001, so
+    # the heights and x-exponents cross 1000, 10000 and 100000; and general
+    # staircases whose runs average 38.5 and 43.1 columns, on each side of
+    # exporters.BREAK_EVEN
+    *(f"gin {argv} --format {fmt}" for argv in ("shgh:16 --m 250", "shgh:15 --m 2582",
+                                                "shgh:10 --m 31623", "general:7 --m 29",
+                                                "general:7 --m 115") for fmt in ("json", "text")),
     "hilbert general:8 --m 30 --t-range 0..9000 --format json",
     "hilbert general:8 --m 30 --t-range 0..9000 --format text",
     "hilbert general:8 --m 30 --t-range 0..9000 --format csv",

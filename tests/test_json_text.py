@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 from itertools import chain
 
@@ -11,10 +12,11 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ginlab import MonomialStaircase, PointConfig, gin_staircase, shape_report
-from ginlab.exporters import (CHUNK, _batches, _IntRuns, intercept_str, json_pieces, rational_str,
-                              shape_json, staircase_json)
+from ginlab.exporters import (BREAK_EVEN, CHUNK, _batches, _IntRuns, _window, generator_line,
+                              intercept_str, json_pieces, long_runs, rational_str, render_ranges,
+                              render_runs, shape_json, staircase_json, staircase_payload)
 from ginlab.staircase import colength
-from oracles import shgh_with_alpha
+from oracles import expected_generator_line, shgh_with_alpha
 
 
 def joined(payload) -> str:
@@ -137,6 +139,57 @@ def test_large_staircase_matches_json_dumps():
 def test_staircases_across_chunk_boundaries_match_json_dumps(a):
     s = shgh_with_alpha(a)
     assert staircase_json(s).split("\n") == expected_staircase_json(s).split("\n")
+
+
+# render_ranges against render_runs over the expanded ints: ranges of each
+# length that cross from at - 1 to at, or that reach 0 when at is 0, downward
+# and upward, two segments per array so that the second starts with sep
+@pytest.mark.parametrize("item", ["%d", "[\n      %d,\n      %d\n    ]", "x^%dy^%d"])
+@pytest.mark.parametrize("length", [1, 2, BREAK_EVEN - 1, BREAK_EVEN, BREAK_EVEN + 1,
+                                    999, 1000, 1001, 2500])
+@pytest.mark.parametrize("at", [0, 1000, 10000, 100000])
+def test_range_pieces_match_render_runs(at, length, item):
+    top, bottom = max(at + length // 2, length - 1), max(at - length // 2, 0)
+    down, up = range(top, top - length, -1), range(bottom, bottom + length)
+    segments = [(down,), (up,)] if item == "%d" else [(down, up), (up, down)]
+    ints = [n for segment in segments for column in zip(*segment) for n in column]
+    pieces = list(render_ranges(segments, item, ", ", "<"))
+    assert "".join(pieces) == "".join(render_runs(_batches(iter(ints), CHUNK), item, ", ", "<"))
+    assert max(len(re.findall(r"\d+", piece)) for piece in pieces) <= CHUNK
+
+
+# a window inside one segment, across two, and before and after others
+@pytest.mark.parametrize("start,stop,expected", [
+    (1, 3, [(range(1, 3), range(11, 13))]),
+    (3, 7, [(range(3, 5), range(13, 15)), (range(5, 7), range(15, 17))]),
+    (0, 9, [(range(5), range(10, 15)), (range(5, 9), range(15, 19))]),
+    (6, 8, [(range(6, 8), range(16, 18))]),
+])
+def test_window_cuts_columns_from_segments(start, stop, expected):
+    segments = [(range(5), range(10, 15)), (range(5, 9), range(15, 19)),
+                (range(9, 12), range(19, 22))]
+    assert list(_window(iter(segments), start, stop)) == expected
+
+
+# whole documents through the tables: heights and x-exponents that reach 999,
+# 1000 and 1001 columns, and cross 10000 and 100000
+@pytest.mark.parametrize("a", [999, 1000, 1001, 10000, 100001])
+def test_long_run_staircases_match_json_dumps_and_the_text_line(a):
+    s = shgh_with_alpha(a)
+    assert long_runs(s)
+    assert staircase_json(s).split("\n") == expected_staircase_json(s).split("\n")
+    assert "generators: " + "".join(generator_line(s)) == expected_generator_line(s)
+
+
+# general:7 staircases whose runs average 38.5 and 43.1 columns, each side of
+# BREAK_EVEN: the choice is made from the runs, and either way the bytes hold
+@pytest.mark.parametrize("m,render", [(29, render_runs), (115, render_ranges)])
+def test_runs_at_the_break_even_choose_the_renderer(m, render):
+    s = gin_staircase(PointConfig.general(7), m)
+    payload = staircase_payload(s)
+    assert payload["lambdas"].render is payload["generators"].render is render
+    assert staircase_json(s) == expected_staircase_json(s)
+    assert "generators: " + "".join(generator_line(s)) == expected_generator_line(s)
 
 
 def test_staircase_json_never_builds_the_generator_pairs(monkeypatch):

@@ -18,7 +18,7 @@ from ginlab import (DivisorClass, EffectivityResult, MonomialStaircase, PointCon
                     ShapeReport, SquareRootIntercept, VerifyReport,
                     exceptional_classes, exporters, gin_staircase)
 from ginlab.errors import ComputationGuardError
-from ginlab.exporters import _IntRuns
+from ginlab.exporters import _IntRuns, render_ranges, render_runs
 from ginlab.verify import VerifyCheck
 
 
@@ -54,8 +54,9 @@ RECORDS = {
                   {"name": "class-list", "passed": False, "detail": "off"}),
     VerifyReport: (lambda: {"max_m": 5, "checks": (VerifyCheck("colength", True, "ok"),)},
                    {"max_m": 6, "checks": ()}),
-    _IntRuns: (lambda: {"runs": ((1, 2, 3, 4),), "width": 2, "leaf": '"%d/%d"'},
-               {"runs": ((5,),), "width": 1, "leaf": "%d"}),
+    _IntRuns: (lambda: {"runs": ((1, 2, 3, 4),), "width": 2, "leaf": '"%d/%d"',
+                        "render": render_runs},
+               {"runs": ((5,),), "width": 1, "leaf": "%d", "render": render_ranges}),
 }
 TYPES = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 
@@ -251,6 +252,31 @@ def test_cli_main_loads_argparse_and_json_only_when_used(argv, loaded):
                             capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert result.stderr.splitlines()[-1] == f"0 {loaded}"
+
+
+# each argv through main, output dropped, then how many suffix tables were built
+_COUNT_TABLES = ("import io, sys, ginlab.cli\n"
+                 "sys.stdout = io.StringIO()\n"
+                 "codes = [ginlab.cli.main(argv.split()) for argv in sys.argv[1:]]\n"
+                 "from ginlab import exporters\n"
+                 "print(codes, exporters._suffixes.cache_info().currsize, file=sys.stderr)")
+
+
+@pytest.mark.parametrize("argvs,built", [
+    (["hilbert general:8 --m 30 --t-range 0..3000 --format json",
+      "hilbert shgh:16 --m 40 --t-range 0..3000 --format text",
+      "shape shgh:16 --m-list 2000,4000 --format json", "shape shgh:16 --m-list 2000 --format svg",
+      "shape general:8 --m-list 300,600 --format csv", "verify shgh:16 --max-m 12",
+      "verify general:8 --max-m 12 --format json"], 0),
+    (["gin shgh:16 --m 2000 --format text"], 1),
+])
+def test_only_a_staircase_array_builds_the_suffix_tables(argvs, built):
+    # sweep's hilbert, shape and verify documents render no staircase array,
+    # so they must not pay for the tables
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-S", "-c", _COUNT_TABLES, *argvs], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stderr.splitlines()[-1] == f"{[0] * len(argvs)} {built}"
 
 
 def test_entry_path_and_package_import_skip_fractions():
