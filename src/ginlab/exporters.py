@@ -225,7 +225,7 @@ def long_runs(s: MonomialStaircase) -> bool:
 
 
 def heights_down(s: MonomialStaircase) -> Iterator[int]:
-    """The heights of columns alpha down to 0, the order of s.generators, in
+    """Column heights from alpha down to 0, the documents' generator order, in
     one backward pass over the runs: x^alpha's 0 first, then each run reversed."""
     return chain((0,), chain.from_iterable(map(reversed, reversed(s.runs))))
 
@@ -244,7 +244,7 @@ def _column_run(top: int, ys: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def column_ranges(s: MonomialStaircase) -> Iterator[tuple[range, range]]:
-    """The (x, height) columns of s.generators as segments of render_ranges:
+    """The generators' (x, height) columns as segments of render_ranges:
     x^alpha, then one (x, height) range pair per run, in heights_down's order."""
     x = s.alpha
     yield range(x, x - 1, -1), range(1)

@@ -9,13 +9,13 @@ r >= 9 general points the staircase has a closed form, which serves that
 kind directly.  Both keep a staircase as its runs, one step -1 range of
 column heights per generator degree, and never expand the profile.  Only
 this module and `exporters`, whose writers read the runs in one pass each,
-know that layout; no reader slices a staircase by column.
+know that layout; other readers take `run_starts`, each run's first column.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import accumulate, islice
 from operator import attrgetter, lt, mul
 
 from .errors import ComputationGuardError
@@ -29,9 +29,9 @@ _START, _STOP = attrgetter("start"), attrgetter("stop")  # a step -1 run's first
 class MonomialStaircase(Record, fields="alpha runs m config"):
     """Staircase of a Borel-fixed monomial ideal in x and y.
 
-    Column i < alpha has height lambdas[i], the least e with x^i y^e in the
+    Column i < alpha has height lambda_i, the least e with x^i y^e in the
     ideal, and x^alpha is the lowest pure power of x.  Borel-fixedness forces
-    the strictly decreasing profile lambdas[0] > lambdas[1] > ... >= 1.
+    the strictly decreasing profile lambda_0 > lambda_1 > ... >= 1.
     ``runs`` holds it from column 0 as step -1 ranges, one per maximal stretch
     falling by exactly 1, which is one generator degree: O(runs), not O(alpha).
     """
@@ -64,22 +64,10 @@ class MonomialStaircase(Record, fields="alpha runs m config"):
         return self.runs[0][0]
 
     @property
-    def lambdas(self) -> tuple[int, ...]:
-        """Every column height, expanded: O(alpha), for oracles and library callers."""
-        return tuple(chain.from_iterable(self.runs))
-
-    @property
-    def generators(self) -> tuple[tuple[int, int], ...]:
-        """Minimal generators as (x, y) exponents, descending x-exponent."""
-        return ((self.alpha, 0), *zip(range(self.alpha - 1, -1, -1), reversed(self.lambdas)))
-
-    def contains(self, x: int, y: int) -> bool:
-        """Monomial membership of x^x y^y, O(runs); columns from alpha on have height 0."""
-        for run in self.runs:
-            if 0 <= x < len(run):
-                return y >= run[x]
-            x -= len(run)
-        return x >= 0 and y >= 0  # x is now x - alpha, negative if it was
+    def run_starts(self) -> tuple[tuple[int, int], ...]:
+        """(x, y) of each run's first column, ascending in x, then (alpha, 0):
+        the first generator of each degree, O(runs)."""
+        return tuple(zip(accumulate(map(len, self.runs), initial=0), (*map(_START, self.runs), 0)))
 
 
 def xy_count(config: PointConfig, m: int, t: int) -> int:

@@ -5,16 +5,17 @@ engine under test: class lists against brute-force lattice enumeration, orbit
 peeling against curve-by-curve peeling, section counts against the
 interpolation count on nef classes, staircase colengths against the scheme
 length, scaled staircases against the limit shape (one verdict for every
-kind, ``shape.check_convergence``), and generator products at m against the
-staircase at 2m (the graded system).  First differences of the Hilbert
-function are read through ``staircase.xy_count``, whose guard holds each to
-[0, t+1].  The table ``_CHECKS`` lists the checks in report order with the
-kinds each runs on.
+kind, ``shape.check_convergence``), generator products at m against the
+staircase at 2m (the graded system), and the shgh closed form's degree
+counts against the Hilbert function, both read off run starts.  First
+differences of the Hilbert function are read through ``staircase.xy_count``,
+whose guard holds each to [0, t+1].  The table ``_CHECKS`` lists the checks in
+report order with the kinds each runs on.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import combinations_with_replacement
 from math import comb, isqrt
@@ -24,7 +25,7 @@ from .hilbert import alpha, hilbert_fn, nef_threshold
 from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, PointConfig, Record,
                       canonical_class, exceptional_classes, intersect, reduce_to_nef)
 from .shape import check_convergence, shape_report
-from .staircase import gin_staircase, shgh_gin_closed_form, xy_count
+from .staircase import MonomialStaircase, gin_staircase, shgh_gin_closed_form, xy_count
 
 DEFAULT_MAX_M = 50
 
@@ -160,34 +161,43 @@ def _check_convergence(config: PointConfig, max_m: int) -> tuple[bool, str]:
     return check_convergence(config, range(1, max_m + 1))
 
 
+def _products_inside(small: MonomialStaircase, big: MonomialStaircase) -> bool:
+    """Whether all products of two generators of ``small`` lie in ``big``.
+
+    Along a run the height falls by exactly 1 per column, and big's profile by
+    at least 1 until it reaches 0, so a product's margin never shrinks along
+    either factor's run: run starts decide every pair, O(runs^2).  Big's height
+    at k < alpha is y_q - (k - x_q), (x_q, y_q) its last run start at or
+    before k, so x^k y^e is in big when k + e >= x_q + y_q, as from alpha on."""
+    xs, degrees = zip(*[(x, x + y) for x, y in big.run_starts])
+    return all(x1 + x2 + y1 + y2 >= degrees[bisect_right(xs, x1 + x2) - 1]
+               for (x1, y1), (x2, y2) in combinations_with_replacement(small.run_starts, 2))
+
+
 def _check_graded_and_nested(config: PointConfig, max_m: int) -> tuple[bool, str]:
-    # Generator products generate ideal(m)^2, so they decide ideal(m)^2 inside
-    # ideal(2m).  The pair (g, g) is g scaled by 2, so the 1/m-scaled regions
-    # nest whenever the products do.
+    # Products of generators generate ideal(m)^2; (g, g) is g scaled by 2, so
+    # the 1/m-scaled regions nest whenever the products lie in ideal(2m).
     for m in range(1, max_m // 2 + 1):
-        big = gin_staircase(config, 2 * m)
-        # big's profile expanded once and indexed: each contains call is O(runs)
-        a, heights = big.alpha, big.lambdas
-        pairs = combinations_with_replacement(gin_staircase(config, m).generators, 2)
-        if not all(x1 + x2 >= a or y1 + y2 >= heights[x1 + x2] for (x1, y1), (x2, y2) in pairs):
+        if not _products_inside(gin_staircase(config, m), gin_staircase(config, 2 * m)):
             return False, f"products escape at m={m}"
     if max_m < 2:
         return True, f"no pair m, 2m <= {max_m}; no product checked"
     return True, f"products and scaled nesting hold for m <= {max_m // 2}"
 
 
+def _degree_count(s: MonomialStaircase, t: int) -> int:
+    """Degree-t monomials in s's ideal: column degrees x + lambda_x never rise
+    with x, so x^k y^(t-k) is in from the first run start of degree <= t on."""
+    return t + 1 - next((x for x, y in s.run_starts if x + y <= t), t + 1)
+
+
 def _check_shgh_closed_form(config: PointConfig, max_m: int) -> tuple[bool, str]:
-    # A strictly decreasing profile is Borel-fixed, so its degree counts
-    # determine it: matching xy_count, H(t) - H(t-1), around the generator
-    # degrees is equality with the staircase rebuilt from the Hilbert function.
-    # Each count is t + 1 less the first column of the top segment, bisected.
-    r = config.r
+    # Degree counts determine a strictly decreasing profile, so matching xy_count
+    # around the generator degrees is equality with the staircase rebuilt from H.
     for m in range(1, max_m + 1):
-        s = shgh_gin_closed_form(r, m)
-        for t in range(s.alpha - 1, s.zeta + 2):
-            count = t + 1 - bisect_left(range(t + 1), True, key=lambda i: s.contains(i, t - i))
-            if count != xy_count(config, m, t):
-                return False, f"reconstruction differs at m={m}"
+        s = shgh_gin_closed_form(config.r, m)
+        if any(_degree_count(s, t) != xy_count(config, m, t) for t in range(s.alpha - 1, s.zeta + 2)):
+            return False, f"reconstruction differs at m={m}"
     return True, f"closed form equals the reconstruction for m <= {max_m}"
 
 

@@ -10,11 +10,20 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations
 
 from ginlab import (DivisorClass, MonomialStaircase, PointConfig, SquareRootIntercept, exceptional_classes,
                     gin_staircase, hilbert_fn, intersect, nef_threshold, shgh_hilbert)
 from ginlab.hilbert import alpha_shgh
+
+
+# The limit intercepts of r <= 8 general points, (alpha-hat, nu), written down
+# apart from lattice.nef_ratio: alpha-hat = lim alpha(m)/m, the x-intercept,
+# from Nagata's table (Amer. J. Math. 81, 1959), and nu = r / alpha-hat, the
+# slope above which (t; m, ..., m) is nef, the y-intercept.
+GENERAL_INTERCEPTS = {r: (Fraction(*a), Fraction(*nu)) for r, a, nu in (
+    (2, (1, 1), (2, 1)), (3, (3, 2), (2, 1)), (4, (2, 1), (2, 1)), (5, (2, 1), (5, 2)),
+    (6, (12, 5), (5, 2)), (7, (21, 8), (8, 3)), (8, (48, 17), (17, 6)))}
 
 
 # Written before the template list and deliberately independent of it: scan
@@ -108,11 +117,44 @@ def closed_form_heights(r: int, m: int) -> tuple[int, ...]:
     return (*range(a + 1, eta, -1), *range(eta - 1, 0, -1))
 
 
+# A staircase expanded, O(alpha): what the record itself never builds.
+def heights(s: MonomialStaircase) -> tuple[int, ...]:
+    """Every column height from column 0."""
+    return tuple(chain.from_iterable(s.runs))
+
+
+def generators(s: MonomialStaircase) -> tuple[tuple[int, int], ...]:
+    """The minimal generators as (x, y) exponents, x^alpha first, descending x."""
+    profile = heights(s)
+    return ((s.alpha, 0), *((x, profile[x]) for x in range(s.alpha - 1, -1, -1)))
+
+
+def membership(s: MonomialStaircase):
+    """x^x y^y in the ideal, read off the expanded profile: x, y >= 0 and y at
+    least column x's height, which is 0 from alpha on."""
+    profile = heights(s)
+    return lambda x, y: x >= 0 and y >= 0 and y >= (profile[x] if x < s.alpha else 0)
+
+
+# The graded row's oracle: every pair of generators of small, its product
+# tested against big's expanded profile, O(alpha^2).
+def products_inside_all_pairs(small: MonomialStaircase, big: MonomialStaircase) -> bool:
+    inside = membership(big)
+    return all(inside(x1 + x2, y1 + y2)
+               for (x1, y1), (x2, y2) in combinations_with_replacement(generators(small), 2))
+
+
+# The closed-form row's oracle: the degree-t monomials of the ideal, one by one.
+def degree_count(s: MonomialStaircase, t: int) -> int:
+    inside = membership(s)
+    return sum(inside(k, t - k) for k in range(t + 1))
+
+
 def expected_generator_line(s: MonomialStaircase) -> str:
     """The text generator line built pair by pair."""
     def monomial(x: int, y: int) -> str:
         return (f"x^{x}" if x > 1 else "x" * x) + (f"y^{y}" if y > 1 else "y" * y)
-    return "generators: " + " ".join(monomial(x, y) for x, y in s.generators)
+    return "generators: " + " ".join(monomial(x, y) for x, y in generators(s))
 
 
 def shgh_with_alpha(a: int) -> MonomialStaircase:

@@ -14,7 +14,8 @@ corpus under each tree, in one child process per tree that calls
   whose JSON corners span many runs; large gin and hilbert documents, whose
   arrays and rows span many runs; gin documents at the digit and break-even
   boundaries of the range renderer; every `hilbert` format at one degree; the
-  ends of the gin text line; `classes` documents; and usage errors.
+  ends of the gin text line; `classes` documents; usage errors; and
+  `verify` at `--max-m` 60 and 100.
 
 Then it runs PROCESSES, a short list, through `python -m ginlab` itself,
 one child process per argv and tree, so that the exit path (`cli.run`'s
@@ -86,6 +87,11 @@ EXTRA = [
     "classes general:8",  # 240 classes
     "classes general:2",
     "classes collinear:8 --format json",
+    # verify where the graded-system and closed-form rows read many run
+    # starts: m up to 50, and collinear staircases of about alpha/2 runs
+    "verify general:7 --max-m 100",
+    "verify shgh:9 --max-m 100 --format json",
+    "verify collinear:4 --max-m 60",
 ]
 # run through `python -m ginlab`: a document, help, a usage error, a refused
 # value and a JSON document

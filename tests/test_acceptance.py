@@ -11,7 +11,8 @@ from math import comb
 
 from ginlab import (PointConfig, alpha, exceptional_classes, gin_staircase, hilbert_fn,
                     nef_threshold, shgh_gin_closed_form, verify)
-from oracles import oracle_neg_one_classes, scan_shgh_staircase
+from oracles import (GENERAL_INTERCEPTS, generators, heights, membership, oracle_neg_one_classes,
+                     scan_shgh_staircase)
 
 F = Fraction
 
@@ -50,7 +51,7 @@ def _landmark_failures(r: int, m: int, a: int, h_a: int, h_next: int, top: int) 
         failures.append(f"H({a})={hilbert_fn(config, m, a)}, expected {h_a}")
     if hilbert_fn(config, m, a + 1) != h_next:
         failures.append(f"H({a + 1})={hilbert_fn(config, m, a + 1)}, expected {h_next}")
-    degrees = [x + y for x, y in gin_staircase(config, m).generators]
+    degrees = [x + y for x, y in generators(gin_staircase(config, m))]
     if max(degrees) != top:
         failures.append(f"top generator degree {max(degrees)}, expected {top}")
     return failures
@@ -82,15 +83,14 @@ def test_criterion_05_colength_identity():
     for config in ALL_CONFIGS:
         r = config.r
         for m in range(1, 51):
-            s = gin_staircase(config, m)
-            if sum(s.lambdas) != r * m * (m + 1) // 2:
-                failures.append(f"{config}, m={m}: colength {sum(s.lambdas)} "
-                                f"!= {r * m * (m + 1) // 2}")
+            count = sum(heights(gin_staircase(config, m)))
+            if count != r * m * (m + 1) // 2:
+                failures.append(f"{config}, m={m}: colength {count} != {r * m * (m + 1) // 2}")
         # independent recount on a small sample: walk the grid below the top row
         for m in (1, 2, 3):
             s = gin_staircase(config, m)
-            cells = sum(1 for x in range(s.alpha) for y in range(s.lambdas[0])
-                        if not s.contains(x, y))
+            inside = membership(s)
+            cells = sum(1 for x in range(s.alpha) for y in range(s.zeta) if not inside(x, y))
             if cells != r * m * (m + 1) // 2:
                 failures.append(f"{config}, m={m}: grid recount {cells} disagrees")
     ok = _verdict(5, "staircase colength equals r*m*(m+1)/2 for general:2..8, "
@@ -104,18 +104,13 @@ def _within_sqrt(value: F, radicand: int, tol: F) -> bool:
 
 
 def test_criterion_06_intercept_convergence():
-    rational_rows = [
-        (PointConfig.general(2), range(10, 101, 10), F(1), F(2)),
-        (PointConfig.general(3), range(10, 101, 10), F(3, 2), F(2)),
-        (PointConfig.general(4), range(10, 101, 10), F(2), F(2)),
-        (PointConfig.general(5), range(10, 101, 10), F(2), F(5, 2)),
-        (PointConfig.general(6), range(10, 101, 10), F(12, 5), F(5, 2)),
-        (PointConfig.general(7), range(24, 241, 24), F(21, 8), F(8, 3)),
-        (PointConfig.general(8), range(102, 511, 102), F(48, 17), F(17, 6)),
-    ]
+    # the divisibility sequence of each r: every 10th m, and multiples of 24 and 102
+    sequences = {**dict.fromkeys(range(2, 7), range(10, 101, 10)), 7: range(24, 241, 24),
+                 8: range(102, 511, 102)}
     failures = []
-    for config, ms, g1, g2 in rational_rows:
-        for m in sorted(set(ms) | set(range(1, 61))):
+    for r, (g1, g2) in GENERAL_INTERCEPTS.items():
+        config = PointConfig.general(r)
+        for m in sorted(set(sequences[r]) | set(range(1, 61))):
             s = gin_staircase(config, m)
             tol = F(3, m)
             if abs(F(s.alpha, m) - g1) > tol:
@@ -169,12 +164,12 @@ def test_criterion_09_collinear_degrees_and_shape():
         config = PointConfig.collinear_plus_one(l)
         for m in range(1, 61):
             s = gin_staircase(config, m)
-            degrees = [x + y for x, y in s.generators]
+            degrees = [x + y for x, y in generators(s)]
             if min(degrees) != -(-(2 * l - 1) * m // l):
                 failures.append(f"l={l}, m={m}: lowest degree {min(degrees)}")
             if max(degrees) != l * m:
                 failures.append(f"l={l}, m={m}: highest degree {max(degrees)}")
-            if F(sum(s.lambdas), m * m) != F((l + 1) * (m + 1), 2 * m):
+            if F(sum(heights(s)), m * m) != F((l + 1) * (m + 1), 2 * m):
                 failures.append(f"l={l}, m={m}: colength ratio off")
         if not F(2 * l - 1, 2) > F(l + 1, 2):
             failures.append(f"l={l}: single-segment area fails to exceed the limit area")

@@ -14,6 +14,7 @@ from ginlab import hilbert, lattice, shape
 from ginlab import (DivisorClass, PointConfig, alpha, alpha_shgh, exceptional_classes,
                     gin_staircase, hilbert_fn, nef_threshold, shgh_hilbert)
 from ginlab.errors import ComputationGuardError
+from oracles import GENERAL_INTERCEPTS
 
 
 # Oracle for the closed-form initial degree: plain linear scan of the count.
@@ -172,8 +173,7 @@ def test_alpha_matches_linear_scan(spec):
 
 # alpha(m)/m tends to r/nu; for r <= 8 it is exactly the ceiling at every m
 # checked, which no part of the engine assumes
-@pytest.mark.parametrize("r,w", [(2, F(1)), (3, F(3, 2)), (4, F(2)), (5, F(2)),
-                                 (6, F(12, 5)), (7, F(21, 8)), (8, F(48, 17))])
+@pytest.mark.parametrize("r,w", [(r, g1) for r, (g1, _) in GENERAL_INTERCEPTS.items()])
 def test_alpha_general_is_ceiling_of_linear_bound(r, w):
     config = PointConfig.general(r)
     for m in range(1, 201):
@@ -202,8 +202,8 @@ def test_nef_threshold_values():
     assert nef_threshold(PointConfig.general(2), 5) == 10
     assert nef_threshold(PointConfig.collinear_plus_one(3), 6) == 18
     assert nef_threshold(PointConfig.general(6), 0) == 0
-    slopes = [F(2), F(2), F(2), F(5, 2), F(5, 2), F(8, 3), F(17, 6)]
-    assert [F(*lattice.nef_ratio(PointConfig.general(r))) for r in range(2, 9)] == slopes
+    for r, (_, nu) in GENERAL_INTERCEPTS.items():
+        assert F(*lattice.nef_ratio(PointConfig.general(r))) == nu
     for l in range(3, 9):
         assert F(*lattice.nef_ratio(PointConfig.collinear_plus_one(l))) == l
 

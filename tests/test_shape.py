@@ -15,22 +15,13 @@ from ginlab import (PointConfig, Rational, SquareRootIntercept, check_convergenc
                     theoretical_shape)
 from ginlab.exporters import shape_json
 from ginlab.shape import _near
-from oracles import near_oracle
+from oracles import GENERAL_INTERCEPTS, near_oracle
 
 F = Fraction
 
 
 def test_theoretical_shape_table():
-    expected = {
-        2: (F(1), F(2)),
-        3: (F(3, 2), F(2)),
-        4: (F(2), F(2)),
-        5: (F(2), F(5, 2)),
-        6: (F(12, 5), F(5, 2)),
-        7: (F(21, 8), F(8, 3)),
-        8: (F(48, 17), F(17, 6)),
-    }
-    for r, pair in expected.items():
+    for r, pair in GENERAL_INTERCEPTS.items():
         assert tuple(F(*g) for g in theoretical_shape(PointConfig.general(r))) == pair
         assert pair[0] * pair[1] == r
     for r in (9, 10, 16):

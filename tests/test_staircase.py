@@ -14,17 +14,18 @@ from ginlab import (MonomialStaircase, PointConfig, alpha, colength, gin_stairca
 from ginlab.errors import ComputationGuardError
 from ginlab.exporters import heights_down
 from ginlab.lattice import SHGH, uniform_h0
-from oracles import closed_form_heights, scan_shgh_staircase, staircase_of, walk_heights
+from oracles import (closed_form_heights, generators, heights, membership, scan_shgh_staircase,
+                     staircase_of, walk_heights)
 
 
 # Oracle: count the complement by walking the grid, independently of the
 # column-sum shortcut inside colength().
 def grid_complement_count(s: MonomialStaircase) -> int:
-    top = s.lambdas[0] if s.lambdas else 1
+    inside = membership(s)
     return sum(1
                for x in range(0, s.alpha)
-               for y in range(0, top)
-               if not s.contains(x, y))
+               for y in range(0, s.zeta)
+               if not inside(x, y))
 
 
 def test_xy_count_anchors():
@@ -40,15 +41,15 @@ def test_staircase_r6_m10_frozen():
     assert s.alpha == 24
     assert s.zeta == 26
     expected = tuple(26 - i for i in range(6)) + tuple(25 - i for i in range(6, 24))
-    assert s.lambdas == expected
-    assert len(s.generators) == s.alpha + 1
+    assert heights(s) == expected
+    assert s.run_starts == ((0, 26), (6, 19), (24, 0))
     assert colength(s) == 330
     assert not s.config.conjectural
 
 
 def test_staircase_two_points_multiplicity_one():
     s = gin_staircase(PointConfig.general(2), 1)
-    assert s.generators == ((1, 0), (0, 2))
+    assert generators(s) == ((1, 0), (0, 2))
     assert colength(s) == 2
 
 
@@ -56,17 +57,17 @@ def test_staircase_collinear_frozen():
     s = gin_staircase(PointConfig.collinear_plus_one(3), 6)
     assert s.alpha == 10
     assert s.zeta == 18
-    assert s.lambdas == (18, 15, 12, 9, 8, 7, 6, 4, 3, 2)
+    assert heights(s) == (18, 15, 12, 9, 8, 7, 6, 4, 3, 2)
     assert colength(s) == 84
 
 
 def test_closed_form_two_degree_case():
     s = shgh_gin_closed_form(9, 1)
-    assert s.generators == ((3, 0), (2, 2), (1, 3), (0, 4))
+    assert generators(s) == ((3, 0), (2, 2), (1, 3), (0, 4))
     assert s.config.conjectural
     s = shgh_gin_closed_form(9, 5)
     assert s.alpha == 15
-    assert s.lambdas == tuple(16 - i for i in range(15))
+    assert heights(s) == tuple(16 - i for i in range(15))
     assert colength(s) == 135
 
 
@@ -74,12 +75,12 @@ def test_closed_form_single_degree_case():
     # r*m*(m+1) = alpha*(alpha+1) makes every generator sit in degree alpha
     s = shgh_gin_closed_form(15, 1)
     assert s.alpha == 5
-    assert s.lambdas == (5, 4, 3, 2, 1)
-    assert {x + y for x, y in s.generators} == {5}
+    assert heights(s) == (5, 4, 3, 2, 1)
+    assert {x + y for x, y in generators(s)} == {5}
     s = shgh_gin_closed_form(12, 2)
     assert s.alpha == 8
-    assert s.lambdas == (8, 7, 6, 5, 4, 3, 2, 1)
-    assert {x + y for x, y in s.generators} == {8}
+    assert heights(s) == (8, 7, 6, 5, 4, 3, 2, 1)
+    assert {x + y for x, y in generators(s)} == {8}
 
 
 @pytest.mark.parametrize("r", range(9, 17))
@@ -127,10 +128,10 @@ def test_colength_identity_and_grid_oracle(spec):
 
 
 def test_generator_degrees_weakly_decrease_with_x():
-    # Borel-fixedness in two variables: i + lambdas[i] is nonincreasing in i
+    # Borel-fixedness in two variables: i + lambda_i is nonincreasing in i
     for spec, m in (("general:6", 10), ("general:7", 24), ("collinear:4", 12)):
         s = gin_staircase(PointConfig.parse(spec), m)
-        degs = [x + y for x, y in s.generators]  # descending x order
+        degs = [x + y for x, y in generators(s)]  # descending x order
         assert degs == sorted(degs)
 
 
@@ -143,18 +144,18 @@ def test_generator_degrees_span_alpha_to_zeta(spec):
     config = PointConfig.parse(spec)
     for m in range(1, 41):
         s = gin_staircase(config, m)
-        degrees = [x + y for x, y in s.generators]
+        degrees = [x + y for x, y in generators(s)]
         assert (min(degrees), max(degrees)) == (s.alpha, s.zeta), m
 
 
-def test_contains_membership():
-    s = gin_staircase(PointConfig.general(2), 1)  # generators x, y^2
-    assert s.contains(1, 0)
-    assert s.contains(5, 3)
-    assert s.contains(0, 2)
-    assert not s.contains(0, 1)
-    assert not s.contains(0, 0)
-    assert not s.contains(-1, 4)
+def test_run_starts_give_the_first_generator_of_each_degree():
+    assert gin_staircase(PointConfig.general(2), 1).run_starts == ((0, 2), (1, 0))  # y^2, x
+    # every generator of shgh:15 at m = 1 is in degree 5, x^5 too, so two
+    # starts share a degree there
+    assert shgh_gin_closed_form(15, 1).run_starts == ((0, 5), (5, 0))
+    assert shgh_gin_closed_form(9, 1).run_starts == ((0, 4), (3, 0))
+    s = gin_staircase(PointConfig.collinear_plus_one(3), 6)  # heights 18, 15, 12, 9..6, 4..2
+    assert s.run_starts == ((0, 18), (1, 15), (2, 12), (3, 9), (7, 4), (10, 0))
 
 
 def test_staircase_validation_rejects_bad_profiles():
@@ -244,16 +245,16 @@ CONFIGS = st.one_of(st.builds("general:{}".format, st.integers(2, 8)),
                     st.builds("shgh:{}".format, st.integers(9, 40)))
 
 
-@given(CONFIGS, st.integers(1, 300), st.data())
+@given(CONFIGS, st.integers(1, 300))
 @settings(max_examples=150, deadline=None)
-def test_runs_expand_to_the_tuple_oracle(spec, m, data):
+def test_runs_expand_to_the_tuple_oracle(spec, m):
     config = PointConfig.parse(spec)
     s = gin_staircase(config, m)
     oracle = closed_form_heights(config.r, m) if config.kind == SHGH else walk_heights(config, m)
-    heights = s.lambdas
-    assert heights == oracle and s.alpha == len(oracle)
+    profile = heights(s)
+    assert profile == oracle and s.alpha == len(oracle)
     # canonical: non-empty step -1 ranges, each the generators of one degree
-    # i + lambdas[i], and the degrees strictly fall from run to run
+    # i + lambda_i, and the degrees strictly fall from run to run
     column, degrees = 0, []
     for run in s.runs:
         assert isinstance(run, range) and run.step == -1 and len(run) > 0
@@ -261,14 +262,11 @@ def test_runs_expand_to_the_tuple_oracle(spec, m, data):
         degrees.append(degree)
         column += len(run)
     assert degrees == sorted(set(degrees), reverse=True)
-    assert set(degrees) == {i + h for i, h in enumerate(heights)}
-    assert colength(s) == sum(heights)
-    assert s.zeta == heights[0]
-    assert s.generators == ((s.alpha, 0), *((i, heights[i]) for i in range(s.alpha - 1, -1, -1)))
-    drawn = data.draw(st.lists(st.integers(0, s.alpha - 1), max_size=12))
-    for x in {-1, 0, s.alpha - 1, s.alpha, s.alpha + 1, *drawn}:
-        height = heights[x] if 0 <= x < s.alpha else 0
-        for y in (-1, height - 1, height):
-            assert s.contains(x, y) == (x >= 0 and y >= 0 and y >= height), (x, y)
+    assert set(degrees) == {i + h for i, h in enumerate(profile)}
+    assert colength(s) == sum(profile)
+    assert s.zeta == profile[0]
+    # the run starts: column 0 and each column that drops by 2 or more, then x^alpha
+    assert s.run_starts == (*((i, h) for i, h in enumerate(profile)
+                              if i == 0 or profile[i - 1] - h > 1), (s.alpha, 0))
     # the writers' backward pass, reversed, is the expansion and x^alpha's 0
-    assert tuple(heights_down(s))[::-1] == (*heights, 0)
+    assert tuple(heights_down(s))[::-1] == (*profile, 0)

@@ -18,7 +18,7 @@ from ginlab.exporters import CHUNK, shape_csv, shape_json, shape_svg, staircase_
 from ginlab.hilbert import hilbert_fn
 from ginlab.lattice import canonical_class, exceptional_classes, intersect, uniform_h0
 from ginlab.verify import run_verification
-from oracles import expected_generator_line
+from oracles import expected_generator_line, heights
 
 
 def gin_text(spec: str, m: int) -> str:
@@ -26,7 +26,7 @@ def gin_text(spec: str, m: int) -> str:
     s = gin_staircase(PointConfig.parse(spec), m)
     return "\n".join([
         f"# {s.config}, m={m}" + (" (conjectural)" if s.config.conjectural else ""),
-        f"alpha={s.alpha} zeta={s.zeta} colength={sum(s.lambdas)}",
+        f"alpha={s.alpha} zeta={s.zeta} colength={sum(heights(s))}",
         expected_generator_line(s),
     ])
 

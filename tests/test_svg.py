@@ -11,6 +11,7 @@ import pytest
 
 from ginlab import PointConfig, shape_report
 from ginlab.exporters import _PAD, _UNIT, _fmt, shape_svg
+from oracles import heights
 
 
 def staircase_outline(entry) -> list[tuple[float, float]]:
@@ -18,7 +19,7 @@ def staircase_outline(entry) -> list[tuple[float, float]]:
     points per column, then down to (alpha/m, 0)."""
     m = entry.m
     points: list[tuple[float, float]] = []
-    for x, y in enumerate(entry.lambdas):  # column x spans x..x+1 at height y
+    for x, y in enumerate(heights(entry)):  # column x spans x..x+1 at height y
         points.append((x / m, y / m))
         points.append(((x + 1) / m, y / m))
     points.append((entry.alpha / m, 0.0))

@@ -5,13 +5,15 @@ from __future__ import annotations
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginlab import (DivisorClass, PointConfig, brute_force_exceptional_classes, cli,
                     exceptional_classes, gin_staircase, hilbert_fn, run_verification,
                     shgh_gin_closed_form)
 from ginlab import shape, verify
 from ginlab.lattice import uniform_h0
-from oracles import staircase_of
+from oracles import degree_count, heights, products_inside_all_pairs, staircase_of
 
 
 def clear_caches():
@@ -84,8 +86,8 @@ def test_run_verification_rejects_bad_max_m():
 
 def test_closed_form_check_catches_a_wrong_staircase(monkeypatch):
     def wrong(r, m):
-        s = shgh_gin_closed_form(r, m)
-        return staircase_of((s.lambdas[0] + 1,) + s.lambdas[1:], m, s.config)
+        profile = heights(shgh_gin_closed_form(r, m))
+        return staircase_of((profile[0] + 1,) + profile[1:], m, PointConfig.shgh(r))
 
     # only the check's own binding: the wrong staircase must be caught by the
     # closed-form check alone, not by colength inside the other checks
@@ -220,6 +222,45 @@ def test_a_failing_verify_document_byte_for_byte(monkeypatch, capsys, fmt):
     assert capsys.readouterr().out == FAILING_VERIFY[fmt]
 
 
+# The two failure details no other test reaches, each from one doctored
+# binding in verify: the graded row reads the staircase at m + 1 for every
+# even m, so the one at 2 is the one at 3, which the products at m = 1 escape;
+# the closed-form row reads the closed form at 4 for m = 3.
+DOCTORED_VERIFY = {
+    "graded-system": (
+        "ginlab.verify.gin_staircase", lambda config, m: gin_staircase(config, m + (m % 2 == 0)),
+        ["verify", "general:6", "--max-m", "4"],
+        "# verify general:6 --max-m 4\n"
+        "PASS class-list: 27 classes match brute-force enumeration\n"
+        "PASS orbit-engine: orbit peeling equals reduce_to_nef from alpha-1 to the nef"
+        " threshold+1 for m <= 4\n"
+        "PASS colength: equals r*m*(m+1)/2 for every m <= 4\n"
+        "PASS nef-range-agreement: matches the naive count on nef degrees for m <= 4\n"
+        "PASS first-differences: within [0, t+1] for m in [1, 2, 4]\n"
+        "PASS convergence: intercepts within 3/m for m <= 4\n"
+        "FAIL graded-system: products escape at m=1\n"
+        "1 check(s) failed\n"),
+    "closed-form": (
+        "ginlab.verify.shgh_gin_closed_form", lambda r, m: shgh_gin_closed_form(r, 4 if m == 3 else m),
+        ["verify", "shgh:10", "--max-m", "4"],
+        "# verify shgh:10 --max-m 4\n"
+        "PASS colength: equals r*m*(m+1)/2 for every m <= 4\n"
+        "FAIL closed-form: reconstruction differs at m=3\n"
+        "PASS first-differences: within [0, t+1] for m in [1, 2, 4]\n"
+        "PASS convergence: intercepts within 3/m for m <= 4\n"
+        "PASS graded-system: products and scaled nesting hold for m <= 2\n"
+        "1 check(s) failed\n"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(DOCTORED_VERIFY))
+def test_a_failing_row_document_byte_for_byte(monkeypatch, capsys, row):
+    target, doctored, argv, document = DOCTORED_VERIFY[row]
+    monkeypatch.setattr(target, doctored)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out == document
+
+
 def test_colength_and_convergence_read_shape_reports_staircases(monkeypatch):
     # both rows take their staircases from shape_report, whose guard rejects
     # the wrong colength; graded-system builds its own through verify's binding
@@ -278,8 +319,8 @@ def test_graded_check_catches_a_product_escaping(monkeypatch, m, column):
         s = gin_staircase(config, n)
         if n != 2 * m:
             return s
-        lambdas = (*s.lambdas[:column], s.lambdas[column] + 1, *s.lambdas[column + 1:])
-        return staircase_of(lambdas, n, config)
+        profile = heights(s)
+        return staircase_of((*profile[:column], profile[column] + 1, *profile[column + 1:]), n, config)
 
     # raising column i of staircase(2m) by one, still strictly decreasing,
     # leaves out x^i y^lambda_i, which is a product of two generators at m
@@ -295,3 +336,34 @@ def test_graded_check_without_a_pair_says_so(capsys):
     assert check == ("graded-system", True, "no pair m, 2m <= 1; no product checked")
     assert cli.main(["verify", "general:2", "--max-m", "1"]) == 0
     assert "PASS graded-system: no pair m, 2m <= 1; no product checked\n" in capsys.readouterr().out
+
+
+def profiles(top: int, width: int):
+    """Strictly decreasing profiles of up to ``width`` columns and heights up
+    to ``top``, as staircases; the config and m are placeholders, read by
+    neither helper."""
+    return st.sets(st.integers(1, top), min_size=1, max_size=width).map(
+        lambda hs: staircase_of(tuple(sorted(hs, reverse=True)), 1, PointConfig.general(2)))
+
+
+def test_run_starts_decide_the_graded_verdict():
+    # big twice the size of small, as the staircase at 2m is: about a third
+    # of the draws escape
+    seen = set()
+
+    @given(profiles(30, 12), profiles(60, 24))
+    @settings(max_examples=400, deadline=None)
+    def agrees(small, big):
+        verdict = verify._products_inside(small, big)
+        assert verdict == products_inside_all_pairs(small, big)
+        seen.add(verdict)
+
+    agrees()
+    assert seen == {True, False}
+
+
+@given(profiles(30, 12))
+@settings(max_examples=200, deadline=None)
+def test_run_starts_count_each_degree(s):
+    assert [verify._degree_count(s, t) for t in range(s.zeta + 3)] == [
+        degree_count(s, t) for t in range(s.zeta + 3)]
