@@ -152,6 +152,8 @@ class PointConfig(Record, fields="kind n"):
     __slots__ = ()
 
     def __new__(cls, kind: str, n: int) -> "PointConfig":
+        if type(n) is not int:  # a bool or 6.0 would pass the range tests
+            raise ValueError(f"point count must be an int, not {type(n).__name__}")
         if kind == GENERAL:
             if not 2 <= n <= 8:
                 raise ValueError("general-position engine covers 2 to 8 points")

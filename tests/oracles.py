@@ -1,4 +1,4 @@
-"""Independent oracles and input finders shared by the test modules.
+"""Independent oracles, input finders and helpers shared by the test modules.
 
 Each oracle rebuilds an engine result by a route that shares no code with
 the engine it checks, and none calls ``verify``'s own oracles.
@@ -6,6 +6,7 @@ the engine it checks, and none calls ``verify``'s own oracles.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -13,8 +14,19 @@ from functools import lru_cache
 from itertools import chain, combinations_with_replacement, permutations
 
 from ginlab import (DivisorClass, MonomialStaircase, PointConfig, SquareRootIntercept, exceptional_classes,
-                    gin_staircase, hilbert_fn, intersect, nef_threshold, shgh_hilbert)
-from ginlab.hilbert import alpha_shgh
+                    gin_staircase, hilbert_fn)
+from ginlab.hilbert import alpha_shgh, nef_threshold, shgh_hilbert
+from ginlab.lattice import intersect
+
+
+def clear_ginlab_caches() -> None:
+    """Empty ginlab's lru_caches, so that a cached function is entered as in
+    a fresh process."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ginlab."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 # The limit intercepts of r <= 8 general points, (alpha-hat, nu), written down

@@ -1,4 +1,5 @@
-"""Compare the command-line output of this checkout's src with a git revision's.
+"""Compare the command-line output and package surface of this checkout's src
+with a git revision's.
 
     python tests/same_bytes.py REV
 
@@ -21,11 +22,16 @@ Then it runs PROCESSES, a short list, through `python -m ginlab` itself,
 one child process per argv and tree, so that the exit path (`cli.run`'s
 flush and `os._exit`) is compared too.
 
+The corpus child also reports `sorted(ginlab.__all__)`, the package
+surface, of its tree.
+
 Prints each argv whose exit code, stdout sha256 or stderr differs, then a
-count.  An output change is allowed when the lines CHANGES.md gains since
-REV name its argv in backticks (`gin general:2 --m 1`, or `python -m ginlab
---help` for one of PROCESSES); it exits 1 if any differing argv is not named
-there.  It reads bench/ and tests/ and writes nothing there.
+count, then each name added to or removed from `ginlab.__all__`.  An output
+change is allowed when the lines CHANGES.md gains since REV name its argv in
+backticks (`gin general:2 --m 1`, or `python -m ginlab --help` for one of
+PROCESSES), and a surface change when they name it as `ginlab.NAME`; it
+exits 1 if any differing argv or changed name is not named there.  It reads
+bench/ and tests/ and writes nothing there.
 """
 
 from __future__ import annotations
@@ -103,12 +109,15 @@ PROCESSES = [
     "verify general:3 --max-m 3 --format json",
 ]
 
-# Runs in the child: argv lists as JSON lines on stdin, one JSON line per argv
-# on stdout, [exit code, stdout sha256, stderr].  COLUMNS is fixed by the
-# parent, so help screens wrap alike.
+# Runs in the child: argv lists as JSON lines on stdin; on stdout the sorted
+# ginlab.__all__ as one JSON line, then one JSON line per argv, [exit code,
+# stdout sha256, stderr].  COLUMNS is fixed by the parent, so help screens
+# wrap alike.
 CHILD = """
 import hashlib, io, json, sys
+import ginlab
 from ginlab import cli
+print(json.dumps(sorted(ginlab.__all__)))
 real = sys.stdout
 for line in sys.stdin:
     sys.stdout, sys.stderr = out, err = io.StringIO(), io.StringIO()
@@ -143,20 +152,21 @@ def corpus() -> list[list[str]]:
     return list(dict.fromkeys(map(tuple, argvs)))
 
 
-def run_tree(src: Path, argvs: list[tuple[str, ...]]) -> list[list]:
-    """[exit code, stdout sha256, stderr] of each argv under src: the corpus
-    in one child, then each of PROCESSES in a `python -m ginlab` child."""
+def run_tree(src: Path, argvs: list[tuple[str, ...]]) -> tuple[list[str], list[list]]:
+    """The sorted ginlab.__all__ under src, and [exit code, stdout sha256,
+    stderr] of each argv under it: the corpus in one child, then each of
+    PROCESSES in a `python -m ginlab` child."""
     env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
     stdin = "".join(json.dumps(argv) + "\n" for argv in argvs)
     done = subprocess.run([sys.executable, "-c", CHILD], input=stdin, capture_output=True,
                           text=True, env=env, cwd=tempfile.gettempdir(), check=True)
-    results = [json.loads(line) for line in done.stdout.splitlines()]
+    surface, *results = map(json.loads, done.stdout.splitlines())
     for command in PROCESSES:
         done = subprocess.run([sys.executable, "-m", "ginlab", *command.split()],
                               capture_output=True, env=env, cwd=tempfile.gettempdir())
         results.append([done.returncode, hashlib.sha256(done.stdout).hexdigest(),
                         done.stderr.decode("utf-8", "replace")])
-    return results
+    return surface, results
 
 
 def added_changes(rev: str) -> str:
@@ -179,11 +189,14 @@ def main(argv: list[str]) -> int:
                                  capture_output=True, check=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(workdir, filter="data")
-        theirs = run_tree(Path(workdir) / "src", argvs)
-    ours = run_tree(ROOT / "src", argvs)
+        their_names, theirs = run_tree(Path(workdir) / "src", argvs)
+    our_names, ours = run_tree(ROOT / "src", argvs)
     differing = [(a, t, o) for a, t, o in zip(labels, theirs, ours) if t != o]
     added = added_changes(argv[0])
     unnamed = [label for label, _, _ in differing if f"`{label}`" not in added]
+    moved = [(f"ginlab.{name}", "removed") for name in their_names if name not in our_names]
+    moved += [(f"ginlab.{name}", "added") for name in our_names if name not in their_names]
+    unnamed_names = [name for name, _ in moved if f"`{name}`" not in added]
     for label, (code_t, sha_t, err_t), (code_o, sha_o, err_o) in differing:
         print(label if label in unnamed else f"{label} (named in CHANGES.md)")
         for what, before, after in (("exit", code_t, code_o), ("stdout sha256", sha_t, sha_o),
@@ -192,7 +205,11 @@ def main(argv: list[str]) -> int:
                 print(f"  {what}: {before!r} -> {after!r}")
     print(f"{len(differing)} of {len(labels)} argv ({len(PROCESSES)} through python -m ginlab) "
           f"differ from {argv[0]}, {len(unnamed)} of them not named in CHANGES.md")
-    return 1 if unnamed else 0
+    for name, how in moved:
+        print(f"{name} {how}" + ("" if name in unnamed_names else " (named in CHANGES.md)"))
+    print(f"{len(moved)} names added to or removed from ginlab.__all__ since {argv[0]}, "
+          f"{len(unnamed_names)} of them not named in CHANGES.md")
+    return 1 if unnamed or unnamed_names else 0
 
 
 if __name__ == "__main__":

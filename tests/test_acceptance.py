@@ -9,8 +9,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from ginlab import (PointConfig, alpha, exceptional_classes, gin_staircase, hilbert_fn,
-                    nef_threshold, shgh_gin_closed_form, verify)
+from ginlab import PointConfig, exceptional_classes, gin_staircase, hilbert_fn, verify
+from ginlab.hilbert import alpha, nef_threshold
+from ginlab.staircase import shgh_gin_closed_form
 from oracles import (GENERAL_INTERCEPTS, generators, heights, membership, oracle_neg_one_classes,
                      scan_shgh_staircase)
 

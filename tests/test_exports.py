@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 import ginlab
+from test_cli import ORACLE_ROUTES
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "ginlab").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "ginlab").glob("*.py"))
 
 
 def test_every_export_exists_once():
@@ -18,6 +22,22 @@ def test_every_export_exists_once():
     missing = [name for name in ginlab.__all__ if not hasattr(ginlab, name)]
     assert missing == []
     assert len(set(ginlab.__all__)) == len(ginlab.__all__)
+
+
+def test_the_package_exports_the_readme_list_and_nothing_else():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.partition("\n## Library\n")[2].partition("\n## ")[0]
+    listed = re.search(r"^The package exports (.*?);", library, re.M | re.S).group(1)
+    assert ginlab.__all__ == re.findall(r"`(\w+)`", listed)
+    # every other name has one import path, its module
+    public = {name for name, value in vars(ginlab).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set(ginlab.__all__)
+    star: dict = {}
+    exec("from ginlab import *", star)
+    assert set(star) - {"__builtins__"} == set(ginlab.__all__)
+    # the oracle routes live in their modules, for verify and the tests
+    assert [route for route in ORACLE_ROUTES if hasattr(ginlab, route.split(".")[1])] == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 import ginlab
 from ginlab import hilbert, lattice, shape
-from ginlab import (DivisorClass, PointConfig, alpha, alpha_shgh, exceptional_classes,
-                    gin_staircase, hilbert_fn, nef_threshold, shgh_hilbert)
+from ginlab import DivisorClass, PointConfig, exceptional_classes, gin_staircase, hilbert_fn
 from ginlab.errors import ComputationGuardError
+from ginlab.hilbert import alpha, alpha_shgh, nef_threshold, shgh_hilbert
 from oracles import GENERAL_INTERCEPTS
 
 
@@ -245,7 +245,7 @@ def test_nef_threshold_matches_curve_scan(spec):
 
 
 def test_nef_threshold_is_sharp():
-    from ginlab import DivisorClass, is_nef
+    from ginlab.lattice import DivisorClass, is_nef
     for r, m in ((6, 10), (7, 24), (8, 6), (3, 5)):
         config = PointConfig.general(r)
         n = nef_threshold(config, m)

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginlab import (DivisorClass, PointConfig, alpha, canonical_class, exceptional_classes,
-                    h0, hilbert_fn, intersect, is_nef, nef_threshold, reduce_to_nef,
-                    riemann_roch_h0)
+from ginlab import DivisorClass, PointConfig, exceptional_classes, hilbert_fn
 from ginlab.errors import ComputationGuardError, UnsupportedConfigError
+from ginlab.hilbert import alpha, nef_threshold
 from ginlab.lattice import (_EXCEPTIONAL_TEMPLATES, _curve_orbits, _distinct_permutations, _orbits,
+                            canonical_class, h0, intersect, is_nef, reduce_to_nef, riemann_roch_h0,
                             uniform_h0)
 from oracles import grouped_orbits, oracle_neg_one_classes
 

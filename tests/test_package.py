@@ -19,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
+import ginlab
 from ginlab import DivisorClass, PointConfig, cli, shape
+from oracles import clear_ginlab_caches
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ginlab"
@@ -116,6 +118,13 @@ def test_console_script_runs_cli_main():
     assert bad.stderr.startswith(b"usage: ginlab gin")
 
 
+def test_one_version_number():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert ginlab.__version__ == version
+
+
 # Reachability: every def in src/ginlab is entered by some command, or is on
 # ALLOWLIST with a reason the gate checks.
 
@@ -200,16 +209,6 @@ class Exited(Exception):
 
 def exit_raising(code: int):
     raise Exited(code)
-
-
-def clear_ginlab_caches() -> None:
-    """Empty ginlab's lru_caches, so that a cached function is entered as in
-    a fresh process."""
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ginlab."):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
 
 
 @pytest.fixture(scope="module")

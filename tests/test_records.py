@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from ginlab import (DivisorClass, EffectivityResult, MonomialStaircase, PointConfig, Rational,
-                    ShapeReport, SquareRootIntercept, VerifyReport,
-                    exceptional_classes, exporters, gin_staircase)
+from ginlab import (DivisorClass, MonomialStaircase, PointConfig, Rational, ShapeReport,
+                    SquareRootIntercept, VerifyReport, exceptional_classes, exporters, gin_staircase)
+from ginlab.lattice import EffectivityResult
 from ginlab.errors import ComputationGuardError
 from ginlab.exporters import _IntRuns, render_ranges, render_runs
 from ginlab.verify import VerifyCheck
@@ -136,6 +136,10 @@ def test_divisor_class_stores_mults_as_a_tuple():
     (lambda: PointConfig("collinear", 2), ValueError,
      "collinear arrangement needs at least 3 points on the line"),
     (lambda: PointConfig("conic", 5), ValueError, "unknown configuration kind 'conic'"),
+    (lambda: PointConfig("shgh", 9.5), ValueError, "point count must be an int, not float"),
+    (lambda: PointConfig("general", 6.0), ValueError, "point count must be an int, not float"),
+    (lambda: PointConfig("general", "6"), ValueError, "point count must be an int, not str"),
+    (lambda: PointConfig("general", True), ValueError, "point count must be an int, not bool"),
     (lambda: PointConfig.parse("general:--6"), ValueError,
      "bad configuration 'general:--6'; expected kind:number"),
     (lambda: MonomialStaircase(alpha=0, runs=(), m=1, config=PointConfig.general(2)),

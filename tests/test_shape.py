@@ -10,11 +10,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ginlab import (PointConfig, Rational, SquareRootIntercept, check_convergence,
-                    collinear_shape_check, colength, gin_staircase, shape_report,
-                    theoretical_shape)
+from ginlab import PointConfig, Rational, SquareRootIntercept, colength, gin_staircase, shape_report
 from ginlab.exporters import shape_json
-from ginlab.shape import _near
+from ginlab.shape import _near, check_convergence, collinear_shape_check, theoretical_shape
 from oracles import GENERAL_INTERCEPTS, near_oracle
 
 F = Fraction

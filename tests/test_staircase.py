@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ginlab.lattice
-from ginlab import (MonomialStaircase, PointConfig, alpha, colength, gin_staircase,
-                    hilbert_fn, shgh_gin_closed_form, verify, xy_count)
+from ginlab import MonomialStaircase, PointConfig, colength, gin_staircase, hilbert_fn, verify
 from ginlab.errors import ComputationGuardError
 from ginlab.exporters import heights_down
+from ginlab.hilbert import alpha
 from ginlab.lattice import SHGH, uniform_h0
+from ginlab.staircase import shgh_gin_closed_form, xy_count
 from oracles import (closed_form_heights, generators, heights, membership, scan_shgh_staircase,
                      staircase_of, walk_heights)
 

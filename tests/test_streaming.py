@@ -18,7 +18,7 @@ from ginlab.exporters import CHUNK, shape_csv, shape_json, shape_svg, staircase_
 from ginlab.hilbert import hilbert_fn
 from ginlab.lattice import canonical_class, exceptional_classes, intersect, uniform_h0
 from ginlab.verify import run_verification
-from oracles import expected_generator_line, heights
+from oracles import clear_ginlab_caches, expected_generator_line, heights
 
 
 def gin_text(spec: str, m: int) -> str:
@@ -181,14 +181,6 @@ def test_a_long_hilbert_range_peaks_under_one_and_a_half_megabytes(monkeypatch, 
                                         "--t-range", "0..20000", "--format", fmt])
     assert size > 250_000
     assert peak < 1_500_000
-
-
-def clear_ginlab_caches() -> None:
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ginlab."):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
 
 
 def test_the_walk_leaves_no_hilbert_values_behind(monkeypatch):

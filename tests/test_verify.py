@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginlab import (DivisorClass, PointConfig, brute_force_exceptional_classes, cli,
-                    exceptional_classes, gin_staircase, hilbert_fn, run_verification,
-                    shgh_gin_closed_form)
+from ginlab import (DivisorClass, PointConfig, cli, exceptional_classes, gin_staircase, hilbert_fn,
+                    run_verification)
 from ginlab import shape, verify
 from ginlab.lattice import uniform_h0
+from ginlab.staircase import shgh_gin_closed_form
+from ginlab.verify import brute_force_exceptional_classes
 from oracles import degree_count, heights, products_inside_all_pairs, staircase_of
 
 
