@@ -50,13 +50,18 @@ def nef_threshold(config: PointConfig, m: int) -> int:
     p, q = nef_ratio(config)
     return -(-m * p // q)
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def hilbert_fn(config: PointConfig, m: int, t: int) -> int:
     """Hilbert function of the multiplicity-m uniform fat-point ideal.
 
     Values for the shgh kind inherit the conjectural flag from the
-    configuration; serialized reports carry it explicitly.
+    configuration; serialized reports carry it explicitly.  The cache is
+    typed, so 10.0 or True misses it and meets the int checks.
     """
+    if type(m) is not int:  # a bool or 10.0 would pass the range tests
+        raise ValueError(f"multiplicity must be an int, not {type(m).__name__}")
+    if type(t) is not int:
+        raise ValueError(f"degree must be an int, not {type(t).__name__}")
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
     if config.kind == SHGH:

@@ -89,6 +89,11 @@ class DivisorClass(Record, fields="d mults"):
             mults = tuple(mults)
         if len(mults) < 1:
             raise ValueError("a divisor class needs at least one exceptional index")
+        if type(d) is not int:
+            raise ValueError(f"degree must be an int, not {type(d).__name__}")
+        for a in mults:
+            if type(a) is not int:
+                raise ValueError(f"multiplicity must be an int, not {type(a).__name__}")
         return tuple.__new__(cls, (d, mults))
 
     @property
@@ -292,6 +297,13 @@ def exceptional_classes(config: PointConfig) -> tuple[DivisorClass, ...]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _degree_sums(config: PointConfig) -> tuple[tuple[int, int], ...]:
+    """(deg C, sum C) of each curve of ``exceptional_classes``, in its order:
+    a uniform class (d; a, ..., a) meets C in d*deg C - a*sum C."""
+    return tuple((c.d, sum(c.mults)) for c in exceptional_classes(config))
+
+
 def is_nef(f: DivisorClass, config: PointConfig) -> bool:
     """Whether f meets every listed negative curve nonnegatively."""
     _check_rank(f, config)
@@ -346,8 +358,10 @@ def reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
     of exceptional curves met negatively), stops if the degree went
     negative, and otherwise subtracts the worst-met curve, the first listed
     one on ties, as often as f.C stays negative: each subtraction raises
-    f.C by -C.C.  Every step preserves the section count, so h0 of the
-    input is the Riemann-Roch count of the nef remainder.
+    f.C by -C.C.  A uniform class, as every fat-point class starts, is
+    paired through the (deg C, sum C) table instead of curve by curve.
+    Every step preserves the section count, so h0 of the input is the
+    Riemann-Roch count of the nef remainder.
     """
     _check_rank(f, config)
     curves = exceptional_classes(config)
@@ -363,7 +377,12 @@ def reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
             g = DivisorClass(g.d, tuple(max(a, 0) for a in g.mults))
         if g.d < 0:
             return EffectivityResult(False, 0, None, g, tuple(trace))
-        pairings = [intersect(g, c) for c in curves]
+        mults = g.mults
+        if mults.count(mults[0]) == len(mults):
+            d, a = g.d, mults[0]
+            pairings = [d * cd - a * cs for cd, cs in _degree_sums(config)]
+        else:
+            pairings = [intersect(g, c) for c in curves]
         worst_pairing = min(pairings)
         if worst_pairing >= 0:
             return EffectivityResult(True, _euler_h0(g), g, None, tuple(trace))

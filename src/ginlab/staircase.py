@@ -83,7 +83,7 @@ def xy_count(config: PointConfig, m: int, t: int) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
     """Staircase of the multiplicity-m ideal of ``config``.
 
@@ -94,8 +94,11 @@ def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
     none of them.  The degree-t piece of the ideal is the top H(t) - H(t-1)
     monomials in the x-exponent, from column lo(t), so columns
     lo(t+1)..lo(t)-1 have height t + 1 - i.  The walk ends at
-    H(alpha - 1) = 0, below which H vanishes.
+    H(alpha - 1) = 0, below which H vanishes.  The cache is typed, so 10.0
+    or True misses it and meets the int check.
     """
+    if type(m) is not int:  # a bool or 10.0 would pass the range test
+        raise ValueError(f"multiplicity must be an int, not {type(m).__name__}")
     if m < 1:
         raise ValueError("multiplicity must be positive")
     if config.kind == SHGH:

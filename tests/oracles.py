@@ -16,7 +16,7 @@ from itertools import chain, combinations_with_replacement, permutations
 from ginlab import (DivisorClass, MonomialStaircase, PointConfig, SquareRootIntercept, exceptional_classes,
                     gin_staircase, hilbert_fn)
 from ginlab.hilbert import alpha_shgh, nef_threshold, shgh_hilbert
-from ginlab.lattice import intersect
+from ginlab.lattice import EffectivityResult, intersect
 
 
 def clear_ginlab_caches() -> None:
@@ -51,6 +51,31 @@ def oracle_neg_one_classes(r: int) -> frozenset[DivisorClass]:
             if intersect(c, c) == -1 and intersect(c, k) == -1:
                 found.update(DivisorClass(d, p) for p in set(permutations(sorted_mults)))
     return frozenset(found)
+
+
+# reduce_to_nef's oracle: the same peeling as a plain loop that pairs every
+# class with every listed curve through intersect, where the engine pairs a
+# uniform class through its (deg C, sum C) table, and h0 as the Euler
+# characteristic (f.f - f.K)/2 + 1 of the remainder.
+def reference_reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
+    curves = exceptional_classes(config)
+    canonical = DivisorClass(-3, (-1,) * f.r)
+    g, trace = f, []
+    while True:
+        if min(g.mults) < 0:
+            trace += [(DivisorClass.exceptional(i + 1, f.r), -a) for i, a in enumerate(g.mults) if a < 0]
+            g = DivisorClass(g.d, tuple(max(a, 0) for a in g.mults))
+        if g.d < 0:
+            return EffectivityResult(False, 0, None, g, tuple(trace))
+        pairings = [intersect(g, c) for c in curves]
+        worst = min(pairings)
+        if worst >= 0:
+            h0 = (intersect(g, g) - intersect(g, canonical)) // 2 + 1
+            return EffectivityResult(True, h0, g, None, tuple(trace))
+        curve = curves[pairings.index(worst)]
+        k = -(worst // -intersect(curve, curve))
+        g = g - k * curve
+        trace.append((curve, k))
 
 
 # The orbit table's oracle: group the expanded class list into orbits under

@@ -17,7 +17,7 @@ from ginlab.hilbert import alpha, nef_threshold
 from ginlab.lattice import (_EXCEPTIONAL_TEMPLATES, _curve_orbits, _distinct_permutations, _orbits,
                             canonical_class, h0, intersect, is_nef, reduce_to_nef, riemann_roch_h0,
                             uniform_h0)
-from oracles import grouped_orbits, oracle_neg_one_classes
+from oracles import grouped_orbits, oracle_neg_one_classes, reference_reduce_to_nef
 
 
 ORACLE_COUNTS = {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
@@ -247,6 +247,21 @@ def test_h0_permutation_invariant(r, data):
     shuffled = data.draw(st.permutations(mults))
     assert h0(DivisorClass(d, tuple(mults)), config) == \
         h0(DivisorClass(d, tuple(shuffled)), config)
+
+
+# reduce_to_nef pairs a uniform class through the (deg C, sum C) table and
+# any other class curve by curve; the reference pairs every class with every
+# curve, so the result, trace included, must not depend on the route
+@given(CLASS_LIST_CONFIGS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_reduce_to_nef_matches_the_full_intersect_loop(config, data):
+    d = data.draw(st.integers(-4, 40), label="d")
+    if data.draw(st.booleans(), label="uniform"):
+        mults = (data.draw(st.integers(-4, 14), label="a"),) * config.r
+    else:
+        mults = data.draw(st.tuples(*[st.integers(-4, 14)] * config.r), label="mults")
+    f = DivisorClass(d, mults)
+    assert reduce_to_nef(f, config) == reference_reduce_to_nef(f, config)
 
 
 # The curve-by-curve reduction is the oracle for the orbit engine behind

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from ginlab import (DivisorClass, MonomialStaircase, PointConfig, Rational, ShapeReport,
-                    SquareRootIntercept, VerifyReport, exceptional_classes, exporters, gin_staircase)
+                    SquareRootIntercept, VerifyReport, exceptional_classes, exporters, gin_staircase,
+                    hilbert_fn)
 from ginlab.lattice import EffectivityResult
 from ginlab.errors import ComputationGuardError
 from ginlab.exporters import _IntRuns, render_ranges, render_runs
@@ -140,6 +141,23 @@ def test_divisor_class_stores_mults_as_a_tuple():
     (lambda: PointConfig("general", 6.0), ValueError, "point count must be an int, not float"),
     (lambda: PointConfig("general", "6"), ValueError, "point count must be an int, not str"),
     (lambda: PointConfig("general", True), ValueError, "point count must be an int, not bool"),
+    (lambda: DivisorClass(2.5, (1, 1)), ValueError, "degree must be an int, not float"),
+    (lambda: DivisorClass(2, (1, 1.0)), ValueError, "multiplicity must be an int, not float"),
+    (lambda: DivisorClass(2, (True, 1)), ValueError, "multiplicity must be an int, not bool"),
+    (lambda: hilbert_fn(PointConfig.general(6), 10.0, 25), ValueError,
+     "multiplicity must be an int, not float"),
+    (lambda: hilbert_fn(PointConfig.general(6), True, 3), ValueError,
+     "multiplicity must be an int, not bool"),
+    (lambda: hilbert_fn(PointConfig.general(6), 10, 25.0), ValueError, "degree must be an int, not float"),
+    (lambda: gin_staircase(PointConfig.general(6), 10.0), ValueError,
+     "multiplicity must be an int, not float"),
+    (lambda: gin_staircase(PointConfig.general(6), True), ValueError,
+     "multiplicity must be an int, not bool"),
+    # 10.0 hashes equal to 10, so only a typed cache keeps the warm entry from answering it
+    (lambda: (hilbert_fn(PointConfig.general(6), 10, 25), hilbert_fn(PointConfig.general(6), 10.0, 25)),
+     ValueError, "multiplicity must be an int, not float"),
+    (lambda: (gin_staircase(PointConfig.general(6), 10), gin_staircase(PointConfig.general(6), 10.0)),
+     ValueError, "multiplicity must be an int, not float"),
     (lambda: PointConfig.parse("general:--6"), ValueError,
      "bad configuration 'general:--6'; expected kind:number"),
     (lambda: MonomialStaircase(alpha=0, runs=(), m=1, config=PointConfig.general(2)),
