@@ -15,24 +15,25 @@ oracle.  `json_pieces` takes the C string encoder that `json.dumps` uses
 from `_json`, so no process loads the json package.  The command line
 writes the pieces as they come, so it never holds a whole document.  The
 large int arrays, nearly all the bytes of a staircase, are named by the code
-that builds the payload as `_IntRuns`: a staircase's lambdas, its generators
-(`column_runs`), a shape report's corners (`corner_runs`, without building
-the pairs or their rational strs) and `hilbert`'s (t, H) values.  One
-chunker, `_batches`, cuts every array into runs of at most CHUNK ints, and
-the staircase arrays, the `gin` text line and the SVG outlines read the
-heights in one pass over the runs, forward from column 0 or backward from
-x^alpha (`heights_down`), so no profile is expanded whole.  `render_runs`
-formats each run by one "%d" template, only as the pieces are read, so no
-str is made per number; `hilbert_pieces` writes every `hilbert` document,
-text and CSV rows included, through it.  A staircase whose runs average at
-least BREAK_EVEN columns (`long_runs`, chosen once per staircase) renders
-its lambdas, generators and `gin` text line through `render_ranges`
-instead: straight from the runs as ranges (`column_ranges`), in blocks of
-at most 1000 numbers that share the part above their last three digits,
-each block joined from that part and slices of two 1000-entry tables,
-`_suffixes`, built on the first such staircase in a process.  Short runs,
-every collinear staircase among them, keep render_runs, since each block
-costs about forty numbers' formatting.  Other lists take the generic path.
+that builds the payload as `_IntRuns`, each with its renderer.  A
+staircase's three arrays, its lambdas, its generators and the middle of the
+`gin` text line, go as range segments, straight from the runs: the lambdas
+one run to a segment, the generators and the text line one (x, height)
+range pair per run, backward from x^alpha (`column_ranges`, the text line
+through `_window`), so no profile is expanded whole.  `render_ranges` is
+their one writer, and it chooses a segment at a time: a segment of at
+least BREAK_EVEN columns comes in blocks of at most 1000 numbers that share
+the part above their last three digits, each block joined from that part
+and slices of two 1000-entry tables, `_suffixes`, built at the first such
+segment in a process; a block costs about forty numbers' formatting, so
+consecutive shorter segments, every run of a collinear staircase among
+them, are expanded into runs of at most CHUNK ints for `render_runs`.  The
+other int arrays are flat runs cut by the one chunker, `_batches`: a shape
+report's corners (`corner_runs`, without building the pairs or their
+rational strs) and `hilbert`'s (t, H) values.  `render_runs` formats each
+run by one "%d" template, only as the pieces are read, so no str is made
+per number; `hilbert_pieces` writes every `hilbert` document, text and CSV
+rows included, through it.  Other lists take the generic path.
 The SVG, `svg_pieces`, has CHUNK // 4 columns (CHUNK numbers) of an outline
 to a piece.  `staircase_json`, `shape_json`, `shape_svg` and `hilbert_csv`
 join the pieces into one str; no command calls them.
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from itertools import chain, count, groupby, islice, repeat
+from itertools import chain, count, groupby, islice, repeat, starmap
 from math import gcd
 from operator import floordiv
 
@@ -51,8 +52,8 @@ from .shape import ShapeReport, SquareRootIntercept
 from .staircase import MonomialStaircase, colength
 
 CHUNK = 4096  # numbers per %d template or SVG piece, which bounds each run and piece
-# the mean run length, in columns, from which a staircase's arrays render
-# faster through render_ranges than through render_runs (measured)
+# the length, in columns, from which a segment renders faster from the suffix
+# tables than through a %d template (measured)
 BREAK_EVEN = 40
 
 
@@ -92,7 +93,7 @@ def _pieces(out: list) -> Iterator[str]:
     for kind, group in groupby(out, type):
         if kind is str:
             yield "".join(group)
-        else:  # an array's render_runs
+        else:  # an array's render_runs or render_ranges
             yield from chain.from_iterable(group)
 
 
@@ -156,8 +157,7 @@ def render_runs(runs, item: str, sep: str, lead: str) -> Iterator[str]:
     from its own template.  `map` calls fill only when the next str is read
     and holds neither the run nor its str after handing it on, where a
     generator expression would keep the last run while the next is built.
-    Every int array goes through here but a long-run staircase's three,
-    which `render_ranges` writes to the same bytes."""
+    render_ranges hands it the staircase arrays' short segments."""
     width = item.count("%d")
 
     def fill(start: str, run) -> str:
@@ -169,15 +169,17 @@ def render_runs(runs, item: str, sep: str, lead: str) -> Iterator[str]:
 def render_ranges(segments, item: str, sep: str, lead: str) -> Iterator[str]:
     """render_runs' text for the ints of segments, each a tuple of equal-length
     ranges of step 1 or -1 over ints >= 0, whose k-th range fills the k-th %d
-    of `item`.  Each segment is cut into blocks in which every number of one
-    range has the same part above its last three digits, so a block of at
-    most 1000 items is one "".join of those parts and slices of the
-    `_suffixes` tables: one str per block, read as render_runs reads its
-    runs.  No number is formatted, but a block costs about what render_runs
-    takes for forty numbers, hence BREAK_EVEN."""
+    of `item`, written a segment at a time on its faster side.  A segment of
+    at least BREAK_EVEN columns is cut into blocks in which every number of
+    one range has the same part above its last three digits, so a block of
+    at most 1000 items is one "".join of those parts and slices of the
+    `_suffixes` tables, built at the first such segment: no number is
+    formatted, but a block costs about what a template takes for forty
+    numbers.  Consecutive shorter segments are expanded, column by column,
+    into runs of at most CHUNK ints that render_runs fills.  One str per
+    block or run, read as render_runs reads its runs."""
     texts = item.split("%d")
     tail = texts[-1]
-    plain, padded = _suffixes()
 
     def fill(start: str, block: list[range]) -> str:
         heads, lows = [], []  # per range: the text before its numbers' last three digits, and those
@@ -195,7 +197,15 @@ def render_ranges(segments, item: str, sep: str, lead: str) -> Iterator[str]:
         joined[0] = first
         return "".join(joined) + tail
 
-    return map(fill, chain([lead], repeat(sep)), _blocks(segments))
+    for long, group in groupby(segments, lambda segment: len(segment[0]) >= BREAK_EVEN):
+        if long:
+            plain, padded = _suffixes()
+            yield from map(fill, chain([lead], repeat(sep)), _blocks(group))
+        else:  # a lone range is its own column of ints; wider segments zip theirs
+            columns = group if len(texts) == 2 else starmap(zip, group)
+            ints = chain.from_iterable(chain.from_iterable(columns))
+            yield from render_runs(_batches(ints, CHUNK), item, sep, lead)
+        lead = sep
 
 
 def _blocks(segments) -> Iterator[list[range]]:
@@ -213,39 +223,14 @@ def _blocks(segments) -> Iterator[list[range]]:
 @lru_cache(maxsize=None)
 def _suffixes() -> tuple[list[str], list[str]]:
     """Each i < 1000 as a whole number and as the last three digits of a
-    larger one: built on the first render_ranges call in a process."""
+    larger one: built at the first segment of BREAK_EVEN columns in a process."""
     return [str(i) for i in range(1000)], ["%03d" % i for i in range(1000)]
-
-
-def long_runs(s: MonomialStaircase) -> bool:
-    """Whether s's runs average at least BREAK_EVEN columns, so that its
-    lambdas, generators and `gin` text line render through render_ranges;
-    chosen once per staircase."""
-    return len(s.runs) * BREAK_EVEN <= s.alpha
-
-
-def heights_down(s: MonomialStaircase) -> Iterator[int]:
-    """Column heights from alpha down to 0, the documents' generator order, in
-    one backward pass over the runs: x^alpha's 0 first, then each run reversed."""
-    return chain((0,), chain.from_iterable(map(reversed, reversed(s.runs))))
-
-
-def column_runs(top: int, heights: Iterator[int]) -> Iterator[tuple[int, ...]]:
-    """Flat (x, height) runs of at most CHUNK // 2 columns, CHUNK ints made for
-    the run, x = top, top - 1, ... down the heights."""
-    return map(_column_run, count(top, -(CHUNK // 2)), _batches(heights, CHUNK // 2))
-
-
-def _column_run(top: int, ys: tuple[int, ...]) -> tuple[int, ...]:
-    run = [0] * (2 * len(ys))
-    run[::2] = range(top, top - len(ys), -1)
-    run[1::2] = ys
-    return tuple(run)
 
 
 def column_ranges(s: MonomialStaircase) -> Iterator[tuple[range, range]]:
     """The generators' (x, height) columns as segments of render_ranges:
-    x^alpha, then one (x, height) range pair per run, in heights_down's order."""
+    x^alpha, then one (x, height) range pair per run, read backward from the
+    last run: the columns from alpha down to 0, the documents' generator order."""
     x = s.alpha
     yield range(x, x - 1, -1), range(1)
     for run in reversed(s.runs):
@@ -255,10 +240,12 @@ def column_ranges(s: MonomialStaircase) -> Iterator[tuple[range, range]]:
 
 def _window(segments, start: int, stop: int) -> Iterator[tuple[range, ...]]:
     """Columns start..stop - 1, counted from the first, of segments of
-    equal-length ranges."""
+    equal-length ranges; a segment wholly inside comes as it is."""
     for segment in segments:
         n = len(segment[0])
-        if start < n and stop > 0:
+        if start <= 0 and stop >= n:
+            yield segment
+        elif start < n and stop > 0:
             yield tuple(r[max(start, 0):stop] for r in segment)
         start, stop = start - n, stop - n
 
@@ -272,11 +259,7 @@ def generator_line(s: MonomialStaircase) -> Iterator[str]:
     edge = 2 if a > 2 and s.runs[-1][-1] == 1 else 1
     yield " ".join([_monomial(x, y) for x, y in zip(range(a, a - edge, -1), (0, 1))])
     stop = max(a - 1, edge)  # columns edge..stop - 1 from x^alpha: x = alpha - edge down to 2
-    if long_runs(s):
-        yield from render_ranges(_window(column_ranges(s), edge, stop), "x^%dy^%d", " ", " ")
-    else:
-        middle = column_runs(a - edge, islice(heights_down(s), edge, stop))
-        yield from render_runs(middle, "x^%dy^%d", " ", " ")
+    yield from render_ranges(_window(column_ranges(s), edge, stop), "x^%dy^%d", " ", " ")
     low = enumerate(islice(chain.from_iterable(s.runs), min(a, 2)))  # columns 0 and 1
     yield "".join([" " + _monomial(x, y) for x, y in reversed([*low])])
 
@@ -314,18 +297,12 @@ def staircase_json(s: MonomialStaircase) -> str:
 
 def staircase_payload(s: MonomialStaircase) -> dict:
     """The JSON payload of a staircase, its arrays still unrendered."""
-    if long_runs(s):
-        lambdas = _IntRuns(zip(s.runs), 1, render=render_ranges)
-        generators = _IntRuns(column_ranges(s), 2, render=render_ranges)
-    else:
-        lambdas = _IntRuns(_batches(chain.from_iterable(s.runs), CHUNK), 1)
-        generators = _IntRuns(column_runs(s.alpha, heights_down(s)), 2)
     return {
         "config": str(s.config),
         "m": s.m,
         "alpha": s.alpha,
-        "lambdas": lambdas,
-        "generators": generators,
+        "lambdas": _IntRuns(zip(s.runs), 1, render=render_ranges),
+        "generators": _IntRuns(column_ranges(s), 2, render=render_ranges),
         "colength": colength(s),
         "conjectural": s.config.conjectural,
     }

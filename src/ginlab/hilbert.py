@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from .errors import ComputationGuardError
-from .lattice import SHGH, PointConfig, nef_ratio, uniform_h0
+from .lattice import SHGH, PointConfig, nef_ratio, require_int, uniform_h0
 
 def shgh_hilbert(r: int, m: int, t: int) -> int:
     """Conjectural Hilbert function for r >= 9 general points.
@@ -25,6 +25,8 @@ def shgh_hilbert(r: int, m: int, t: int) -> int:
     """
     if r < 9:
         raise ValueError("interpolation count is reserved for r >= 9; use the divisor engine")
+    require_int(m, "multiplicity")
+    require_int(t, "degree")
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
     if t < 0:
@@ -39,12 +41,14 @@ def alpha_shgh(r: int, m: int) -> int:
     """
     if r < 9:
         raise ValueError("interpolation count is reserved for r >= 9")
+    require_int(m, "multiplicity")
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
     return (isqrt(4 * r * m * (m + 1) + 1) - 1) // 2
 
 def nef_threshold(config: PointConfig, m: int) -> int:
     """Smallest N making (t; m, ..., m) nef for every t >= N: ceil(nu*m)."""
+    require_int(m, "multiplicity")
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
     p, q = nef_ratio(config)
@@ -58,10 +62,8 @@ def hilbert_fn(config: PointConfig, m: int, t: int) -> int:
     configuration; serialized reports carry it explicitly.  The cache is
     typed, so 10.0 or True misses it and meets the int checks.
     """
-    if type(m) is not int:  # a bool or 10.0 would pass the range tests
-        raise ValueError(f"multiplicity must be an int, not {type(m).__name__}")
-    if type(t) is not int:
-        raise ValueError(f"degree must be an int, not {type(t).__name__}")
+    require_int(m, "multiplicity")
+    require_int(t, "degree")
     if m < 0:
         raise ValueError("multiplicity must be nonnegative")
     if config.kind == SHGH:
@@ -77,6 +79,7 @@ def alpha(config: PointConfig, m: int) -> int:
     the nef slope nu; no positive value by the threshold means the engine is
     broken and raises instead of returning a wrong answer.
     """
+    require_int(m, "multiplicity")
     if m < 1:
         raise ValueError("multiplicity must be positive")
     r = config.r

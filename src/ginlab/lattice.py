@@ -131,6 +131,14 @@ class DivisorClass(Record, fields="d mults"):
         return _class_str(self.d, self.mults)
 
 
+def require_int(value, what: str) -> None:
+    """Refuse a value that is not exactly an int, naming its type: a bool or
+    10.0 would pass the range tests, and would hash equal to the int in an
+    untyped cache."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, not {type(value).__name__}")
+
+
 def _class_str(d: int, mults: tuple[int, ...]) -> str:
     return f"({d}; {', '.join(map(str, mults))})"
 
@@ -157,8 +165,7 @@ class PointConfig(Record, fields="kind n"):
     __slots__ = ()
 
     def __new__(cls, kind: str, n: int) -> "PointConfig":
-        if type(n) is not int:  # a bool or 6.0 would pass the range tests
-            raise ValueError(f"point count must be an int, not {type(n).__name__}")
+        require_int(n, "point count")
         if kind == GENERAL:
             if not 2 <= n <= 8:
                 raise ValueError("general-position engine covers 2 to 8 points")

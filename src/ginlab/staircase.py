@@ -20,7 +20,7 @@ from operator import attrgetter, lt, mul
 
 from .errors import ComputationGuardError
 from .hilbert import alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
-from .lattice import SHGH, PointConfig, Record, uniform_h0
+from .lattice import SHGH, PointConfig, Record, require_int, uniform_h0
 
 
 _START, _STOP = attrgetter("start"), attrgetter("stop")  # a step -1 run's first height and last - 1
@@ -97,8 +97,7 @@ def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
     H(alpha - 1) = 0, below which H vanishes.  The cache is typed, so 10.0
     or True misses it and meets the int check.
     """
-    if type(m) is not int:  # a bool or 10.0 would pass the range test
-        raise ValueError(f"multiplicity must be an int, not {type(m).__name__}")
+    require_int(m, "multiplicity")
     if m < 1:
         raise ValueError("multiplicity must be positive")
     if config.kind == SHGH:
@@ -134,6 +133,7 @@ def shgh_gin_closed_form(r: int, m: int) -> MonomialStaircase:
     in degree a only (eta = a + 1) or split between degrees a and a + 1:
     x^a, ..., x^(a-eta+1) y^(eta-1) and then x^(a-eta) y^(eta+1), ..., y^(a+1).
     """
+    require_int(m, "multiplicity")
     if m < 1:
         raise ValueError("multiplicity must be positive")
     a = alpha_shgh(r, m)

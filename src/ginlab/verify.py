@@ -23,7 +23,8 @@ from math import comb, isqrt
 from .errors import ComputationGuardError
 from .hilbert import alpha, hilbert_fn, nef_threshold
 from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, PointConfig, Record,
-                      canonical_class, exceptional_classes, intersect, reduce_to_nef)
+                      canonical_class, exceptional_classes, intersect, reduce_to_nef,
+                      require_int)
 from .shape import check_convergence, shape_report
 from .staircase import MonomialStaircase, gin_staircase, shgh_gin_closed_form, xy_count
 
@@ -219,6 +220,7 @@ def run_verification(config: PointConfig, max_m: int = DEFAULT_MAX_M) -> VerifyR
 
     A guard error inside a check fails that check with the guard's message.
     """
+    require_int(max_m, "max_m")
     if max_m < 1:
         raise ValueError("max_m must be positive")
     checks = []

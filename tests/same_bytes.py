@@ -14,7 +14,8 @@ corpus under each tree, in one child process per tree that calls
 - EXTRA: large shape documents, whose SVG polyline comes in many pieces and
   whose JSON corners span many runs; large gin and hilbert documents, whose
   arrays and rows span many runs; gin documents at the digit and break-even
-  boundaries of the range renderer; every `hilbert` format at one degree; the
+  boundaries of the range renderer, some with long and short runs in one
+  array; every `hilbert` format at one degree; the
   ends of the gin text line; `classes` documents; usage errors; and
   `verify` at `--max-m` 60 and 100.
 
@@ -61,12 +62,15 @@ EXTRA = [
     "gin collinear:3 --m 20000 --format text",
     "gin general:8 --m 5000",
     # exporters.render_ranges' boundaries: alpha = 1001, 10001 and 100001, so
-    # the heights and x-exponents cross 1000, 10000 and 100000; and general
-    # staircases whose runs average 38.5 and 43.1 columns, on each side of
-    # exporters.BREAK_EVEN
+    # the heights and x-exponents cross 1000, 10000 and 100000; general
+    # staircases whose runs average 38.5 and 43.1 columns, with runs on each
+    # side of exporters.BREAK_EVEN; and shgh staircases whose two runs, of
+    # 1,014 and 17 and of 1,047 and 35 columns, put a table run and a
+    # template run in one array
     *(f"gin {argv} --format {fmt}" for argv in ("shgh:16 --m 250", "shgh:15 --m 2582",
                                                 "shgh:10 --m 31623", "general:7 --m 29",
-                                                "general:7 --m 115") for fmt in ("json", "text")),
+                                                "general:7 --m 115", "shgh:10 --m 326",
+                                                "shgh:13 --m 300") for fmt in ("json", "text")),
     "hilbert general:8 --m 30 --t-range 0..9000 --format json",
     "hilbert general:8 --m 30 --t-range 0..9000 --format text",
     "hilbert general:8 --m 30 --t-range 0..9000 --format csv",

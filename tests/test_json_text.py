@@ -8,15 +8,15 @@ import tracemalloc
 from itertools import chain
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from ginlab import MonomialStaircase, PointConfig, gin_staircase, shape_report
 from ginlab.exporters import (BREAK_EVEN, CHUNK, _batches, _IntRuns, _window, generator_line,
-                              intercept_str, json_pieces, long_runs, rational_str, render_ranges,
-                              render_runs, shape_json, staircase_json, staircase_payload)
+                              intercept_str, json_pieces, rational_str, render_ranges, render_runs,
+                              shape_json, staircase_json, staircase_payload)
 from ginlab.staircase import colength
-from oracles import expected_generator_line, generators, heights, shgh_with_alpha
+from oracles import expected_generator_line, generators, heights, shgh_with_alpha, staircase_of
 
 
 def joined(payload) -> str:
@@ -141,17 +141,27 @@ def test_staircases_across_chunk_boundaries_match_json_dumps(a):
     assert staircase_json(s).split("\n") == expected_staircase_json(s).split("\n")
 
 
-# render_ranges against render_runs over the expanded ints: ranges of each
-# length that cross from at - 1 to at, or that reach 0 when at is 0, downward
-# and upward, two segments per array so that the second starts with sep
+# render_ranges against render_runs over the expanded ints: ranges that cross
+# from at - 1 to at, or that reach 0 when at is 0, downward and upward by
+# turns, each segment after the first starting with sep.  A length gives two
+# segments of it; a sequence of lengths mixes segments written from the tables
+# (at least BREAK_EVEN columns) with shorter ones written from templates,
+# among them short segments whose ints pass CHUNK between two long ones
 @pytest.mark.parametrize("item", ["%d", "[\n      %d,\n      %d\n    ]", "x^%dy^%d"])
-@pytest.mark.parametrize("length", [1, 2, BREAK_EVEN - 1, BREAK_EVEN, BREAK_EVEN + 1,
-                                    999, 1000, 1001, 2500])
+@pytest.mark.parametrize("length", [
+    1, 2, BREAK_EVEN - 1, BREAK_EVEN, BREAK_EVEN + 1, 999, 1000, 1001, 2500,
+    pytest.param((2500, 1, BREAK_EVEN - 1, BREAK_EVEN), id="long-short-short-long"),
+    pytest.param((BREAK_EVEN, *(BREAK_EVEN - 1,) * 120, 1001), id="long-shorts_past_CHUNK-long"),
+    pytest.param((1, 1001, BREAK_EVEN, 2, BREAK_EVEN - 1), id="short-long-long-short-short"),
+])
 @pytest.mark.parametrize("at", [0, 1000, 10000, 100000])
 def test_range_pieces_match_render_runs(at, length, item):
-    top, bottom = max(at + length // 2, length - 1), max(at - length // 2, 0)
-    down, up = range(top, top - length, -1), range(bottom, bottom + length)
-    segments = [(down,), (up,)] if item == "%d" else [(down, up), (up, down)]
+    width = item.count("%d")
+    segments = []
+    for i, n in enumerate((length, length) if isinstance(length, int) else length):
+        top, bottom = max(at + n // 2, n - 1), max(at - n // 2, 0)
+        down, up = range(top, top - n, -1), range(bottom, bottom + n)
+        segments.append(((down, up) if i % 2 == 0 else (up, down))[:width])
     ints = [n for segment in segments for column in zip(*segment) for n in column]
     pieces = list(render_ranges(segments, item, ", ", "<"))
     assert "".join(pieces) == "".join(render_runs(_batches(iter(ints), CHUNK), item, ", ", "<"))
@@ -176,18 +186,42 @@ def test_window_cuts_columns_from_segments(start, stop, expected):
 @pytest.mark.parametrize("a", [999, 1000, 1001, 10000, 100001])
 def test_long_run_staircases_match_json_dumps_and_the_text_line(a):
     s = shgh_with_alpha(a)
-    assert long_runs(s)
+    assert len(s.runs[0]) >= BREAK_EVEN
     assert staircase_json(s).split("\n") == expected_staircase_json(s).split("\n")
     assert "generators: " + "".join(generator_line(s)) == expected_generator_line(s)
 
 
-# general:7 staircases whose runs average 38.5 and 43.1 columns, each side of
-# BREAK_EVEN: the choice is made from the runs, and either way the bytes hold
-@pytest.mark.parametrize("m,render", [(29, render_runs), (115, render_ranges)])
-def test_runs_at_the_break_even_choose_the_renderer(m, render):
+# general:7 staircases whose runs average 38.5 and 43.1 columns, each with
+# runs on both sides of BREAK_EVEN: both arrays go to render_ranges, which
+# chooses a run at a time, and the bytes hold
+@pytest.mark.parametrize("m", [29, 115])
+def test_runs_at_the_break_even_choose_the_renderer(m):
     s = gin_staircase(PointConfig.general(7), m)
+    assert min(map(len, s.runs)) < BREAK_EVEN <= max(map(len, s.runs))
     payload = staircase_payload(s)
-    assert payload["lambdas"].render is payload["generators"].render is render
+    assert payload["lambdas"].render is payload["generators"].render is render_ranges
+    assert staircase_json(s) == expected_staircase_json(s)
+    assert "generators: " + "".join(generator_line(s)) == expected_generator_line(s)
+
+
+@st.composite
+def profiles(draw) -> tuple[int, ...]:
+    """A strictly decreasing column profile, built from its lowest column up:
+    runs falling by exactly 1, of lengths on each side of BREAK_EVEN, each at
+    least 2 above the one to its right, at heights that cross 1000."""
+    height, columns = draw(st.integers(1, 1100)), []
+    for length in draw(st.lists(st.integers(1, 2 * BREAK_EVEN), min_size=1, max_size=30)):
+        columns += range(height, height + length)
+        height += length - 1 + draw(st.integers(2, 300))
+    return tuple(reversed(columns))
+
+
+# m = 1 and r = the colength, so that the scheme-length guard holds for any profile
+@given(profiles())
+@settings(max_examples=150, deadline=None)
+def test_mixed_run_lengths_match_json_dumps_and_the_text_line(profile):
+    assume(sum(profile) >= 9)
+    s = staircase_of(profile, 1, PointConfig.shgh(sum(profile)))
     assert staircase_json(s) == expected_staircase_json(s)
     assert "generators: " + "".join(generator_line(s)) == expected_generator_line(s)
 

@@ -16,8 +16,10 @@ import pytest
 
 from ginlab import (DivisorClass, MonomialStaircase, PointConfig, Rational, ShapeReport,
                     SquareRootIntercept, VerifyReport, exceptional_classes, exporters, gin_staircase,
-                    hilbert_fn)
+                    hilbert_fn, run_verification)
+from ginlab.hilbert import alpha, alpha_shgh, nef_threshold, shgh_hilbert
 from ginlab.lattice import EffectivityResult
+from ginlab.staircase import shgh_gin_closed_form
 from ginlab.errors import ComputationGuardError
 from ginlab.exporters import _IntRuns, render_ranges, render_runs
 from ginlab.verify import VerifyCheck
@@ -158,6 +160,22 @@ def test_divisor_class_stores_mults_as_a_tuple():
      ValueError, "multiplicity must be an int, not float"),
     (lambda: (gin_staircase(PointConfig.general(6), 10), gin_staircase(PointConfig.general(6), 10.0)),
      ValueError, "multiplicity must be an int, not float"),
+    # every entry point that takes a multiplicity refuses a float or a bool
+    # before its range test, which 10.0 and True would pass
+    (lambda: nef_threshold(PointConfig.general(6), 10.0), ValueError,
+     "multiplicity must be an int, not float"),
+    (lambda: nef_threshold(PointConfig.general(6), True), ValueError,
+     "multiplicity must be an int, not bool"),
+    (lambda: alpha(PointConfig.shgh(10), 10.0), ValueError, "multiplicity must be an int, not float"),
+    (lambda: alpha(PointConfig.general(6), True), ValueError, "multiplicity must be an int, not bool"),
+    (lambda: shgh_gin_closed_form(10, 3.0), ValueError, "multiplicity must be an int, not float"),
+    (lambda: shgh_hilbert(10, 3.0, 5), ValueError, "multiplicity must be an int, not float"),
+    (lambda: shgh_hilbert(10, 3, 5.0), ValueError, "degree must be an int, not float"),
+    (lambda: alpha_shgh(10, 3.0), ValueError, "multiplicity must be an int, not float"),
+    (lambda: run_verification(PointConfig.general(6), 3.0), ValueError,
+     "max_m must be an int, not float"),
+    (lambda: run_verification(PointConfig.general(6), True), ValueError,
+     "max_m must be an int, not bool"),
     (lambda: PointConfig.parse("general:--6"), ValueError,
      "bad configuration 'general:--6'; expected kind:number"),
     (lambda: MonomialStaircase(alpha=0, runs=(), m=1, config=PointConfig.general(2)),

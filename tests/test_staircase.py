@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import ginlab.lattice
 from ginlab import MonomialStaircase, PointConfig, colength, gin_staircase, hilbert_fn, verify
 from ginlab.errors import ComputationGuardError
-from ginlab.exporters import heights_down
+from ginlab.exporters import column_ranges
 from ginlab.hilbert import alpha
 from ginlab.lattice import SHGH, uniform_h0
 from ginlab.staircase import shgh_gin_closed_form, xy_count
@@ -269,5 +269,6 @@ def test_runs_expand_to_the_tuple_oracle(spec, m):
     # the run starts: column 0 and each column that drops by 2 or more, then x^alpha
     assert s.run_starts == (*((i, h) for i, h in enumerate(profile)
                               if i == 0 or profile[i - 1] - h > 1), (s.alpha, 0))
-    # the writers' backward pass, reversed, is the expansion and x^alpha's 0
-    assert tuple(heights_down(s))[::-1] == (*profile, 0)
+    # the writers' backward pass: each column from x^alpha down to 0, with its height
+    assert [column for segment in column_ranges(s) for column in zip(*segment)] == \
+        [*zip(range(s.alpha, -1, -1), (*profile, 0)[::-1])]
