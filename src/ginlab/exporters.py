@@ -105,10 +105,6 @@ def _pieces(out: list) -> Iterator[str]:
 class _IntRuns(Record, fields="runs width leaf render"):
     __slots__ = ()
 
-    def __new__(cls, runs: Iterator[tuple], width: int, leaf: str = "%d",
-                render=None) -> "_IntRuns":
-        return tuple.__new__(cls, (runs, width, leaf, render or render_runs))
-
 
 def _batches(items: Iterator, size: int) -> Iterator[tuple]:
     """The items in tuples of size, the last one shorter, each made only when
@@ -301,8 +297,8 @@ def staircase_payload(s: MonomialStaircase) -> dict:
         "config": str(s.config),
         "m": s.m,
         "alpha": s.alpha,
-        "lambdas": _IntRuns(zip(s.runs), 1, render=render_ranges),
-        "generators": _IntRuns(column_ranges(s), 2, render=render_ranges),
+        "lambdas": _IntRuns(zip(s.runs), 1, "%d", render_ranges),
+        "generators": _IntRuns(column_ranges(s), 2, "%d", render_ranges),
         "colength": colength(s),
         "conjectural": s.config.conjectural,
     }
@@ -336,7 +332,7 @@ def shape_payload(report: ShapeReport) -> dict:
                 "x_intercept": x, "y_intercept": y,
                 "colength_over_m2": rational_str(length, m * m),
                 # generator exponents over m, ascending in x: (0, zeta/m) .. (alpha/m, 0)
-                "corners": _IntRuns(corner_runs(e), 2, '"%d/%d"'),
+                "corners": _IntRuns(corner_runs(e), 2, '"%d/%d"', render_runs),
             }
             for e, (m, alpha, zeta, x, y, length) in zip(report.entries, _shape_rows(report))
         ],
@@ -450,7 +446,7 @@ def hilbert_pieces(config, m, pairs: Iterable[tuple[int, int]], fmt: str) -> Ite
     runs = _batches(chain.from_iterable(pairs), CHUNK)
     if fmt == "json":
         return json_pieces({"config": str(config), "m": m, "conjectural": config.conjectural,
-                            "values": _IntRuns(runs, 2)})
+                            "values": _IntRuns(runs, 2, "%d", render_runs)})
     if fmt == "csv":
         return chain(["t,hilbert"], render_runs(runs, "%d,%d", "\n", "\n"))
     return chain([head_line(config, m)], render_runs(runs, "t=%d  H=%d", "\n", "\n"))

@@ -25,10 +25,8 @@ def shgh_hilbert(r: int, m: int, t: int) -> int:
     """
     if r < 9:
         raise ValueError("interpolation count is reserved for r >= 9; use the divisor engine")
-    require_int(m, "multiplicity")
+    require_int(m, "multiplicity", 0)
     require_int(t, "degree")
-    if m < 0:
-        raise ValueError("multiplicity must be nonnegative")
     if t < 0:
         return 0
     return max(comb(t + 2, 2) - r * comb(m + 1, 2), 0)
@@ -41,16 +39,12 @@ def alpha_shgh(r: int, m: int) -> int:
     """
     if r < 9:
         raise ValueError("interpolation count is reserved for r >= 9")
-    require_int(m, "multiplicity")
-    if m < 0:
-        raise ValueError("multiplicity must be nonnegative")
+    require_int(m, "multiplicity", 0)
     return (isqrt(4 * r * m * (m + 1) + 1) - 1) // 2
 
 def nef_threshold(config: PointConfig, m: int) -> int:
     """Smallest N making (t; m, ..., m) nef for every t >= N: ceil(nu*m)."""
-    require_int(m, "multiplicity")
-    if m < 0:
-        raise ValueError("multiplicity must be nonnegative")
+    require_int(m, "multiplicity", 0)
     p, q = nef_ratio(config)
     return -(-m * p // q)
 
@@ -62,10 +56,8 @@ def hilbert_fn(config: PointConfig, m: int, t: int) -> int:
     configuration; serialized reports carry it explicitly.  The cache is
     typed, so 10.0 or True misses it and meets the int checks.
     """
-    require_int(m, "multiplicity")
+    require_int(m, "multiplicity", 0)
     require_int(t, "degree")
-    if m < 0:
-        raise ValueError("multiplicity must be nonnegative")
     if config.kind == SHGH:
         return shgh_hilbert(config.r, m, t)
     return uniform_h0(config, m, t)
@@ -79,9 +71,7 @@ def alpha(config: PointConfig, m: int) -> int:
     the nef slope nu; no positive value by the threshold means the engine is
     broken and raises instead of returning a wrong answer.
     """
-    require_int(m, "multiplicity")
-    if m < 1:
-        raise ValueError("multiplicity must be positive")
+    require_int(m, "multiplicity", 1)
     r = config.r
     if config.kind == SHGH:
         return alpha_shgh(r, m)

@@ -36,9 +36,11 @@ COLLINEAR = "collinear"
 class Record(tuple):
     """Base of the result records: what ``namedtuple`` gives, built without
     compiling any source.  ``class R(Record, fields="a b")`` reads field i
-    through the C getter ``namedtuple`` installs; each record writes its own
-    ``__new__`` and ``__slots__ = ()``.  The repr is namedtuple's, and pickle
-    and ``copy`` rebuild a record through its ``__new__``."""
+    through the C getter ``namedtuple`` installs, and each record writes
+    ``__slots__ = ()``.  ``__new__`` takes the fields in order, trailing ones
+    by name; only records that validate or reduce write one.  The repr is
+    namedtuple's, and pickle and ``copy`` rebuild a record through its
+    ``__new__``."""
 
     __slots__ = ()
 
@@ -46,6 +48,22 @@ class Record(tuple):
         cls._fields = tuple(fields.split())
         for i, name in enumerate(cls._fields):
             setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
+
+    def __new__(cls, *values, **named):
+        fields = cls._fields
+        if named:
+            rest = fields[len(values):]
+            for name in named:
+                if name not in rest:
+                    got = "multiple values for" if name in fields else "an unexpected"
+                    raise TypeError(f"{cls.__name__}() got {got} field {name!r}")
+            values += tuple(named[name] for name in rest if name in named)
+        if len(values) != len(fields):
+            if len(values) > len(fields):
+                raise TypeError(f"{cls.__name__}() takes {len(fields)} fields but {len(values)} were given")
+            missing = [name for name in fields[len(values) - len(named):] if name not in named]
+            raise TypeError(f"{cls.__name__}() missing field {missing[0]!r}")
+        return tuple.__new__(cls, values)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
@@ -56,13 +74,16 @@ class Record(tuple):
 
 
 class Rational(Record, fields="numerator denominator"):
-    """numerator/denominator in lowest terms, for a denominator > 0: the str
-    and float of the equal Fraction, which Fraction(*x) makes."""
+    """numerator/denominator in lowest terms with a positive denominator, as
+    Fraction keeps it: the str and float of the equal Fraction, which
+    Fraction(*x) makes.  A zero denominator raises ZeroDivisionError."""
 
     __slots__ = ()
 
     def __new__(cls, numerator: int, denominator: int) -> "Rational":
-        g = gcd(numerator, denominator)
+        if not denominator:
+            raise ZeroDivisionError(f"Rational({numerator}, 0)")
+        g = gcd(numerator, denominator) if denominator > 0 else -gcd(numerator, denominator)
         return tuple.__new__(cls, (numerator // g, denominator // g))
 
     def __float__(self) -> float:
@@ -131,12 +152,15 @@ class DivisorClass(Record, fields="d mults"):
         return _class_str(self.d, self.mults)
 
 
-def require_int(value, what: str) -> None:
+def require_int(value, what: str, least: int | None = None) -> None:
     """Refuse a value that is not exactly an int, naming its type: a bool or
     10.0 would pass the range tests, and would hash equal to the int in an
-    untyped cache."""
+    untyped cache.  Then refuse one below least, 0 ("nonnegative") or 1
+    ("positive"), when it is given."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an int, not {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be {'nonnegative' if least == 0 else 'positive'}")
 
 
 def _class_str(d: int, mults: tuple[int, ...]) -> str:
@@ -352,10 +376,6 @@ class EffectivityResult(Record, fields="effective h0 nef_remainder witness trace
     """
 
     __slots__ = ()
-
-    def __new__(cls, effective: bool, h0: int, nef_remainder: DivisorClass | None,
-                witness: DivisorClass | None, trace: tuple) -> "EffectivityResult":
-        return tuple.__new__(cls, (effective, h0, nef_remainder, witness, trace))
 
 
 def reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:

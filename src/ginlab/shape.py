@@ -30,9 +30,6 @@ class SquareRootIntercept(Record, fields="radicand"):
 
     __slots__ = ()
 
-    def __new__(cls, radicand: int) -> "SquareRootIntercept":
-        return tuple.__new__(cls, (radicand,))
-
     def __float__(self) -> float:
         return sqrt(self.radicand)
 
@@ -64,10 +61,6 @@ class ShapeReport(Record, fields="config entries predicted seshadri_estimate"):
     and to colength/m^2."""
 
     __slots__ = ()
-
-    def __new__(cls, config: PointConfig, entries: tuple, predicted: tuple | None,
-                seshadri_estimate: Rational) -> "ShapeReport":
-        return tuple.__new__(cls, (config, entries, predicted, seshadri_estimate))
 
 
 def shape_report(config: PointConfig, m_list: list[int]) -> ShapeReport:

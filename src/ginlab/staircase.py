@@ -97,9 +97,7 @@ def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
     H(alpha - 1) = 0, below which H vanishes.  The cache is typed, so 10.0
     or True misses it and meets the int check.
     """
-    require_int(m, "multiplicity")
-    if m < 1:
-        raise ValueError("multiplicity must be positive")
+    require_int(m, "multiplicity", 1)
     if config.kind == SHGH:
         return shgh_gin_closed_form(config.r, m)
     t = nef_threshold(config, m) + 1
@@ -133,9 +131,7 @@ def shgh_gin_closed_form(r: int, m: int) -> MonomialStaircase:
     in degree a only (eta = a + 1) or split between degrees a and a + 1:
     x^a, ..., x^(a-eta+1) y^(eta-1) and then x^(a-eta) y^(eta+1), ..., y^(a+1).
     """
-    require_int(m, "multiplicity")
-    if m < 1:
-        raise ValueError("multiplicity must be positive")
+    require_int(m, "multiplicity", 1)
     a = alpha_shgh(r, m)
     eta = shgh_hilbert(r, m, a)
     if not 1 <= eta <= a + 1:

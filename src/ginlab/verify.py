@@ -81,17 +81,11 @@ class VerifyCheck(Record, fields="name passed detail"):
 
     __slots__ = ()
 
-    def __new__(cls, name: str, passed: bool, detail: str) -> "VerifyCheck":
-        return tuple.__new__(cls, (name, passed, detail))
-
 
 class VerifyReport(Record, fields="max_m checks"):
     """The VerifyChecks run_verification ran, in report order, up to max_m."""
 
     __slots__ = ()
-
-    def __new__(cls, max_m: int, checks: tuple[VerifyCheck, ...]) -> "VerifyReport":
-        return tuple.__new__(cls, (max_m, checks))
 
     @property
     def passed(self) -> bool:
@@ -220,9 +214,7 @@ def run_verification(config: PointConfig, max_m: int = DEFAULT_MAX_M) -> VerifyR
 
     A guard error inside a check fails that check with the guard's message.
     """
-    require_int(max_m, "max_m")
-    if max_m < 1:
-        raise ValueError("max_m must be positive")
+    require_int(max_m, "max_m", 1)
     checks = []
     for name, check, kinds in _CHECKS:
         if config.kind in kinds:

@@ -37,7 +37,7 @@ def named(values, width: int = 1):
     """A sequence of ints (width 1) or of int pairs (width 2) as the payload
     builders name an int array: an _IntRuns over _batches of CHUNK ints."""
     ints = iter(values) if width == 1 else chain.from_iterable(values)
-    return _IntRuns(_batches(ints, CHUNK), width)
+    return _IntRuns(_batches(ints, CHUNK), width, "%d", render_runs)
 
 
 class Door(list):

@@ -72,6 +72,7 @@ def test_separate_constructions_are_equal(cls):
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert cls(*fields().values()) == a  # keyword and positional order agree
+    assert cls(**dict(reversed(fields().items()))) == a  # keywords in any order
     assert {name: getattr(a, name) for name in fields()} == fields()
 
 
@@ -122,6 +123,32 @@ def test_fields_are_namedtuple_getters(cls):
     getter = type(namedtuple("Plain", "field").field)
     assert cls._fields == tuple(fields())
     assert [type(getattr(cls, name)) for name in fields()] == [getter] * len(fields())
+
+
+# (record type, its fields in order as a dict) -> a build with a wrong set of fields
+_WRONG_FIELDS = {
+    "missing positional": lambda cls, fields: cls(*list(fields.values())[:-1]),
+    "missing by name": lambda cls, fields: cls(**dict(list(fields.items())[1:])),
+    "extra positional": lambda cls, fields: cls(*fields.values(), list(fields.values())[-1]),
+    "unknown keyword": lambda cls, fields: cls(*fields.values(), extra=1),
+    "unknown keyword by name": lambda cls, fields: cls(**fields, extra=1),
+    "given twice": lambda cls, fields: cls(next(iter(fields.values())), **fields),
+}
+
+
+@TYPES
+@pytest.mark.parametrize("case", list(_WRONG_FIELDS))
+def test_a_wrong_set_of_fields_is_a_type_error(cls, case):
+    # the same for a record's own __new__ as for Record's, whose named path
+    # the builds by name take
+    fields, _ = RECORDS[cls]
+    with pytest.raises(TypeError):
+        _WRONG_FIELDS[case](cls, fields())
+
+
+def test_only_records_that_validate_or_reduce_write_a_constructor():
+    assert {cls for cls in RECORDS if "__new__" in vars(cls)} == {
+        Rational, DivisorClass, PointConfig, MonomialStaircase}
 
 
 def test_divisor_class_stores_mults_as_a_tuple():
@@ -176,6 +203,24 @@ def test_divisor_class_stores_mults_as_a_tuple():
      "max_m must be an int, not float"),
     (lambda: run_verification(PointConfig.general(6), True), ValueError,
      "max_m must be an int, not bool"),
+    # every entry point that takes a multiplicity refuses one out of range,
+    # through the one helper, before the type of any later argument
+    (lambda: shgh_hilbert(10, -1, 5), ValueError, "multiplicity must be nonnegative"),
+    (lambda: alpha_shgh(10, -1), ValueError, "multiplicity must be nonnegative"),
+    (lambda: nef_threshold(PointConfig.general(6), -1), ValueError, "multiplicity must be nonnegative"),
+    (lambda: hilbert_fn(PointConfig.general(6), -1, 5), ValueError, "multiplicity must be nonnegative"),
+    (lambda: alpha(PointConfig.general(6), 0), ValueError, "multiplicity must be positive"),
+    (lambda: gin_staircase(PointConfig.general(6), 0), ValueError, "multiplicity must be positive"),
+    (lambda: shgh_gin_closed_form(10, 0), ValueError, "multiplicity must be positive"),
+    (lambda: run_verification(PointConfig.general(6), 0), ValueError, "max_m must be positive"),
+    (lambda: hilbert_fn(PointConfig.general(6), -1, 2.5), ValueError, "multiplicity must be nonnegative"),
+    # Record's own constructor names the record and the field
+    (lambda: VerifyReport(max_m=5), TypeError, "VerifyReport() missing field 'checks'"),
+    (lambda: VerifyCheck("colength", True), TypeError, "VerifyCheck() missing field 'detail'"),
+    (lambda: VerifyCheck("colength", True, "ok", "extra"), TypeError,
+     "VerifyCheck() takes 3 fields but 4 were given"),
+    (lambda: VerifyReport(5, (), max_m=5), TypeError, "VerifyReport() got multiple values for field 'max_m'"),
+    (lambda: VerifyReport(5, check=()), TypeError, "VerifyReport() got an unexpected field 'check'"),
     (lambda: PointConfig.parse("general:--6"), ValueError,
      "bad configuration 'general:--6'; expected kind:number"),
     (lambda: MonomialStaircase(alpha=0, runs=(), m=1, config=PointConfig.general(2)),

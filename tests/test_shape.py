@@ -37,15 +37,27 @@ def test_square_root_intercept():
     assert 3.16 < float(SquareRootIntercept(10)) < 3.17
 
 
-@given(n=st.integers(-10**30, 10**30), d=st.integers(1, 10**30))
+@given(n=st.integers(-10**30, 10**30), d=st.integers(-10**30, 10**30).filter(bool))
 @example(n=6, d=3)       # an integer: "2"
 @example(n=0, d=7)       # zero: "0", denominator 1
 @example(n=-5, d=10)     # a negative: "-1/2"
 @example(n=1, d=3)       # not a finite binary fraction
+@example(n=1, d=-2)      # a negative denominator: the sign moves up, "-1/2"
+@example(n=-6, d=-3)     # both negative: "2"
+@example(n=0, d=-7)      # zero over a negative: "0", denominator 1
 def test_rational_spells_and_converts_as_fraction(n, d):
-    x = Rational(n, d)
-    assert (str(x), float(x)) == (str(F(n, d)), float(F(n, d)))
-    assert F(*x) == F(n, d) and x == (F(n, d).numerator, F(n, d).denominator)
+    x, f = Rational(n, d), F(n, d)
+    assert (str(x), float(x)) == (str(f), float(f))
+    assert F(*x) == f and x == (f.numerator, f.denominator)
+    assert hash(x) == hash(Rational(f.numerator, f.denominator))
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 10**30])
+def test_rational_over_zero_raises_as_fraction_does(n):
+    with pytest.raises(ZeroDivisionError):
+        F(n, 0)
+    with pytest.raises(ZeroDivisionError, match=rf"^Rational\({n}, 0\)$"):
+        Rational(n, 0)
 
 
 def test_near_rational_target():
