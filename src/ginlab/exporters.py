@@ -17,42 +17,40 @@ writes the pieces as they come, so it never holds a whole document.  The
 large int arrays, nearly all the bytes of a staircase, are named by the code
 that builds the payload as `_IntRuns`, each with its renderer.  A
 staircase's three arrays, its lambdas, its generators and the middle of the
-`gin` text line, go as range segments, straight from the runs: the lambdas
-one run to a segment, the generators and the text line one (x, height)
-range pair per run, backward from x^alpha (`column_ranges`, the text line
-through `_window`), so no profile is expanded whole.  `render_ranges` is
-their one writer, and it chooses a segment at a time: a segment of at
-least BREAK_EVEN columns comes in blocks of at most 1000 numbers that share
-the part above their last three digits, each block joined from that part
-and slices of two 1000-entry tables, `_suffixes`, built at the first such
-segment in a process; a block costs about forty numbers' formatting, so
-consecutive shorter segments, every run of a collinear staircase among
-them, are expanded into runs of at most CHUNK ints for `render_runs`.  The
-other int arrays are flat runs cut by the one chunker, `_batches`: a shape
-report's corners (`corner_runs`, without building the pairs or their
-rational strs) and `hilbert`'s (t, H) values.  `render_runs` formats each
-run by one "%d" template, only as the pieces are read, so no str is made
-per number; `hilbert_pieces` writes every `hilbert` document, text and CSV
-rows included, through it.  Other lists take the generic path.
-The SVG, `svg_pieces`, has CHUNK // 4 columns (CHUNK numbers) of an outline
-to a piece.  `staircase_json`, `shape_json`, `shape_svg` and `hilbert_csv`
-join the pieces into one str; no command calls them.
+`gin` text line, go as segments straight from the runs, which `_stretches`
+hands over a run at a time: a run of at least BREAK_EVEN columns as a range,
+and the ints of consecutive shorter runs, every run of a collinear staircase
+among them, in tuples of at most CHUNK ints; the generators and the text
+line pair them with their x-exponents, backward from x^alpha
+(`column_ranges`, the text line through `_window`).  `render_ranges` is
+their one writer: a range comes in blocks of at most 1000 numbers that share
+the part above their last three digits, each joined from that part and
+slices of two 1000-entry tables, `_suffixes`, and a tuple through a template
+of `render_runs`.  The other int arrays are flat runs cut by the one
+chunker, `_batches`: a shape report's corners (`corner_runs`, without
+building the pairs or their rational strs) and `hilbert`'s (t, H) values.
+`render_runs` formats each run by one "%d" template, only as the pieces are
+read, so no str is made per number; `hilbert_pieces` writes every `hilbert`
+document, text and CSV rows included, through it.  Other lists take the
+generic path.  The SVG, `svg_pieces`, has CHUNK // 4 columns (CHUNK numbers)
+of an outline to a piece.  `staircase_json`, `shape_json`, `shape_svg` and
+`hilbert_csv` join the pieces into one str; no command calls them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import chain, count, groupby, islice, repeat, starmap
+from itertools import chain, count, groupby, islice, repeat
 from math import gcd
-from operator import floordiv
+from operator import floordiv, getitem
 
 from .lattice import PointConfig, Rational, Record, canonical_class, intersect
 from .shape import ShapeReport, SquareRootIntercept
 from .staircase import MonomialStaircase, colength
 
 CHUNK = 4096  # numbers per %d template or SVG piece, which bounds each run and piece
-# the length, in columns, from which a segment renders faster from the suffix
+# the length, in columns, from which a run renders faster from the suffix
 # tables than through a %d template (measured)
 BREAK_EVEN = 40
 
@@ -153,7 +151,7 @@ def render_runs(runs, item: str, sep: str, lead: str) -> Iterator[str]:
     from its own template.  `map` calls fill only when the next str is read
     and holds neither the run nor its str after handing it on, where a
     generator expression would keep the last run while the next is built.
-    render_ranges hands it the staircase arrays' short segments."""
+    render_ranges hands it the staircase arrays' segments with an int tuple."""
     width = item.count("%d")
 
     def fill(start: str, run) -> str:
@@ -163,17 +161,14 @@ def render_runs(runs, item: str, sep: str, lead: str) -> Iterator[str]:
 
 
 def render_ranges(segments, item: str, sep: str, lead: str) -> Iterator[str]:
-    """render_runs' text for the ints of segments, each a tuple of equal-length
-    ranges of step 1 or -1 over ints >= 0, whose k-th range fills the k-th %d
-    of `item`, written a segment at a time on its faster side.  A segment of
-    at least BREAK_EVEN columns is cut into blocks in which every number of
-    one range has the same part above its last three digits, so a block of
-    at most 1000 items is one "".join of those parts and slices of the
-    `_suffixes` tables, built at the first such segment: no number is
-    formatted, but a block costs about what a template takes for forty
-    numbers.  Consecutive shorter segments are expanded, column by column,
-    into runs of at most CHUNK ints that render_runs fills.  One str per
-    block or run, read as render_runs reads its runs."""
+    """render_runs' text for the ints of segments, tuples of equal-length
+    columns, ranges of step 1 or -1 over ints >= 0 or int tuples, as
+    `_stretches` hands them over, whose k-th fills the k-th %d of `item`.  A
+    segment of ranges is cut into blocks in which every number of one range
+    has the same part above its last three digits, so a block of at most
+    1000 items is one "".join of those parts and slices of the `_suffixes`
+    tables: no number is formatted.  A segment with an int tuple, at most
+    CHUNK ints, is one run for render_runs.  One str per block or run."""
     texts = item.split("%d")
     tail = texts[-1]
 
@@ -193,15 +188,30 @@ def render_ranges(segments, item: str, sep: str, lead: str) -> Iterator[str]:
         joined[0] = first
         return "".join(joined) + tail
 
-    for long, group in groupby(segments, lambda segment: len(segment[0]) >= BREAK_EVEN):
-        if long:
+    for ranges, group in groupby(segments, lambda segment: tuple not in map(type, segment)):
+        if ranges:
             plain, padded = _suffixes()
             yield from map(fill, chain([lead], repeat(sep)), _blocks(group))
-        else:  # a lone range is its own column of ints; wider segments zip theirs
-            columns = group if len(texts) == 2 else starmap(zip, group)
-            ints = chain.from_iterable(chain.from_iterable(columns))
-            yield from render_runs(_batches(ints, CHUNK), item, sep, lead)
+        else:
+            yield from render_runs(map(_interleaved, group), item, sep, lead)
         lead = sep
+
+
+def _interleaved(segment: tuple[Sequence[int], ...]) -> list[int]:
+    """The ints of a segment, column by column."""
+    run = [0] * (len(segment) * len(segment[0]))
+    for k, column in enumerate(segment):
+        run[k::len(segment)] = column
+    return run
+
+
+def _stretches(runs, size: int) -> Iterator[range | tuple[int, ...]]:
+    """The runs' columns, in order, as render_ranges writes them fastest: each
+    run of at least BREAK_EVEN columns as it is, for the tables, and the ints
+    of consecutive shorter runs in tuples of at most size, for templates,
+    since a range per short run costs more to build than its ints do."""
+    for long, group in groupby(runs, lambda run: len(run) >= BREAK_EVEN):
+        yield from group if long else _batches(chain.from_iterable(group), size)
 
 
 def _blocks(segments) -> Iterator[list[range]]:
@@ -219,29 +229,30 @@ def _blocks(segments) -> Iterator[list[range]]:
 @lru_cache(maxsize=None)
 def _suffixes() -> tuple[list[str], list[str]]:
     """Each i < 1000 as a whole number and as the last three digits of a
-    larger one: built at the first segment of BREAK_EVEN columns in a process."""
+    larger one: built at the first segment of ranges in a process."""
     return [str(i) for i in range(1000)], ["%03d" % i for i in range(1000)]
 
 
-def column_ranges(s: MonomialStaircase) -> Iterator[tuple[range, range]]:
+def column_ranges(s: MonomialStaircase) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
     """The generators' (x, height) columns as segments of render_ranges:
-    x^alpha, then one (x, height) range pair per run, read backward from the
-    last run: the columns from alpha down to 0, the documents' generator order."""
-    x = s.alpha
-    yield range(x, x - 1, -1), range(1)
-    for run in reversed(s.runs):
-        yield range(x - 1, x - 1 - len(run), -1), run[::-1]
-        x -= len(run)
+    x^alpha's height 0, then the runs read backward from the last one, each
+    reversed, through `_stretches`: the columns from alpha down to 0, the
+    documents' generator order."""
+    x = s.alpha + 1
+    backward = map(getitem, reversed(s.runs), repeat(slice(None, None, -1)))  # each run reversed
+    for heights in _stretches(chain([range(1)], backward), CHUNK // 2):
+        yield range(x - 1, x - 1 - len(heights), -1), heights
+        x -= len(heights)
 
 
 def _window(segments, start: int, stop: int) -> Iterator[tuple[range, ...]]:
     """Columns start..stop - 1, counted from the first, of segments of
-    equal-length ranges; a segment wholly inside comes as it is."""
+    equal-length ranges or tuples; a segment wholly inside comes as it is."""
     for segment in segments:
         n = len(segment[0])
         if start <= 0 and stop >= n:
             yield segment
-        elif start < n and stop > 0:
+        elif max(start, 0) < min(stop, n):
             yield tuple(r[max(start, 0):stop] for r in segment)
         start, stop = start - n, stop - n
 
@@ -297,7 +308,7 @@ def staircase_payload(s: MonomialStaircase) -> dict:
         "config": str(s.config),
         "m": s.m,
         "alpha": s.alpha,
-        "lambdas": _IntRuns(zip(s.runs), 1, "%d", render_ranges),
+        "lambdas": _IntRuns(zip(_stretches(s.runs, CHUNK)), 1, "%d", render_ranges),
         "generators": _IntRuns(column_ranges(s), 2, "%d", render_ranges),
         "colength": colength(s),
         "conjectural": s.config.conjectural,

@@ -1,4 +1,4 @@
-"""Exact divisor-class arithmetic on blow-ups of the projective plane.
+"""Divisor classes, negative curves and section counts on blown-up planes.
 
 Classes live in the Picard lattice with basis e0 (pullback of a line) and
 e_1..e_r (exceptional curves); the intersection form is diag(1, -1, ..., -1).
@@ -8,9 +8,9 @@ preserves the section count.  The curves are one table of orbits under
 permuting the points, ``_curve_orbits``.  The orbit engine ``uniform_h0``
 peels uniform classes a whole orbit at a time on plain ints (d, a, b) and
 evaluates Riemann-Roch on them in closed form; ``reduce_to_nef`` peels
-curve by curve on ``DivisorClass`` values from the table's expansion,
-``exceptional_classes``.  The nef slope read off the same orbits is the
-``Rational`` ``nef_ratio``.
+curve by curve on plain ints (d, mults), through one row per curve of the
+table's expansion, ``exceptional_classes``.  The nef slope read off the
+same orbits is the ``Rational`` ``nef_ratio``.
 
 Every result record in the package is a ``Record``: a tuple subclass whose
 fields are the C getters ``namedtuple`` installs, built without compiling
@@ -22,9 +22,8 @@ from __future__ import annotations
 from collections import _tuplegetter
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import repeat
 from math import factorial, gcd
-from operator import add, mul, sub
+from operator import mul
 
 from .errors import ComputationGuardError, UnsupportedConfigError
 
@@ -135,18 +134,11 @@ class DivisorClass(Record, fields="d mults"):
         mults[i - 1] = -1
         return cls(0, tuple(mults))
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        _check_same_rank(self, other)
-        return DivisorClass(self.d + other.d, tuple(map(add, self.mults, other.mults)))
+    def __add__(self, other):
+        # a tuple's own + and * would concatenate or repeat the fields
+        raise TypeError("a DivisorClass has no arithmetic: it refuses + and *")
 
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        _check_same_rank(self, other)
-        return DivisorClass(self.d - other.d, tuple(map(sub, self.mults, other.mults)))
-
-    def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(k * self.d, tuple(map(mul, repeat(k), self.mults)))
-
-    __mul__ = __rmul__
+    __radd__ = __mul__ = __rmul__ = __add__
 
     def __str__(self) -> str:
         return _class_str(self.d, self.mults)
@@ -165,11 +157,6 @@ def require_int(value, what: str, least: int | None = None) -> None:
 
 def _class_str(d: int, mults: tuple[int, ...]) -> str:
     return f"({d}; {', '.join(map(str, mults))})"
-
-
-def _check_same_rank(a: DivisorClass, b: DivisorClass) -> None:
-    if len(a.mults) != len(b.mults):
-        raise ValueError(f"rank mismatch: {len(a.mults)} vs {len(b.mults)}")
 
 
 class PointConfig(Record, fields="kind n"):
@@ -250,7 +237,8 @@ class PointConfig(Record, fields="kind n"):
 
 def intersect(a: DivisorClass, b: DivisorClass) -> int:
     """Intersection pairing; e0.e0 = 1, e_i.e_i = -1, mixed terms vanish."""
-    _check_same_rank(a, b)
+    if len(a.mults) != len(b.mults):
+        raise ValueError(f"rank mismatch: {len(a.mults)} vs {len(b.mults)}")
     return a.d * b.d - sum(map(mul, a.mults, b.mults))
 
 
@@ -329,10 +317,11 @@ def exceptional_classes(config: PointConfig) -> tuple[DivisorClass, ...]:
 
 
 @lru_cache(maxsize=None)
-def _degree_sums(config: PointConfig) -> tuple[tuple[int, int], ...]:
-    """(deg C, sum C) of each curve of ``exceptional_classes``, in its order:
-    a uniform class (d; a, ..., a) meets C in d*deg C - a*sum C."""
-    return tuple((c.d, sum(c.mults)) for c in exceptional_classes(config))
+def _curve_rows(config: PointConfig) -> tuple[tuple[int, int, tuple[int, ...], int, DivisorClass], ...]:
+    """(deg C, sum C, mults C, -C.C, C) for each curve C of
+    ``exceptional_classes``, in its order: a uniform class (d; a, ..., a)
+    meets C in d*deg C - a*sum C, any other in d*deg C - sum(a_i * c_i)."""
+    return tuple((c.d, sum(c.mults), c.mults, -intersect(c, c), c) for c in exceptional_classes(config))
 
 
 def is_nef(f: DivisorClass, config: PointConfig) -> bool:
@@ -349,17 +338,17 @@ def riemann_roch_h0(f: DivisorClass, config: PointConfig) -> int:
     """
     if not is_nef(f, config):
         raise ValueError(f"{f} is not nef; Riemann-Roch alone does not give h0")
-    return _euler_h0(f)
+    return _euler_h0(*f)
 
 
-def _euler_h0(f: DivisorClass) -> int:
-    """(f.f - f.K)/2 + 1 for a class already known to be nef."""
+def _euler_h0(d: int, mults: tuple[int, ...]) -> int:
+    """(f.f - f.K)/2 + 1 for a class f = (d; mults) already known to be nef."""
     # f.f - f.K = d^2 + 3d - sum(a^2 + a) with K = (-3; -1, ..., -1)
     # is even: d(d+3) = d(d+1) + 2d, and a(a+1) is even for every a
-    chi2 = f.d * (f.d + 3) - sum(a * (a + 1) for a in f.mults)
+    chi2 = d * (d + 3) - sum(a * (a + 1) for a in mults)
     value = chi2 // 2 + 1
     if value < 0:
-        raise ComputationGuardError(f"negative section count for nef class {f}")
+        raise ComputationGuardError(f"negative section count for nef class {_class_str(d, mults)}")
     return value
 
 
@@ -367,9 +356,9 @@ class EffectivityResult(Record, fields="effective h0 nef_remainder witness trace
     """Outcome of driving a class to a nef representative.
 
     When ``effective``, ``h0`` counts sections, ``nef_remainder`` is the nef
-    class with the same count, and the input equals
-    ``nef_remainder + sum(k * c for c, k in trace)``.  Otherwise ``witness``
-    is the reduced class whose degree went negative, certifying emptiness.
+    class with the same count, and the input is ``nef_remainder`` plus k*c
+    for each (c, k) in ``trace``, field by field.  Otherwise ``witness`` is
+    the reduced class in its place, negative in degree, certifying emptiness.
     The fields are ``effective`` (bool), ``h0`` (int), ``nef_remainder`` and
     ``witness`` (DivisorClass or None) and ``trace`` (pairs of a curve and
     the number of times it was subtracted).
@@ -385,38 +374,36 @@ def reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
     of exceptional curves met negatively), stops if the degree went
     negative, and otherwise subtracts the worst-met curve, the first listed
     one on ties, as often as f.C stays negative: each subtraction raises
-    f.C by -C.C.  A uniform class, as every fat-point class starts, is
-    paired through the (deg C, sum C) table instead of curve by curve.
-    Every step preserves the section count, so h0 of the input is the
-    Riemann-Roch count of the nef remainder.
+    f.C by -C.C.  Every step preserves the section count, so h0 of the input
+    is the Riemann-Roch count of the nef remainder.  The class is kept as
+    ints (d, mults), paired through ``_curve_rows``; only the clamped curves
+    of the trace and the result are built as classes.
     """
     _check_rank(f, config)
-    curves = exceptional_classes(config)
-    g, trace = f, []
+    rows = _curve_rows(config)
+    d, mults, trace = f.d, f.mults, []
     # every iteration either clamps or lowers the degree, so this bound is generous
-    budget = (max(f.d, 0) + 2) * (len(curves) + 2) + sum(-a for a in f.mults if a < 0) + 8
+    budget = (max(d, 0) + 2) * (len(rows) + 2) + sum(-a for a in mults if a < 0) + 8
     while True:
         budget -= 1
         if budget < 0:
             raise ComputationGuardError(f"reduction of {f} failed to terminate")
-        if min(g.mults) < 0:
-            trace += [(DivisorClass.exceptional(i + 1, f.r), -a) for i, a in enumerate(g.mults) if a < 0]
-            g = DivisorClass(g.d, tuple(max(a, 0) for a in g.mults))
-        if g.d < 0:
-            return EffectivityResult(False, 0, None, g, tuple(trace))
-        mults = g.mults
+        if min(mults) < 0:
+            trace += [(DivisorClass.exceptional(i + 1, f.r), -a) for i, a in enumerate(mults) if a < 0]
+            mults = tuple([max(a, 0) for a in mults])
+        if d < 0:
+            return EffectivityResult(False, 0, None, DivisorClass(d, mults), tuple(trace))
         if mults.count(mults[0]) == len(mults):
-            d, a = g.d, mults[0]
-            pairings = [d * cd - a * cs for cd, cs in _degree_sums(config)]
+            a = mults[0]
+            pairings = [d * cd - a * cs for cd, cs, _, _, _ in rows]
         else:
-            pairings = [intersect(g, c) for c in curves]
+            pairings = [d * cd - sum(map(mul, mults, cm)) for cd, _, cm, _, _ in rows]
         worst_pairing = min(pairings)
         if worst_pairing >= 0:
-            return EffectivityResult(True, _euler_h0(g), g, None, tuple(trace))
-        worst = curves[pairings.index(worst_pairing)]
-        drop = -intersect(worst, worst)
+            return EffectivityResult(True, _euler_h0(d, mults), DivisorClass(d, mults), None, tuple(trace))
+        cd, _, cm, drop, worst = rows[pairings.index(worst_pairing)]
         k = (-worst_pairing + drop - 1) // drop
-        g = g - k * worst
+        d, mults = d - k * cd, tuple([a - k * c for a, c in zip(mults, cm)])
         trace.append((worst, k))
 
 

@@ -53,10 +53,18 @@ def oracle_neg_one_classes(r: int) -> frozenset[DivisorClass]:
     return frozenset(found)
 
 
+def combine(*terms: tuple[int, DivisorClass]) -> DivisorClass:
+    """sum(k * c) over the (k, c) terms, degree and each multiplicity on
+    their own: DivisorClass has no arithmetic."""
+    (_, first), *_ = terms
+    return DivisorClass(sum(k * c.d for k, c in terms),
+                        tuple(sum(k * c.mults[i] for k, c in terms) for i in range(len(first.mults))))
+
+
 # reduce_to_nef's oracle: the same peeling as a plain loop that pairs every
-# class with every listed curve through intersect, where the engine pairs a
-# uniform class through its (deg C, sum C) table, and h0 as the Euler
-# characteristic (f.f - f.K)/2 + 1 of the remainder.
+# class with every listed curve through intersect, where the engine pairs
+# ints through its table of curve rows, and h0 as the Euler characteristic
+# (f.f - f.K)/2 + 1 of the remainder.
 def reference_reduce_to_nef(f: DivisorClass, config: PointConfig) -> EffectivityResult:
     curves = exceptional_classes(config)
     canonical = DivisorClass(-3, (-1,) * f.r)
@@ -74,7 +82,7 @@ def reference_reduce_to_nef(f: DivisorClass, config: PointConfig) -> Effectivity
             return EffectivityResult(True, h0, g, None, tuple(trace))
         curve = curves[pairings.index(worst)]
         k = -(worst // -intersect(curve, curve))
-        g = g - k * curve
+        g = combine((1, g), (-k, curve))
         trace.append((curve, k))
 
 

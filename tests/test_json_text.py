@@ -145,8 +145,9 @@ def test_staircases_across_chunk_boundaries_match_json_dumps(a):
 # from at - 1 to at, or that reach 0 when at is 0, downward and upward by
 # turns, each segment after the first starting with sep.  A length gives two
 # segments of it; a sequence of lengths mixes segments written from the tables
-# (at least BREAK_EVEN columns) with shorter ones written from templates,
-# among them short segments whose ints pass CHUNK between two long ones
+# (ranges) with shorter ones written from templates (int tuples, as
+# _stretches hands them over), among them short segments whose ints pass
+# CHUNK between two long ones
 @pytest.mark.parametrize("item", ["%d", "[\n      %d,\n      %d\n    ]", "x^%dy^%d"])
 @pytest.mark.parametrize("length", [
     1, 2, BREAK_EVEN - 1, BREAK_EVEN, BREAK_EVEN + 1, 999, 1000, 1001, 2500,
@@ -161,15 +162,17 @@ def test_range_pieces_match_render_runs(at, length, item):
     for i, n in enumerate((length, length) if isinstance(length, int) else length):
         top, bottom = max(at + n // 2, n - 1), max(at - n // 2, 0)
         down, up = range(top, top - n, -1), range(bottom, bottom + n)
-        segments.append(((down, up) if i % 2 == 0 else (up, down))[:width])
+        segment = ((down, up) if i % 2 == 0 else (up, down))[:width]
+        segments.append(segment if n >= BREAK_EVEN else tuple(map(tuple, segment)))
     ints = [n for segment in segments for column in zip(*segment) for n in column]
     pieces = list(render_ranges(segments, item, ", ", "<"))
     assert "".join(pieces) == "".join(render_runs(_batches(iter(ints), CHUNK), item, ", ", "<"))
     assert max(len(re.findall(r"\d+", piece)) for piece in pieces) <= CHUNK
 
 
-# a window inside one segment, across two, and before and after others
+# a window inside one segment, across two, before and after others, and empty
 @pytest.mark.parametrize("start,stop,expected", [
+    (4, 4, []),
     (1, 3, [(range(1, 3), range(11, 13))]),
     (3, 7, [(range(3, 5), range(13, 15)), (range(5, 7), range(15, 17))]),
     (0, 9, [(range(5), range(10, 15)), (range(5, 9), range(15, 19))]),
@@ -192,14 +195,19 @@ def test_long_run_staircases_match_json_dumps_and_the_text_line(a):
 
 
 # general:7 staircases whose runs average 38.5 and 43.1 columns, each with
-# runs on both sides of BREAK_EVEN: both arrays go to render_ranges, which
-# chooses a run at a time, and the bytes hold
+# runs on both sides of BREAK_EVEN: both arrays go to render_ranges, and
+# _stretches chooses a run at a time, a long one as its range and the ints of
+# consecutive short ones as tuples, and the bytes hold
 @pytest.mark.parametrize("m", [29, 115])
 def test_runs_at_the_break_even_choose_the_renderer(m):
     s = gin_staircase(PointConfig.general(7), m)
     assert min(map(len, s.runs)) < BREAK_EVEN <= max(map(len, s.runs))
     payload = staircase_payload(s)
     assert payload["lambdas"].render is payload["generators"].render is render_ranges
+    lambdas = [column for column, in payload["lambdas"].runs]
+    assert [run for run in lambdas if type(run) is range] == [run for run in s.runs if len(run) >= BREAK_EVEN]
+    assert all(type(ints) is tuple and len(ints) <= CHUNK for ints in lambdas if type(ints) is not range)
+    assert [*chain.from_iterable(lambdas)] == [*chain.from_iterable(s.runs)]
     assert staircase_json(s) == expected_staircase_json(s)
     assert "generators: " + "".join(generator_line(s)) == expected_generator_line(s)
 

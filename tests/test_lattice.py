@@ -17,7 +17,7 @@ from ginlab.hilbert import alpha, nef_threshold
 from ginlab.lattice import (_EXCEPTIONAL_TEMPLATES, _curve_orbits, _distinct_permutations, _orbits,
                             canonical_class, h0, intersect, is_nef, reduce_to_nef, riemann_roch_h0,
                             uniform_h0)
-from oracles import grouped_orbits, oracle_neg_one_classes, reference_reduce_to_nef
+from oracles import combine, grouped_orbits, oracle_neg_one_classes, reference_reduce_to_nef
 
 
 ORACLE_COUNTS = {2: 3, 3: 6, 4: 10, 5: 16, 6: 27, 7: 56, 8: 240}
@@ -36,9 +36,8 @@ def test_intersect_basis_rules():
 
 def test_intersect_rank_mismatch():
     a, b = DivisorClass(1, (0,) * 3), DivisorClass(1, (0,) * 4)
-    for op in (intersect, operator.add, operator.sub):
-        with pytest.raises(ValueError, match="^rank mismatch: 3 vs 4$"):
-            op(a, b)
+    with pytest.raises(ValueError, match="^rank mismatch: 3 vs 4$"):
+        intersect(a, b)
 
 
 def test_canonical_class_square():
@@ -55,7 +54,7 @@ def test_intersect_symmetric_bilinear(r, data):
     mk = st.tuples(ints, st.tuples(*[ints] * r)).map(lambda p: DivisorClass(p[0], p[1]))
     a, b, c = data.draw(mk), data.draw(mk), data.draw(mk)
     assert intersect(a, b) == intersect(b, a)
-    assert intersect(a + b, c) == intersect(a, c) + intersect(b, c)
+    assert intersect(combine((1, a), (1, b)), c) == intersect(a, c) + intersect(b, c)
     assert intersect(a, b) == a.d * b.d - sum(x * y for x, y in zip(a.mults, b.mults))
 
 
@@ -210,11 +209,9 @@ def test_reduce_clamps_negative_multiplicities():
     assert res.h0 == h0(DivisorClass(4, (0, 1, 1)), config)
 
 
-def _trace_sum(res, r):
-    total = DivisorClass(0, (0,) * r)
-    for c, k in res.trace:
-        total = total + k * c
-    return total
+def _trace_sum(res, reduced):
+    """reduced + sum(k * c for c, k in res.trace)."""
+    return combine((1, reduced), *((k, c) for c, k in res.trace))
 
 
 CLASS_LIST_CONFIGS = st.one_of(st.builds(PointConfig.general, st.integers(2, 8)),
@@ -224,17 +221,15 @@ CLASS_LIST_CONFIGS = st.one_of(st.builds(PointConfig.general, st.integers(2, 8))
 @given(CLASS_LIST_CONFIGS, st.data())
 @settings(max_examples=60, deadline=None)
 def test_reduce_conserves_the_class(config, data):
-    r = config.r
     d = data.draw(st.integers(-3, 24))
-    mults = data.draw(st.tuples(*[st.integers(-3, 9)] * r))
+    mults = data.draw(st.tuples(*[st.integers(-3, 9)] * config.r))
     res = reduce_to_nef(DivisorClass(d, mults), config)
     if res.effective:
-        reassembled = res.nef_remainder + _trace_sum(res, r)
-        assert reassembled == DivisorClass(d, mults)
+        assert _trace_sum(res, res.nef_remainder) == DivisorClass(d, mults)
         assert is_nef(res.nef_remainder, config)
         assert res.h0 == riemann_roch_h0(res.nef_remainder, config)
     else:
-        assert res.witness + _trace_sum(res, r) == DivisorClass(d, mults)
+        assert _trace_sum(res, res.witness) == DivisorClass(d, mults)
         assert res.witness.d < 0
 
 
@@ -249,19 +244,51 @@ def test_h0_permutation_invariant(r, data):
         h0(DivisorClass(d, tuple(shuffled)), config)
 
 
-# reduce_to_nef pairs a uniform class through the (deg C, sum C) table and
-# any other class curve by curve; the reference pairs every class with every
-# curve, so the result, trace included, must not depend on the route
+# reduce_to_nef pairs ints through its table of curve rows, a uniform class
+# from (deg C, sum C) and any other from mults C; the reference pairs every
+# class with every curve through intersect, so the result, trace included,
+# must not depend on the route.  Degrees reach 70, past the nef threshold
+# + 1 = 65 that verify's orbit-engine row reads on collinear:8 at m = 8.
 @given(CLASS_LIST_CONFIGS, st.data())
 @settings(max_examples=200, deadline=None)
 def test_reduce_to_nef_matches_the_full_intersect_loop(config, data):
-    d = data.draw(st.integers(-4, 40), label="d")
+    d = data.draw(st.integers(-4, 70), label="d")
     if data.draw(st.booleans(), label="uniform"):
         mults = (data.draw(st.integers(-4, 14), label="a"),) * config.r
     else:
         mults = data.draw(st.tuples(*[st.integers(-4, 14)] * config.r), label="mults")
     f = DivisorClass(d, mults)
     assert reduce_to_nef(f, config) == reference_reduce_to_nef(f, config)
+
+
+@pytest.mark.parametrize("spec", [f"general:{r}" for r in range(2, 9)] +
+                         [f"collinear:{l}" for l in range(3, 9)])
+def test_reduce_to_nef_builds_classes_only_for_clamps_and_the_result(spec, monkeypatch):
+    # the loop peels ints; the peeled curves in the trace are the cached list's own
+    config = PointConfig.parse(spec)
+    curves = exceptional_classes(config)
+    r = config.r
+    inputs = [DivisorClass.uniform(t, m, r) for m in (1, 3, 8) for t in range(3 * m + 3)]
+    inputs += [DivisorClass(d, tuple((3 * i) % 7 - 2 for i in range(r))) for d in (-1, 4, 9)]
+    built = []
+    new = DivisorClass.__new__
+
+    def recording(cls, d, mults):
+        c = new(cls, d, mults)
+        built.append(c)
+        return c
+
+    monkeypatch.setattr(DivisorClass, "__new__", recording)
+    peeled = 0
+    for f in inputs:
+        built.clear()
+        res = reduce_to_nef(f, config)
+        clamps = [c for c, _ in res.trace if not any(c is curve for curve in curves)]
+        assert all(c.d == 0 and sorted(c.mults)[:2] == [-1, 0] for c in clamps), f
+        expected = [*clamps, res.nef_remainder if res.effective else res.witness]
+        assert len(built) == len(expected) and all(map(operator.is_, built, expected)), f
+        peeled += len(res.trace) - len(clamps)
+    assert peeled > 0
 
 
 # The curve-by-curve reduction is the oracle for the orbit engine behind
@@ -323,11 +350,13 @@ def test_h0_monotone_in_degree():
 
 
 def test_divisor_class_str_and_arith():
-    a = DivisorClass(2, (1, 0))
-    b = DivisorClass(1, (1, 1))
-    assert str(a) == "(2; 1, 0)"
-    assert a - b == DivisorClass(1, (0, -1))
-    assert 3 * b == DivisorClass(3, (3, 3))
+    c = DivisorClass(2, (1, 0))
+    assert str(c) == "(2; 1, 0)"
+    # a class is a tuple, but it neither adds, subtracts, concatenates nor repeats
+    for op in (lambda: c + c, lambda: (0,) + c, lambda: c * 2, lambda: 2 * c,
+               lambda: c - c, lambda: sum([c, c])):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_point_config_parse_and_validation():

@@ -253,8 +253,11 @@ ALLOWLIST = {
     "lattice.riemann_roch_h0": pinned("lattice.riemann_roch_h0"),
     "lattice.h0": pinned("lattice.h0"),
     "lattice.PointConfig.general": pinned("PointConfig.general"),
-    # a guard: DivisorClass is a tuple, whose own + would concatenate two classes
-    "lattice.DivisorClass.__add__": lambda bench: issubclass(DivisorClass, tuple),
+    # refuses + and *: DivisorClass is a tuple, whose own + and * would
+    # concatenate or repeat classes
+    "lattice.DivisorClass.__add__": lambda bench: all(
+        raises_type_error(op, DivisorClass(1, (1, 0)))
+        for op in (lambda c: c + c, lambda c: (0,) + c, lambda c: c * 2, lambda c: 2 * c)),
     # the record base: it sets each record's fields at import, before any
     # command runs; the repr and pickling are namedtuple's, for library callers
     "lattice.Record.__init_subclass__":
@@ -270,6 +273,14 @@ ALLOWLIST = {
         for name, module in ginlab._EXPORTS.items()),
     "__init__.__dir__": lambda bench: set(ginlab.__all__) <= set(dir(ginlab)),
 }
+
+
+def raises_type_error(op, c) -> bool:
+    try:
+        op(c)
+    except TypeError:
+        return True
+    return False
 
 
 def reachability_problems(unentered: set[str], allowlist: dict, bench: Bench) -> list[str]:
