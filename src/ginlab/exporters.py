@@ -145,17 +145,17 @@ def _emit(o, nl: str, out: list[str], string) -> None:
 
 
 def render_runs(runs, item: str, sep: str, lead: str) -> Iterator[str]:
-    """The items of the flat int runs joined by sep, each item the %d template
-    `item` filled from the run's next ints: one str per run, which starts with
-    lead for the first run and with sep for the others.  Each run is filled
-    from its own template.  `map` calls fill only when the next str is read
-    and holds neither the run nor its str after handing it on, where a
-    generator expression would keep the last run while the next is built.
-    render_ranges hands it the staircase arrays' segments with an int tuple."""
+    """The items of the flat int runs, tuples, joined by sep, each item the %d
+    template `item` filled from the run's next ints: one str per run, which
+    starts with lead for the first run and with sep for the others.  Each run
+    fills its own template as it comes.  `map` calls fill only when the next
+    str is read and holds neither the run nor its str after handing it on,
+    where a generator expression would keep the last run while the next is
+    built.  render_ranges hands it the arrays' segments with an int tuple."""
     width = item.count("%d")
 
-    def fill(start: str, run) -> str:
-        return (start + sep.join([item] * (len(run) // width))) % tuple(run)
+    def fill(start: str, run: tuple[int, ...]) -> str:
+        return (start + sep.join([item] * (len(run) // width))) % run
 
     return map(fill, chain([lead], repeat(sep)), runs)
 
@@ -197,12 +197,14 @@ def render_ranges(segments, item: str, sep: str, lead: str) -> Iterator[str]:
         lead = sep
 
 
-def _interleaved(segment: tuple[Sequence[int], ...]) -> list[int]:
-    """The ints of a segment, column by column."""
+def _interleaved(segment: tuple[Sequence[int], ...]) -> tuple[int, ...]:
+    """The ints of a segment, column by column; a one-column segment's int tuple as it is."""
+    if len(segment) == 1:
+        return segment[0]
     run = [0] * (len(segment) * len(segment[0]))
     for k, column in enumerate(segment):
         run[k::len(segment)] = column
-    return run
+    return tuple(run)
 
 
 def _stretches(runs, size: int) -> Iterator[range | tuple[int, ...]]:

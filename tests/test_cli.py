@@ -707,9 +707,9 @@ GOLDEN = [
     ("verify shgh:9 --max-m 8 --format json",
      "8ce155b9e0d77072a35fd67790610446d617e824eeebda9d17c46ce8c344a895"),
     ("verify general:5 --max-m 10 --format json",
-     "556660b728d8abd178d8329c8ade9b7216f49345e1b931777087b7ed275aca92"),
+     "32a68bf61c3acfb5e74d8dbd369696a42813213a89bc2d2035cb235d6691cb70"),
     ("verify general:6 --max-m 10",
-     "bd0ea7a0132988d4c7ea5537a08e603a2e549e1abf5194a7b00838c5c34c208b"),
+     "08a1c0978713f9930e01f51941c4666c8c9c0acd82451b811ea1202c929d9989"),
     ("verify collinear:3 --max-m 12",
      "e08ad1ea3a244d4e554744e9d0b171b2015a06c91c832b371eb704439ca84a22"),
     ("verify collinear:4 --max-m 12 --format json",

@@ -14,6 +14,7 @@ from ginlab import hilbert, lattice, shape
 from ginlab import DivisorClass, PointConfig, exceptional_classes, gin_staircase, hilbert_fn
 from ginlab.errors import ComputationGuardError
 from ginlab.hilbert import alpha, alpha_shgh, nef_threshold, shgh_hilbert
+from ginlab.verify import cremona_h0
 from oracles import GENERAL_INTERCEPTS
 
 
@@ -23,23 +24,6 @@ def scan_alpha_shgh(r: int, m: int) -> int:
     while shgh_hilbert(r, m, t) == 0:
         t += 1
     return t
-
-
-# Oracle for H(t) on up to 8 general points by Cremona reduction alone: no
-# curve list, orbits or nef slope.  A class in standard form (d >= m1+m2+m3,
-# multiplicities descending and nonnegative) is nef there, so h0 = max(chi, 0);
-# otherwise the quadratic transformation at the top three points lowers d.
-def cremona_h0(d: int, mults: tuple[int, ...]) -> int:
-    mults = [*mults, 0, 0]  # at least three points
-    while True:
-        mults = sorted((max(a, 0) for a in mults), reverse=True)
-        if d < 0:
-            return 0
-        e = d - mults[0] - mults[1] - mults[2]
-        if e >= 0:
-            return max(comb(d + 2, 2) - sum(comb(a + 1, 2) for a in mults), 0)
-        d += e
-        mults[:3] = (a + e for a in mults[:3])
 
 
 def test_cremona_oracle_anchor():

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 from ginlab import (DivisorClass, PointConfig, cli, exceptional_classes, gin_staircase, hilbert_fn,
                     run_verification)
 from ginlab import shape, verify
-from ginlab.lattice import uniform_h0
+from ginlab.hilbert import alpha, nef_threshold
+from ginlab.lattice import reduce_to_nef, uniform_h0
 from ginlab.staircase import shgh_gin_closed_form
-from ginlab.verify import brute_force_exceptional_classes
-from oracles import degree_count, heights, products_inside_all_pairs, staircase_of
+from ginlab.verify import brute_force_exceptional_classes, cremona_h0
+from oracles import (clear_ginlab_caches, degree_count, heights, products_inside_all_pairs,
+                     staircase_of)
+from test_package import defined_functions, entered_by
 
 
 def clear_caches():
@@ -70,7 +73,7 @@ def test_shape_check_detail_covers_every_m(spec):
 
 def test_check_names_by_kind():
     names = [c.name for c in run_verification(PointConfig.general(2), max_m=4).checks]
-    assert names == ["class-list", "orbit-engine", "colength", "nef-range-agreement",
+    assert names == ["class-list", "orbit-engine", "colength", "cremona",
                      "first-differences", "convergence", "graded-system"]
     names = [c.name for c in run_verification(PointConfig.shgh(9), max_m=4).checks]
     assert names == ["colength", "closed-form", "first-differences",
@@ -116,15 +119,61 @@ def test_orbit_check_catches_a_wrong_engine(monkeypatch):
     def wrong(config, m, t):
         return uniform_h0(config, m, t) + ((m, t) == (3, 7))
 
-    # the engine hilbert_fn calls is off by one at an (m, t) that only this
-    # check notices; the cached values it leaves behind are dropped afterwards
+    # the engine hilbert_fn calls is off by one at an (m, t) that both window
+    # rows notice and no other row does; the cached values it leaves behind
+    # are dropped afterwards
     monkeypatch.setattr("ginlab.hilbert.uniform_h0", wrong)
     clear_caches()
     try:
         report = run_verification(PointConfig.general(5), max_m=4)
     finally:
         clear_caches()
-    assert [(c.name, c.detail) for c in report.failures] == [("orbit-engine", "divergence at m=3, t=7")]
+    assert [(c.name, c.detail) for c in report.failures] == [
+        ("orbit-engine", "divergence at m=3, t=7"), ("cremona", "divergence at m=3, t=7")]
+
+
+def test_cremona_row_catches_a_wrong_value_past_the_orbit_cap(monkeypatch, capsys):
+    def wrong(config, m, t):
+        value = uniform_h0(config, m, t)
+        return value + (config == PointConfig.general(6) and m % 7 == 3 and m > 8
+                        and value > 0 and uniform_h0(config, m, t - 1) == 0)
+
+    # H(alpha) + 1 on general:6 at m = 10 (and 17, 24, ...), in both engine
+    # bindings: above orbit-engine's m <= 8, below the nef threshold, and no
+    # product escapes at m <= 7, so only the Cremona row sees it
+    monkeypatch.setattr("ginlab.hilbert.uniform_h0", wrong)
+    monkeypatch.setattr("ginlab.staircase.uniform_h0", wrong)
+    clear_caches()
+    try:
+        report = run_verification(PointConfig.general(6), 14)
+        clear_caches()
+        code = cli.main(["verify", "general:6", "--max-m", "14"])
+    finally:
+        clear_caches()
+    assert [(c.name, c.detail) for c in report.failures] == [("cremona", "divergence at m=10, t=24")]
+    assert code == 1
+    assert "FAIL cremona: divergence at m=10, t=24\n" in capsys.readouterr().out
+
+
+def test_window_rows_share_only_what_they_declare():
+    config, r = PointConfig.general(6), 6
+    window = [(m, t) for m in range(1, 4)
+              for t in range(alpha(config, m) - 1, nef_threshold(config, m) + 2)]
+    defined = defined_functions()
+
+    def defs_entered(run) -> set[str]:
+        clear_ginlab_caches()
+        return {defined[key] for key in entered_by(run) if key in defined}
+
+    engine = defs_entered(lambda: [hilbert_fn(config, m, t) for m, t in window])
+    cremona = defs_entered(lambda: [cremona_h0(t, (m,) * r) for m, t in window])
+    orbit = defs_entered(lambda: [reduce_to_nef(DivisorClass.uniform(t, m, r), config).h0
+                                  for m, t in window])
+    assert "lattice.uniform_h0" in engine and "verify.cremona_h0" in cremona
+    assert "lattice.reduce_to_nef" in orbit
+    assert engine & cremona == set()
+    # checks the peel arithmetic, not the curve list
+    assert engine & orbit == {"lattice._curve_orbits", "lattice.PointConfig.r"}
 
 
 def test_guard_errors_become_failed_checks(monkeypatch, capsys):
@@ -162,7 +211,8 @@ FAILING_VERIFY = {
         "PASS orbit-engine: orbit peeling equals reduce_to_nef from alpha-1 to the nef"
         " threshold+1 for m <= 3\n"
         "PASS colength: equals r*m*(m+1)/2 for every m <= 3\n"
-        "PASS nef-range-agreement: matches the naive count on nef degrees for m <= 3\n"
+        "PASS cremona: Cremona reduction equals the engine from alpha-1 to the nef"
+        " threshold+1 for m <= 3\n"
         "PASS first-differences: within [0, t+1] for m in [1, 3]\n"
         f"FAIL convergence: {CONVERGENCE_FAILED}\n"
         "PASS graded-system: products and scaled nesting hold for m <= 1\n"
@@ -190,9 +240,10 @@ FAILING_VERIFY = {
         '      "detail": "equals r*m*(m+1)/2 for every m <= 3"\n'
         '    },\n'
         '    {\n'
-        '      "name": "nef-range-agreement",\n'
+        '      "name": "cremona",\n'
         '      "passed": true,\n'
-        '      "detail": "matches the naive count on nef degrees for m <= 3"\n'
+        '      "detail": "Cremona reduction equals the engine from alpha-1 to the nef'
+        ' threshold+1 for m <= 3"\n'
         '    },\n'
         '    {\n'
         '      "name": "first-differences",\n'
@@ -236,7 +287,8 @@ DOCTORED_VERIFY = {
         "PASS orbit-engine: orbit peeling equals reduce_to_nef from alpha-1 to the nef"
         " threshold+1 for m <= 4\n"
         "PASS colength: equals r*m*(m+1)/2 for every m <= 4\n"
-        "PASS nef-range-agreement: matches the naive count on nef degrees for m <= 4\n"
+        "PASS cremona: Cremona reduction equals the engine from alpha-1 to the nef"
+        " threshold+1 for m <= 4\n"
         "PASS first-differences: within [0, t+1] for m in [1, 2, 4]\n"
         "PASS convergence: intercepts within 3/m for m <= 4\n"
         "FAIL graded-system: products escape at m=1\n"
