@@ -1,24 +1,25 @@
-"""Cross-validation suites pitting each engine against an independent check.
+"""Cross-validation suites pitting each engine against a second route.
 
-Every check recomputes its expected values from a different route than the
-engine under test: class lists against brute-force lattice enumeration, general
-points' H(t) against Cremona reduction from alpha - 1 to the nef threshold + 1,
-orbit peeling against curve-by-curve peeling (both read ``lattice._curve_orbits``,
-so that row checks the peel arithmetic, not the curve list), colengths against
-the scheme length, scaled staircases against the limit shape (one verdict for
-every kind, ``shape.check_convergence``), generator products at m against the
-staircase at 2m (the graded system), and the shgh closed form's degree counts
-against the Hilbert function, both read off run starts.  First differences of
-H are read through ``staircase.xy_count``, whose guard holds each to [0, t+1].
-The table ``_CHECKS`` lists the checks in report order with their kinds.
+Class lists against brute-force enumeration, general points' H(t) against
+Cremona reduction, orbit peeling against curve-by-curve peeling, the shgh
+closed form's degree counts against H's first differences (read through
+``staircase.xy_count``, whose guard holds each to [0, t+1]), colengths against
+the scheme length, scaled staircases against the limit shape, and generator
+products at m against the staircase at 2m.  ``_CHECKS`` lists the rows in
+report order with their kinds; ``_compare`` runs each (engine, oracle) pair,
+whose sides share only what tests/test_verify.py declares: orbit peeling
+``lattice._curve_orbits`` (the peel arithmetic is checked, not the curve list),
+the closed form ``hilbert.shgh_hilbert`` (its layout, not the count), the class
+list ``lattice.intersect`` (the definition of C.C and C.K).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator
+from functools import partial
 from itertools import combinations_with_replacement
-from math import comb, isqrt
+from math import comb, inf, isqrt
 
 from .errors import ComputationGuardError
 from .hilbert import alpha, hilbert_fn, nef_threshold
@@ -137,23 +138,19 @@ def cremona_h0(d: int, mults: tuple[int, ...]) -> int:
         mults[:3] = (a + e for a in mults[:3])
 
 
-def _window_row(config: PointConfig, top_m: int, agrees: str, oracle) -> tuple[bool, str]:
-    """hilbert_fn against oracle(m, t) for m <= top_m, alpha - 1 <= t <= nef threshold + 1."""
+def _compare(engine, oracle, window, cap, agrees, config: PointConfig, max_m: int) -> tuple[bool, str]:
+    """engine(config, m, t) against oracle(config, m, t) for m <= min(max_m, cap) and t in
+    window(config, m): the one loop of every row that pits two routes against each other."""
+    top_m = min(max_m, cap)
     for m in range(1, top_m + 1):
-        for t in range(alpha(config, m) - 1, nef_threshold(config, m) + 2):
-            if oracle(m, t) != hilbert_fn(config, m, t):
+        for t in window(config, m):
+            if engine(config, m, t) != oracle(config, m, t):
                 return False, f"divergence at m={m}, t={t}"
-    return True, f"{agrees} from alpha-1 to the nef threshold+1 for m <= {top_m}"
+    return True, f"{agrees} for m <= {top_m}"
 
 
-def _check_orbit_engine(config: PointConfig, max_m: int) -> tuple[bool, str]:
-    return _window_row(config, min(max_m, 8), "orbit peeling equals reduce_to_nef",
-                       lambda m, t: reduce_to_nef(DivisorClass.uniform(t, m, config.r), config).h0)
-
-
-def _check_cremona(config: PointConfig, max_m: int) -> tuple[bool, str]:
-    return _window_row(config, max_m, "Cremona reduction equals the engine",
-                       lambda m, t: cremona_h0(t, (m,) * config.r))
+def _alpha_to_nef(config: PointConfig, m: int) -> range:
+    return range(alpha(config, m) - 1, nef_threshold(config, m) + 2)
 
 
 def _check_first_differences(config: PointConfig, max_m: int) -> tuple[bool, str]:
@@ -200,23 +197,30 @@ def _degree_count(s: MonomialStaircase, t: int) -> int:
     return t + 1 - next((x for x, y in s.run_starts if x + y <= t), t + 1)
 
 
-def _check_shgh_closed_form(config: PointConfig, max_m: int) -> tuple[bool, str]:
-    # Degree counts determine a strictly decreasing profile, so matching xy_count
-    # around the generator degrees is equality with the staircase rebuilt from H.
-    for m in range(1, max_m + 1):
-        s = shgh_gin_closed_form(config.r, m)
-        if any(_degree_count(s, t) != xy_count(config, m, t) for t in range(s.alpha - 1, s.zeta + 2)):
-            return False, f"reconstruction differs at m={m}"
-    return True, f"closed form equals the reconstruction for m <= {max_m}"
+def _closed_form_degrees(config: PointConfig, m: int) -> range:
+    """alpha - 1 to zeta + 1 of the closed form: degree counts determine a strictly decreasing
+    profile, so matching xy_count there is equality with the staircase rebuilt from H."""
+    s = shgh_gin_closed_form(config.r, m)
+    return range(s.alpha - 1, s.zeta + 2)
 
 
-# (name, check, kinds it runs on), in report order
+_WINDOW = "from alpha-1 to the nef threshold+1"
+# (name, check, kinds it runs on), in report order.  A _compare row's sides are
+# lambdas, so each call reads the binding a tracer may have replaced.
 _CHECKS = (
     ("class-list", _check_class_list, (GENERAL, COLLINEAR)),
-    ("orbit-engine", _check_orbit_engine, (GENERAL, COLLINEAR)),
+    ("orbit-engine", partial(_compare, lambda c, m, t: hilbert_fn(c, m, t),
+                             lambda c, m, t: reduce_to_nef(DivisorClass.uniform(t, m, c.r), c).h0,
+                             _alpha_to_nef, 8, f"orbit peeling equals reduce_to_nef {_WINDOW}"),
+     (GENERAL, COLLINEAR)),
     ("colength", _check_colength, (GENERAL, COLLINEAR, SHGH)),
-    ("cremona", _check_cremona, (GENERAL,)),
-    ("closed-form", _check_shgh_closed_form, (SHGH,)),
+    ("cremona", partial(_compare, lambda c, m, t: hilbert_fn(c, m, t),
+                        lambda c, m, t: cremona_h0(t, (m,) * c.r), _alpha_to_nef, inf,
+                        f"Cremona reduction equals the engine {_WINDOW}"), (GENERAL,)),
+    ("closed-form", partial(_compare, lambda c, m, t: xy_count(c, m, t),
+                            lambda c, m, t: _degree_count(shgh_gin_closed_form(c.r, m), t),
+                            _closed_form_degrees, inf, "closed form equals the reconstruction"),
+     (SHGH,)),
     ("first-differences", _check_first_differences, (GENERAL, COLLINEAR, SHGH)),
     ("convergence", _check_convergence, (GENERAL, COLLINEAR, SHGH)),
     ("graded-system", _check_graded_and_nested, (GENERAL, COLLINEAR, SHGH)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import permutations
 
 import pytest
@@ -11,10 +12,9 @@ from hypothesis import strategies as st
 from ginlab import (DivisorClass, PointConfig, cli, exceptional_classes, gin_staircase, hilbert_fn,
                     run_verification)
 from ginlab import shape, verify
-from ginlab.hilbert import alpha, nef_threshold
-from ginlab.lattice import reduce_to_nef, uniform_h0
+from ginlab.lattice import COLLINEAR, GENERAL, SHGH, uniform_h0
 from ginlab.staircase import shgh_gin_closed_form
-from ginlab.verify import brute_force_exceptional_classes, cremona_h0
+from ginlab.verify import brute_force_exceptional_classes
 from oracles import (clear_ginlab_caches, degree_count, heights, products_inside_all_pairs,
                      staircase_of)
 from test_package import defined_functions, entered_by
@@ -98,7 +98,7 @@ def test_closed_form_check_catches_a_wrong_staircase(monkeypatch):
     monkeypatch.setattr("ginlab.verify.shgh_gin_closed_form", wrong)
     report = run_verification(PointConfig.shgh(10), max_m=4)
     assert [c.name for c in report.failures] == ["closed-form"]
-    assert report.failures[0].detail == "reconstruction differs at m=1"
+    assert report.failures[0].detail == "divergence at m=1, t=4"
 
 
 def test_collinear_class_list_check_needs_the_line(monkeypatch):
@@ -155,25 +155,54 @@ def test_cremona_row_catches_a_wrong_value_past_the_orbit_cap(monkeypatch, capsy
     assert "FAIL cremona: divergence at m=10, t=24\n" in capsys.readouterr().out
 
 
+# The src/ginlab defs that both routes of a pair row enter besides the
+# primitives, each with the reason the row still checks something: a pair row
+# missing here, or a side that gains a shared def, fails the test below.
+PRIMITIVES = {"lattice.PointConfig.r", "lattice.PointConfig.l", "lattice.require_int"}
+DECLARED_SHARED = {
+    "orbit-engine": {"lattice._curve_orbits": "checks the peel arithmetic, not the curve list"},
+    "cremona": {},
+    "closed-form": {"hilbert.shgh_hilbert": "checks the closed form's layout, not the count"},
+    "class-list": {"lattice.intersect": "the definition of C.C and C.K",
+                   "lattice.DivisorClass.__new__": "builds the classes intersect reads"},
+}
+SIDE_SPECS = {GENERAL: ("general:2", "general:6", "general:8"),
+              COLLINEAR: ("collinear:3", "collinear:8"), SHGH: ("shgh:9", "shgh:16")}
+
+
+def pair_sides():
+    """(row, config, engine run, oracle run): every _compare row of _CHECKS on
+    its own window at m <= 3, once per spec of each kind it runs on, and
+    class-list's general half."""
+    def over(side, config, points):
+        return lambda: [side(config, m, t) for m, t in points]
+
+    for name, check, kinds in verify._CHECKS:
+        if getattr(check, "func", None) is verify._compare:
+            engine, oracle, window = check.args[:3]
+            for config in (PointConfig.parse(spec) for kind in kinds for spec in SIDE_SPECS[kind]):
+                points = [(m, t) for m in range(1, 4) for t in window(config, m)]
+                yield name, config, over(engine, config, points), over(oracle, config, points)
+    for config in map(PointConfig.parse, SIDE_SPECS[GENERAL]):
+        yield ("class-list", config, partial(exceptional_classes, config),
+               partial(brute_force_exceptional_classes, config.r))
+
+
 def test_window_rows_share_only_what_they_declare():
-    config, r = PointConfig.general(6), 6
-    window = [(m, t) for m in range(1, 4)
-              for t in range(alpha(config, m) - 1, nef_threshold(config, m) + 2)]
     defined = defined_functions()
 
     def defs_entered(run) -> set[str]:
         clear_ginlab_caches()
-        return {defined[key] for key in entered_by(run) if key in defined}
+        return {defined[key] for key in entered_by(run) if key in defined} - PRIMITIVES
 
-    engine = defs_entered(lambda: [hilbert_fn(config, m, t) for m, t in window])
-    cremona = defs_entered(lambda: [cremona_h0(t, (m,) * r) for m, t in window])
-    orbit = defs_entered(lambda: [reduce_to_nef(DivisorClass.uniform(t, m, r), config).h0
-                                  for m, t in window])
-    assert "lattice.uniform_h0" in engine and "verify.cremona_h0" in cremona
-    assert "lattice.reduce_to_nef" in orbit
-    assert engine & cremona == set()
-    # checks the peel arithmetic, not the curve list
-    assert engine & orbit == {"lattice._curve_orbits", "lattice.PointConfig.r"}
+    seen = set()
+    for name, config, engine, oracle in pair_sides():
+        engine_defs, oracle_defs = defs_entered(engine), defs_entered(oracle)
+        assert engine_defs and oracle_defs, (name, config)
+        assert engine_defs & oracle_defs == set(DECLARED_SHARED[name]), (name, config)
+        seen.add(name)
+    assert seen == set(DECLARED_SHARED)
+    assert all(reason for shared in DECLARED_SHARED.values() for reason in shared.values())
 
 
 def test_guard_errors_become_failed_checks(monkeypatch, capsys):
@@ -298,7 +327,7 @@ DOCTORED_VERIFY = {
         ["verify", "shgh:10", "--max-m", "4"],
         "# verify shgh:10 --max-m 4\n"
         "PASS colength: equals r*m*(m+1)/2 for every m <= 4\n"
-        "FAIL closed-form: reconstruction differs at m=3\n"
+        "FAIL closed-form: divergence at m=3, t=12\n"
         "PASS first-differences: within [0, t+1] for m in [1, 2, 4]\n"
         "PASS convergence: intercepts within 3/m for m <= 4\n"
         "PASS graded-system: products and scaled nesting hold for m <= 2\n"
@@ -344,9 +373,13 @@ def test_first_differences_failure_names_config_m_and_t(monkeypatch):
 
 
 def test_every_check_is_in_the_table_once():
+    # each row is a _check_* def or a partial of _compare, the loop that pits two routes
     checks = [check for _, check, _ in verify._CHECKS]
     defined = [value for name, value in vars(verify).items() if name.startswith("_check_")]
-    assert sorted(checks, key=id) == sorted(defined, key=id)
+    compared = [check for check in checks if getattr(check, "func", None) is verify._compare]
+    assert [name for name, check, _ in verify._CHECKS if check in compared] == [
+        "orbit-engine", "cremona", "closed-form"]
+    assert sorted(checks, key=id) == sorted(defined + compared, key=id)
     assert len(set(checks)) == len(checks) == len({name for name, _, _ in verify._CHECKS})
 
 
