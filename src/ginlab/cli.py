@@ -39,7 +39,7 @@ from types import SimpleNamespace
 
 from . import exporters, shape, staircase, verify
 from .errors import ComputationGuardError
-from .hilbert import hilbert_fn
+from .hilbert import hilbert_values
 from .lattice import PointConfig, exceptional_classes
 
 EXIT_OK = 0
@@ -117,8 +117,8 @@ def cmd_hilbert(config: PointConfig, args) -> tuple[Iterable[str], int]:
     ts = _parse_t_range(args)
     # sized up front, so a range too long to hold fails before any value is read
     values = [0] * len(ts)
-    for i, t in enumerate(ts):
-        values[i] = hilbert_fn(config, args.m, t)
+    for i, value in enumerate(hilbert_values(config, args.m, ts)):
+        values[i] = value
     return exporters.hilbert_pieces(config, args.m, zip(ts, values), args.format), EXIT_OK
 
 

@@ -2,19 +2,23 @@
 
 For up to 8 general points (and the collinear-plus-one arrangement) the value
 in degree t is the section count of the class (t; m, ..., m) on the blow-up.
-From 9 points on, the conjectural interpolation count takes over.  The nef
-slope nu enters only through two integer ceilings on its lowest-terms pair
-(p, q): the nef threshold ceil(nu*m) and alpha's lower bracket ceil(r*m/nu).
+From 9 points on, the conjectural interpolation count takes over.
+``hilbert_fn`` serves one degree through a cache; ``hilbert_values`` serves
+a range of degrees, the divisor kinds from ``lattice.uniform_h0_window``.
+The nef slope nu enters only through two integer ceilings on its
+lowest-terms pair (p, q): the nef threshold ceil(nu*m) and alpha's lower
+bracket ceil(r*m/nu), ``alpha_lower_bound``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from collections.abc import Iterator
+from functools import lru_cache, partial
 from math import comb, isqrt
 
 from .errors import ComputationGuardError
-from .lattice import SHGH, PointConfig, nef_ratio, require_int, uniform_h0
+from .lattice import SHGH, PointConfig, nef_ratio, require_int, uniform_h0, uniform_h0_window
 
 def shgh_hilbert(r: int, m: int, t: int) -> int:
     """Conjectural Hilbert function for r >= 9 general points.
@@ -62,6 +66,24 @@ def hilbert_fn(config: PointConfig, m: int, t: int) -> int:
         return shgh_hilbert(config.r, m, t)
     return uniform_h0(config, m, t)
 
+def hilbert_values(config: PointConfig, m: int, ts: range) -> Iterator[int]:
+    """H(t) for each t of ts, a range of step 1 or -1, in order, from the
+    kind's one engine and without ``hilbert_fn``'s cache: ``shgh_hilbert``
+    at each degree for the shgh kind, and ``uniform_h0_window``'s residue
+    families for the divisor kinds."""
+    require_int(m, "multiplicity", 0)
+    if config.kind == SHGH:
+        return map(partial(shgh_hilbert, config.r, m), ts)
+    return uniform_h0_window(config, m, ts)
+
+def alpha_lower_bound(config: PointConfig, m: int) -> int:
+    """ceil(r*m/nu) on a divisor kind, a degree no positive H(t) is below.
+
+    With nu = p/q the class (p; q, ..., q) is nef, so any effective
+    (t; m, ..., m) meets it nonnegatively: t*p - r*m*q >= 0."""
+    p, q = nef_ratio(config)
+    return -(-config.r * m * q // p)
+
 def alpha(config: PointConfig, m: int) -> int:
     """Least degree whose Hilbert value is positive.
 
@@ -75,12 +97,9 @@ def alpha(config: PointConfig, m: int) -> int:
     r = config.r
     if config.kind == SHGH:
         return alpha_shgh(r, m)
-    # With nu = p/q the class (p; q, ..., q) is nef, so any effective
-    # (t; m, ..., m) meets it nonnegatively: t >= r*m/nu.  At the threshold
-    # the class is nef, and -K is effective on every divisor kind, so the
-    # value there is its Euler characteristic, at least 1.
-    p, q = nef_ratio(config)
-    lo = -(-r * m * q // p)
+    # At the threshold the class is nef, and -K is effective on every
+    # divisor kind, so the value there is its Euler characteristic, at least 1.
+    lo = alpha_lower_bound(config, m)
     hi = nef_threshold(config, m)
     if lo > hi or hilbert_fn(config, m, hi) <= 0:
         raise ComputationGuardError(f"no positive Hilbert value up to degree {hi} for {config}, m={m}")

@@ -7,10 +7,14 @@ driven to a nef representative by peeling off negative curves; each peel
 preserves the section count.  The curves are one table of orbits under
 permuting the points, ``_curve_orbits``.  The orbit engine ``uniform_h0``
 peels uniform classes a whole orbit at a time on plain ints (d, a, b) and
-evaluates Riemann-Roch on them in closed form; ``reduce_to_nef`` peels
-curve by curve on plain ints (d, mults), through one row per curve of the
-table's expansion, ``exceptional_classes``.  The nef slope read off the
-same orbits is the ``Rational`` ``nef_ratio``.
+evaluates Riemann-Roch on them in closed form; it is the one per-degree
+decision procedure.  ``uniform_h0_window`` serves a run of consecutive
+degrees at fixed m from it: H is Riemann-Roch of a class affine in t on each
+residue family of t that shares the greedy's trace, so the greedy runs only
+at the two ends of each family.  ``reduce_to_nef`` peels curve by curve on
+plain ints (d, mults), through one row per curve of the table's expansion,
+``exceptional_classes``.  The nef slope read off the same orbits is the
+``Rational`` ``nef_ratio``.
 
 Every result record in the package is a ``Record``: a tuple subclass whose
 fields are the C getters ``namedtuple`` installs, built without compiling
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from collections import _tuplegetter
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial, gcd
 from operator import mul
 
@@ -448,22 +452,36 @@ def nef_ratio(config: PointConfig) -> Rational:
     return Rational(p, q)
 
 
-def uniform_h0(config: PointConfig, m: int, t: int) -> int:
+# how the greedy's trace ends: at a nef class, at a negative degree, or at an
+# orbit whose sum does not raise the pairing, which leaves the class empty
+_NEF, _NEGATIVE, _EMPTY = -1, -2, -3
+
+
+def uniform_h0(config: PointConfig, m: int, t: int, trace: list | None = None) -> int:
     """Section count of (t; m, ..., m), peeling whole orbits of curves.
 
     The class stays uniform on the n permuted points, as (d, a on them, b
     off them), and meets all of an orbit alike.  If it meets the worst
-    orbit negatively, the orbit sum S comes off ceil(-f.C / -C.S) times.
-    A fixed part has a negative-definite intersection matrix (Zariski), so
-    C.S >= 0 means the class is empty.  Two orbit peels sufficed on every
-    value checked (the chambers of Bauer-Kuronya-Szemberg); eight is a guard.
-    The nef remainder's count is Riemann-Roch on (d, a, b) in closed form,
+    orbit negatively, the first such row on ties, the orbit sum S comes off
+    ceil(-f.C / -C.S) times.  A fixed part has a negative-definite
+    intersection matrix (Zariski), so C.S >= 0 means the class is empty.
+    Two orbit peels sufficed on every value checked (the chambers of
+    Bauer-Kuronya-Szemberg); eight is a guard.  The nef remainder's count
+    is Riemann-Roch on (d, a, b) in closed form,
     (d(d+3) - n*a(a+1) - (r-n)*b(b+1))/2 + 1, with no class built.
+
+    This greedy is the one per-degree decision procedure.  Handed a list as
+    ``trace``, it appends its trace there for ``uniform_h0_window``: the
+    index of each orbit it peels, how it stopped (_NEF, _NEGATIVE, or the
+    index of the orbit it could not peel and _EMPTY), and the class d, a, b
+    it stopped at.
     """
     orbits = _orbits(config)
     d, a, b = t, m, m
     for _ in range(8):
         if d < 0:
+            if trace is not None:
+                trace += (_NEGATIVE, d, a, b)
             return 0
         # the first orbit met most negatively; row[:3] is (cd, ca, cb)
         worst, worst_pairing = None, 0
@@ -478,13 +496,158 @@ def uniform_h0(config: PointConfig, m: int, t: int) -> int:
             if value < 0:
                 raise ComputationGuardError(
                     f"negative section count for nef class {_class_str(d, (a,) * n + (b,) * rest)}")
+            if trace is not None:
+                trace += (_NEF, d, a, b)
             return value
         _, _, _, sd, sa, sb, drop = worst
+        if trace is not None:
+            trace.append(orbits.index(worst))
         if drop <= 0:
+            if trace is not None:
+                trace += (_EMPTY, d, a, b)
             return 0
         k = (-worst_pairing + drop - 1) // drop
         d, a, b = d - k * sd, a - k * sa, b - k * sb
     raise ComputationGuardError(f"orbit reduction of ({t}; {m}, ...) on {config} failed to terminate")
+
+
+@lru_cache(maxsize=None)
+def _trace_period(config: PointConfig, trace: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(D, vd, va, vb) of a trace of ``uniform_h0``, its orbit indices and
+    how it stopped: the period D, and the change of the class the greedy
+    stops at when t rises by D along the trace.
+
+    The class starts at (t; m, ..., m), of slope (1, 0, 0) in t.  A peel of
+    an orbit takes its sum off k = ceil(-pairing / drop) times, so dk/dt is
+    minus the pairing's slope over drop.  D is the least common multiple of
+    those denominators, found with ints: the slope is kept as an int vector
+    over D degrees, and D grows by what each peel's division needs.
+    """
+    orbits = _orbits(config)
+    period, vd, va, vb = 1, 1, 0, 0
+    for i in trace[:-2] if trace[-1] == _EMPTY else trace[:-1]:
+        cd, ca, cb, sd, sa, sb, drop = orbits[i]
+        slope = vd * cd - va * ca - vb * cb  # of the pairing, over `period` degrees
+        scale = drop // gcd(slope, drop)
+        period, vd, va, vb = period * scale, vd * scale, va * scale, vb * scale
+        dk = -slope * scale // drop  # exact
+        vd, va, vb = vd - dk * sd, va - dk * sa, vb - dk * sb
+    return period, vd, va, vb
+
+
+def uniform_h0_window(config: PointConfig, m: int, ts: range) -> Iterator[int]:
+    """``uniform_h0(config, m, t)`` for each t of ts, a range of step 1 or
+    -1, in order, running the greedy only at the two ends of residue
+    families.
+
+    The greedy's trace at t is the orbits it peels, the count k of each
+    peel, and how it stops; ``_trace_period`` gives the trace's period D.
+    When t moves by D along a trace, every k moves by an integer, and so
+    does the class.  Each decision of the greedy along t, t + D, t + 2D, ...
+    is then a sign test of an affine function of the step index j (d < 0; a
+    pairing below the worst so far, ties to the first row; every pairing
+    >= 0), or the ceiling of an affine function with an integer step, which
+    moves by that step.  So the indices that share a trace form an interval:
+    when the traces at both ends are equal, every index between has that
+    trace too.  There the greedy stops at the affine class c + j*v, and H is
+    0 for an empty stop, or else Riemann-Roch of c + j*v, a quadratic in j
+    served by two additions per degree and still refused when negative.
+
+    A family opens at the first degree no open family covers, with one
+    greedy run there, or the run a failed probe left there.  Its far end is
+    probed where the same trace's last family ended, or else at the last
+    member in ts; the search gallops on from the last match (from the start
+    when the far end failed), and bisects once a later probe fails.  The
+    greedy at the far end certifies the family, and its class must be
+    c + J*v.  A failed probe is kept for the family that opens at its
+    degree, so every run is at a degree no other run visited: the greedy
+    runs at most once per degree of ts.  Only the open families, O(D) of
+    them, and the failed probes are held.  A window below _SHORT_WINDOW
+    degrees runs the greedy at each degree.
+    """
+    if ts.step not in (1, -1):
+        raise ValueError("a window runs in steps of 1 or -1")
+    if len(ts) < _SHORT_WINDOW:
+        return map(partial(uniform_h0, config, m), ts)
+    return _family_values(config, m, ts)
+
+
+# a family saves runs only from its third member on, and on shorter windows
+# the families' bookkeeping measured slower than the greedy runs it saves
+_SHORT_WINDOW = 32
+
+
+def _family_values(config: PointConfig, m: int, ts: range) -> Iterator[int]:
+    """``uniform_h0_window`` on a window of _SHORT_WINDOW degrees or more."""
+    size, sign, n, rest = len(ts), ts.step, config.n, config.r - config.n
+    # position in ts -> [H there, its next step, the step's step, members left, D]
+    families: dict[int, list] = {}
+    # position in ts -> [trace..., d, a, b, H] of a run there that no family took
+    probes: dict[int, list] = {}
+    ends: dict[tuple, int] = {}  # trace -> the degree where a family of it ended
+
+    def run(q: int) -> list:
+        found = probes.pop(q, None)
+        if found is None:
+            found = []
+            value = uniform_h0(config, m, ts[q], found)
+            found.append(value)
+        return found
+
+    for p, t in enumerate(ts):
+        family = families.pop(p, None)
+        if family is not None:
+            value, step, second, left, period = family
+            if value < 0:
+                raise ComputationGuardError(
+                    f"negative section count {value} served at degree {t} for {config}, m={m}")
+            if left > 1:
+                family[0], family[1], family[3] = value + step, step + second, left - 1
+                families[p + period] = family
+            yield value
+            continue
+        found = run(p)
+        trace, (d, a, b, value) = found[:-4], found[-4:]
+        yield value
+        key = tuple(trace)
+        period, vd, va, vb = _trace_period(config, key)
+        last = (size - 1 - p) // period
+        if not last:
+            continue
+        # the last member sharing the trace: probed where this trace's last
+        # family ended, or else at the far end; then galloping on from the
+        # last match, and bisecting once a probe past the first has failed
+        guess = ends.get(key)
+        j = last if guess is None else min(max((guess - t) * sign // period, 1), last)
+        inside, outside, stride, gallop, far = 0, last + 1, 1, True, None
+        while outside - inside > 1:
+            q = p + j * period
+            probe = run(q)
+            if probe[:-4] == trace:
+                inside, far = j, probe
+            else:
+                outside = j
+                probes[q] = probe
+                gallop = gallop and guess is None and j == last  # a failed far end gallops from 0
+            j = min(inside + stride, outside - 1) if gallop else (inside + outside) // 2
+            stride *= 2
+        if outside <= last:
+            ends[key] = ts[p + inside * period]
+        last = inside
+        if not last:
+            continue
+        vd, va, vb = sign * vd, sign * va, sign * vb
+        if far[-4:-1] != [d + last * vd, a + last * va, b + last * vb]:
+            raise ComputationGuardError(
+                f"the class at degree {ts[p + last * period]} is not affine along the trace "
+                f"from degree {t} for {config}, m={m}")
+        if trace[-1] == _NEF:
+            # H(j) = chi2(c + j*v)/2 + 1, with chi2(d, a, b) = d(d+3) - n*a(a+1) - (r-n)*b(b+1)
+            step = (vd * (2 * d + vd + 3) - n * va * (2 * a + va + 1) - rest * vb * (2 * b + vb + 1)) // 2
+            second = vd * vd - n * va * va - rest * vb * vb
+            families[p + period] = [value + step, step + second, second, last, period]
+        else:
+            families[p + period] = [0, 0, 0, last, period]
 
 
 def h0(f: DivisorClass, config: PointConfig) -> int:

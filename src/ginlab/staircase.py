@@ -4,7 +4,9 @@ After a generic change of coordinates the initial ideal of a uniform
 fat-point ideal is Borel-fixed, hence generated in two variables, and in
 each degree it is the top segment in the x-exponent.  The segment sizes are
 the first differences of the Hilbert function, so the whole staircase can be
-rebuilt from Hilbert values alone, walking down from the nef threshold.  For
+rebuilt from Hilbert values alone, walking down from the nef threshold
+through one descending ``lattice.uniform_h0_window``, which runs the orbit
+greedy only at the ends of its residue families.  For
 r >= 9 general points the staircase has a closed form, which serves that
 kind directly.  Both keep a staircase as its runs, one step -1 range of
 column heights per generator degree, and never expand the profile.  Only
@@ -19,8 +21,8 @@ from itertools import accumulate, islice
 from operator import attrgetter, lt, mul
 
 from .errors import ComputationGuardError
-from .hilbert import alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
-from .lattice import SHGH, PointConfig, Record, require_int, uniform_h0
+from .hilbert import alpha_lower_bound, alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
+from .lattice import SHGH, PointConfig, Record, require_int, uniform_h0_window
 
 
 _START, _STOP = attrgetter("start"), attrgetter("stop")  # a step -1 run's first height and last - 1
@@ -89,19 +91,23 @@ def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
 
     The shgh kind takes the closed form.  The divisor kinds walk down once
     from degree N + 1, N the nef threshold, where H is the Euler
-    characteristic and the segment is full, reading each H(t) once straight
-    from the divisor engine ``uniform_h0``, so ``hilbert_fn``'s cache keeps
-    none of them.  The degree-t piece of the ideal is the top H(t) - H(t-1)
-    monomials in the x-exponent, from column lo(t), so columns
-    lo(t+1)..lo(t)-1 have height t + 1 - i.  The walk ends at
-    H(alpha - 1) = 0, below which H vanishes.  The cache is typed, so 10.0
-    or True misses it and meets the int check.
+    characteristic and the segment is full, reading H from one descending
+    ``uniform_h0_window``, so each degree is served once, the orbit greedy
+    runs only at the ends of its residue families, and ``hilbert_fn``'s
+    cache keeps none of the values.  The degree-t piece of the ideal is the
+    top H(t) - H(t-1) monomials in the x-exponent, from column lo(t), so
+    columns lo(t+1)..lo(t)-1 have height t + 1 - i.  The walk ends at
+    H(alpha - 1) = 0, below which H vanishes; the window ends two below
+    ``alpha_lower_bound``, and a positive value there trips a guard.  The
+    cache is typed, so 10.0 or True misses it and meets the int check.
     """
     require_int(m, "multiplicity", 1)
     if config.kind == SHGH:
         return shgh_gin_closed_form(config.r, m)
     t = nef_threshold(config, m) + 1
-    upper, lower = uniform_h0(config, m, t), uniform_h0(config, m, t - 1)
+    floor = alpha_lower_bound(config, m) - 2  # below alpha - 1, where the walk ends
+    values = uniform_h0_window(config, m, range(t, floor - 1, -1))
+    upper, lower = next(values), next(values)
     if upper - lower != t + 1:
         raise ComputationGuardError(
             f"segment of {upper - lower} monomials at degree {t} is not the full {t + 1} "
@@ -111,7 +117,11 @@ def gin_staircase(config: PointConfig, m: int) -> MonomialStaircase:
     while upper:
         t -= 1
         upper = lower
-        lower = uniform_h0(config, m, t - 1) if upper else 0
+        if upper and t == floor:
+            raise ComputationGuardError(
+                f"Hilbert value {upper} at degree {t}, below every effective degree, "
+                f"for {config}, m={m}; Hilbert engine bug")
+        lower = next(values) if upper else 0
         start = t + 1 - (upper - lower)
         # a first difference in [0, t + 1], and no segment left of the one above
         if not lo <= start <= t + 1:

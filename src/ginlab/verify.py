@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from math import comb, inf, isqrt
 
 from .errors import ComputationGuardError
-from .hilbert import alpha, hilbert_fn, nef_threshold
+from .hilbert import alpha, alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
 from .lattice import (COLLINEAR, GENERAL, SHGH, DivisorClass, PointConfig, Record,
                       canonical_class, exceptional_classes, intersect, reduce_to_nef,
                       require_int)
@@ -139,12 +139,14 @@ def cremona_h0(d: int, mults: tuple[int, ...]) -> int:
 
 
 def _compare(engine, oracle, window, cap, agrees, config: PointConfig, max_m: int) -> tuple[bool, str]:
-    """engine(config, m, t) against oracle(config, m, t) for m <= min(max_m, cap) and t in
-    window(config, m): the one loop of every row that pits two routes against each other."""
+    """engine(config, m)(t) against oracle(config, m)(t) for m <= min(max_m, cap) and t in
+    window(config, m): the one loop of every row that pits two routes against each other.
+    Each side is built once per m, so a side that holds a staircase builds it once."""
     top_m = min(max_m, cap)
     for m in range(1, top_m + 1):
+        engine_at, oracle_at = engine(config, m), oracle(config, m)
         for t in window(config, m):
-            if engine(config, m, t) != oracle(config, m, t):
+            if engine_at(t) != oracle_at(t):
                 return False, f"divergence at m={m}, t={t}"
     return True, f"{agrees} for m <= {top_m}"
 
@@ -198,27 +200,30 @@ def _degree_count(s: MonomialStaircase, t: int) -> int:
 
 
 def _closed_form_degrees(config: PointConfig, m: int) -> range:
-    """alpha - 1 to zeta + 1 of the closed form: degree counts determine a strictly decreasing
-    profile, so matching xy_count there is equality with the staircase rebuilt from H."""
-    s = shgh_gin_closed_form(config.r, m)
-    return range(s.alpha - 1, s.zeta + 2)
+    """alpha - 1 to zeta + 1 of the closed form, read off H without building it: alpha is
+    ``alpha_shgh``, the least degree of a positive H, and zeta is alpha when H(alpha) is the
+    full alpha + 1, else alpha + 1.  A degree count of 0 is 0 below and a full one is full
+    above, and degree counts determine a strictly decreasing profile, so matching xy_count
+    there is equality with the staircase rebuilt from H."""
+    a = alpha_shgh(config.r, m)
+    return range(a - 1, a + 2 + (shgh_hilbert(config.r, m, a) <= a))
 
 
 _WINDOW = "from alpha-1 to the nef threshold+1"
 # (name, check, kinds it runs on), in report order.  A _compare row's sides are
-# lambdas, so each call reads the binding a tracer may have replaced.
+# lambdas of (config, m), so each m reads the binding a tracer may have replaced.
 _CHECKS = (
     ("class-list", _check_class_list, (GENERAL, COLLINEAR)),
-    ("orbit-engine", partial(_compare, lambda c, m, t: hilbert_fn(c, m, t),
-                             lambda c, m, t: reduce_to_nef(DivisorClass.uniform(t, m, c.r), c).h0,
+    ("orbit-engine", partial(_compare, lambda c, m: partial(hilbert_fn, c, m),
+                             lambda c, m: lambda t: reduce_to_nef(DivisorClass.uniform(t, m, c.r), c).h0,
                              _alpha_to_nef, 8, f"orbit peeling equals reduce_to_nef {_WINDOW}"),
      (GENERAL, COLLINEAR)),
     ("colength", _check_colength, (GENERAL, COLLINEAR, SHGH)),
-    ("cremona", partial(_compare, lambda c, m, t: hilbert_fn(c, m, t),
-                        lambda c, m, t: cremona_h0(t, (m,) * c.r), _alpha_to_nef, inf,
+    ("cremona", partial(_compare, lambda c, m: partial(hilbert_fn, c, m),
+                        lambda c, m: lambda t: cremona_h0(t, (m,) * c.r), _alpha_to_nef, inf,
                         f"Cremona reduction equals the engine {_WINDOW}"), (GENERAL,)),
-    ("closed-form", partial(_compare, lambda c, m, t: xy_count(c, m, t),
-                            lambda c, m, t: _degree_count(shgh_gin_closed_form(c.r, m), t),
+    ("closed-form", partial(_compare, lambda c, m: partial(xy_count, c, m),
+                            lambda c, m: partial(_degree_count, shgh_gin_closed_form(c.r, m)),
                             _closed_form_degrees, inf, "closed form equals the reconstruction"),
      (SHGH,)),
     ("first-differences", _check_first_differences, (GENERAL, COLLINEAR, SHGH)),

@@ -10,13 +10,13 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations_with_replacement, permutations
 
 from ginlab import (DivisorClass, MonomialStaircase, PointConfig, SquareRootIntercept, exceptional_classes,
-                    gin_staircase, hilbert_fn)
+                    gin_staircase)
 from ginlab.hilbert import alpha_shgh, nef_threshold, shgh_hilbert
-from ginlab.lattice import EffectivityResult, intersect
+from ginlab.lattice import EffectivityResult, intersect, uniform_h0
 
 
 def clear_ginlab_caches() -> None:
@@ -136,24 +136,33 @@ def staircase_of(heights: tuple[int, ...], m: int, config: PointConfig) -> Monom
     return MonomialStaircase(alpha=len(heights), runs=runs_of(heights), m=m, config=config)
 
 
-# The profile as the engine built it before it kept runs: the walk down from
-# the nef threshold, every column height appended to one list, and the shgh
-# closed form as one tuple.  Property tests expand the runs against these.
+# The profile as the engine built it before it kept runs or read residue
+# families: the walk down from the nef threshold, reading each H(t) from the
+# greedy uniform_h0 at its own degree, every column height appended to one
+# list, and the shgh closed form as one tuple.  Property tests expand the runs
+# against these.
 def walk_heights(config: PointConfig, m: int) -> tuple[int, ...]:
     t = nef_threshold(config, m) + 1
-    upper, lower = hilbert_fn(config, m, t), hilbert_fn(config, m, t - 1)
+    upper, lower = uniform_h0(config, m, t), uniform_h0(config, m, t - 1)
     assert upper - lower == t + 1
     heights: list[int] = []
     lo = 0
     while upper:
         t -= 1
         upper = lower
-        lower = hilbert_fn(config, m, t - 1) if upper else 0
+        lower = uniform_h0(config, m, t - 1) if upper else 0
         start = t + 1 - (upper - lower)
         assert lo <= start <= t + 1
         heights += range(t + 1 - lo, t + 1 - start, -1)
         lo = start
     return tuple(heights)
+
+
+def window_of(value):
+    """A stand-in for ``uniform_h0_window`` that reads value(config, m, t) at
+    each degree: how a test hands a wrong Hilbert value to the binding that
+    the walk or the hilbert command reads."""
+    return lambda config, m, ts: map(partial(value, config, m), ts)
 
 
 def closed_form_heights(r: int, m: int) -> tuple[int, ...]:

@@ -172,13 +172,16 @@ def entered_by(run) -> set[tuple[str, int]]:
 SMALL_FLAGS = {"classes": [], "hilbert": ["--m", "5", "--t-range", "0..12"], "gin": ["--m", "5"],
                "shape": ["--m-list", "1,3,5"], "verify": ["--max-m", "3"]}
 # (argv, exit code): every subcommand and format on each kind, a staircase
-# whose runs are long enough for exporters.render_ranges, help and usage errors
+# whose runs are long enough for exporters.render_ranges, a long degree range,
+# help and usage errors
 REACH_COMMANDS = [
     *(([name, spec, "--format", fmt, *SMALL_FLAGS[name]], 0)
       for spec in ("general:6", "collinear:4", "shgh:10")
       for name, _, _, formats, _ in cli._COMMANDS for fmt in formats
       if (name, spec) != ("classes", "shgh:10")),
     *((["gin", "shgh:10", "--m", "40", "--format", fmt], 0) for fmt in ("json", "text")),
+    # a degree range long enough for lattice.uniform_h0_window's residue families
+    (["hilbert", "collinear:4", "--m", "5", "--t-range", "0..40"], 0),
     (["classes", "shgh:10"], 2),  # no class list: shgh's is conjectural and infinite
     (["--help"], 0),
     (["gin", "general:6", "--m", "x"], 2),

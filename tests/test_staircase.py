@@ -12,11 +12,11 @@ import ginlab.lattice
 from ginlab import MonomialStaircase, PointConfig, colength, gin_staircase, hilbert_fn, verify
 from ginlab.errors import ComputationGuardError
 from ginlab.exporters import column_ranges
-from ginlab.hilbert import alpha
+from ginlab.hilbert import alpha, nef_threshold
 from ginlab.lattice import SHGH, uniform_h0
 from ginlab.staircase import shgh_gin_closed_form, xy_count
 from oracles import (closed_form_heights, generators, heights, membership, scan_shgh_staircase,
-                     staircase_of, walk_heights)
+                     staircase_of, walk_heights, window_of)
 
 
 # Oracle: count the complement by walking the grid, independently of the
@@ -175,10 +175,11 @@ def test_gin_staircase_rejects_nonpositive_m():
 
 
 # The walk's guards fire only on a broken Hilbert engine, so each test feeds
-# it doctored values at general:6, m=4: the nef threshold is 10, alpha = 10,
-# and H(9), H(10), H(11) = 0, 6, 18, so the segment sizes are 6 at degree 10
-# and t + 1 from degree 11 on.  The cached wrapper is bypassed so the walk
-# really runs.
+# it doctored values at general:6, m=4 through the window binding it reads:
+# the nef threshold is 10, alpha = 10 and alpha_lower_bound 10, and H(9),
+# H(10), H(11) = 0, 6, 18, so the segment sizes are 6 at degree 10 and t + 1
+# from degree 11 on, and the window ends at degree 8.  The cached wrapper is
+# bypassed so the walk really runs.
 @pytest.mark.parametrize("doctor,message", [
     (lambda t, h: h - 1 if t == 11 else h,
      "segment of 11 monomials at degree 11 is not the full 12 above the nef threshold"
@@ -189,10 +190,13 @@ def test_gin_staircase_rejects_nonpositive_m():
     (lambda t, h: 3 if t == 9 else h,  # segments of 3 at degrees 10 and 9
      "segment at degree 9 starts at column 7, outside [8, 10] for general:6, m=4;"
      " Hilbert engine bug"),
-], ids=["not-full", "out-of-range", "out-of-order"])
+    (lambda t, h: h + (t <= 9),  # H(9) = H(8) = 1, below alpha_lower_bound
+     "Hilbert value 1 at degree 8, below every effective degree, for general:6, m=4;"
+     " Hilbert engine bug"),
+], ids=["not-full", "out-of-range", "out-of-order", "below-the-bound"])
 def test_walk_guards_name_the_failure(monkeypatch, doctor, message):
-    monkeypatch.setattr("ginlab.staircase.uniform_h0",
-                        lambda config, m, t: doctor(t, uniform_h0(config, m, t)))
+    monkeypatch.setattr("ginlab.staircase.uniform_h0_window",
+                        window_of(lambda config, m, t: doctor(t, uniform_h0(config, m, t))))
     with pytest.raises(ComputationGuardError) as excinfo:
         gin_staircase.__wrapped__(PointConfig.general(6), 4)
     assert str(excinfo.value) == message
@@ -202,19 +206,33 @@ DIVISOR_SPECS = [f"general:{r}" for r in range(2, 9)] + [f"collinear:{l}" for l 
 
 
 @pytest.mark.parametrize("spec", DIVISOR_SPECS)
-def test_walk_reads_each_hilbert_value_once(monkeypatch, spec):
-    reads = []
+def test_walk_serves_each_degree_once_from_one_window(monkeypatch, spec):
+    served_by, runs = {}, Counter()  # each window the walk opens, with the values it took
+    window = ginlab.lattice.uniform_h0_window
 
-    def counted(config, m, t):
-        reads.append((config, m, t))
-        return uniform_h0(config, m, t)
+    def recorded(config, m, ts):
+        served = served_by[ts] = []
+        for value in window(config, m, ts):
+            served.append(value)
+            yield value
 
-    monkeypatch.setattr("ginlab.staircase.uniform_h0", counted)  # the binding the walk reads
+    def counted(config, m, t, trace=None):
+        runs[t] += 1
+        return uniform_h0(config, m, t, trace)
+
+    monkeypatch.setattr("ginlab.staircase.uniform_h0_window", recorded)  # the binding the walk reads
+    monkeypatch.setattr("ginlab.lattice.uniform_h0", counted)  # the greedy the window runs
     config = PointConfig.parse(spec)
-    for m in (1, 7, 40):
+    for m in (1, 7, 40, 211):
+        served_by.clear()
+        runs.clear()
         gin_staircase.__wrapped__(config, m)
-    assert reads
-    assert [read for read, count in Counter(reads).items() if count > 1] == []
+        # one descending window from the top, each degree served once, in order, down to alpha - 1
+        ((ts, served),) = served_by.items()
+        assert ts.step == -1 and ts[0] == nef_threshold(config, m) + 1
+        assert served == [uniform_h0(config, m, t) for t in range(ts[0], alpha(config, m) - 2, -1)]
+        # the greedy at most once at each degree of the window, and nowhere else
+        assert set(runs) <= set(ts) and max(runs.values()) == 1
 
 
 @pytest.mark.parametrize("spec", DIVISOR_SPECS)

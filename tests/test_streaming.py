@@ -18,7 +18,7 @@ from ginlab.exporters import CHUNK, shape_csv, shape_json, shape_svg, staircase_
 from ginlab.hilbert import hilbert_fn
 from ginlab.lattice import canonical_class, exceptional_classes, intersect, uniform_h0
 from ginlab.verify import run_verification
-from oracles import clear_ginlab_caches, expected_generator_line, heights
+from oracles import clear_ginlab_caches, expected_generator_line, heights, window_of
 
 
 def gin_text(spec: str, m: int) -> str:
@@ -172,9 +172,11 @@ def test_a_large_shape_document_peaks_under_half_a_megabyte(monkeypatch, fmt):
     assert peak < 500_000
 
 
-# 20,001 Hilbert values, warm in hilbert_fn's cache, make a 0.29-0.81 MB
-# document in each format, which peaks at 0.31-0.43 MB; as one list of (t, H)
-# rows and one str, or that list handed to JSON, they peaked at 2.0-4.0 MB
+# 20,001 Hilbert values make a 0.29-0.81 MB document in each format, which
+# peaks at 0.95-1.07 MB, the 20,001 ints included, since the command reads no
+# cache (0.31-0.43 MB when they sat in hilbert_fn's cache before the measured
+# run); as one list of (t, H) rows and one str, or that list handed to JSON,
+# they peaked at 2.0-4.0 MB
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_a_long_hilbert_range_peaks_under_one_and_a_half_megabytes(monkeypatch, fmt):
     peak, size = streamed(monkeypatch, ["hilbert", "general:8", "--m", "30",
@@ -184,8 +186,8 @@ def test_a_long_hilbert_range_peaks_under_one_and_a_half_megabytes(monkeypatch, 
 
 
 def test_the_walk_leaves_no_hilbert_values_behind(monkeypatch):
-    # the walk reads each H(t) once from the divisor engine, so the command
-    # keeps only its staircase: 2,765 cached Hilbert values took about 0.5 MB
+    # the walk reads each H(t) once from its window, so the command keeps
+    # only its staircase: 2,765 cached Hilbert values took about 0.5 MB
     argv = ["gin", "collinear:8", "--m", "451", "--format", "text"]
     with open(os.devnull, "w", encoding="utf-8") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
@@ -203,11 +205,11 @@ def test_the_walk_leaves_no_hilbert_values_behind(monkeypatch):
 
 def test_a_tripped_guard_writes_nothing(tmp_path, capsys, monkeypatch):
     # general:6 at m = 10 has H(23), H(24) = 0, 1; H(23) = 7 makes the first
-    # difference at degree 24 negative.  The cached wrapper is bypassed so the
-    # walk really runs.
+    # difference at degree 24 negative, handed in through the window binding
+    # the walk reads.  The cached wrapper is bypassed so the walk really runs.
     monkeypatch.setattr("ginlab.staircase.gin_staircase", gin_staircase.__wrapped__)
-    monkeypatch.setattr("ginlab.staircase.uniform_h0",
-                        lambda config, m, t: uniform_h0(config, m, t) + 7 * (t == 23))
+    monkeypatch.setattr("ginlab.staircase.uniform_h0_window",
+                        window_of(lambda config, m, t: uniform_h0(config, m, t) + 7 * (t == 23)))
     path = tmp_path / "doc.json"
     for out in ([], ["--out", str(path)]):
         code = cli.main(["gin", "general:6", "--m", "10", "--format", "json", *out])
@@ -221,14 +223,14 @@ def test_a_tripped_guard_writes_nothing(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_a_tripped_hilbert_guard_writes_nothing(tmp_path, capsys, monkeypatch, fmt):
     # the guard trips at the range's last degree, so a writer that read each
-    # H(t) as it wrote its row would have written every row before it
+    # H(t) as it wrote its row would have written every row before it; the
+    # command reads its values through hilbert's window binding
     def tripped(config, m, t):
         if t == 30:
             raise ComputationGuardError("forced at degree 30")
         return uniform_h0(config, m, t)
 
-    hilbert_fn.cache_clear()
-    monkeypatch.setattr("ginlab.hilbert.uniform_h0", tripped)
+    monkeypatch.setattr("ginlab.hilbert.uniform_h0_window", window_of(tripped))
     path = tmp_path / "doc"
     for out in ([], ["--out", str(path)]):
         code = cli.main(["hilbert", "general:6", "--m", "10", "--t-range", "20..30",

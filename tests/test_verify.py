@@ -16,7 +16,7 @@ from ginlab.lattice import COLLINEAR, GENERAL, SHGH, uniform_h0
 from ginlab.staircase import shgh_gin_closed_form
 from ginlab.verify import brute_force_exceptional_classes
 from oracles import (clear_ginlab_caches, degree_count, heights, products_inside_all_pairs,
-                     staircase_of)
+                     staircase_of, window_of)
 from test_package import defined_functions, entered_by
 
 
@@ -139,10 +139,11 @@ def test_cremona_row_catches_a_wrong_value_past_the_orbit_cap(monkeypatch, capsy
                         and value > 0 and uniform_h0(config, m, t - 1) == 0)
 
     # H(alpha) + 1 on general:6 at m = 10 (and 17, 24, ...), in both engine
-    # bindings: above orbit-engine's m <= 8, below the nef threshold, and no
-    # product escapes at m <= 7, so only the Cremona row sees it
+    # bindings, hilbert_fn's greedy and the walk's window: above orbit-engine's
+    # m <= 8, below the nef threshold, and no product escapes at m <= 7, so
+    # only the Cremona row sees it
     monkeypatch.setattr("ginlab.hilbert.uniform_h0", wrong)
-    monkeypatch.setattr("ginlab.staircase.uniform_h0", wrong)
+    monkeypatch.setattr("ginlab.staircase.uniform_h0_window", window_of(wrong))
     clear_caches()
     try:
         report = run_verification(PointConfig.general(6), 14)
@@ -174,15 +175,15 @@ def pair_sides():
     """(row, config, engine run, oracle run): every _compare row of _CHECKS on
     its own window at m <= 3, once per spec of each kind it runs on, and
     class-list's general half."""
-    def over(side, config, points):
-        return lambda: [side(config, m, t) for m, t in points]
+    def over(side, config, windows):
+        return lambda: [side(config, m)(t) for m, ts in windows for t in ts]
 
     for name, check, kinds in verify._CHECKS:
         if getattr(check, "func", None) is verify._compare:
             engine, oracle, window = check.args[:3]
             for config in (PointConfig.parse(spec) for kind in kinds for spec in SIDE_SPECS[kind]):
-                points = [(m, t) for m in range(1, 4) for t in window(config, m)]
-                yield name, config, over(engine, config, points), over(oracle, config, points)
+                windows = [(m, window(config, m)) for m in range(1, 4)]
+                yield name, config, over(engine, config, windows), over(oracle, config, windows)
     for config in map(PointConfig.parse, SIDE_SPECS[GENERAL]):
         yield ("class-list", config, partial(exceptional_classes, config),
                partial(brute_force_exceptional_classes, config.r))
@@ -209,9 +210,10 @@ def test_guard_errors_become_failed_checks(monkeypatch, capsys):
     def wrong(config, m, t):
         return uniform_h0(config, m, t) + ((m, t) == (2, 5))
 
-    # the wrong value breaks staircase reconstruction, which raises a guard
-    # error inside several checks; each of them fails instead of the suite
-    monkeypatch.setattr("ginlab.staircase.uniform_h0", wrong)
+    # the wrong value, handed to the window the walk reads, breaks staircase
+    # reconstruction, which raises a guard error inside several checks; each
+    # of them fails instead of the suite
+    monkeypatch.setattr("ginlab.staircase.uniform_h0_window", window_of(wrong))
     clear_caches()
     try:
         report = run_verification(PointConfig.general(5), max_m=4)
@@ -327,7 +329,7 @@ DOCTORED_VERIFY = {
         ["verify", "shgh:10", "--max-m", "4"],
         "# verify shgh:10 --max-m 4\n"
         "PASS colength: equals r*m*(m+1)/2 for every m <= 4\n"
-        "FAIL closed-form: divergence at m=3, t=12\n"
+        "FAIL closed-form: divergence at m=3, t=10\n"
         "PASS first-differences: within [0, t+1] for m in [1, 2, 4]\n"
         "PASS convergence: intercepts within 3/m for m <= 4\n"
         "PASS graded-system: products and scaled nesting hold for m <= 2\n"
