@@ -23,18 +23,21 @@ and the ints of consecutive shorter runs, every run of a collinear staircase
 among them, in tuples of at most CHUNK ints; the generators and the text
 line pair them with their x-exponents, backward from x^alpha
 (`column_ranges`, the text line through `_window`).  `render_ranges` is
-their one writer: a range comes in blocks of at most 1000 numbers that share
-the part above their last three digits, each joined from that part and
-slices of two 1000-entry tables, `_suffixes`, and a tuple through a template
-of `render_runs`.  The other int arrays are flat runs cut by the one
-chunker, `_batches`: a shape report's corners (`corner_runs`, without
-building the pairs or their rational strs) and `hilbert`'s (t, H) values.
-`render_runs` formats each run by one "%d" template, only as the pieces are
-read, so no str is made per number; `hilbert_pieces` writes every `hilbert`
-document, text and CSV rows included, through it.  Other lists take the
-generic path.  The SVG, `svg_pieces`, has CHUNK // 4 columns (CHUNK numbers)
-of an outline to a piece.  `staircase_json`, `shape_json`, `shape_svg` and
-`hilbert_csv` join the pieces into one str; no command calls them.
+their one writer: a range comes in blocks of at most 1000 columns that share
+the part above their last three digits, and of at most CHUNK numbers, each
+joined from that part and slices of two 1000-entry tables, `_suffixes`, and
+a tuple through a template of `render_runs`.  The other int arrays are flat
+runs cut by the one chunker, `_batches`: a shape report's corners
+(`corner_runs`, without building the pairs or their rational strs) and
+`hilbert`'s (t, H) values.  `render_runs` formats each run by one "%d"
+template, only as the pieces are read, so no str is made per number;
+`hilbert_pieces` writes every `hilbert` document, text and CSV rows
+included, through it.  Other lists take the generic path.  The SVG,
+`svg_pieces`, has CHUNK // 4 columns (CHUNK numbers) of an outline to a
+piece.  So every streamed writer has one piece budget: a template run, a
+range block, a corner run or an outline piece holds at most CHUNK numbers.
+`staircase_json`, `shape_json`, `shape_svg` and `hilbert_csv` join the
+pieces into one str; no command calls them.
 """
 
 from __future__ import annotations
@@ -49,7 +52,10 @@ from .lattice import PointConfig, Rational, Record, canonical_class, intersect
 from .shape import ShapeReport, SquareRootIntercept
 from .staircase import MonomialStaircase, colength
 
-CHUNK = 4096  # numbers per %d template or SVG piece, which bounds each run and piece
+# numbers per template run, range block, corner run or SVG piece: the one
+# budget of every streamed piece.  1024 measured lower peaks than 2048 and
+# 4096, whose pieces set the peak RSS of the larger `shape` documents
+CHUNK = 1024
 # the length, in columns, from which a run renders faster from the suffix
 # tables than through a %d template (measured)
 BREAK_EVEN = 40
@@ -217,13 +223,15 @@ def _stretches(runs, size: int) -> Iterator[range | tuple[int, ...]]:
 
 
 def _blocks(segments) -> Iterator[list[range]]:
-    """Each segment cut where one of its ranges crosses a multiple of 1000."""
+    """Each segment cut where one of its ranges crosses a multiple of 1000,
+    and after every CHUNK // len(segment) columns, so a block holds at most
+    CHUNK numbers."""
     for segment in segments:
-        i, n = 0, len(segment[0])
+        i, n, most = 0, len(segment[0]), CHUNK // len(segment)
         while i < n:
             # the numbers left before each range's part above the last three digits changes
-            k = min(n - i, *[r[i] % 1000 + 1 if r.step < 0 else 1000 - r[i] % 1000
-                             for r in segment])
+            k = min(n - i, most, *[r[i] % 1000 + 1 if r.step < 0 else 1000 - r[i] % 1000
+                                   for r in segment])
             yield [r[i:i + k] for r in segment]
             i += k
 
@@ -231,8 +239,10 @@ def _blocks(segments) -> Iterator[list[range]]:
 @lru_cache(maxsize=None)
 def _suffixes() -> tuple[list[str], list[str]]:
     """Each i < 1000 as a whole number and as the last three digits of a
-    larger one: built at the first segment of ranges in a process."""
-    return [str(i) for i in range(1000)], ["%03d" % i for i in range(1000)]
+    larger one: built at the first segment of ranges in a process.  From 100
+    on the two are the same str, which both tables hold."""
+    padded = ["%03d" % i for i in range(1000)]
+    return [*map(str, range(100)), *padded[100:]], padded
 
 
 def column_ranges(s: MonomialStaircase) -> Iterator[tuple[Sequence[int], Sequence[int]]]:

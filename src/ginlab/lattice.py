@@ -561,9 +561,11 @@ def uniform_h0_window(config: PointConfig, m: int, ts: range) -> Iterator[int]:
     greedy at the far end certifies the family, and its class must be
     c + J*v.  A failed probe is kept for the family that opens at its
     degree, so every run is at a degree no other run visited: the greedy
-    runs at most once per degree of ts.  Only the open families, O(D) of
-    them, and the failed probes are held.  A window below _SHORT_WINDOW
-    degrees runs the greedy at each degree.
+    runs at most once per degree of ts.  When a family serves that degree
+    instead, the probe's value must be the family's, and it is dropped
+    there.  Only the open families, O(D) of them, and the failed
+    probes ahead are held.  A window below _SHORT_WINDOW degrees runs the
+    greedy at each degree.
     """
     if ts.step not in (1, -1):
         raise ValueError("a window runs in steps of 1 or -1")
@@ -601,6 +603,11 @@ def _family_values(config: PointConfig, m: int, ts: range) -> Iterator[int]:
             if value < 0:
                 raise ComputationGuardError(
                     f"negative section count {value} served at degree {t} for {config}, m={m}")
+            probe = probes.pop(p, None)  # failed for another trace; the greedy ran here
+            if probe is not None and probe[-1] != value:
+                raise ComputationGuardError(
+                    f"the greedy gives {probe[-1]} at degree {t}, where its family serves {value}, "
+                    f"for {config}, m={m}")
             if left > 1:
                 family[0], family[1], family[3] = value + step, step + second, left - 1
                 families[p + period] = family

@@ -17,8 +17,8 @@ know that layout; other readers take `run_starts`, each run's first column.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, islice
-from operator import attrgetter, lt, mul
+from itertools import accumulate, compress, count, islice, repeat
+from operator import attrgetter, ge
 
 from .errors import ComputationGuardError
 from .hilbert import alpha_lower_bound, alpha_shgh, hilbert_fn, nef_threshold, shgh_hilbert
@@ -48,10 +48,10 @@ class MonomialStaircase(Record, fields="alpha runs m config"):
             raise ComputationGuardError("each run must be a non-empty range of step -1")
         if sum(map(len, runs)) != alpha:
             raise ComputationGuardError("one column height per x-exponent below alpha")
-        # right[0] <= left[-1] - 2 for each adjacent pair, in one C-level pass
-        drops = [*map(lt, map(_START, islice(runs, 1, None)), map(_STOP, runs))]
-        if False in drops:
-            i = drops.index(False)
+        # right[0] <= left[-1] - 2 for each adjacent pair: the first pair that
+        # fails, if any, in one C-level pass that builds no list
+        i = next(compress(count(), map(ge, map(_START, islice(runs, 1, None)), map(_STOP, runs))), None)
+        if i is not None:
             left, right, column = runs[i], runs[i + 1], sum(map(len, runs[:i + 1]))
             raise ComputationGuardError(
                 f"column heights must strictly decrease, by 2 or more between runs: column "
@@ -155,9 +155,9 @@ def colength(s: MonomialStaircase) -> int:
 
     A run from height a down to b + 1 sums to (a^2 - b^2 + a - b) / 2, and
     the lengths a - b of the runs sum to alpha, so the count takes two
-    C-level passes over the runs' ends."""
-    starts, stops = [*map(_START, s.runs)], [*map(_STOP, s.runs)]
-    count = (sum(map(mul, starts, starts)) - sum(map(mul, stops, stops)) + s.alpha) // 2
+    C-level passes over the runs' ends, which builds no list of them."""
+    squares = sum(map(pow, map(_START, s.runs), repeat(2))) - sum(map(pow, map(_STOP, s.runs), repeat(2)))
+    count = (squares + s.alpha) // 2
     expected = s.config.r * s.m * (s.m + 1) // 2
     if count != expected:
         raise ComputationGuardError(

@@ -212,8 +212,9 @@ def expected_generator_line(s: MonomialStaircase) -> str:
 
 
 def shgh_with_alpha(a: int) -> MonomialStaircase:
-    """An shgh staircase with alpha = a, from the first r in 9..16 that has one."""
-    for r in range(9, 17):
+    """An shgh staircase with alpha = a, from the first r in 9..40 that has
+    one: alpha = 1024 first occurs at r = 17."""
+    for r in range(9, 41):
         m = 1 + bisect_left(range(1, a + 1), a, key=lambda m: alpha_shgh(r, m))
         if alpha_shgh(r, m) == a:
             return gin_staircase(PointConfig.shgh(r), m)

@@ -19,7 +19,10 @@ PEAK_NOISE, the largest relative change first, with the defs whose counts
 moved, then a count.  `--json PATH` writes both trees' whole records.  Call
 counts depend on the interpreter (3.12 inlines comprehensions, PEP 709), so
 both trees run on this one.  It reads bench/ and tests/ and writes nothing
-there; it exits 0 unless it cannot run.
+there.  It exits 1 if an argv's peak rises by more than PEAK_NOISE +
+PEAK_RISE while the lines CHANGES.md gains since REV do not name that argv
+in backticks (`gin general:2 --m 1`), as tests/same_bytes.py asks of
+changed bytes.
 """
 
 from __future__ import annotations
@@ -34,13 +37,17 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-from same_bytes import ROOT, corpus
+from same_bytes import ROOT, added_changes, corpus
 
 SHOWN_DEFS = 8  # per differing argv, the defs with the largest moves
 # a peak that moves by no more than this share, with no call count moved, is
 # the same: peaks of argparse's help and usage paths move by up to 0.8 %
 # between two runs of one tree, since object addresses place some dict keys
 PEAK_NOISE = 0.01
+# a peak that rises past PEAK_NOISE by more than this share fails unless
+# CHANGES.md names its argv: small peaks of a few tens of KB moved by
+# 1.3-7.8 KB when a change kept a few more objects alive
+PEAK_RISE = 0.05
 
 # Runs in the child: argv lists as JSON lines on stdin; on stdout one JSON
 # line per argv, {"calls": {module.qualname: count}, "peak": bytes}.
@@ -158,11 +165,16 @@ def report(rows: list[dict], total: int, rev: str) -> list[str]:
     return lines
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 3) or (len(argv) == 3 and argv[1] != "--json"):
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    rev = argv[0]
+def unnamed_rises(rows: list[dict], added: str) -> list[str]:
+    """The argv of differences' rows whose peak rises by more than
+    PEAK_NOISE + PEAK_RISE and that the added CHANGES.md lines do not name
+    in backticks."""
+    return [row["argv"] for row in rows
+            if relative(*row["peak"]) > PEAK_NOISE + PEAK_RISE and f"`{row['argv']}`" not in added]
+
+
+def records(rev: str) -> tuple[dict[str, dict], dict[str, dict]]:
+    """Each corpus argv's record under rev's src and under this checkout's."""
     argvs = corpus()
     labels = [" ".join(args) for args in argvs]
     with tempfile.TemporaryDirectory() as workdir:
@@ -171,12 +183,26 @@ def main(argv: list[str]) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(workdir, filter="data")
         theirs = dict(zip(labels, run_tree(Path(workdir) / "src", argvs)))
-    ours = dict(zip(labels, run_tree(ROOT / "src", argvs)))
-    print("\n".join(report(differences(theirs, ours), len(labels), rev)))
+    return theirs, dict(zip(labels, run_tree(ROOT / "src", argvs)))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) not in (1, 3) or (len(argv) == 3 and argv[1] != "--json"):
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    rev = argv[0]
+    theirs, ours = records(rev)
+    rows = differences(theirs, ours)
+    print("\n".join(report(rows, len(ours), rev)))
     if len(argv) == 3:
         with open(argv[2], "w", encoding="utf-8") as handle:
             json.dump({"python": sys.version, "rev": rev, "theirs": theirs, "ours": ours}, handle)
-    return 0
+    unnamed = unnamed_rises(rows, added_changes(rev))
+    for label in unnamed:
+        print(f"{label}: peak rises by more than {PEAK_NOISE + PEAK_RISE:.0%}, not named in CHANGES.md")
+    print(f"{len(unnamed)} argv whose peak rises by more than {PEAK_NOISE + PEAK_RISE:.0%} "
+          f"are not named in CHANGES.md")
+    return 1 if unnamed else 0
 
 
 if __name__ == "__main__":

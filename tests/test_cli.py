@@ -751,7 +751,7 @@ GOLDEN = [
      "6da31ed66ab042754817cfcdeb55fb8eb29e00f8ce58897b3c3f7d478e5df383"),
     ("hilbert general:8 --m 30 --t-range 0..90 --format json",
      "e0694ff46312ab0a3cca6b91ba2bd39aa76e3739b4787999bc69c412c1fc8914"),
-    # alpha = 4200: 4201 corners, one past a chunk
+    # alpha = 4200: 4201 corners, in runs of CHUNK // 4 and a shorter last one
     ("shape shgh:9 --m-list 1400 --format json",
      "03725282abab7a3ef50605c6dc25a2972af5a372b15c96565466127ddc8ec661"),
 ]

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from ginlab import MonomialStaircase, PointConfig, gin_staircase, shape_report
 from ginlab.exporters import (BREAK_EVEN, CHUNK, _batches, _IntRuns, _window, generator_line,
-                              intercept_str, json_pieces, rational_str, render_ranges, render_runs,
-                              shape_json, staircase_json, staircase_payload)
+                              gin_pieces, hilbert_pieces, intercept_str, json_pieces, rational_str,
+                              render_ranges, render_runs, shape_json, shape_pieces, staircase_json,
+                              staircase_payload)
 from ginlab.staircase import colength
 from oracles import expected_generator_line, generators, heights, shgh_with_alpha, staircase_of
 
@@ -168,6 +169,22 @@ def test_range_pieces_match_render_runs(at, length, item):
     pieces = list(render_ranges(segments, item, ", ", "<"))
     assert "".join(pieces) == "".join(render_runs(_batches(iter(ints), CHUNK), item, ", ", "<"))
     assert max(len(re.findall(r"\d+", piece)) for piece in pieces) <= CHUNK
+
+
+# the same budget in every streamed writer: each piece of a document, an SVG
+# outline piece and a run of shape corners among them, holds at most CHUNK
+# numbers, and the pieces of a long array fill it
+@pytest.mark.parametrize("document", [
+    lambda: gin_pieces(gin_staircase(PointConfig.shgh(9), 2800), "json"),
+    lambda: gin_pieces(gin_staircase(PointConfig.shgh(9), 2800), "text"),
+    lambda: gin_pieces(gin_staircase(PointConfig.parse("collinear:3"), 3000), "json"),
+    lambda: shape_pieces(shape_report(PointConfig.shgh(9), [1, 2800]), "json"),
+    lambda: shape_pieces(shape_report(PointConfig.shgh(9), [1, 2800]), "svg"),
+    lambda: hilbert_pieces(PointConfig.general(6), 10, ((t, t * t) for t in range(3000)), "text"),
+], ids=["gin-json", "gin-text", "gin-json-many-runs", "shape-json", "shape-svg", "hilbert-text"])
+def test_every_streamed_piece_holds_at_most_chunk_numbers(document):
+    numbers = [len(re.findall(r"\d+(?:\.\d+)?", piece)) for piece in document()]
+    assert max(numbers) == CHUNK
 
 
 # a window inside one segment, across two, before and after others, and empty

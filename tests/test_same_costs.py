@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from same_costs import PEAK_NOISE, SHOWN_DEFS, differences, relative, report
+import same_costs
+from same_costs import PEAK_NOISE, PEAK_RISE, SHOWN_DEFS, differences, relative, report, unnamed_rises
 
 
 def record(peak: int, **calls: int) -> dict:
@@ -57,3 +58,36 @@ def test_report_lines():
     assert lines[SHOWN_DEFS + 2:SHOWN_DEFS + 4] == ["hilbert b: peak 1000 -> 1000 B (+0.0%)",
                                                     "  h: 0 -> 1 calls (new)"]
     assert lines[-1].startswith("2 of 5 argv differ in calls or peak from REV (Python ")
+
+
+# a peak past PEAK_NOISE + PEAK_RISE fails unless the CHANGES.md lines the
+# change adds name its argv in backticks; a fall, or a rise within the share,
+# never fails
+def checked_records() -> tuple[dict, dict]:
+    limit = 1 + PEAK_NOISE + PEAK_RISE
+    theirs = {"gin a": record(10_000), "gin b": record(10_000), "gin c": record(10_000),
+              "gin d": record(10_000)}
+    ours = {"gin a": record(int(10_000 * limit) + 100), "gin b": record(int(10_000 * limit) - 100),
+            "gin c": record(2_000), "gin d": record(30_000, f=1)}
+    return theirs, ours
+
+
+def test_unnamed_rises_are_the_large_rises_changes_does_not_name():
+    rows = differences(*checked_records())
+    assert unnamed_rises(rows, "") == ["gin d", "gin a"]
+    assert unnamed_rises(rows, "- `gin d` keeps its table; gin a is not in backticks") == ["gin a"]
+    assert unnamed_rises(rows, "`gin a` and `gin d`") == []
+
+
+@pytest.mark.parametrize("added,flags,code", [
+    ("", [], 1), ("`gin a`", [], 1), ("`gin a`, `gin d`", [], 0), ("", ["--json"], 2),
+])
+def test_check_exit_codes(monkeypatch, capsys, added, flags, code):
+    monkeypatch.setattr(same_costs, "records", lambda rev: checked_records())
+    monkeypatch.setattr(same_costs, "added_changes", lambda rev: added)
+    assert same_costs.main(["REV", *flags]) == code
+    out = capsys.readouterr().out.splitlines()
+    if code == 1:
+        assert out[-1].endswith(" argv whose peak rises by more than 6% are not named in CHANGES.md")
+        assert "gin d: peak rises by more than 6%, not named in CHANGES.md" in out
+        assert ("gin a: peak rises by more than 6%, not named in CHANGES.md" in out) is (added == "")

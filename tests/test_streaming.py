@@ -62,8 +62,8 @@ def shape_of(spec: str, ms: list[int]):
 
 # every command and format; the document as one str where a str exporter makes it
 # (None: a one-piece document, checked against --out only).  shgh:16 at m = 3000
-# has alpha = 12001, so its lambdas and generators span three CHUNK runs each;
-# 9001 Hilbert values and the 8401 corners at m = 2800 span three as well
+# has alpha = 12001, so its lambdas and generators span many CHUNK runs each;
+# 9001 Hilbert values and the 8401 corners at m = 2800 span many as well
 CASES = [
     ("gin general:2 --m 1", lambda: staircase_json(gin_staircase(PointConfig.general(2), 1))),
     ("gin general:2 --m 1 --format text", lambda: gin_text("general:2", 1)),

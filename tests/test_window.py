@@ -90,6 +90,21 @@ def test_a_long_walk_runs_the_greedy_at_a_fifth_of_its_degrees(runs):
     assert sum(runs.values()) <= len(window) / 5
 
 
+def test_a_long_walk_keeps_only_the_probes_ahead_of_it():
+    # gin collinear:8 --m 451: up to 25 failed probes wait at once for the
+    # family that opens at their degree; one that a family serves instead is
+    # dropped there, where 16 were kept to the end of the window
+    config = PointConfig.parse("collinear:8")
+    window = range(nef_threshold(config, 451) + 1, alpha_lower_bound(config, 451) - 3, -1)
+    values = uniform_h0_window(config, 451, window)
+    kept = []
+    for p, _ in enumerate(values):
+        probes = values.gi_frame.f_locals["probes"]
+        assert min(probes, default=p + 1) > p, p
+        kept.append(len(probes))
+    assert max(kept) <= 32 and kept[-1] == 0
+
+
 def test_hilbert_values_take_one_engine_per_kind(runs):
     hilbert_fn.cache_clear()
     shgh = PointConfig.shgh(10)
@@ -138,3 +153,18 @@ def test_a_wrong_period_table_fails_the_far_end(monkeypatch):
     with pytest.raises(ComputationGuardError, match=r"^the class at degree \d+ is not affine along the "
                                                     r"trace from degree \d+ for general:6, m=10$"):
         list(uniform_h0_window(PointConfig.general(6), 10, range(20, 60)))
+
+
+def test_a_probe_the_family_serves_must_match_it(monkeypatch):
+    # general:2 nef at (t; 1, 1), of trace A below t = 10 and B from there:
+    # the walk from t = 0 keeps failed probes at 10, 11, 15 and 39, and the
+    # family of B that opens at 10 serves 11, where this greedy is one off
+    def two_traces(config, m, t, trace=None):
+        trace += ("A" if t < 10 else "B", _NEF, t, 1, 1)
+        return (t * (t + 3) - 4) // 2 + 1 + (t == 11)
+
+    monkeypatch.setattr(ginlab.lattice, "uniform_h0", two_traces)
+    monkeypatch.setattr(ginlab.lattice, "_trace_period", lambda config, trace: (1, 1, 0, 0))
+    with pytest.raises(ComputationGuardError, match=r"^the greedy gives 77 at degree 11, where its family "
+                                                    r"serves 76, for general:2, m=1$"):
+        list(uniform_h0_window(PointConfig.general(2), 1, range(0, 40)))
